@@ -117,7 +117,11 @@ func BenchmarkBatteryBankDay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := solarcore.RunBatteryBank(cfg, bank, 0.95); err != nil {
+		r, err := solarcore.NewRunner(cfg, solarcore.WithBank(bank, 0.95))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.RunBank(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,7 +9,7 @@
 //	          [-addr 127.0.0.1:8099] [-vnodes 64] [-hedge 0] \
 //	          [-hedge-min 25ms] [-hedge-max 500ms] [-retries 2] \
 //	          [-probe 500ms] [-probe-jitter 0.2] [-fail 3] [-sweepmax 256] \
-//	          [-grace 10s] [-access path|-] [-checkpoint.dir /abs/path]
+//	          [-grace 10s] [-access path|-]
 //
 // Endpoints (identical shapes to solard, plus routing headers):
 //
@@ -30,13 +30,10 @@
 // -hedge fixes it. -probe-jitter spreads each probe period over
 // ±fraction of -probe (deterministically seeded) so a fleet of gates
 // restarted together does not probe in lockstep; negative pins the
-// period exactly. -checkpoint.dir (absolute path) makes sweeps
-// durable: completed cells are journaled per sweep, and an identical
-// batch re-submitted after a crash resumes from the journal instead of
-// recomputing finished cells (DESIGN.md §16). The bound address is
-// printed as "solargate: listening on http://HOST:PORT". On SIGINT/SIGTERM the gate drains
-// like solard: /healthz fails, new work is refused with Retry-After,
-// in-flight requests finish under -grace, exit 0.
+// period exactly. The bound address is printed as "solargate: listening
+// on http://HOST:PORT". On SIGINT/SIGTERM the gate drains like solard:
+// /healthz fails, new work is refused with Retry-After, in-flight
+// requests finish under -grace, exit 0.
 package main
 
 import (
@@ -48,7 +45,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -93,7 +89,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	sweepMax := fs.Int("sweepmax", 256, "max runs per sweep batch")
 	grace := fs.Duration("grace", 10*time.Second, "shutdown drain budget for in-flight requests")
 	access := fs.String("access", "", "JSONL access-log path (\"-\" = stdout, empty = off)")
-	ckptDir := fs.String("checkpoint.dir", "", "sweep checkpoint directory, absolute path (empty = off)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -127,9 +122,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *probeJitter > 0.9 {
 		return fail(stderr, "-probe-jitter must be at most 0.9 (got %v)", *probeJitter)
 	}
-	if *ckptDir != "" && !filepath.IsAbs(*ckptDir) {
-		return fail(stderr, "-checkpoint.dir must be an absolute path, got %q", *ckptDir)
-	}
 
 	var sink *obs.JSONLSink
 	switch *access {
@@ -156,7 +148,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ProbeJitter:   *probeJitter,
 		FailThreshold: *failN,
 		MaxSweep:      *sweepMax,
-		CheckpointDir: *ckptDir,
 		AccessLog:     sink,
 		Clock:         time.Now,
 	})

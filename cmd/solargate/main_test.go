@@ -47,7 +47,6 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 		{"-backends", "http://a", "-sweepmax", "0"},
 		{"-backends", "http://a", "-grace", "0s"},
 		{"-backends", "http://a,http://a"}, // duplicate (route.New rejects)
-		{"-backends", "http://a", "-checkpoint.dir", "relative/ckpt"},
 		{"-backends", "http://a", "-probe-jitter", "1.5"},
 	}
 	for _, args := range cases {
@@ -65,7 +64,6 @@ func TestFlagValidationMessages(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-backends", "http://a", "-checkpoint.dir", "ckpt"}, "absolute path"},
 		{[]string{"-backends", "http://a", "-probe-jitter", "2"}, "at most 0.9"},
 	}
 	for _, c := range cases {

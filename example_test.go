@@ -32,7 +32,7 @@ func ExampleMixByName() {
 }
 
 // A full SolarCore day: weather → panel → workload → policy → metrics.
-func ExampleRun() {
+func ExampleRunner_Run() {
 	trace := solarcore.GenerateWeather(solarcore.AZ, solarcore.Jul, 0)
 	day, err := solarcore.NewDay(trace, solarcore.BP3180N(), 1, 1)
 	if err != nil {
@@ -40,7 +40,13 @@ func ExampleRun() {
 		return
 	}
 	mix, _ := solarcore.MixByName("L1")
-	res, err := solarcore.Run(solarcore.Config{Day: day, Mix: mix, StepMin: 2}, solarcore.PolicyOpt)
+	runner, err := solarcore.NewRunner(solarcore.Config{Day: day, Mix: mix, StepMin: 2},
+		solarcore.WithPolicy(solarcore.PolicyOpt))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	res, err := runner.Run()
 	if err != nil {
 		fmt.Println(err)
 		return

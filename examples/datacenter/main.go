@@ -40,7 +40,12 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				res, err := solarcore.Run(solarcore.Config{Day: day, Mix: mix}, solarcore.PolicyOpt)
+				runner, err := solarcore.NewRunner(solarcore.Config{Day: day, Mix: mix},
+					solarcore.WithPolicy(solarcore.PolicyOpt))
+				if err != nil {
+					log.Fatal(err)
+				}
+				res, err := runner.Run()
 				if err != nil {
 					log.Fatal(err)
 				}

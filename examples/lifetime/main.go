@@ -40,7 +40,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		bres, err := solarcore.RunBatteryBank(solarcore.Config{Day: big, Mix: mix}, bank, 0.95)
+		cfg := solarcore.Config{Day: big, Mix: mix}
+		banked, err := solarcore.NewRunner(cfg, solarcore.WithBank(bank, 0.95))
+		if err != nil {
+			log.Fatal(err)
+		}
+		bres, err := banked.RunBank()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,7 +56,11 @@ func main() {
 		cycles += bres.Cycles
 
 		// SolarCore on the same weather and array, no battery, grid backup.
-		sres, err := solarcore.Run(solarcore.Config{Day: big, Mix: mix}, solarcore.PolicyOpt)
+		solar, err := solarcore.NewRunner(cfg, solarcore.WithPolicy(solarcore.PolicyOpt))
+		if err != nil {
+			log.Fatal(err)
+		}
+		sres, err := solar.Run()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -40,21 +40,21 @@ func main() {
 				name, res.SolarWh, res.PTP(), res.Utilization()*100, norm)
 		}
 
-		batL, err := solarcore.RunBattery(cfg, solarcore.BatteryLowerEff)
+		batL, err := run(cfg, solarcore.WithBattery(solarcore.BatteryLowerEff))
 		if err != nil {
 			log.Fatal(err)
 		}
 		baseline = batL.PTP()
 		show("Battery-L", batL)
 
-		batU, err := solarcore.RunBattery(cfg, solarcore.BatteryUpperEff)
+		batU, err := run(cfg, solarcore.WithBattery(solarcore.BatteryUpperEff))
 		if err != nil {
 			log.Fatal(err)
 		}
 		show("Battery-U", batU)
 
 		for _, policy := range solarcore.Policies() {
-			res, err := solarcore.Run(cfg, policy)
+			res, err := run(cfg, solarcore.WithPolicy(policy))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func main() {
 func bestFixed(cfg solarcore.Config) (*solarcore.DayResult, error) {
 	var best *solarcore.DayResult
 	for _, b := range []float64{25, 50, 75, 100, 125} {
-		res, err := solarcore.RunFixedPower(cfg, b)
+		res, err := run(cfg, solarcore.WithFixedBudget(b))
 		if err != nil {
 			return nil, err
 		}
@@ -83,4 +83,13 @@ func bestFixed(cfg solarcore.Config) (*solarcore.DayResult, error) {
 		}
 	}
 	return best, nil
+}
+
+// run simulates one day through a Runner in the mode opt selects.
+func run(cfg solarcore.Config, opt solarcore.RunnerOption) (*solarcore.DayResult, error) {
+	r, err := solarcore.NewRunner(cfg, opt)
+	if err != nil {
+		return nil, err
+	}
+	return r.Run()
 }

@@ -361,6 +361,107 @@ func TestCrashRestartServesDurablyThroughChaos(t *testing.T) {
 	}
 }
 
+// TestGateDeathMidSweepRecomputesOnlyUnfinishedCells pins the sweep
+// resume story without any gate-side state: gate A dies partway through
+// a sweep, a fresh gate B over the same backends takes the identical
+// batch, and the fleet simulates every cell exactly once across both
+// attempts. Finished cells come back from their owner's result cache;
+// a cell still running when A died keeps running (serve fills under its
+// base context, not the request's) and B's request coalesces onto it.
+func TestGateDeathMidSweepRecomputesOnlyUnfinishedCells(t *testing.T) {
+	const n = 16
+	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
+	var backends []string
+	for _, reg := range regs {
+		_, addr := backend(t, serve.Config{Registry: reg})
+		backends = append(backends, "http://"+addr)
+	}
+	runs := func() float64 {
+		var sum float64
+		for _, reg := range regs {
+			sum += reg.Snapshot().Counters[serve.MetricRuns]
+		}
+		return sum
+	}
+	gate := func(workers int) *client.Client {
+		rt, err := route.New(route.Config{
+			Backends:      backends,
+			Clock:         time.Now,
+			HedgeDelay:    time.Hour, // no cell may run twice
+			BackoffBase:   time.Millisecond,
+			ProbeInterval: time.Minute, // keep the prober out of this test
+			ProbeJitter:   -1,
+			SweepWorkers:  workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = rt.Close() })
+		ts := httptest.NewServer(rt.Handler())
+		t.Cleanup(ts.Close)
+		return client.New(ts.URL)
+	}
+	req := client.SweepRequest{V: client.WireVersion}
+	for i := 0; i < n; i++ {
+		req.Runs = append(req.Runs, chaosSpec(200+i))
+	}
+
+	// Gate A walks the grid one cell at a time and is cut off once two
+	// cells have finished, leaving one in flight and the rest unfed.
+	ctxA, cutA := context.WithCancel(context.Background())
+	defer cutA()
+	gateA := gate(1)
+	errA := make(chan error, 1)
+	go func() {
+		_, err := gateA.Sweep(ctxA, req)
+		errA <- err
+	}()
+	deadline := time.Now().Add(30 * time.Second)
+	for runs() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("gate A finished no cells within 30s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cutA()
+	if err := <-errA; err == nil {
+		t.Fatal("gate A completed the whole sweep before the cut; nothing was left to resume")
+	}
+	finished := runs()
+	if finished >= n {
+		t.Fatalf("%v of %d cells ran before the cut; nothing was left to resume", finished, n)
+	}
+
+	// Gate B: same backends, same batch, no memory of A.
+	sr, err := gate(0).Sweep(context.Background(), req)
+	if err != nil {
+		t.Fatalf("resubmitted sweep: %v", err)
+	}
+	if got := runs(); got != n {
+		t.Errorf("backends ran %v simulations across both attempts, want exactly %d", got, n)
+	}
+	t.Logf("%v of %d cells had run when gate A died", finished, n)
+
+	// Byte identity against an independent single node.
+	if len(sr.Results) != n {
+		t.Fatalf("resubmitted sweep returned %d cells, want %d", len(sr.Results), n)
+	}
+	_, addr := backend(t, serve.Config{})
+	direct := client.New("http://" + addr)
+	for i, item := range sr.Results {
+		if item.Error != "" {
+			t.Fatalf("cell %d failed on resubmission: %s", i, item.Error)
+		}
+		truth, err := direct.Run(context.Background(), req.Runs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(item.Result, truth.Body) {
+			t.Errorf("cell %d bytes differ from a direct single-node run", i)
+		}
+	}
+}
+
 // collectStream drains one whole /v1/stream watch and returns every
 // identified event in order (heartbeats and any unidentified frames are
 // not part of the sequence contract).

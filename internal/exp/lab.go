@@ -158,18 +158,10 @@ func (l *Lab) Day(site atmos.Site, season atmos.Season) *sim.SolarDay {
 	return d
 }
 
-func (l *Lab) cached(key string) (*sim.DayResult, bool) {
-	return l.runs.Get(key)
-}
-
-func (l *Lab) store(key string, r *sim.DayResult) {
-	l.runs.Put(key, r)
-}
-
 // cell serves one grid cell through the cache, recording the hit/miss
 // and — on a miss — the simulation wall time.
 func (l *Lab) cell(key string, run func() *sim.DayResult) *sim.DayResult {
-	if r, ok := l.cached(key); ok {
+	if r, ok := l.runs.Get(key); ok {
 		l.reg.Add(MetricLabHits, 1)
 		return r
 	}
@@ -177,7 +169,7 @@ func (l *Lab) cell(key string, run func() *sim.DayResult) *sim.DayResult {
 	start := time.Now()
 	r := run()
 	l.reg.Observe(MetricLabCellMs, time.Since(start).Seconds()*1000)
-	l.store(key, r)
+	l.runs.Put(key, r)
 	return r
 }
 

@@ -19,9 +19,6 @@ const (
 	CacheMiss = "miss"
 	// CacheCoalesced means the request joined an identical in-flight run.
 	CacheCoalesced = "coalesced"
-	// CacheCheckpoint means a sweep cell was restored from the router's
-	// sweep checkpoint instead of being re-fetched (internal/route).
-	CacheCheckpoint = "checkpoint"
 )
 
 // AccessEvent is one structured access-log record of the solard HTTP

@@ -205,14 +205,6 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 	items := make([]client.SweepItem, len(req.Runs))
-	// Durable sweeps: restore cells a previous (crashed) attempt already
-	// finished and journal new completions. done is written only here,
-	// before the workers start, and read-only afterwards.
-	done := make([]bool, len(req.Runs))
-	var ck *checkpoint
-	if rt.cfg.CheckpointDir != "" {
-		ck = rt.openCheckpoint(sweepID(req.Runs), items, done)
-	}
 	workers := rt.cfg.SweepWorkers
 	if workers > len(req.Runs) {
 		workers = len(req.Runs)
@@ -224,13 +216,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				if done[i] {
-					continue
-				}
 				items[i] = rt.sweepCell(ctx, req.Runs[i])
-				if items[i].Error == "" {
-					ck.record(i, items[i])
-				}
 			}
 		}()
 	}
@@ -251,16 +237,6 @@ feed:
 	for i := fed; i < len(items); i++ {
 		items[i].Hash = req.Runs[i].Hash()
 		items[i].Error = fmt.Errorf("sweep canceled: %w", ctx.Err()).Error()
-	}
-	if ck != nil {
-		complete := fed == len(req.Runs)
-		for _, it := range items {
-			if it.Error != "" {
-				complete = false
-				break
-			}
-		}
-		ck.finish(complete)
 	}
 	writeJSON(w, http.StatusOK, client.SweepResponse{Results: items})
 }

@@ -115,13 +115,6 @@ type Config struct {
 	// Seed feeds the router's internal randomness (probe jitter); the
 	// default 1 matches the repo-wide seeded-rand convention.
 	Seed int64
-	// CheckpointDir, when non-empty, makes /v1/sweep durable: each
-	// completed cell is appended to a per-sweep journal in this
-	// directory, and an identical sweep re-submitted after a crash
-	// restores finished cells from the journal (Cache disposition
-	// obs.CacheCheckpoint) instead of re-fetching them. The journal is
-	// deleted once every cell of a sweep has succeeded.
-	CheckpointDir string
 	// FailThreshold is how many consecutive probe failures eject a
 	// backend (default 3).
 	FailThreshold int

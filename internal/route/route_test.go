@@ -411,3 +411,82 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		t.Error("New with empty backend succeeded")
 	}
 }
+
+// TestProbeJitterBounds pins the jitter contract: every drawn period
+// stays inside ProbeInterval·[1−j, 1+j], the draw is deterministic in
+// the seed, and a negative jitter pins the period exactly.
+func TestProbeJitterBounds(t *testing.T) {
+	_, urls := newFleet(t, 1)
+	const interval = 100 * time.Millisecond
+	rt := newTestRouter(t, urls, func(c *Config) {
+		c.ProbeInterval = interval
+		c.ProbeJitter = 0.2
+		c.Seed = 42
+	})
+	lo, hi := 80*time.Millisecond, 120*time.Millisecond
+	distinct := map[time.Duration]bool{}
+	var first []time.Duration
+	for i := 0; i < 200; i++ {
+		d := rt.nextProbeDelay()
+		if d < lo || d > hi {
+			t.Fatalf("draw %d = %v outside [%v, %v]", i, d, lo, hi)
+		}
+		distinct[d] = true
+		first = append(first, d)
+	}
+	if len(distinct) < 10 {
+		t.Errorf("only %d distinct periods in 200 draws; jitter is not spreading", len(distinct))
+	}
+
+	// Same seed, same sequence: restarts behave reproducibly.
+	rt2 := newTestRouter(t, urls, func(c *Config) {
+		c.ProbeInterval = interval
+		c.ProbeJitter = 0.2
+		c.Seed = 42
+	})
+	for i, want := range first[:50] {
+		if got := rt2.nextProbeDelay(); got != want {
+			t.Fatalf("draw %d = %v, want %v (seed determinism)", i, got, want)
+		}
+	}
+
+	// Negative jitter disables spreading (tests pin exact cadence).
+	rt3 := newTestRouter(t, urls, func(c *Config) {
+		c.ProbeInterval = interval
+		c.ProbeJitter = -1
+	})
+	for i := 0; i < 10; i++ {
+		if got := rt3.nextProbeDelay(); got != interval {
+			t.Fatalf("pinned draw = %v, want exactly %v", got, interval)
+		}
+	}
+}
+
+// TestIntegrityFailureFailsOver pins the anti-corruption path end to
+// end: a backend whose response body fails its checksum is treated as a
+// transport failure and the request fails over to the next owner — the
+// client never sees a corrupt 200.
+func TestIntegrityFailureFailsOver(t *testing.T) {
+	if !retryable(&client.IntegrityError{Got: "a", Want: "b"}) {
+		t.Fatal("IntegrityError not retryable; fail-over would surface corrupt deliveries")
+	}
+	nodes, urls := newFleet(t, 2)
+	rt := newTestRouter(t, urls, nil)
+	req := spec(7)
+	owners := ownerOrder(rt, nodes, req)
+	owners[0].badSum.Store(true)
+
+	rec := postRun(t, rt, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
+	}
+	if got := rec.Header().Get(client.HeaderRoute); got != client.RouteRetried {
+		t.Errorf("%s = %q, want %q", client.HeaderRoute, got, client.RouteRetried)
+	}
+	if got := rec.Header().Get(client.HeaderBackend); got != owners[1].url() {
+		t.Errorf("winning backend = %q, want the second owner %q", got, owners[1].url())
+	}
+	if err := client.CheckBodySum(rec.Header().Get(client.HeaderBodySum), rec.Body.Bytes()); err != nil {
+		t.Errorf("gate response sum does not verify: %v", err)
+	}
+}

@@ -21,9 +21,8 @@ import (
 )
 
 // ErrUnknownPolicy reports a policy name outside the Table 6 set. Every
-// name-resolving entry point (NewRunner, NewController and the deprecated
-// Run/RunSeries wrappers) wraps it, so callers can test with
-// errors.Is(err, ErrUnknownPolicy).
+// name-resolving entry point (NewRunner and NewController) wraps it, so
+// callers can test with errors.Is(err, ErrUnknownPolicy).
 var ErrUnknownPolicy = errors.New("unknown policy")
 
 // allocByName resolves a Table 6 policy name to a fresh allocator;
@@ -101,9 +100,8 @@ func (m runMode) String() string {
 }
 
 // Runner is the unified simulation entry point: one Config plus
-// functional options replaces the historical Run / RunFixedPower /
-// RunBattery / RunBatteryBank / RunSeries quintet (all still available
-// as deprecated wrappers delegating here).
+// functional options selects the mode (MPPT policy, fixed budget,
+// battery baseline or battery bank) and the day or series to run.
 //
 //	r, err := solarcore.NewRunner(solarcore.Config{Day: day, Mix: mix},
 //	        solarcore.WithPolicy(solarcore.PolicyOpt),
@@ -205,8 +203,7 @@ func WithContext(ctx context.Context) RunnerOption {
 // NewRunner builds a Runner over cfg. It fails fast on conflicting mode
 // options and on an unknown policy name (errors.Is ErrUnknownPolicy);
 // value validation (budget sign, efficiency range, nil bank) stays with
-// the engine so Runner calls report identical errors to the deprecated
-// wrappers.
+// the engine, so every mode reports the engine's own errors.
 func NewRunner(cfg Config, opts ...RunnerOption) (*Runner, error) {
 	r := &Runner{cfg: cfg, mode: modePolicy, policy: PolicyOpt}
 	for _, opt := range opts {

@@ -26,117 +26,6 @@ func testDay(t *testing.T) (*solarcore.SolarDay, solarcore.Mix) {
 	return day, mix
 }
 
-// TestRunnerFacadeCompat pins the deprecated wrappers to the Runner: each
-// historical entry point and its Runner equivalent must produce identical
-// results from identical inputs.
-func TestRunnerFacadeCompat(t *testing.T) {
-	day, mix := testDay(t)
-	cfg := solarcore.Config{Day: day, Mix: mix, StepMin: 2, KeepSeries: true}
-
-	run := func(opt solarcore.RunnerOption) *solarcore.DayResult {
-		r, err := solarcore.NewRunner(cfg, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	t.Run("Run", func(t *testing.T) {
-		want, err := solarcore.Run(cfg, solarcore.PolicyRR)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := run(solarcore.WithPolicy(solarcore.PolicyRR)); !reflect.DeepEqual(got, want) {
-			t.Errorf("Runner diverges from Run:\n got %+v\nwant %+v", got, want)
-		}
-	})
-	t.Run("DefaultMode", func(t *testing.T) {
-		// No mode option means the paper's headline policy.
-		want, err := solarcore.Run(cfg, solarcore.PolicyOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := solarcore.NewRunner(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Error("default-mode Runner diverges from Run(PolicyOpt)")
-		}
-	})
-	t.Run("RunFixedPower", func(t *testing.T) {
-		want, err := solarcore.RunFixedPower(cfg, 75)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := run(solarcore.WithFixedBudget(75)); !reflect.DeepEqual(got, want) {
-			t.Error("Runner diverges from RunFixedPower")
-		}
-	})
-	t.Run("RunBattery", func(t *testing.T) {
-		want, err := solarcore.RunBattery(cfg, solarcore.BatteryUpperEff)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := run(solarcore.WithBattery(solarcore.BatteryUpperEff)); !reflect.DeepEqual(got, want) {
-			t.Error("Runner diverges from RunBattery")
-		}
-	})
-	t.Run("RunBatteryBank", func(t *testing.T) {
-		// The bank is stateful, so each side gets a fresh one from the
-		// same spec.
-		bankA, err := solarcore.NewBank(solarcore.LeadAcidBank(900))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := solarcore.RunBatteryBank(cfg, bankA, 0.95)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bankB, err := solarcore.NewBank(solarcore.LeadAcidBank(900))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := solarcore.NewRunner(cfg, solarcore.WithBank(bankB, 0.95))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := r.RunBank()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Error("Runner diverges from RunBatteryBank")
-		}
-	})
-	t.Run("RunSeries", func(t *testing.T) {
-		days := []*solarcore.SolarDay{day, day}
-		want, err := solarcore.RunSeries(cfg, solarcore.PolicyIC, days)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := solarcore.NewRunner(cfg, solarcore.WithPolicy(solarcore.PolicyIC))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := r.RunSeries(days)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Error("Runner diverges from RunSeries")
-		}
-	})
-}
-
 // TestErrUnknownPolicy checks that every name-resolving entry point wraps
 // the sentinel and preserves the historical message shape.
 func TestErrUnknownPolicy(t *testing.T) {
@@ -147,12 +36,6 @@ func TestErrUnknownPolicy(t *testing.T) {
 		t.Errorf("NewRunner: %v", err)
 	} else if want := `solarcore: unknown policy "MPPT&Magic"`; !strings.Contains(err.Error(), want) {
 		t.Errorf("NewRunner error %q does not contain %q", err, want)
-	}
-	if _, err := solarcore.Run(cfg, "MPPT&Magic"); !errors.Is(err, solarcore.ErrUnknownPolicy) {
-		t.Errorf("Run: %v", err)
-	}
-	if _, err := solarcore.RunSeries(cfg, "MPPT&Magic", []*solarcore.SolarDay{day}); !errors.Is(err, solarcore.ErrUnknownPolicy) {
-		t.Errorf("RunSeries: %v", err)
 	}
 	circuit := power.NewCircuit(solarcore.NewModule(solarcore.BP3180N()))
 	chip, err := solarcore.NewChip(solarcore.DefaultChip())
@@ -310,13 +193,17 @@ func TestRunnerWithFaults(t *testing.T) {
 	day, mix := testDay(t)
 	cfg := solarcore.Config{Day: day, Mix: mix, StepMin: 2}
 
-	clean, err := solarcore.Run(cfg, solarcore.PolicyOpt)
+	r, err := solarcore.NewRunner(cfg, solarcore.WithPolicy(solarcore.PolicyOpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// A disarmed schedule is exactly a no-op through the Runner facade.
-	r, err := solarcore.NewRunner(cfg, solarcore.WithFaults(&solarcore.FaultSchedule{}))
+	r, err = solarcore.NewRunner(cfg, solarcore.WithFaults(&solarcore.FaultSchedule{}))
 	if err != nil {
 		t.Fatal(err)
 	}

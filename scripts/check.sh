@@ -9,6 +9,9 @@
 #   go test ./...  — unit, property, golden and paper-gate tests; the
 #                    solarvet lint gate (lint_test.go) runs here too, so
 #                    a tree that passes this script is lint-clean
+#   bench module   — vet and short-test the separate solarcore/bench
+#                    module, which ./... does not reach, so a root-side
+#                    change that breaks the benchmark fails here
 #   solarvet -json — the full static-analysis report, written to
 #                    artifacts/solarvet-report.json (the gitignored
 #                    artifacts/ directory; CI uploads it); the gate
@@ -44,6 +47,9 @@ go vet ./...
 
 echo '== go test ./...'
 go test ./...
+
+echo '== bench module: go vet + go test -short'
+(cd bench && go vet . && go test -short .)
 
 echo '== solarvet -json report (artifacts/solarvet-report.json)'
 mkdir -p artifacts

@@ -10,6 +10,21 @@ import (
 	"solarcore/internal/pv"
 )
 
+// runDay runs cfg through a Runner built with opts, failing the test on
+// any error.
+func runDay(t *testing.T, cfg solarcore.Config, opts ...solarcore.RunnerOption) *solarcore.DayResult {
+	t.Helper()
+	r, err := solarcore.NewRunner(cfg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	// The README quick-start, end to end through the public API only.
 	trace := solarcore.GenerateWeather(solarcore.AZ, solarcore.Jul, 0)
@@ -21,10 +36,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := solarcore.Run(solarcore.Config{Day: day, Mix: mix, StepMin: 2}, solarcore.PolicyOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runDay(t, solarcore.Config{Day: day, Mix: mix, StepMin: 2}, solarcore.WithPolicy(solarcore.PolicyOpt))
 	if u := res.Utilization(); u < 0.5 || u > 1 {
 		t.Errorf("utilization %.3f", u)
 	}
@@ -37,7 +49,7 @@ func TestRunUnknownPolicy(t *testing.T) {
 	trace := solarcore.GenerateWeather(solarcore.AZ, solarcore.Jan, 0)
 	day, _ := solarcore.NewDay(trace, solarcore.BP3180N(), 1, 1)
 	mix, _ := solarcore.MixByName("H1")
-	if _, err := solarcore.Run(solarcore.Config{Day: day, Mix: mix}, "MPPT&Magic"); err == nil {
+	if _, err := solarcore.NewRunner(solarcore.Config{Day: day, Mix: mix}, solarcore.WithPolicy("MPPT&Magic")); err == nil {
 		t.Error("unknown policy should error")
 	}
 }
@@ -93,12 +105,8 @@ func TestBaselineFacades(t *testing.T) {
 	day, _ := solarcore.NewDay(trace, solarcore.BP3180N(), 1, 1)
 	mix, _ := solarcore.MixByName("M1")
 	cfg := solarcore.Config{Day: day, Mix: mix, StepMin: 2}
-	if _, err := solarcore.RunFixedPower(cfg, 75); err != nil {
-		t.Errorf("fixed: %v", err)
-	}
-	if _, err := solarcore.RunBattery(cfg, solarcore.BatteryUpperEff); err != nil {
-		t.Errorf("battery: %v", err)
-	}
+	runDay(t, cfg, solarcore.WithFixedBudget(75))
+	runDay(t, cfg, solarcore.WithBattery(solarcore.BatteryUpperEff))
 	if len(solarcore.BatteryGrades) != 3 {
 		t.Error("battery grades missing")
 	}
@@ -142,12 +150,9 @@ func TestExtendedFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := solarcore.DefaultThermal()
-	res, err := solarcore.Run(solarcore.Config{
+	res := runDay(t, solarcore.Config{
 		Day: day, Mix: mix, StepMin: 2, ScanPoints: 16, Thermal: &tc,
-	}, solarcore.PolicyOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, solarcore.WithPolicy(solarcore.PolicyOpt))
 	if res.PTP() <= 0 {
 		t.Error("extended run committed nothing")
 	}
@@ -184,22 +189,27 @@ func TestSeriesAndBankFacade(t *testing.T) {
 		days = append(days, d)
 	}
 	mix, _ := solarcore.MixByName("M1")
-	sr, err := solarcore.RunSeries(solarcore.Config{Mix: mix, StepMin: 2}, solarcore.PolicyOpt, days)
+	series, err := solarcore.NewRunner(solarcore.Config{Mix: mix, StepMin: 2}, solarcore.WithPolicy(solarcore.PolicyOpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := series.RunSeries(days)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sr.TotalPTP() <= 0 || len(sr.Days) != 2 {
 		t.Errorf("series: %+v", sr)
 	}
-	if _, err := solarcore.RunSeries(solarcore.Config{Mix: mix}, "nope", days); err == nil {
-		t.Error("unknown policy should error")
-	}
 
 	bank, err := solarcore.NewBank(solarcore.LeadAcidBank(900))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := solarcore.RunBatteryBank(solarcore.Config{Day: days[0], Mix: mix, StepMin: 2}, bank, 0.95)
+	banked, err := solarcore.NewRunner(solarcore.Config{Day: days[0], Mix: mix, StepMin: 2}, solarcore.WithBank(bank, 0.95))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := banked.RunBank()
 	if err != nil {
 		t.Fatal(err)
 	}
