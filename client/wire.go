@@ -1,11 +1,11 @@
 // Package client is the single wire contract of the solard/solargate
 // HTTP API and its typed Go client (DESIGN.md §12, §15). The request
 // and response bodies of every /v1/* endpoint, the v1 error envelope,
-// the strict server-side decoder and the response-header vocabulary are
-// all defined here, exactly once; internal/serve (the single-node
-// server), internal/route (the fleet router), cmd/solarload (the
-// benchmark) and the end-to-end tests all import these definitions, so
-// the protocol cannot drift between layers.
+// the strict server-side request decoders and the response-header
+// vocabulary are all defined here, exactly once; internal/serve (the
+// single-node server), internal/route (the fleet router), cmd/solarload
+// (the benchmark) and the end-to-end tests all import these
+// definitions, so the protocol cannot drift between layers.
 //
 // The Client type speaks that contract over net/http with context
 // deadlines, typed errors (*APIError carries status, machine-readable
@@ -188,8 +188,8 @@ func ParseLastEventID(s string) (uint64, error) {
 
 // ReadJSON decodes one strict JSON value from the request body: unknown
 // fields and trailing data are errors, so typos in spec fields fail
-// loudly with 400 instead of silently simulating the default. It is the
-// one server-side request decoder (solard and solargate both use it).
+// loudly with 400 instead of silently simulating the default. The
+// Read*Request decoders below build on it.
 func ReadJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
@@ -201,4 +201,81 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, v any) error {
 		return errors.New("bad request body: trailing data")
 	}
 	return nil
+}
+
+// badRequest is the 400 every request decoder below answers with.
+func badRequest(code, msg string) *APIError {
+	return &APIError{Status: http.StatusBadRequest, Code: code, Message: msg}
+}
+
+// checkRun gates one decoded run request: wire version first, then spec
+// validation, each failure prefixed with where in the request it sits.
+func checkRun(req RunRequest, prefix string) *APIError {
+	if err := CheckWireVersion(req.V); err != nil {
+		return badRequest(CodeUnsupportedVersion, prefix+err.Error())
+	}
+	if err := req.Validate(); err != nil {
+		return badRequest(CodeBadRequest, prefix+err.Error())
+	}
+	return nil
+}
+
+// ReadRunRequest decodes and checks one POST /v1/run body: strict JSON,
+// wire version, spec validation. A failure is the 400 *APIError the
+// handler answers with through WriteError; solard and solargate both
+// decode through it, so their rejections are byte-identical.
+func ReadRunRequest(w http.ResponseWriter, r *http.Request) (RunRequest, *APIError) {
+	var req RunRequest
+	if err := ReadJSON(w, r, &req); err != nil {
+		return req, badRequest(CodeBadRequest, err.Error())
+	}
+	return req, checkRun(req, "")
+}
+
+// ReadSweepRequest decodes and checks one POST /v1/sweep body: strict
+// JSON, the envelope's wire version, a batch of 1..maxRuns runs, and
+// every run's version and spec, reported as "runs[i]: ...". The whole
+// batch is checked before any cell runs.
+func ReadSweepRequest(w http.ResponseWriter, r *http.Request, maxRuns int) (SweepRequest, *APIError) {
+	var req SweepRequest
+	if err := ReadJSON(w, r, &req); err != nil {
+		return req, badRequest(CodeBadRequest, err.Error())
+	}
+	if err := CheckWireVersion(req.V); err != nil {
+		return req, badRequest(CodeUnsupportedVersion, err.Error())
+	}
+	if len(req.Runs) == 0 {
+		return req, badRequest(CodeBadRequest, "empty sweep: give at least one run")
+	}
+	if len(req.Runs) > maxRuns {
+		return req, badRequest(CodeBadRequest,
+			fmt.Sprintf("sweep of %d runs exceeds the limit of %d", len(req.Runs), maxRuns))
+	}
+	for i, item := range req.Runs {
+		if e := checkRun(item, fmt.Sprintf("runs[%d]: ", i)); e != nil {
+			return req, e
+		}
+	}
+	return req, nil
+}
+
+// ReadStreamRequest decodes and checks one GET /v1/stream request: the
+// RunRequest JSON in the spec query parameter (strict, versioned,
+// validated) and the Last-Event-ID resume cursor.
+func ReadStreamRequest(r *http.Request) (req RunRequest, after uint64, e *APIError) {
+	spec := r.URL.Query().Get("spec")
+	if spec == "" {
+		return req, 0, badRequest(CodeBadRequest, "missing spec query parameter")
+	}
+	if err := UnmarshalStrict([]byte(spec), &req); err != nil {
+		return req, 0, badRequest(CodeBadRequest, err.Error())
+	}
+	if e := checkRun(req, ""); e != nil {
+		return req, 0, e
+	}
+	after, err := ParseLastEventID(r.Header.Get(HeaderLastEventID))
+	if err != nil {
+		return req, 0, badRequest(CodeBadRequest, err.Error())
+	}
+	return req, after, nil
 }

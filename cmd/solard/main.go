@@ -48,17 +48,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
+	"solarcore/internal/edge"
 	"solarcore/internal/obs"
 	"solarcore/internal/serve"
 	"solarcore/internal/sigctx"
@@ -72,15 +71,10 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// pf writes best-effort CLI output; a console write error is not
-// actionable mid-run, so it is discarded explicitly.
-func pf(w io.Writer, format string, args ...any) {
-	_, _ = fmt.Fprintf(w, format, args...)
-}
-
-// fail prints one prefixed error line and returns the exit code.
+// fail prints one prefixed error line and returns the exit code. A
+// console write error is not actionable, so it is discarded explicitly.
 func fail(stderr io.Writer, format string, args ...any) int {
-	pf(stderr, "solard: "+format+"\n", args...)
+	_, _ = fmt.Fprintf(stderr, "solard: "+format+"\n", args...)
 	return 1
 }
 
@@ -158,26 +152,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, "-stream.maxevents must be >= 0")
 	}
 
-	var sink *obs.JSONLSink
-	switch *access {
-	case "":
-	case "-":
-		sink = obs.NewJSONLSink(stdout)
-	default:
-		f, err := os.Create(*access)
-		if err != nil {
-			return fail(stderr, "%v", err)
-		}
-		defer func() { _ = f.Close() }()
-		sink = obs.NewJSONLSink(f)
+	sink, closeLog, err := edge.OpenAccessLog(*access, stdout)
+	if err != nil {
+		return fail(stderr, "%v", err)
 	}
+	defer closeLog()
 
 	// One registry shared by the server and the store, so /metrics
 	// exports serve_* and store_* side by side.
 	reg := obs.NewRegistry()
 	var st *store.Store
 	if *storeDir != "" {
-		var err error
 		st, err = store.Open(store.Config{
 			Dir:      *storeDir,
 			MaxBytes: *storeMax,
@@ -189,7 +174,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, "%v", err)
 		}
 		records, quarantined, ms := st.WarmStart()
-		pf(stdout, "solard: store warmed %d records (%d bytes, %d quarantined) in %.1fms from %s\n",
+		_, _ = fmt.Fprintf(stdout, "solard: store warmed %d records (%d bytes, %d quarantined) in %.1fms from %s\n",
 			records, st.Bytes(), quarantined, ms, *storeDir)
 	}
 
@@ -210,61 +195,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Clock:        time.Now,
 	})
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return fail(stderr, "%v", err)
-	}
 	handler := srv.Handler()
 	if *ratelimit > 0 {
 		handler = paced(ctx, handler, *ratelimit)
 	}
-	hs := &http.Server{Handler: handler}
-	pf(stdout, "solard: listening on http://%s\n", ln.Addr())
-
-	served := make(chan error, 1)
-	go func() { served <- hs.Serve(ln) }()
-
-	select {
-	case err := <-served:
-		// Serve only returns on failure here (Shutdown is the other exit,
-		// taken below).
-		if st != nil {
-			_ = st.Close()
-		}
-		return fail(stderr, "%v", err)
-	case <-ctx.Done():
-	}
-
-	// Shutdown state machine (DESIGN.md §12): drain → stop listener →
-	// cancel stragglers → exit 0.
-	pf(stdout, "solard: signal received, draining (grace %s)\n", *grace)
-	srv.StartDrain()
-	sctx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	code := 0
-	if err := hs.Shutdown(sctx); err != nil {
-		pf(stderr, "solard: drain incomplete: %v\n", err)
-		code = 1
-	}
-	if err := srv.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-		pf(stderr, "solard: close: %v\n", err)
-		code = 1
-	}
-	// Store last: a clean shutdown writes the recency journal so the
-	// next boot warm-starts in LRU order (a crash skips this and the
-	// store degrades to cold-but-correct).
+	closers := []edge.Closer{{Name: "close", Close: srv.Close}}
 	if st != nil {
-		if err := st.Close(); err != nil {
-			pf(stderr, "solard: store close: %v\n", err)
-			code = 1
-		}
+		// Store last: a clean shutdown writes the recency journal so the
+		// next boot warm-starts in LRU order (a crash skips this and the
+		// store degrades to cold-but-correct).
+		closers = append(closers, edge.Closer{Name: "store close", Close: st.Close})
 	}
-	if err := <-served; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		pf(stderr, "solard: serve: %v\n", err)
-		code = 1
-	}
-	if code == 0 {
-		pf(stdout, "solard: drained, exiting\n")
-	}
-	return code
+	return edge.Serve(ctx, "solard", *addr, "", handler, *grace, srv.StartDrain, stdout, stderr, closers...)
 }

@@ -31,12 +31,12 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sync"
 
 	"solarcore/internal/atmos"
 	"solarcore/internal/dc"
 	"solarcore/internal/fault"
 	"solarcore/internal/obs"
+	"solarcore/internal/par"
 	"solarcore/internal/pv"
 	"solarcore/internal/sigctx"
 	"solarcore/internal/sim"
@@ -89,9 +89,6 @@ type dayJob struct {
 	trace *atmos.Trace
 	res   dc.DayResult
 	err   error
-	// skipped marks a day the pool never started because the run was
-	// canceled first.
-	skipped bool
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
@@ -222,35 +219,10 @@ func runDays(ctx context.Context, stdout, stderr io.Writer, site atmos.Site, sea
 	jobs := make([]dayJob, n)
 	for i, tr := range atmos.GenerateRun(site, season, n, atmos.GenConfig{}) {
 		jobs[i].trace = tr
-		jobs[i].skipped = true // cleared when a worker picks the day up
 	}
-
-	workers := runtime.NumCPU()
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				jobs[i].skipped = false
-				jobs[i].err = simDay(&jobs[i], panels, step, mkCluster, s)
-			}
-		}()
-	}
-feed:
-	for i := range jobs {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
+	fed := par.Each(ctx, n, runtime.NumCPU(), func(i int) {
+		jobs[i].err = simDay(&jobs[i], panels, step, mkCluster, s)
+	})
 	canceled := ctx.Err() != nil
 
 	pf(stdout, "fleet        : %d days at %s, %s, %d×180 W array\n", n, site.Name, season, panels)
@@ -259,7 +231,7 @@ feed:
 	failed, skipped, completed := 0, 0, 0
 	for i, j := range jobs {
 		switch {
-		case j.skipped:
+		case i >= fed: // never started: the run was canceled first
 			skipped++
 			pf(stdout, "%3d  %-22s  CANCELED\n", i, j.trace.Label())
 		case j.err != nil:

@@ -38,17 +38,14 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 	"time"
 
-	"solarcore/internal/obs"
+	"solarcore/internal/edge"
 	"solarcore/internal/route"
 	"solarcore/internal/sigctx"
 )
@@ -59,15 +56,10 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// pf writes best-effort CLI output; a console write error is not
-// actionable mid-run, so it is discarded explicitly.
-func pf(w io.Writer, format string, args ...any) {
-	_, _ = fmt.Fprintf(w, format, args...)
-}
-
-// fail prints one prefixed error line and returns the exit code.
+// fail prints one prefixed error line and returns the exit code. A
+// console write error is not actionable, so it is discarded explicitly.
 func fail(stderr io.Writer, format string, args ...any) int {
-	pf(stderr, "solargate: "+format+"\n", args...)
+	_, _ = fmt.Fprintf(stderr, "solargate: "+format+"\n", args...)
 	return 1
 }
 
@@ -123,19 +115,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, "-probe-jitter must be at most 0.9 (got %v)", *probeJitter)
 	}
 
-	var sink *obs.JSONLSink
-	switch *access {
-	case "":
-	case "-":
-		sink = obs.NewJSONLSink(stdout)
-	default:
-		f, err := os.Create(*access)
-		if err != nil {
-			return fail(stderr, "%v", err)
-		}
-		defer func() { _ = f.Close() }()
-		sink = obs.NewJSONLSink(f)
+	sink, closeLog, err := edge.OpenAccessLog(*access, stdout)
+	if err != nil {
+		return fail(stderr, "%v", err)
 	}
+	defer closeLog()
 
 	rt, err := route.New(route.Config{
 		Backends:      urls,
@@ -156,45 +140,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	rt.Start(ctx)
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		_ = rt.Close()
-		return fail(stderr, "%v", err)
-	}
-	hs := &http.Server{Handler: rt.Handler()}
-	pf(stdout, "solargate: listening on http://%s (backends %d)\n", ln.Addr(), len(urls))
-
-	served := make(chan error, 1)
-	go func() { served <- hs.Serve(ln) }()
-
-	select {
-	case err := <-served:
-		_ = rt.Close()
-		return fail(stderr, "%v", err)
-	case <-ctx.Done():
-	}
-
-	// Same drain state machine as solard: refuse new work, stop the
-	// listener under the grace budget, then tear down the prober.
-	pf(stdout, "solargate: signal received, draining (grace %s)\n", *grace)
-	rt.StartDrain()
-	sctx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	code := 0
-	if err := hs.Shutdown(sctx); err != nil {
-		pf(stderr, "solargate: drain incomplete: %v\n", err)
-		code = 1
-	}
-	if err := rt.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-		pf(stderr, "solargate: close: %v\n", err)
-		code = 1
-	}
-	if err := <-served; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		pf(stderr, "solargate: serve: %v\n", err)
-		code = 1
-	}
-	if code == 0 {
-		pf(stdout, "solargate: drained, exiting\n")
-	}
-	return code
+	return edge.Serve(ctx, "solargate", *addr, fmt.Sprintf(" (backends %d)", len(urls)), rt.Handler(),
+		*grace, rt.StartDrain, stdout, stderr, edge.Closer{Name: "close", Close: rt.Close})
 }

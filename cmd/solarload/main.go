@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -44,6 +45,7 @@ import (
 	"solarcore"
 	"solarcore/client"
 	"solarcore/internal/obs"
+	"solarcore/internal/par"
 	"solarcore/internal/route"
 	"solarcore/internal/sigctx"
 )
@@ -155,31 +157,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		lctx, cancel = context.WithTimeout(ctx, *dur)
 		defer cancel()
 	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for range *conc {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				sh := fire(lctx, cli, reqs[i%len(reqs)], *timeout)
-				mu.Lock()
-				shots = append(shots, sh)
-				mu.Unlock()
-			}
-		}()
+	total := *n
+	if total <= 0 {
+		total = math.MaxInt // -dur alone: run until lctx ends
 	}
 	start := time.Now()
-feed:
-	for i := 0; *n <= 0 || i < *n; i++ {
-		select {
-		case next <- i:
-		case <-lctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
+	par.Each(lctx, total, *conc, func(i int) {
+		sh := fire(lctx, cli, reqs[i%len(reqs)], *timeout)
+		mu.Lock()
+		shots = append(shots, sh)
+		mu.Unlock()
+	})
 	wall := time.Since(start)
 
 	return report(ctx, cli, shots, wall, stdout, stderr)

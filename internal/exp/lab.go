@@ -17,6 +17,7 @@ import (
 	"solarcore/internal/fault"
 	"solarcore/internal/lru"
 	"solarcore/internal/obs"
+	"solarcore/internal/par"
 	"solarcore/internal/power"
 	"solarcore/internal/pv"
 	"solarcore/internal/sched"
@@ -254,51 +255,6 @@ var MPPTPolicies = []string{"MPPT&IC", "MPPT&RR", "MPPT&Opt"}
 // BatteryEffs lists the Section 6.4 battery comparison brackets.
 var BatteryEffs = []float64{power.BatteryUpperEff, power.BatteryLowerEff}
 
-// parallelCtx runs fn(i) for i in [0,n) on all cores and waits. A
-// cancellation on ctx stops feeding new jobs (in-flight ones finish).
-// Worker errors are joined with the context error, so one failed cell
-// never loses the others' results and never kills the process.
-func parallelCtx(ctx context.Context, n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var errs []error
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := fn(i); err != nil {
-					mu.Lock()
-					errs = append(errs, err)
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case <-ctx.Done():
-			mu.Lock()
-			errs = append(errs, ctx.Err())
-			mu.Unlock()
-			break feed
-		case next <- i:
-		}
-	}
-	close(next)
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
 // Prefetch computes the full MPPT policy grid (site × season × mix ×
 // policy) in parallel so that subsequent figure calls hit the cache.
 func (l *Lab) Prefetch() {
@@ -333,17 +289,24 @@ func (l *Lab) PrefetchContext(ctx context.Context) error {
 			}
 		}
 	}
-	if err := parallelCtx(ctx, len(jobs), func(i int) (err error) {
+	var mu sync.Mutex
+	var errs []error
+	fed := par.Each(ctx, len(jobs), runtime.GOMAXPROCS(0), func(i int) {
 		j := jobs[i]
 		defer func() {
 			if r := recover(); r != nil {
-				err = fmt.Errorf("exp: prefetch cell %s/%s/%s/%s: %v",
-					j.site.Code, j.season, j.mix.Name, j.policy, r)
+				mu.Lock()
+				errs = append(errs, fmt.Errorf("exp: prefetch cell %s/%s/%s/%s: %v",
+					j.site.Code, j.season, j.mix.Name, j.policy, r))
+				mu.Unlock()
 			}
 		}()
 		l.MPPT(j.site, j.season, j.mix, j.policy)
-		return nil
-	}); err != nil {
+	})
+	if fed < len(jobs) {
+		errs = append(errs, ctx.Err())
+	}
+	if err := errors.Join(errs...); err != nil {
 		return fmt.Errorf("exp: prefetch: %w", err)
 	}
 	return nil

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"solarcore/client"
+	"solarcore/internal/edge"
 	"solarcore/internal/obs"
 )
 
@@ -265,12 +266,15 @@ func New(cfg Config) (*Router, error) {
 	rt.setHealthyGauge()
 
 	rt.mux = http.NewServeMux()
-	rt.mux.Handle("POST /v1/run", rt.instrument("/v1/run", rt.handleRun))
-	rt.mux.Handle("POST /v1/sweep", rt.instrument("/v1/sweep", rt.handleSweep))
-	rt.mux.Handle("GET /v1/stream", rt.instrument("/v1/stream", rt.handleStream))
-	rt.mux.Handle("GET /v1/policies", rt.instrument("/v1/policies", rt.handlePolicies))
-	rt.mux.Handle("GET /metrics", rt.instrument("/metrics", rt.handleMetrics))
-	rt.mux.Handle("GET /healthz", rt.instrument("/healthz", rt.handleHealthz))
+	handle := func(pattern string, h http.HandlerFunc) {
+		rt.mux.Handle(pattern, edge.Instrument(h, cfg.Clock, cfg.AccessLog, rt.countRequest, rt.countPanic))
+	}
+	handle("POST /v1/run", rt.handleRun)
+	handle("POST /v1/sweep", rt.handleSweep)
+	handle("GET /v1/stream", rt.handleStream)
+	handle("GET /v1/policies", rt.handlePolicies)
+	handle("GET /metrics", rt.handleMetrics)
+	handle("GET /healthz", rt.handleHealthz)
 	return rt, nil
 }
 
@@ -285,6 +289,12 @@ func normalizeBackend(raw string) string {
 
 // Handler returns the route table, panic-contained and instrumented.
 func (rt *Router) Handler() http.Handler { return rt.mux }
+
+// countRequest and countPanic are the single registration sites of
+// their counters (solarvet metricname rule), reported by the middleware
+// and the sweep's per-cell recover.
+func (rt *Router) countRequest() { rt.reg.Add(MetricRequests, 1) }
+func (rt *Router) countPanic()   { rt.reg.Add(MetricPanics, 1) }
 
 // Metrics snapshots the router's own registry (the fleet-wide merge is
 // served by /metrics).

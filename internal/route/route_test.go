@@ -490,3 +490,99 @@ func TestIntegrityFailureFailsOver(t *testing.T) {
 		t.Errorf("gate response sum does not verify: %v", err)
 	}
 }
+
+// TestSweepValidation pins the gate's /v1/sweep 400 surface to solard's
+// (internal/serve TestHandlerValidation rows): the batch is rejected
+// whole, before any cell is routed.
+func TestSweepValidation(t *testing.T) {
+	nodes, urls := newFleet(t, 1)
+	rt := newTestRouter(t, urls, func(c *Config) { c.MaxSweep = 2 })
+	cases := []struct {
+		name, body string
+		wantCode   string
+		wantSubstr string
+	}{
+		{"empty sweep", `{"runs":[]}`, client.CodeBadRequest, "empty sweep"},
+		{"oversized sweep", `{"runs":[{},{},{}]}`, client.CodeBadRequest, "exceeds the limit"},
+		{"sweep bad item", `{"runs":[{},{"policy":"nope"}]}`, client.CodeBadRequest, "runs[1]"},
+		{"sweep item version", `{"runs":[{},{"v":9}]}`, client.CodeUnsupportedVersion, "runs[1]"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(tc.body)))
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400; body: %s", rec.Code, rec.Body)
+			}
+			if !strings.Contains(rec.Body.String(), tc.wantSubstr) {
+				t.Errorf("body %q does not mention %q", rec.Body, tc.wantSubstr)
+			}
+			if e := client.DecodeError(rec.Code, rec.Header(), rec.Body.Bytes()); e.Code != tc.wantCode {
+				t.Errorf("code = %q, want %q", e.Code, tc.wantCode)
+			}
+		})
+	}
+	if n := nodes[0].runs.Load(); n != 0 {
+		t.Errorf("rejected sweeps reached the backend %d times, want 0", n)
+	}
+}
+
+// panicTransport stands in for an upstream code path that panics on the
+// handler goroutine.
+type panicTransport struct{}
+
+func (panicTransport) RoundTrip(*http.Request) (*http.Response, error) {
+	panic("synthetic transport failure")
+}
+
+// TestPanicContainment checks a panicking handler answers a 500
+// envelope, counts route_panics_total once, and the gate keeps serving.
+func TestPanicContainment(t *testing.T) {
+	_, urls := newFleet(t, 1)
+	rt := newTestRouter(t, urls, func(c *Config) { c.HTTPClient = &http.Client{Transport: panicTransport{}} })
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/policies", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500; body: %s", rec.Code, rec.Body)
+	}
+	if e := client.DecodeError(rec.Code, rec.Header(), rec.Body.Bytes()); e.Code != client.CodeInternal {
+		t.Errorf("code = %q, want %q", e.Code, client.CodeInternal)
+	}
+	if got := rt.Metrics().Counters[MetricPanics]; got != 1 {
+		t.Errorf("%s = %v, want 1", MetricPanics, got)
+	}
+	hrec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(hrec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if hrec.Code != http.StatusOK {
+		t.Errorf("healthz after a contained panic = %d, want 200", hrec.Code)
+	}
+}
+
+// TestAccessLogCarriesBackendCache checks the gate's access log records
+// one line per request with the backend's X-Cache disposition.
+func TestAccessLogCarriesBackendCache(t *testing.T) {
+	_, urls := newFleet(t, 1)
+	var buf bytes.Buffer
+	sink := obs.NewJSONLSink(&buf)
+	rt := newTestRouter(t, urls, func(c *Config) { c.AccessLog = sink })
+	if rec := postRun(t, rt, spec(6)); rec.Code != http.StatusOK {
+		t.Fatalf("run status = %d: %s", rec.Code, rec.Body)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadEvents(&buf)
+	if err != nil {
+		t.Fatalf("ReadEvents: %v", err)
+	}
+	if len(events) != 1 || events[0].Access == nil {
+		t.Fatalf("got %d events, want one access line", len(events))
+	}
+	ev := events[0].Access
+	if ev.Method != http.MethodPost || ev.Path != "/v1/run" || ev.Status != http.StatusOK || ev.Cache != obs.CacheHit {
+		t.Errorf("access event = %+v, want POST /v1/run 200 with the backend's %q", ev, obs.CacheHit)
+	}
+	if ev.Bytes == 0 {
+		t.Errorf("access event recorded zero bytes: %+v", ev)
+	}
+}

@@ -1,14 +1,13 @@
 package route
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 
 	"solarcore/client"
+	"solarcore/internal/edge"
 )
 
 // errWatcherGone marks the downstream watcher disconnecting mid-relay;
@@ -26,30 +25,12 @@ var errWatcherGone = errors.New("route: stream watcher gone")
 // identical events with identical sequence numbers).
 func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 	if rt.draining.Load() {
-		writeDraining(w)
+		edge.WriteDraining(w, drainingMsg)
 		return
 	}
-	specParam := r.URL.Query().Get("spec")
-	if specParam == "" {
-		client.WriteError(w, http.StatusBadRequest, client.CodeBadRequest, "missing spec query parameter")
-		return
-	}
-	var req client.RunRequest
-	if err := client.UnmarshalStrict([]byte(specParam), &req); err != nil {
-		client.WriteError(w, http.StatusBadRequest, client.CodeBadRequest, err.Error())
-		return
-	}
-	if err := client.CheckWireVersion(req.V); err != nil {
-		client.WriteError(w, http.StatusBadRequest, client.CodeUnsupportedVersion, err.Error())
-		return
-	}
-	if err := req.Validate(); err != nil {
-		client.WriteError(w, http.StatusBadRequest, client.CodeBadRequest, err.Error())
-		return
-	}
-	after, err := client.ParseLastEventID(r.Header.Get(client.HeaderLastEventID))
-	if err != nil {
-		client.WriteError(w, http.StatusBadRequest, client.CodeBadRequest, err.Error())
+	req, after, apiErr := client.ReadStreamRequest(r)
+	if apiErr != nil {
+		client.WriteError(w, apiErr.Status, apiErr.Code, apiErr.Message)
 		return
 	}
 	rt.relayStream(w, r, req, after)
@@ -148,16 +129,13 @@ func (rt *Router) pumpStream(w http.ResponseWriter, rc *http.ResponseController,
 		if ev.ID > 0 && ev.ID <= *lastID {
 			continue
 		}
-		var buf bytes.Buffer
+		var werr error
 		if ev.Type == client.TypeHeartbeat {
-			buf.WriteString(": hb\n\n")
+			_, werr = io.WriteString(w, ": hb\n\n")
 		} else {
-			if ev.ID > 0 {
-				fmt.Fprintf(&buf, "id: %d\n", ev.ID)
-			}
-			fmt.Fprintf(&buf, "event: %s\ndata: %s\n\n", ev.Type, ev.Data)
+			werr = edge.WriteEvent(w, ev.ID, ev.Type, ev.Data)
 		}
-		if _, werr := w.Write(buf.Bytes()); werr != nil {
+		if werr != nil {
 			return errWatcherGone
 		}
 		_ = rc.Flush()
@@ -182,9 +160,7 @@ func (rt *Router) relayFail(w http.ResponseWriter, rc *http.ResponseController, 
 		code, msg = ae.Code, ae.Message
 		retryMs = ae.RetryAfter.Milliseconds()
 	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "event: %s\ndata: %s\n\n", client.StreamEventError, client.ErrorBody(code, msg, retryMs))
-	_, _ = w.Write(buf.Bytes())
+	_ = edge.WriteEvent(w, 0, client.StreamEventError, client.ErrorBody(code, msg, retryMs))
 	_ = rc.Flush()
 }
 

@@ -3,12 +3,12 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
-	"sync"
+	"strconv"
 
 	"solarcore"
 	"solarcore/client"
+	"solarcore/internal/edge"
 )
 
 // The wire contract — request/response types, the error envelope, the
@@ -16,57 +16,59 @@ import (
 // the fleet router and every consumer; this package only implements the
 // server side of it.
 
-// writeRunError maps a Result failure to its HTTP status and envelope
-// code: backpressure and drain shed load retryably (429/503 +
-// Retry-After), a blown run deadline is 504, and anything else is a
-// plain 500.
-func (s *Server) writeRunError(w http.ResponseWriter, err error) {
+// runError maps a Result failure onto its HTTP status, envelope code
+// and Retry-After seconds: backpressure and drain shed load retryably
+// (429/503), a blown run deadline is 504, and anything else is a plain
+// 500. /v1/run answers with all three; a committed /v1/stream carries
+// the code and retry hint in its terminal SSE error frame.
+func runError(err error) (status int, code string, retryAfter int) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusTooManyRequests, client.CodeOverloaded, err.Error())
+		return http.StatusTooManyRequests, client.CodeOverloaded, 1
 	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", "5")
-		s.writeError(w, http.StatusServiceUnavailable, client.CodeDraining, err.Error())
+		return http.StatusServiceUnavailable, client.CodeDraining, 5
 	case errors.Is(err, solarcore.ErrUnknownPolicy):
-		s.writeError(w, http.StatusBadRequest, client.CodeBadRequest, err.Error())
+		return http.StatusBadRequest, client.CodeBadRequest, 0
 	case errors.Is(err, context.DeadlineExceeded):
-		s.writeError(w, http.StatusGatewayTimeout, client.CodeDeadline, "run deadline exceeded: "+err.Error())
+		return http.StatusGatewayTimeout, client.CodeDeadline, 0
 	case errors.Is(err, context.Canceled):
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusServiceUnavailable, client.CodeCanceled, err.Error())
+		return http.StatusServiceUnavailable, client.CodeCanceled, 1
 	default:
-		s.writeError(w, http.StatusInternalServerError, client.CodeInternal, err.Error())
+		return http.StatusInternalServerError, client.CodeInternal, 0
 	}
+}
+
+// writeRunError answers a Result failure with its runError mapping.
+func writeRunError(w http.ResponseWriter, err error) {
+	status, code, retryAfter := runError(err)
+	msg := err.Error()
+	if status == http.StatusGatewayTimeout {
+		msg = "run deadline exceeded: " + msg
+	}
+	if retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
+	}
+	client.WriteError(w, status, code, msg)
 }
 
 // handleRun serves POST /v1/run: one spec in, one DayResult out, through
 // cache, coalescer and the bounded pool.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", "5")
-		s.writeError(w, http.StatusServiceUnavailable, client.CodeDraining, ErrDraining.Error())
+		edge.WriteDraining(w, ErrDraining.Error())
 		return
 	}
-	var req client.RunRequest
-	if err := client.ReadJSON(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, client.CodeBadRequest, err.Error())
-		return
-	}
-	if err := client.CheckWireVersion(req.V); err != nil {
-		s.writeError(w, http.StatusBadRequest, client.CodeUnsupportedVersion, err.Error())
-		return
-	}
-	if err := req.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, client.CodeBadRequest, err.Error())
+	req, apiErr := client.ReadRunRequest(w, r)
+	if apiErr != nil {
+		client.WriteError(w, apiErr.Status, apiErr.Code, apiErr.Message)
 		return
 	}
 	body, src, err := s.Result(r.Context(), req.RunSpec, req.TimeoutMs)
 	if err != nil {
-		s.writeRunError(w, err)
+		writeRunError(w, err)
 		return
 	}
-	w.Header().Set(headerCache, src)
+	w.Header().Set(client.HeaderCache, src)
 	// Declare the body checksum so clients can detect in-flight
 	// corruption: HTTP itself delivers flipped bits as a healthy 200.
 	w.Header().Set(client.HeaderBodySum, client.BodySum(body))
@@ -76,110 +78,29 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // handleSweep serves POST /v1/sweep: the whole batch is validated up
 // front (any invalid spec or wire version fails the request with 400
-// before any simulation starts), then fanned over the worker pool;
-// per-item failures (deadline, shed load) are reported in-place so one
-// bad cell never loses the batch.
+// before any simulation starts), then fanned over MaxInflight workers
+// (edge.Sweep); per-item failures (deadline, shed load, a panicking
+// run) are reported in place so one bad cell never loses the batch.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", "5")
-		s.writeError(w, http.StatusServiceUnavailable, client.CodeDraining, ErrDraining.Error())
+		edge.WriteDraining(w, ErrDraining.Error())
 		return
 	}
-	var req client.SweepRequest
-	if err := client.ReadJSON(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, client.CodeBadRequest, err.Error())
+	req, apiErr := client.ReadSweepRequest(w, r, s.cfg.MaxSweep)
+	if apiErr != nil {
+		client.WriteError(w, apiErr.Status, apiErr.Code, apiErr.Message)
 		return
 	}
-	if err := client.CheckWireVersion(req.V); err != nil {
-		s.writeError(w, http.StatusBadRequest, client.CodeUnsupportedVersion, err.Error())
-		return
-	}
-	if len(req.Runs) == 0 {
-		s.writeError(w, http.StatusBadRequest, client.CodeBadRequest, "empty sweep: give at least one run")
-		return
-	}
-	if len(req.Runs) > s.cfg.MaxSweep {
-		s.writeError(w, http.StatusBadRequest, client.CodeBadRequest,
-			fmt.Sprintf("sweep of %d runs exceeds the limit of %d", len(req.Runs), s.cfg.MaxSweep))
-		return
-	}
-	for i, item := range req.Runs {
-		if err := client.CheckWireVersion(item.V); err != nil {
-			s.writeError(w, http.StatusBadRequest, client.CodeUnsupportedVersion,
-				fmt.Sprintf("runs[%d]: %v", i, err))
-			return
-		}
-		if err := item.Validate(); err != nil {
-			s.writeError(w, http.StatusBadRequest, client.CodeBadRequest, fmt.Sprintf("runs[%d]: %v", i, err))
-			return
-		}
-	}
-
-	ctx := r.Context()
-	items := make([]client.SweepItem, len(req.Runs))
-	workers := s.cfg.MaxInflight
-	if workers > len(req.Runs) {
-		workers = len(req.Runs)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				items[i] = s.sweepItem(ctx, req.Runs[i])
-			}
-		}()
-	}
-	// Feed under the request context: a client that disconnects (or a
-	// worker pool wedged by a panic) must not leave this loop blocked on
-	// a bare send forever. Cells never fed report the context error.
-	fed := len(req.Runs)
-feed:
-	for i := range req.Runs {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			fed = i
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	for i := fed; i < len(items); i++ {
-		items[i].Hash = req.Runs[i].Hash()
-		items[i].Error = fmt.Errorf("sweep canceled: %w", ctx.Err()).Error()
-	}
-	s.writeJSON(w, http.StatusOK, client.SweepResponse{Results: items})
-}
-
-// sweepItem runs one sweep cell, containing a panicking simulation to
-// its own item (the sweep workers sit outside the middleware's recover,
-// so without this a single bad cell would take down the process).
-func (s *Server) sweepItem(ctx context.Context, spec client.RunRequest) (item client.SweepItem) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.countPanic()
-			item.Cache = ""
-			item.Result = nil
-			item.Error = fmt.Sprintf("run panicked: %v", p)
-		}
-	}()
-	item.Hash = spec.Hash()
-	body, src, err := s.Result(ctx, spec.RunSpec, spec.TimeoutMs)
-	if err != nil {
-		item.Error = err.Error()
-		return item
-	}
-	item.Cache = src
-	item.Result = body
-	return item
+	items := edge.Sweep(r.Context(), req.Runs, s.cfg.MaxInflight,
+		func(ctx context.Context, _ string, run client.RunRequest) ([]byte, string, error) {
+			return s.Result(ctx, run.RunSpec, run.TimeoutMs)
+		}, s.countPanic)
+	edge.WriteJSON(w, http.StatusOK, client.SweepResponse{Results: items})
 }
 
 // handlePolicies serves GET /v1/policies: the Table 6 policy names.
 func (s *Server) handlePolicies(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, http.StatusOK, client.PoliciesResponse{Policies: solarcore.Policies()})
+	edge.WriteJSON(w, http.StatusOK, client.PoliciesResponse{Policies: solarcore.Policies()})
 }
 
 // handleMetrics serves GET /metrics: the obs.Registry snapshot as
@@ -195,8 +116,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "5")
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		edge.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	edge.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"solarcore"
+	"solarcore/internal/edge"
 	"solarcore/internal/lru"
 	"solarcore/internal/obs"
 	"solarcore/internal/store"
@@ -216,17 +217,27 @@ func New(cfg Config) *Server {
 		}
 	}
 	s.mux = http.NewServeMux()
-	s.mux.Handle("POST /v1/run", s.instrument("/v1/run", s.handleRun))
-	s.mux.Handle("POST /v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
-	s.mux.Handle("GET /v1/stream", s.instrument("/v1/stream", s.handleStream))
-	s.mux.Handle("GET /v1/policies", s.instrument("/v1/policies", s.handlePolicies))
-	s.mux.Handle("GET /metrics", s.instrument("/metrics", s.handleMetrics))
-	s.mux.Handle("GET /healthz", s.instrument("/healthz", s.handleHealthz))
+	handle := func(pattern string, h http.HandlerFunc) {
+		s.mux.Handle(pattern, edge.Instrument(h, cfg.Clock, cfg.AccessLog, s.countRequest, s.countPanic))
+	}
+	handle("POST /v1/run", s.handleRun)
+	handle("POST /v1/sweep", s.handleSweep)
+	handle("GET /v1/stream", s.handleStream)
+	handle("GET /v1/policies", s.handlePolicies)
+	handle("GET /metrics", s.handleMetrics)
+	handle("GET /healthz", s.handleHealthz)
 	return s
 }
 
 // Handler returns the route table, panic-contained and instrumented.
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// countRequest and countPanic are the single registration sites of
+// their counters (solarvet metricname rule): the middleware reports
+// every completed request, and both recover sites — the middleware and
+// the sweep's per-cell recover — report contained panics.
+func (s *Server) countRequest() { s.reg.Add(MetricRequests, 1) }
+func (s *Server) countPanic()   { s.reg.Add(MetricPanics, 1) }
 
 // Metrics snapshots the server's registry.
 func (s *Server) Metrics() obs.Snapshot { return s.reg.Snapshot() }

@@ -284,7 +284,7 @@ func TestCoalescingSharesOneRun(t *testing.T) {
 		}
 		data, _ := io.ReadAll(resp.Body)
 		_ = resp.Body.Close()
-		replies <- reply{resp.StatusCode, resp.Header.Get(headerCache), data}
+		replies <- reply{resp.StatusCode, resp.Header.Get(client.HeaderCache), data}
 	}
 
 	go fire() // the leader
@@ -334,8 +334,8 @@ func TestCoalescingSharesOneRun(t *testing.T) {
 	}
 	// A repeat is now a pure cache hit and replays the identical bytes.
 	resp, data := postJSON(t, ts, "/v1/run", string(body))
-	if resp.Header.Get(headerCache) != obs.CacheHit {
-		t.Errorf("repeat X-Cache = %q, want %q", resp.Header.Get(headerCache), obs.CacheHit)
+	if resp.Header.Get(client.HeaderCache) != obs.CacheHit {
+		t.Errorf("repeat X-Cache = %q, want %q", resp.Header.Get(client.HeaderCache), obs.CacheHit)
 	}
 	if !bytes.Equal(data, first) {
 		t.Error("cached replay is not byte-identical to the first response")
@@ -431,19 +431,19 @@ func TestCacheEvictionOrderThroughServer(t *testing.T) {
 		resp, _ := postJSON(t, ts, "/v1/run", string(b))
 		return resp
 	}
-	run(0)                                              // cache: [0]
-	run(1)                                              // cache: [1 0]
-	if run(0).Header.Get(headerCache) != obs.CacheHit { // promote 0; cache: [0 1]
+	run(0)                                                     // cache: [0]
+	run(1)                                                     // cache: [1 0]
+	if run(0).Header.Get(client.HeaderCache) != obs.CacheHit { // promote 0; cache: [0 1]
 		t.Fatal("day 0 not cached after first run")
 	}
 	run(2) // evicts 1, the least recently used; cache: [2 0]
 	if got := reg.Snapshot().Counters[MetricEvictions]; got != 1 {
 		t.Errorf("%s = %g, want 1", MetricEvictions, got)
 	}
-	if c := run(0).Header.Get(headerCache); c != obs.CacheHit {
+	if c := run(0).Header.Get(client.HeaderCache); c != obs.CacheHit {
 		t.Errorf("day 0 disposition = %q, want hit (promotion must protect it)", c)
 	}
-	if c := run(1).Header.Get(headerCache); c != obs.CacheMiss {
+	if c := run(1).Header.Get(client.HeaderCache); c != obs.CacheMiss {
 		t.Errorf("day 1 disposition = %q, want miss (it was the LRU victim)", c)
 	}
 	if got := calls.Load(); got != 4 {
@@ -595,7 +595,7 @@ func TestEndToEndMatchesDirectRunner(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d; body: %s", resp.StatusCode, served)
 	}
-	if c := resp.Header.Get(headerCache); c != obs.CacheMiss {
+	if c := resp.Header.Get(client.HeaderCache); c != obs.CacheMiss {
 		t.Errorf("first request X-Cache = %q, want %q", c, obs.CacheMiss)
 	}
 
@@ -622,7 +622,7 @@ func TestEndToEndMatchesDirectRunner(t *testing.T) {
 	}
 
 	resp2, served2 := postJSON(t, ts, "/v1/run", string(specJSON))
-	if c := resp2.Header.Get(headerCache); c != obs.CacheHit {
+	if c := resp2.Header.Get(client.HeaderCache); c != obs.CacheHit {
 		t.Errorf("repeat X-Cache = %q, want %q", c, obs.CacheHit)
 	}
 	if !bytes.Equal(served, served2) {

@@ -1,7 +1,8 @@
 // Package sigctx is the one place the CLIs wire POSIX shutdown signals
-// into a context. cmd/solard (graceful HTTP drain) and cmd/solarfleet
-// (worker-pool cancellation with partial-result flush) share it so both
-// react to SIGINT and SIGTERM identically: first signal cancels the
+// into a context. cmd/solard and cmd/solargate (graceful HTTP drain),
+// cmd/solarfleet (worker-pool cancellation with partial-result flush)
+// and cmd/solarload (stop firing, report what completed) share it so
+// all react to SIGINT and SIGTERM identically: first signal cancels the
 // context cooperatively, second signal kills the process via Go's
 // default disposition (signal.Reset inside stop).
 package sigctx

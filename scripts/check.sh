@@ -55,11 +55,11 @@ echo '== solarvet -json report (artifacts/solarvet-report.json)'
 mkdir -p artifacts
 go run ./cmd/solarvet -json > artifacts/solarvet-report.json
 
-echo '== go test -race (root, exp, sim, dc, obs, fault, lint, lru, serve, route, client, store, stream, chaos, solarfleet, solargate)'
+echo '== go test -race (root, exp, sim, dc, obs, fault, lint, lru, serve, route, edge, par, client, store, stream, chaos, solarfleet, solargate)'
 go test -race . ./internal/exp ./internal/sim ./internal/dc ./internal/obs \
     ./internal/fault ./internal/lint ./internal/lru ./internal/serve \
-    ./internal/route ./client ./internal/store ./internal/stream \
-    ./internal/chaos ./cmd/solarfleet ./cmd/solargate
+    ./internal/route ./internal/edge ./internal/par ./client ./internal/store \
+    ./internal/stream ./internal/chaos ./cmd/solarfleet ./cmd/solargate
 
 echo '== fault sweep (smoke)'
 go test -run 'TestFaultSweepSensorDropout' ./internal/exp
