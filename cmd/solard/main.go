@@ -28,11 +28,12 @@
 // on a single host, and it doubles as a per-node admission throttle.
 //
 // -store.dir enables the crash-safe durable result store (internal/
-// store, DESIGN.md §16): completed results persist to that directory
-// and survive kill -9, so a restarted node replays them byte-
-// identically instead of re-simulating. The path must be absolute — a
-// relative path would silently depend on the launch directory, and two
-// launches from different places would look like an empty cache.
+// store, DESIGN.md §16): each result persists to that directory as it
+// completes, so a node restarted after a drain or a kill -9 boots the
+// same way and replays stored results byte-identically instead of
+// re-simulating. The path must be absolute — a relative path would
+// silently depend on the launch directory, and two launches from
+// different places would look like an empty cache.
 // -store.maxbytes caps the store's disk footprint (default 256 MiB;
 // oldest records are evicted first) and must be positive. The boot
 // warm start is announced as "solard: store warmed ...".
@@ -199,12 +200,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *ratelimit > 0 {
 		handler = paced(ctx, handler, *ratelimit)
 	}
-	closers := []edge.Closer{{Name: "close", Close: srv.Close}}
-	if st != nil {
-		// Store last: a clean shutdown writes the recency journal so the
-		// next boot warm-starts in LRU order (a crash skips this and the
-		// store degrades to cold-but-correct).
-		closers = append(closers, edge.Closer{Name: "store close", Close: st.Close})
-	}
-	return edge.Serve(ctx, "solard", *addr, "", handler, *grace, srv.StartDrain, stdout, stderr, closers...)
+	// The store needs no close: a record is durable once Put returns, so
+	// a clean shutdown and a kill -9 leave the same directory behind.
+	return edge.Serve(ctx, "solard", *addr, "", handler, *grace, srv.StartDrain, stdout, stderr, srv.Close)
 }

@@ -141,5 +141,5 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	rt.Start(ctx)
 
 	return edge.Serve(ctx, "solargate", *addr, fmt.Sprintf(" (backends %d)", len(urls)), rt.Handler(),
-		*grace, rt.StartDrain, stdout, stderr, edge.Closer{Name: "close", Close: rt.Close})
+		*grace, rt.StartDrain, stdout, stderr, rt.Close)
 }

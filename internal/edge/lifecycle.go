@@ -10,32 +10,23 @@ import (
 	"time"
 )
 
-// Closer is one teardown step Serve runs after the listener drains.
-// Name labels its failure line on stderr ("NAME: <Name>: <error>").
-type Closer struct {
-	Name  string
-	Close func() error
-}
-
 // Serve runs one server process from listen to exit and returns its
 // exit code. It binds addr and announces "NAME: listening on
 // http://ADDR" plus note on stdout (scripts scrape that line), then
 // serves h until ctx ends. The shutdown state machine (DESIGN.md §12)
 // follows: announce the drain, call drain (the server fails /healthz
 // and refuses new work), let in-flight requests finish under the grace
-// budget, run closers in the order given, wait for the serve loop, and
-// print "NAME: drained, exiting" when every step succeeded. A listen or
-// serve failure runs the closers too, ignoring their errors, and
-// exits 1.
+// budget, run closeFn (a failure prints "NAME: close: <error>"), wait
+// for the serve loop, and print "NAME: drained, exiting" when every step
+// succeeded. A listen or serve failure runs closeFn too, ignoring its
+// error, and exits 1.
 func Serve(ctx context.Context, name, addr, note string, h http.Handler, grace time.Duration,
-	drain func(), stdout, stderr io.Writer, closers ...Closer) int {
+	drain func(), stdout, stderr io.Writer, closeFn func() error) int {
 	pf := func(w io.Writer, format string, args ...any) {
 		_, _ = fmt.Fprintf(w, name+": "+format+"\n", args...)
 	}
 	abort := func(err error) int {
-		for _, c := range closers {
-			_ = c.Close()
-		}
+		_ = closeFn()
 		pf(stderr, "%v", err)
 		return 1
 	}
@@ -67,11 +58,9 @@ func Serve(ctx context.Context, name, addr, note string, h http.Handler, grace t
 		pf(stderr, "drain incomplete: %v", err)
 		code = 1
 	}
-	for _, c := range closers {
-		if err := c.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-			pf(stderr, "%s: %v", c.Name, err)
-			code = 1
-		}
+	if err := closeFn(); err != nil && !errors.Is(err, net.ErrClosed) {
+		pf(stderr, "close: %v", err)
+		code = 1
 	}
 	if err := <-served; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		pf(stderr, "serve: %v", err)

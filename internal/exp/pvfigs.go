@@ -141,10 +141,3 @@ func (f CurveFamily) CSV() string {
 	}
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -312,7 +313,7 @@ func (b *cgBuilder) addNode(n *CGNode) {
 	base, i := n.Name, 1
 	for b.g.byName[n.Name] != nil {
 		i++
-		n.Name = base + "#" + itoa(i)
+		n.Name = base + "#" + strconv.Itoa(i)
 	}
 	b.g.byName[n.Name] = n
 	b.g.Nodes = append(b.g.Nodes, n)
@@ -322,20 +323,6 @@ func (b *cgBuilder) addNode(n *CGNode) {
 	if n.Lit != nil {
 		b.g.byLit[n.Lit] = n
 	}
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	at := len(buf)
-	for i > 0 {
-		at--
-		buf[at] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[at:])
 }
 
 // collectLits creates child nodes for every function literal under
@@ -357,7 +344,7 @@ func (b *cgBuilder) collectLitsExpr(parent *CGNode, root ast.Node, pkg *Package)
 			return true
 		}
 		seq++
-		child := &CGNode{Name: parent.Name + "$" + itoa(seq), Lit: lit, Body: lit.Body, Pkg: pkg, Pos: lit.Pos()}
+		child := &CGNode{Name: parent.Name + "$" + strconv.Itoa(seq), Lit: lit, Body: lit.Body, Pkg: pkg, Pos: lit.Pos()}
 		b.addNode(child)
 		b.collectLits(child, lit.Body, pkg)
 		return false // inner literals belong to child

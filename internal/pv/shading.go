@@ -196,8 +196,8 @@ func (s *ShadedString) MPP(env Env) MPP {
 			bestIdx, bestP = i, p
 		}
 	}
-	lo := voc * float64(maxInt(bestIdx-1, 0)) / grid
-	hi := voc * float64(minInt(bestIdx+1, grid)) / grid
+	lo := voc * float64(max(bestIdx-1, 0)) / grid
+	hi := voc * float64(min(bestIdx+1, grid)) / grid
 	v, p := mathx.GoldenMax(func(v float64) float64 { return s.Power(env, v) }, lo, hi, voc*1e-6)
 	if p <= 0 {
 		return MPP{}
@@ -231,18 +231,4 @@ func (s *ShadedString) LocalMPPs(env Env) []MPP {
 		}
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -127,9 +127,11 @@ func (rt *Router) fetchRun(ctx context.Context, key string, req client.RunReques
 	}
 }
 
-// retryable reports whether err is worth failing over: transient
-// upstream statuses (429/5xx) and transport failures are, deterministic
-// rejections and caller cancellation are not.
+// retryable reports whether err is worth another owner or a fresh
+// connection, for /v1/run and /v1/stream alike: transient upstream
+// statuses (429/5xx), damaged bytes and transport failures are;
+// deterministic rejections (4xx, and Status-0 SSE error frames that
+// report a failed run) and caller cancellation are not.
 func retryable(err error) bool {
 	var ae *client.APIError
 	if errors.As(err, &ae) {
@@ -145,8 +147,8 @@ func retryable(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
-	// Anything else is a transport-level failure (refused, reset, EOF):
-	// exactly the class fail-over exists for.
+	// Anything else is a transport-level failure (refused, reset, EOF,
+	// a malformed SSE frame): exactly the class fail-over exists for.
 	return true
 }
 

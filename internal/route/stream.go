@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/url"
 
 	"solarcore/client"
 	"solarcore/internal/edge"
@@ -63,9 +62,10 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, req client
 				Heartbeats:  true, // relay upstream keep-alives to our watcher
 			})
 			if err != nil {
-				if !retryableStreamErr(err) {
-					// The backend answered with a definite refusal (bad spec,
-					// unsupported version, …): relay its envelope verbatim.
+				if !retryable(err) {
+					// A definite refusal (bad spec, unsupported version, …)
+					// relays its envelope verbatim; a watcher that hung up
+					// needs no other owner tried.
 					rt.relayFail(w, rc, committed, err)
 					return
 				}
@@ -99,9 +99,11 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, req client
 			return // clean end of stream, relayed in full
 		case errors.Is(err, errWatcherGone) || r.Context().Err() != nil:
 			return // our watcher hung up; nothing left to tell it
-		case retryableStreamErr(err) && reconnects < rt.cfg.MaxRetries:
-			// The upstream died mid-stream (partition, crash, ejection):
-			// reconnect, resuming strictly after the last relayed id.
+		case retryable(err) && reconnects < rt.cfg.MaxRetries:
+			// The upstream died mid-stream (partition, crash, ejection) or
+			// sent a malformed frame: reconnect, resuming strictly after
+			// the last relayed id. A mid-stream SSE error frame (Status 0:
+			// the run itself failed) is terminal and relayed instead.
 			reconnects++
 			rt.reg.Add(MetricStreamReconnects, 1)
 		default:
@@ -162,21 +164,4 @@ func (rt *Router) relayFail(w http.ResponseWriter, rc *http.ResponseController, 
 	}
 	_ = edge.WriteEvent(w, 0, client.StreamEventError, client.ErrorBody(code, msg, retryMs))
 	_ = rc.Flush()
-}
-
-// retryableStreamErr reports whether a stream failure may be cured by
-// another owner or a fresh connection: transport faults, mid-frame
-// truncation, and 429/5xx refusals. Definite answers — 4xx envelopes
-// and mid-stream SSE error frames (Status 0: the run itself failed) —
-// are terminal and relayed instead.
-func retryableStreamErr(err error) bool {
-	var ae *client.APIError
-	if errors.As(err, &ae) {
-		return ae.Status == http.StatusTooManyRequests || ae.Status >= 500
-	}
-	if errors.Is(err, io.ErrUnexpectedEOF) {
-		return true
-	}
-	var ue *url.Error
-	return errors.As(err, &ue)
 }

@@ -45,8 +45,8 @@ func scriptEvents(t *testing.T, n int) []streamLine {
 
 // fakeStreamNode is a scriptable SSE backend: it serves the scripted
 // event sequence on GET /v1/stream, honoring Last-Event-ID, and can be
-// told to refuse connections, cut them mid-frame, emit heartbeat
-// comments, or end with a terminal SSE error frame.
+// told to refuse connections, cut them mid-frame, send a malformed
+// frame, emit heartbeat comments, or end with a terminal SSE error frame.
 type fakeStreamNode struct {
 	ts      *httptest.Server
 	events  []streamLine
@@ -56,6 +56,7 @@ type fakeStreamNode struct {
 	refuse    atomic.Int32 // non-zero: answer with this HTTP status
 	cutConns  atomic.Int32 // connections remaining that cut mid-frame
 	cutAfterN atomic.Int32 // events each cutting connection delivers first
+	badConns  atomic.Int32 // connections remaining that send a malformed frame instead of cutting
 	hb        atomic.Bool  // emit a keep-alive comment before each event
 	errFrame  atomic.Bool  // emit a terminal error frame after one event
 }
@@ -77,10 +78,13 @@ func (f *fakeStreamNode) handler() http.Handler {
 			client.WriteError(w, code, "injected", "injected stream refusal")
 			return
 		}
-		cut := false
+		cut, bad := false, false
 		if f.cutConns.Load() > 0 {
 			f.cutConns.Add(-1)
 			cut = true
+		} else if f.badConns.Load() > 0 {
+			f.badConns.Add(-1)
+			bad = true
 		}
 		rc := http.NewResponseController(w)
 		w.Header().Set("Content-Type", client.ContentTypeSSE)
@@ -91,6 +95,12 @@ func (f *fakeStreamNode) handler() http.Handler {
 			if cut && sent == int(f.cutAfterN.Load()) {
 				// Sever mid-frame: a torn id line with no terminator.
 				_, _ = io.WriteString(w, "id: 9")
+				_ = rc.Flush()
+				return
+			}
+			if bad && sent == int(f.cutAfterN.Load()) {
+				// A complete frame whose payload is not an event envelope.
+				fmt.Fprintf(w, "id: %d\nevent: %s\ndata: {not json\n\n", i+1, f.events[i].typ)
 				_ = rc.Flush()
 				return
 			}
@@ -326,6 +336,56 @@ func TestStreamRelayErrorFramePassesThrough(t *testing.T) {
 	// A run failure is a definite answer: the relay must not retry it.
 	if n := nodes[0].streams.Load(); n != 1 {
 		t.Errorf("backend saw %d connections, want 1 (no retry on error frame)", n)
+	}
+}
+
+func TestStreamRelayReconnectsAfterMalformedFrame(t *testing.T) {
+	nodes, urls, script := newStreamFleet(t, 1, 6)
+	rt := newTestRouter(t, urls, nil)
+	nodes[0].badConns.Store(1)
+	nodes[0].cutAfterN.Store(2) // ids 1..2 relayed, then a garbled id 3
+
+	got, err := watchThroughGate(t, rt, client.StreamRequest{RunRequest: spec(1)})
+	if err != nil {
+		t.Fatalf("watch: %v", err)
+	}
+	// Damaged bytes are a transport fault, as for a /v1/run body that fails
+	// its checksum: reconnect and resume, never end the watcher's stream.
+	checkSequence(t, got, script, 0)
+	if n := nodes[0].resume.Load(); n != 2 {
+		t.Errorf("reconnect resumed with Last-Event-ID %d, want 2", n)
+	}
+	if n := rt.Metrics().Counters[MetricStreamReconnects]; n != 1 {
+		t.Errorf("%s = %v, want 1", MetricStreamReconnects, n)
+	}
+}
+
+// countingTransport counts upstream /v1/stream attempts.
+type countingTransport struct {
+	streams atomic.Int32
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == "/v1/stream" {
+		c.streams.Add(1)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+func TestStreamRelayCancelledWatcherTriesOneOwner(t *testing.T) {
+	_, urls, _ := newStreamFleet(t, 3, 2)
+	ct := &countingTransport{}
+	rt := newTestRouter(t, urls, func(c *Config) { c.HTTPClient = &http.Client{Transport: ct} })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // the watcher hung up before the relay committed
+	r := httptest.NewRequest(http.MethodGet, "/v1/stream?spec=%7B%22v%22%3A1%2C%22step_min%22%3A8%7D", nil).WithContext(ctx)
+	rt.Handler().ServeHTTP(httptest.NewRecorder(), r)
+
+	// Cancellation is the caller's, not the owner's: no other owner can
+	// cure it, so the relay stops after the first attempt.
+	if n := ct.streams.Load(); n != 1 {
+		t.Errorf("upstream stream attempts = %d, want 1", n)
 	}
 }
 

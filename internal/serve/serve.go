@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -99,11 +98,11 @@ type Config struct {
 	// Registry receives the serve_* metrics; nil builds a private one.
 	Registry *obs.Registry
 	// Store, when non-nil, is the crash-safe durable result layer
-	// (internal/store, DESIGN.md §16) behind the in-memory LRU: New
-	// warm-starts the memory cache from its most recent records, misses
-	// fall through to verified disk reads before simulating, and every
-	// computed result is persisted — so a kill -9 and restart replays
-	// cached results byte-identically instead of recomputing.
+	// (internal/store, DESIGN.md §16) behind the in-memory LRU: the
+	// memory cache starts empty, misses fall through to verified disk
+	// reads before simulating, and every computed result is persisted —
+	// so a restart, clean or kill -9, replays cached results
+	// byte-identically instead of recomputing.
 	Store *store.Store
 	// Stream, when non-nil, enables GET /v1/stream: live runs publish
 	// their obs events into per-run hub topics, watchers attach as SSE
@@ -200,21 +199,6 @@ func New(cfg Config) *Server {
 			return spec.Run(ctx)
 		}
 		return spec.Run(ctx, solarcore.WithObserver(o))
-	}
-	// Warm-start the memory cache from the durable layer: most recent
-	// records are inserted last so the LRU's recency order matches the
-	// store's. Payloads were CRC-verified by Recent; a cold or empty
-	// store simply starts the cache empty, exactly as before. Event-tail
-	// records (the "-ev" companions of /v1/stream replay) are JSONL
-	// streams, not result bodies — they stay on disk only.
-	if cfg.Store != nil {
-		recent := cfg.Store.Recent(cfg.CacheEntries)
-		for i := len(recent) - 1; i >= 0; i-- {
-			if strings.HasSuffix(recent[i].Key, evSuffix) {
-				continue
-			}
-			s.cache.Put(recent[i].Key, recent[i].Body)
-		}
 	}
 	s.mux = http.NewServeMux()
 	handle := func(pattern string, h http.HandlerFunc) {

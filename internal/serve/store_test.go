@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"errors"
 	"net/http"
 	"strings"
 	"testing"
@@ -99,33 +98,6 @@ func TestStoreCatchesMemEviction(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "layered") {
 		t.Errorf("replayed body = %s", body)
-	}
-}
-
-// TestWarmStartFillsMemoryCache pins that New preloads the LRU: a spec
-// persisted by a previous generation is a memory hit on the first
-// request, no disk read, no simulation.
-func TestWarmStartFillsMemoryCache(t *testing.T) {
-	dir := t.TempDir()
-	st := openStoreT(t, dir)
-	key := fastSpec.Hash()
-	want := []byte(`{"label":"persisted"}`)
-	if err := st.Put(key, want); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := obs.NewRegistry()
-	s := New(Config{Store: st, Registry: reg})
-	t.Cleanup(func() { _ = s.Close() })
-	s.runSpec = func(context.Context, solarcore.RunSpec, obs.Observer) (*solarcore.DayResult, error) {
-		return nil, errors.New("must not simulate")
-	}
-	body, src, err := s.Result(context.Background(), fastSpec, 0)
-	if err != nil || src != obs.CacheHit || !bytes.Equal(body, want) {
-		t.Fatalf("warm-started Result = %q, %q, %v; want the persisted bytes as a hit", body, src, err)
-	}
-	if hits := reg.Snapshot().Counters[MetricCacheHits]; hits != 1 {
-		t.Errorf("%s = %v, want 1 (memory hit, not disk)", MetricCacheHits, hits)
 	}
 }
 

@@ -14,14 +14,10 @@ import (
 	"solarcore/internal/stream"
 )
 
-// evSuffix distinguishes a run's durable JSONL event tail from its
-// result record in internal/store: both live under the spec's hash, the
-// tail with this suffix appended. Warm-start skips these keys (they are
-// event streams, not result bodies) and /v1/stream replays them.
-const evSuffix = "-ev"
-
-// evKey is the durable-store key of key's event tail.
-func evKey(key string) string { return key + evSuffix }
+// evKey is the durable-store key of key's JSONL event tail, which
+// /v1/stream replays: it sits beside the result record under the spec's
+// hash, with "-ev" appended.
+func evKey(key string) string { return key + "-ev" }
 
 // handleStream serves GET /v1/stream?spec=<RunRequest JSON>: the spec's
 // obs event sequence as Server-Sent Events — attached live while the run

@@ -17,9 +17,8 @@
 //     quarantine/ subdirectory and counted; Get reports a miss and the
 //     caller recomputes, which is always correct;
 //   - bounded disk — a byte budget is enforced with LRU eviction that
-//     deletes record files; recency survives restarts through a
-//     best-effort journal (missing or corrupt journal degrades to a
-//     cold-but-correct deterministic order, it never loses records);
+//     deletes record files; recency lives only in the process, so every
+//     boot, after a clean shutdown or a crash alike, starts in key order;
 //   - observable — store_* metrics in an obs.Registry and one JSONL
 //     StoreEvent per warm start, quarantine and eviction.
 //
@@ -33,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -71,13 +69,7 @@ const (
 	tmpSuffix = ".tmp"
 	// quarantineDir collects records that failed verification.
 	quarantineDir = "quarantine"
-	// journalName is the best-effort recency journal.
-	journalName = "journal"
 )
-
-// journalMagic is the journal's first line; any other header (or a
-// missing file) makes the boot scan fall back to sorted-key order.
-const journalMagic = "solarcore-store-journal v1"
 
 // DefaultMaxBytes is the byte budget when Config.MaxBytes is zero.
 const DefaultMaxBytes = 256 << 20
@@ -102,9 +94,9 @@ type Config struct {
 }
 
 // Store is the durable result layer. Build one with Open; it is safe
-// for concurrent use. Close persists the recency journal — after a
-// crash (no Close) the next Open still loads every intact record, only
-// the recency order is cold.
+// for concurrent use. A record is durable once Put returns, so a clean
+// shutdown and a crash boot the same way: the next Open loads every
+// intact record, in key order.
 type Store struct {
 	cfg Config
 	reg *obs.Registry
@@ -119,18 +111,11 @@ type Store struct {
 	warmMs          float64
 }
 
-// Rec is one record surfaced by Recent: the cache key and its verified
-// payload bytes.
-type Rec struct {
-	Key  string
-	Body []byte
-}
-
 // Open scans dir and returns a ready Store: stray temp files are
 // deleted, every record is verified (corrupt ones are quarantined, and
-// will never be served), the recency journal is replayed when intact,
-// and the byte budget is enforced. The scan cost is one read of every
-// record file — warm-start time is published as store_warm_start_ms.
+// will never be served), recency starts in key order, and the byte
+// budget is enforced. The scan cost is one read of every record file —
+// warm-start time is published as store_warm_start_ms.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("store: Config.Dir is required")
@@ -173,14 +158,16 @@ func Open(cfg Config) (*Store, error) {
 }
 
 // scan loads the record directory into the index: verify every record,
-// quarantine failures, delete stray temp files, and replay the journal
-// for recency order.
+// quarantine failures and delete stray temp files. os.ReadDir returns
+// entries sorted by file name, so every boot indexes records in key
+// order, the last one warmest.
 func (s *Store) scan() error {
 	entries, err := os.ReadDir(s.cfg.Dir)
 	if err != nil {
 		return fmt.Errorf("store: scan dir: %w", err)
 	}
-	sizes := map[string]int64{}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, e := range entries {
 		name := e.Name()
 		switch {
@@ -200,95 +187,20 @@ func (s *Store) scan() error {
 				continue
 			}
 			if _, derr := DecodeRecord(raw); derr != nil {
-				s.mu.Lock()
 				s.quarantineLocked(key, 0, derr)
-				s.mu.Unlock()
 				continue
 			}
-			sizes[key] = int64(len(raw))
+			s.idx.Put(key, int64(len(raw)))
+			s.bytes += int64(len(raw))
 		}
 	}
-
-	// Recency: journal order (LRU first) for keys that still exist, then
-	// the rest in sorted-key order — deterministic either way.
-	order := make([]string, 0, len(sizes))
-	seen := map[string]bool{}
-	for _, key := range s.readJournal() {
-		if _, ok := sizes[key]; ok && !seen[key] {
-			order = append(order, key)
-			seen[key] = true
-		}
-	}
-	rest := make([]string, 0, len(sizes))
-	for key := range sizes {
-		if !seen[key] {
-			rest = append(rest, key)
-		}
-	}
-	sort.Strings(rest)
-	order = append(rest, order...) // journal-known keys are warmer than strays
-
-	s.mu.Lock()
-	for _, key := range order {
-		s.idx.Put(key, sizes[key])
-		s.bytes += sizes[key]
-	}
-	s.mu.Unlock()
 	return nil
 }
 
-// readJournal returns the persisted recency order (least recent first),
-// or nil when the journal is missing or fails its header check — the
-// documented degradation is cold-but-correct, never an error.
-func (s *Store) readJournal() []string {
-	raw, err := os.ReadFile(filepath.Join(s.cfg.Dir, journalName))
-	if err != nil {
-		return nil
-	}
-	lines := strings.Split(string(raw), "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) != journalMagic {
-		return nil
-	}
-	var keys []string
-	for _, line := range lines[1:] {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		if !validKey(line) {
-			// A torn tail (the journal write is best-effort) invalidates
-			// only the entries after the tear point.
-			break
-		}
-		keys = append(keys, line)
-	}
-	return keys
-}
-
-// Close persists the recency journal (atomically, like every record).
-// It is best-effort durability: a crash that skips Close costs recency
-// order only.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	keys := s.idx.Keys() // most → least recent
-	s.mu.Unlock()
-	var b strings.Builder
-	b.WriteString(journalMagic)
-	b.WriteByte('\n')
-	for i := len(keys) - 1; i >= 0; i-- { // journal stores LRU first
-		b.WriteString(keys[i])
-		b.WriteByte('\n')
-	}
-	path := filepath.Join(s.cfg.Dir, journalName)
-	tmp := path + tmpSuffix
-	if err := os.WriteFile(tmp, []byte(b.String()), 0o644); err != nil {
-		return fmt.Errorf("store: write journal: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: publish journal: %w", err)
-	}
-	return nil
-}
+// Close returns nil. It persists nothing because a record is durable
+// once Put returns; it stays so callers can treat a Store like any
+// other closable resource.
+func (s *Store) Close() error { return nil }
 
 // Get returns the verified payload stored under key and promotes its
 // recency. A record that fails verification is quarantined and reported
@@ -416,35 +328,6 @@ func (s *Store) quarantineLocked(key string, size int64, cause error) {
 		detail = cause.Error()
 	}
 	s.event(obs.StoreEvent{Op: obs.StoreOpQuarantine, Key: key, Detail: detail})
-}
-
-// Recent returns up to n of the most recently used records, most recent
-// first, with verified payloads — the warm-start feed for an in-memory
-// LRU front. It does not promote recency and counts no hits or misses;
-// a record that fails verification here is quarantined and skipped.
-func (s *Store) Recent(n int) []Rec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := s.idx.Keys()
-	if n < len(keys) {
-		keys = keys[:n]
-	}
-	out := make([]Rec, 0, len(keys))
-	for _, key := range keys {
-		raw, err := os.ReadFile(s.recordPath(key))
-		if err != nil {
-			continue
-		}
-		payload, derr := DecodeRecord(raw)
-		if derr != nil {
-			if sz, ok := s.idx.Get(key); ok {
-				s.quarantineLocked(key, sz, derr)
-			}
-			continue
-		}
-		out = append(out, Rec{Key: key, Body: payload})
-	}
-	return out
 }
 
 // Len returns the indexed record count.

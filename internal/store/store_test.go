@@ -71,82 +71,70 @@ func TestRecordsSurviveReopen(t *testing.T) {
 	}
 }
 
-func TestJournalRestoresRecencyOrder(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, Config{Dir: dir})
-	for _, k := range []string{"a1", "b2", "c3"} {
-		if err := s.Put(k, []byte(k)); err != nil {
-			t.Fatal(err)
+// TestCleanAndCrashShutdownBootAlike applies one Put/Get history to two
+// directories, closes one cleanly and abandons the other (a crash), and
+// requires both to reopen identically: same record count and bytes, and
+// under a shrunk budget the same survivors. Close leaves nothing on disk
+// beyond the records themselves.
+func TestCleanAndCrashShutdownBootAlike(t *testing.T) {
+	payload := bytes.Repeat([]byte("w"), 100)
+	recSize := int64(recordHeaderLen + len(payload))
+	keys := []string{"k0", "k1", "k2", "k3", "k4"}
+	history := func(dir string) *Store {
+		s := openT(t, Config{Dir: dir})
+		for _, k := range keys {
+			if err := s.Put(k, payload); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if _, ok := s.Get("a1"); !ok { // promote a1 over b2, c3
-		t.Fatal("a1 missing")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := openT(t, Config{Dir: dir})
-	recs := s2.Recent(10)
-	got := make([]string, len(recs))
-	for i, r := range recs {
-		got[i] = r.Key
-	}
-	want := []string{"a1", "c3", "b2"} // MRU first, as left by Get(a1)
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Errorf("recency after reopen = %v, want %v", got, want)
-	}
-}
-
-func TestCorruptJournalDegradesToColdOrder(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, Config{Dir: dir})
-	for _, k := range []string{"b2", "a1"} {
-		if err := s.Put(k, []byte(k)); err != nil {
-			t.Fatal(err)
+		// Promote the oldest keys: in-process recency now differs from key
+		// order, and must not leak into the next boot either way.
+		for _, k := range []string{"k1", "k0"} {
+			if _, ok := s.Get(k); !ok {
+				t.Fatalf("%s missing before shutdown", k)
+			}
 		}
+		return s
 	}
-	if err := s.Close(); err != nil {
+	cleanDir, crashDir := t.TempDir(), t.TempDir()
+	if err := history(cleanDir).Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, journalName), []byte("garbage\nmore"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2 := openT(t, Config{Dir: dir})
-	if s2.Len() != 2 {
-		t.Fatalf("store lost records to a corrupt journal: %d, want 2", s2.Len())
-	}
-	recs := s2.Recent(10)
-	// Cold order is deterministic: sorted keys, last inserted = warmest.
-	if len(recs) != 2 || recs[0].Key != "b2" || recs[1].Key != "a1" {
-		t.Errorf("cold recency = %v, want [b2 a1]", recs)
-	}
-}
+	history(crashDir) // abandoned without Close
 
-func TestTornJournalTailKeepsIntactPrefix(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, Config{Dir: dir})
-	for _, k := range []string{"a1", "b2", "c3"} {
-		if err := s.Put(k, []byte(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the journal mid-line: the intact prefix still orders a1 before
-	// the rest, the torn tail is ignored.
-	raw, err := os.ReadFile(filepath.Join(dir, journalName))
+	entries, err := os.ReadDir(cleanDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := append(raw[:len(raw)-2], []byte("\x00\xff")...)
-	if err := os.WriteFile(filepath.Join(dir, journalName), torn, 0o644); err != nil {
-		t.Fatal(err)
+	for _, e := range entries {
+		if e.IsDir() && e.Name() == quarantineDir || !e.IsDir() && strings.HasSuffix(e.Name(), recordSuffix) {
+			continue
+		}
+		t.Errorf("Close left %q in the store directory", e.Name())
 	}
-	s2 := openT(t, Config{Dir: dir})
-	if s2.Len() != 3 {
-		t.Fatalf("torn journal tail lost records: %d, want 3", s2.Len())
+
+	clean, crash := openT(t, Config{Dir: cleanDir}), openT(t, Config{Dir: crashDir})
+	if clean.Len() != crash.Len() || clean.Bytes() != crash.Bytes() {
+		t.Errorf("reopen: clean len=%d bytes=%d, crash len=%d bytes=%d",
+			clean.Len(), clean.Bytes(), crash.Len(), crash.Bytes())
+	}
+	if clean.Len() != len(keys) {
+		t.Errorf("reopen loaded %d records, want %d", clean.Len(), len(keys))
+	}
+
+	survivors := func(dir string) []string {
+		s := openT(t, Config{Dir: dir, MaxBytes: 2 * recSize})
+		var out []string
+		for _, k := range keys {
+			if _, ok := s.Get(k); ok {
+				out = append(out, k)
+			}
+		}
+		return out
+	}
+	got, want := survivors(cleanDir), survivors(crashDir)
+	if strings.Join(got, ",") != strings.Join(want, ",") || len(got) != 2 {
+		t.Errorf("survivors under a 2-record budget: clean %v, crash %v; want the same two", got, want)
 	}
 }
 
@@ -284,40 +272,6 @@ func TestOversizedNewestRecordIsKept(t *testing.T) {
 	if _, ok := s.Get("small"); ok {
 		t.Error("small record survived a blown budget")
 	}
-}
-
-func TestRecentIsMetricsNeutral(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := openT(t, Config{Registry: reg})
-	for _, k := range []string{"a1", "b2", "c3"} {
-		if err := s.Put(k, []byte("payload-"+k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recs := s.Recent(2)
-	if len(recs) != 2 || recs[0].Key != "c3" || recs[1].Key != "b2" {
-		t.Fatalf("Recent(2) = %v, want [c3 b2] (MRU first)", recs)
-	}
-	if string(recs[0].Body) != "payload-c3" {
-		t.Errorf("Recent payload = %q", recs[0].Body)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters[MetricHits] != 0 || snap.Counters[MetricMisses] != 0 {
-		t.Errorf("Recent moved hit/miss counters: %v/%v",
-			snap.Counters[MetricHits], snap.Counters[MetricMisses])
-	}
-	// Recent must not promote: a1 is still the eviction victim.
-	k, _, ok := s.oldestForTest()
-	if !ok || k != "a1" {
-		t.Errorf("oldest after Recent = %q, want a1", k)
-	}
-}
-
-// oldestForTest exposes the recency tail without promoting.
-func (s *Store) oldestForTest() (string, int64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.idx.Oldest()
 }
 
 func TestPutRejectsUnsafeKeys(t *testing.T) {

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"solarcore/internal/obs"
 )
@@ -82,20 +83,7 @@ type Hub struct {
 	mu     sync.Mutex
 	topics map[string]*Topic
 
-	subs atomic64
-}
-
-// atomic64 is a tiny mutex-free counter for the active-subscriber gauge.
-type atomic64 struct {
-	mu sync.Mutex
-	n  int64
-}
-
-func (a *atomic64) add(d int64) int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.n += d
-	return a.n
+	subs atomic.Int64 // active subscribers, mirrored into the gauge
 }
 
 // NewHub builds a Hub over cfg.
@@ -329,7 +317,7 @@ func gapLine(dropped uint64) []byte {
 // feed catches up to it. Close the subscription when done.
 func (t *Topic) Subscribe(after uint64) *Sub {
 	t.hub.reg.Add(MetricSubscribers, 1)
-	t.hub.reg.Set(MetricSubscribersActive, float64(t.hub.subs.add(1)))
+	t.hub.reg.Set(MetricSubscribersActive, float64(t.hub.subs.Add(1)))
 	return &Sub{t: t, next: after + 1}
 }
 
@@ -400,5 +388,5 @@ func (s *Sub) Close() {
 		return
 	}
 	s.closed = true
-	s.t.hub.reg.Set(MetricSubscribersActive, float64(s.t.hub.subs.add(-1)))
+	s.t.hub.reg.Set(MetricSubscribersActive, float64(s.t.hub.subs.Add(-1)))
 }

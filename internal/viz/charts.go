@@ -127,8 +127,8 @@ func (c BarChart) SVG() string {
 	f := newFrame(c.Title, c.W, c.H, 0, float64(nCat), 0, y1*1.08)
 	f.axes("", c.YLabel, nil)
 
-	group := f.plotW / float64(maxi(nCat, 1))
-	barW := group * 0.8 / float64(maxi(nSer, 1))
+	group := f.plotW / float64(max(nCat, 1))
+	barW := group * 0.8 / float64(max(nSer, 1))
 	var names []string
 	for si, s := range c.Series {
 		color := Palette[si%len(Palette)]
@@ -165,11 +165,4 @@ func (c BarChart) SVG() string {
 	}
 	f.legend(names)
 	return f.done()
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"solarcore/internal/mathx"
@@ -93,7 +94,7 @@ func ReadActivityCSV(r io.Reader) (*TraceActivity, error) {
 	if len(minutes) >= 2 {
 		step = minutes[1] - minutes[0]
 		for i := 1; i < len(minutes); i++ {
-			if gap := minutes[i] - minutes[i-1]; gap <= 0 || absf(gap-step) > 1e-6 {
+			if gap := minutes[i] - minutes[i-1]; gap <= 0 || math.Abs(gap-step) > 1e-6 {
 				return nil, fmt.Errorf("workload: activity trace not uniformly spaced at row %d", i+1)
 			}
 		}
@@ -121,11 +122,4 @@ func (a *TraceActivity) WriteActivityCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -116,7 +116,7 @@ wait "$solard_pid"
 grep -q 'drained, exiting' "$logfile" || { echo 'solard did not drain cleanly'; cat "$logfile"; exit 1; }
 solard_pid=''
 
-echo '== crash-recovery smoke (kill -9, durable store replays byte-identically)'
+echo '== crash-recovery smoke (kill -9 then clean restart, durable store replays byte-identically)'
 storedir="$bindir/store"
 "$bindir/solard" -addr 127.0.0.1:0 -store.dir "$storedir" >"$bindir/crash1.log" 2>&1 &
 solard_pid=$!
@@ -130,7 +130,7 @@ done
 [ -n "$url" ] || { echo 'crash-smoke solard never announced'; cat "$bindir/crash1.log"; exit 1; }
 spec='{"site":"AZ","season":"Jul","mix":"HM2","step_min":8,"day":9}'
 curl -fsS -X POST -d "$spec" "$url/v1/run" > "$bindir/pre-crash.json"
-kill -9 "$solard_pid"   # no drain, no recency journal: the real crash case
+kill -9 "$solard_pid"   # no drain, no close: the real crash case
 wait "$solard_pid" 2>/dev/null || true
 "$bindir/solard" -addr 127.0.0.1:0 -store.dir "$storedir" >"$bindir/crash2.log" 2>&1 &
 solard_pid=$!
@@ -149,6 +149,27 @@ grep -qi 'x-cache: hit' "$bindir/post-crash.hdr" \
     || { echo 'post-restart response was not a cache hit'; cat "$bindir/post-crash.hdr"; exit 1; }
 cmp "$bindir/pre-crash.json" "$bindir/post-crash.json" \
     || { echo 'post-restart bytes differ from pre-crash bytes'; exit 1; }
+kill -TERM "$solard_pid"
+wait "$solard_pid"
+grep -q 'drained, exiting' "$bindir/crash2.log" || { echo 'restarted solard did not drain cleanly'; cat "$bindir/crash2.log"; exit 1; }
+# Clean-restart leg: a drained shutdown must boot exactly like the crash.
+"$bindir/solard" -addr 127.0.0.1:0 -store.dir "$storedir" >"$bindir/crash3.log" 2>&1 &
+solard_pid=$!
+url=''
+for _ in $(seq 1 100); do
+    url="$(sed -n 's/^solard: listening on //p' "$bindir/crash3.log")"
+    [ -n "$url" ] && break
+    kill -0 "$solard_pid" 2>/dev/null || { cat "$bindir/crash3.log"; exit 1; }
+    sleep 0.1
+done
+[ -n "$url" ] || { echo 'clean-restarted solard never announced'; cat "$bindir/crash3.log"; exit 1; }
+grep -q 'store warmed 1 records' "$bindir/crash3.log" \
+    || { echo 'clean restart did not warm 1 record'; cat "$bindir/crash3.log"; exit 1; }
+curl -fsS -D "$bindir/post-clean.hdr" -X POST -d "$spec" "$url/v1/run" > "$bindir/post-clean.json"
+grep -qi 'x-cache: hit' "$bindir/post-clean.hdr" \
+    || { echo 'post-clean-restart response was not a cache hit'; cat "$bindir/post-clean.hdr"; exit 1; }
+cmp "$bindir/pre-crash.json" "$bindir/post-clean.json" \
+    || { echo 'post-clean-restart bytes differ from pre-crash bytes'; exit 1; }
 kill -TERM "$solard_pid"
 wait "$solard_pid"
 solard_pid=''
