@@ -11,20 +11,17 @@
 //
 // Usage:
 //
-//	solarvet [-json] [-fix [-diff]] [-allow file] [-analyzers a,b,c] [-rules] [packages]
+//	solarvet [-json] [-allow file] [-analyzers a,b,c] [-rules] [packages]
 //
 // The package arguments are accepted for familiarity (`solarvet ./...`)
 // but the driver always loads every package in the module. -analyzers
 // restricts the run to a comma-separated subset of the registry (names
-// as shown by -rules); an unknown name is a usage error. -fix applies
-// the suggested fixes attached to findings (gofmt-clean, refusing
-// overlapping edits); -fix -diff prints the planned rewrites as a
-// unified diff without touching any file. The allowlist defaults to
+// as shown by -rules); an unknown name is a usage error. solarvet only
+// reports: it never edits the tree. The allowlist defaults to
 // .solarvet.allow at the module root; see DESIGN.md for the entry
-// format. -json emits the version-2 report object (findings plus a
-// summary with per-analyzer finding/suppression counts and fix
-// accounting), which scripts/check.sh preserves as
-// solarvet-report.json.
+// format. -json emits the version-3 report object (findings plus a
+// summary with per-analyzer finding/suppression counts), which
+// scripts/check.sh preserves as solarvet-report.json.
 package main
 
 import (
@@ -33,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -50,17 +46,11 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("solarvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit the version-2 JSON report")
+	jsonOut := fs.Bool("json", false, "emit the version-3 JSON report")
 	allow := fs.String("allow", "", "allowlist file (default: <module root>/.solarvet.allow if present)")
 	names := fs.String("analyzers", "", "comma-separated analyzer subset to run (default: all)")
 	rules := fs.Bool("rules", false, "print the analyzer registry and exit")
-	fix := fs.Bool("fix", false, "apply suggested fixes to the source tree")
-	diff := fs.Bool("diff", false, "with -fix, print a unified diff instead of writing files")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *diff && !*fix {
-		fmt.Fprintln(stderr, "solarvet: -diff requires -fix")
 		return 2
 	}
 
@@ -89,70 +79,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "solarvet: load: %v\n", err)
 	}
 
-	// Fix planning happens before reporting so the JSON summary can
-	// carry the counts. In write mode the edits land on disk and the
-	// module cache is dropped (it describes the pre-fix tree).
-	applied, conflicts := 0, 0
-	var plans []*lint.FileFix
-	if *fix {
-		plans, err = lint.PlanFixes(res.Module.Fset, res.Findings)
-		if err != nil {
-			fmt.Fprintf(stderr, "solarvet: %v\n", err)
-			return 2
-		}
-		for _, ff := range plans {
-			applied += len(ff.Applied)
-			conflicts += len(ff.Conflicts)
-			for _, c := range ff.Conflicts {
-				fmt.Fprintf(stderr, "solarvet: skipped conflicting fix at %s (%s); re-run solarvet -fix after this batch lands\n",
-					c.Pos, c.Fix.Message)
-			}
-		}
-		if *diff {
-			for _, ff := range plans {
-				if !ff.Changed() {
-					continue
-				}
-				fmt.Fprint(stdout, lint.UnifiedDiff(relTo(res.Module.Root, ff.Path), ff.Orig, ff.New))
-			}
-		} else {
-			files := 0
-			for _, ff := range plans {
-				if !ff.Changed() {
-					continue
-				}
-				if err := ff.Apply(); err != nil {
-					fmt.Fprintf(stderr, "solarvet: %v\n", err)
-					return 2
-				}
-				files++
-			}
-			if files > 0 {
-				lint.InvalidateModuleCache(res.Module.Root)
-			}
-			fmt.Fprintf(stderr, "solarvet: applied %d fix(es) across %d file(s)\n", applied, files)
-		}
-	}
-
 	if *jsonOut {
-		rep := buildReport(res, analyzers, applied, *fix && !*diff)
-		if err := writeJSON(stdout, rep); err != nil {
+		if err := writeJSON(stdout, buildReport(res, analyzers)); err != nil {
 			fmt.Fprintf(stderr, "solarvet: %v\n", err)
 			return 2
 		}
-	} else if !*fix || !*diff {
+	} else {
 		for _, f := range res.Findings {
-			if *fix && !*diff && fixWasApplied(plans, f) {
-				continue // resolved on disk just now
-			}
 			fmt.Fprintln(stdout, f)
 		}
 	}
-	remaining := len(res.Findings)
-	if *fix && !*diff {
-		remaining -= applied
-	}
-	if remaining > 0 {
+	if len(res.Findings) > 0 {
 		bad = true
 	}
 	// Only a full-registry run can judge allowlist staleness: under a
@@ -189,31 +126,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// fixWasApplied reports whether f is one of the findings whose fix
-// landed in plans.
-func fixWasApplied(plans []*lint.FileFix, f Finding) bool {
-	for _, ff := range plans {
-		for _, a := range ff.Applied {
-			if a.File == f.File && a.Line == f.Line && a.Col == f.Col &&
-				a.Analyzer == f.Analyzer && a.Message == f.Message {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Finding aliases lint.Finding for local signatures.
-type Finding = lint.Finding
-
-// relTo renders path relative to root with forward slashes.
-func relTo(root, path string) string {
-	if rel, err := filepath.Rel(root, path); err == nil && !filepath.IsAbs(rel) {
-		return filepath.ToSlash(rel)
-	}
-	return filepath.ToSlash(path)
-}
-
 // selectAnalyzers resolves a comma-separated -analyzers value against
 // the registry. Empty means the full registry (lint.Run's default);
 // an unknown or empty name is an error naming the valid choices.
@@ -237,7 +149,7 @@ func selectAnalyzers(names string) ([]*lint.Analyzer, error) {
 	return out, nil
 }
 
-// report is the version-2 JSON schema emitted by -json and preserved
+// report is the version-3 JSON schema emitted by -json and preserved
 // by CI as solarvet-report.json. findings encodes as [] rather than
 // null on a clean tree so consumers can index it unconditionally;
 // TestJSONSchemaRoundTrip pins the layout.
@@ -249,15 +161,10 @@ type report struct {
 
 type reportSummary struct {
 	// TotalFindings counts findings that survived the allowlist — the
-	// list above, before any -fix application.
+	// list above.
 	TotalFindings int `json:"total_findings"`
 	// Suppressed counts allowlisted findings.
 	Suppressed int `json:"suppressed"`
-	// FixesAvailable counts findings carrying a machine-applicable fix;
-	// FixesApplied counts those -fix actually wrote this run (0 without
-	// -fix, or with -fix -diff).
-	FixesAvailable int `json:"fixes_available"`
-	FixesApplied   int `json:"fixes_applied"`
 	// Analyzers has one entry per analyzer that ran, zero counts
 	// included.
 	Analyzers map[string]reportAnalyzer `json:"analyzers"`
@@ -268,8 +175,8 @@ type reportAnalyzer struct {
 	Suppressed int `json:"suppressed"`
 }
 
-// buildReport assembles the version-2 report from a run result.
-func buildReport(res *lint.Result, analyzers []*lint.Analyzer, applied int, wrote bool) report {
+// buildReport assembles the version-3 report from a run result.
+func buildReport(res *lint.Result, analyzers []*lint.Analyzer) report {
 	if analyzers == nil {
 		analyzers = lint.Registry()
 	}
@@ -277,29 +184,20 @@ func buildReport(res *lint.Result, analyzers []*lint.Analyzer, applied int, wrot
 	for _, a := range analyzers {
 		perAnalyzer[a.Name] = reportAnalyzer{Suppressed: res.SuppressedBy[a.Name]}
 	}
-	fixable := 0
 	for _, f := range res.Findings {
 		ra := perAnalyzer[f.Analyzer]
 		ra.Findings++
 		perAnalyzer[f.Analyzer] = ra
-		if f.Fix != nil {
-			fixable++
-		}
 	}
 	findings := res.Findings
 	if findings == nil {
 		findings = []lint.Finding{}
 	}
-	sum := reportSummary{
-		TotalFindings:  len(res.Findings),
-		Suppressed:     res.Suppressed,
-		FixesAvailable: fixable,
-		Analyzers:      perAnalyzer,
-	}
-	if wrote {
-		sum.FixesApplied = applied
-	}
-	return report{Version: 2, Findings: findings, Summary: sum}
+	return report{Version: 3, Findings: findings, Summary: reportSummary{
+		TotalFindings: len(res.Findings),
+		Suppressed:    res.Suppressed,
+		Analyzers:     perAnalyzer,
+	}}
 }
 
 // writeJSON emits the report with stable indentation.

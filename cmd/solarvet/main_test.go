@@ -12,7 +12,7 @@ import (
 	"solarcore/internal/lint"
 )
 
-// TestJSONSchemaRoundTrip pins the version-2 report wire format: the
+// TestJSONSchemaRoundTrip pins the version-3 report wire format: the
 // top-level {version, findings, summary} object, exactly the five keys
 // file/line/col/analyzer/message per finding (Pos stays internal), the
 // summary counters, and that a decode of the emitted bytes reproduces
@@ -23,13 +23,12 @@ func TestJSONSchemaRoundTrip(t *testing.T) {
 			{File: "internal/pv/module.go", Line: 42, Col: 7, Analyzer: "unitflow",
 				Message: "+ mixes W and V"},
 			{File: "internal/thermal/thermal.go", Line: 9, Col: 3, Analyzer: "floateq",
-				Message: "floating-point == comparison",
-				Fix:     &lint.Fix{Message: "rewrite"}},
+				Message: "floating-point == comparison"},
 		},
 		Suppressed:   3,
 		SuppressedBy: map[string]int{"floateq": 2, "detcheck": 1},
 	}
-	rep := buildReport(res, nil, 0, false)
+	rep := buildReport(res, nil)
 	var buf strings.Builder
 	if err := writeJSON(&buf, rep); err != nil {
 		t.Fatal(err)
@@ -47,8 +46,8 @@ func TestJSONSchemaRoundTrip(t *testing.T) {
 	if want := []string{"findings", "summary", "version"}; !reflect.DeepEqual(top, want) {
 		t.Errorf("top-level keys %v, want %v", top, want)
 	}
-	if v := generic["version"].(float64); v != 2 {
-		t.Errorf("version = %v, want 2", v)
+	if v := generic["version"].(float64); v != 3 {
+		t.Errorf("version = %v, want 3", v)
 	}
 	wantKeys := []string{"analyzer", "col", "file", "line", "message"}
 	for i, obj := range generic["findings"].([]any) {
@@ -67,7 +66,7 @@ func TestJSONSchemaRoundTrip(t *testing.T) {
 		sumKeys = append(sumKeys, k)
 	}
 	sort.Strings(sumKeys)
-	wantSum := []string{"analyzers", "fixes_applied", "fixes_available", "suppressed", "total_findings"}
+	wantSum := []string{"analyzers", "suppressed", "total_findings"}
 	if !reflect.DeepEqual(sumKeys, wantSum) {
 		t.Errorf("summary keys %v, want %v", sumKeys, wantSum)
 	}
@@ -76,8 +75,7 @@ func TestJSONSchemaRoundTrip(t *testing.T) {
 	if err := json.Unmarshal([]byte(buf.String()), &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Version != 2 || out.Summary.TotalFindings != 2 ||
-		out.Summary.Suppressed != 3 || out.Summary.FixesAvailable != 1 {
+	if out.Version != 3 || out.Summary.TotalFindings != 2 || out.Summary.Suppressed != 3 {
 		t.Errorf("round trip summary = %+v", out.Summary)
 	}
 	for i := range out.Findings {
@@ -102,7 +100,7 @@ func TestJSONSchemaRoundTrip(t *testing.T) {
 // not null — so downstream tooling can index the result unconditionally.
 func TestJSONEmptyIsArray(t *testing.T) {
 	var buf strings.Builder
-	if err := writeJSON(&buf, buildReport(&lint.Result{}, nil, 0, false)); err != nil {
+	if err := writeJSON(&buf, buildReport(&lint.Result{}, nil)); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -172,7 +170,7 @@ func TestJSONRealRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	if err := writeJSON(&buf, buildReport(res, nil, 0, false)); err != nil {
+	if err := writeJSON(&buf, buildReport(res, nil)); err != nil {
 		t.Fatal(err)
 	}
 	var out report
@@ -192,9 +190,11 @@ func TestJSONRealRun(t *testing.T) {
 	}
 }
 
-// scratchModule writes a throwaway module with one errcheck violation
-// (whose fix is unambiguous) and chdirs into it.
-func scratchModule(t *testing.T) string {
+// scratchModule writes a throwaway module holding one file, bad.go,
+// with src as its content, and chdirs into it. Each call gets a fresh
+// temp dir: the module cache is keyed by root, so a rewritten file in
+// a root already loaded would be served stale.
+func scratchModule(t *testing.T, src string) {
 	t.Helper()
 	dir := t.TempDir()
 	writeFile := func(name, content string) {
@@ -204,25 +204,13 @@ func scratchModule(t *testing.T) string {
 		}
 	}
 	writeFile("go.mod", "module scratch.example\n\ngo 1.22\n")
-	writeFile("bad.go", `package scratch
-
-import "errors"
-
-func fail() error { return errors.New("x") }
-
-// Use drops the error, which errcheck flags and can auto-fix.
-func Use() {
-	fail()
-}
-`)
+	writeFile("bad.go", src)
 	t.Chdir(dir)
-	return dir
 }
 
 // TestExitCodes pins the process exit contract: 0 clean, 1 findings,
-// 2 usage/driver failure — plus the -fix dry-run (-diff leaves the tree
-// untouched and still exits 1) and the -fix write path (exit 0 once the
-// only finding is fixed, idempotent on a second pass).
+// 2 usage/driver failure. The removed -fix and -diff flags are unknown
+// flags like any other.
 func TestExitCodes(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-rules"}, &out, &errb); code != 0 {
@@ -234,70 +222,51 @@ func TestExitCodes(t *testing.T) {
 	if code := run([]string{"-analyzers", "nosuch"}, &out, &errb); code != 2 {
 		t.Errorf("unknown analyzer exit = %d, want 2", code)
 	}
-	if code := run([]string{"-nosuchflag"}, &out, &errb); code != 2 {
-		t.Errorf("bad flag exit = %d, want 2", code)
-	}
-	if code := run([]string{"-diff"}, &out, &errb); code != 2 {
-		t.Errorf("-diff without -fix exit = %d, want 2", code)
-	}
-
-	dir := scratchModule(t)
-	badPath := filepath.Join(dir, "bad.go")
-	before, err := os.ReadFile(badPath)
-	if err != nil {
-		t.Fatal(err)
+	for _, flag := range []string{"-nosuchflag", "-fix", "-diff"} {
+		if code := run([]string{flag}, &out, &errb); code != 2 {
+			t.Errorf("%s exit = %d, want 2", flag, code)
+		}
 	}
 
+	scratchModule(t, `package scratch
+
+import "errors"
+
+func fail() error { return errors.New("x") }
+
+// Use drops the error, which errcheck flags.
+func Use() {
+	fail()
+}
+`)
 	out.Reset()
 	errb.Reset()
 	if code := run(nil, &out, &errb); code != 1 {
 		t.Fatalf("dirty tree exit = %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
-	if !strings.Contains(out.String(), "errcheck") {
-		t.Errorf("findings not printed:\n%s", out.String())
+	want := "bad.go:9:2: [errcheck] unchecked error returned by scratch.fail; " +
+		"handle it or discard explicitly with `_ =`\n"
+	if out.String() != want {
+		t.Errorf("dirty tree printed %q, want %q", out.String(), want)
 	}
 
-	// Dry run: the diff shows the rewrite, the file stays untouched, and
-	// the exit code still reports the findings.
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-fix", "-diff"}, &out, &errb); code != 1 {
-		t.Fatalf("-fix -diff exit = %d, want 1\n%s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "+\t_ = fail()") {
-		t.Errorf("dry-run diff missing the rewrite:\n%s", out.String())
-	}
-	after, err := os.ReadFile(badPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(after) != string(before) {
-		t.Error("-fix -diff modified the file")
-	}
+	scratchModule(t, `package scratch
 
-	// Write mode: the fix lands, the run reports clean, and a second
-	// -fix pass has nothing left to do (idempotency).
+import "errors"
+
+func fail() error { return errors.New("x") }
+
+// Use discards the error explicitly, which errcheck accepts.
+func Use() {
+	_ = fail()
+}
+`)
 	out.Reset()
 	errb.Reset()
-	if code := run([]string{"-fix"}, &out, &errb); code != 0 {
-		t.Fatalf("-fix exit = %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
-	}
-	fixed, err := os.ReadFile(badPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(fixed), "_ = fail()") {
-		t.Errorf("fix not written:\n%s", fixed)
-	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-fix"}, &out, &errb); code != 0 {
-		t.Fatalf("second -fix exit = %d, want 0\n%s", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "applied 0 fix(es)") {
-		t.Errorf("second -fix should apply nothing:\n%s", errb.String())
-	}
 	if code := run(nil, &out, &errb); code != 0 {
-		t.Errorf("clean tree exit = %d, want 0", code)
+		t.Errorf("clean tree exit = %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("clean tree printed findings:\n%s", out.String())
 	}
 }

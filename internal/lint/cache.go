@@ -12,7 +12,9 @@ import (
 // fixture helpers, benchmarks); the cache below pins it to once per
 // module root per process. Loaded modules are immutable after
 // LoadModule returns, so sharing the *Module (and every *types.Info
-// inside it) across concurrent Runs is safe.
+// inside it) across concurrent Runs is safe. solarvet never rewrites
+// sources, so a cached module never goes stale within one process; a
+// caller that edits a module must load it from a new root.
 
 var (
 	moduleCacheMu sync.Mutex
@@ -51,17 +53,3 @@ func LoadModuleCached(root string) (*Module, error) {
 // ModuleLoads returns how many full (uncached) module loads have run in
 // this process.
 func ModuleLoads() int64 { return moduleLoads.Load() }
-
-// InvalidateModuleCache drops the cached module for root, forcing the
-// next LoadModuleCached to re-parse from disk. `solarvet -fix` calls it
-// after rewriting sources — the cached *Module still describes the
-// pre-fix tree.
-func InvalidateModuleCache(root string) {
-	abs, err := filepath.Abs(root)
-	if err != nil {
-		return
-	}
-	moduleCacheMu.Lock()
-	delete(moduleCache, abs)
-	moduleCacheMu.Unlock()
-}

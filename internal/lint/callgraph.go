@@ -117,15 +117,6 @@ type CallGraph struct {
 	byName map[string]*CGNode
 }
 
-// NodeOf returns the node of a declared function or method (resolving
-// generic instantiations to their origin), or nil.
-func (g *CallGraph) NodeOf(fn *types.Func) *CGNode {
-	if fn == nil {
-		return nil
-	}
-	return g.byObj[origin(fn)]
-}
-
 // NodeByName returns the node with the exact Name, or nil.
 func (g *CallGraph) NodeByName(name string) *CGNode { return g.byName[name] }
 

@@ -26,21 +26,11 @@ var AnalyzerErrCheck = &Analyzer{
 }
 
 func runErrCheck(p *Pass) {
-	check := func(call *ast.CallExpr, stmt *ast.ExprStmt) {
+	check := func(call *ast.CallExpr) {
 		if call == nil || !returnsError(p.Info, call) || errcheckExempt(p.Info, call) {
 			return
 		}
-		// The `_ =` rewrite is unambiguous only for a bare statement whose
-		// call returns exactly the error (a multi-result call needs as many
-		// blanks as results, and go/defer statements cannot be assigned).
-		var fix *Fix
-		if stmt != nil && singleErrorResult(p.Info, call) {
-			fix = &Fix{
-				Message: "discard the error explicitly with `_ =`",
-				Edits:   []TextEdit{{Pos: stmt.Pos(), End: stmt.Pos(), New: "_ = "}},
-			}
-		}
-		p.ReportFix(call.Pos(), fix, "unchecked error returned by %s; handle it or discard explicitly with `_ =`",
+		p.Reportf(call.Pos(), "unchecked error returned by %s; handle it or discard explicitly with `_ =`",
 			calleeLabel(p.Info, call))
 	}
 	for _, file := range p.Files {
@@ -48,25 +38,15 @@ func runErrCheck(p *Pass) {
 			switch s := n.(type) {
 			case *ast.ExprStmt:
 				call, _ := ast.Unparen(s.X).(*ast.CallExpr)
-				check(call, s)
+				check(call)
 			case *ast.GoStmt:
-				check(s.Call, nil)
+				check(s.Call)
 			case *ast.DeferStmt:
-				check(s.Call, nil)
+				check(s.Call)
 			}
 			return true
 		})
 	}
-}
-
-// singleErrorResult reports whether the call returns exactly one value,
-// of type error.
-func singleErrorResult(info *types.Info, call *ast.CallExpr) bool {
-	sig, ok := info.TypeOf(call.Fun).(*types.Signature)
-	if !ok {
-		return false
-	}
-	return sig.Results().Len() == 1 && types.Identical(sig.Results().At(0).Type(), errorType)
 }
 
 // returnsError reports whether any result of the call has type error.

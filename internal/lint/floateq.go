@@ -41,49 +41,12 @@ func runFloatEq(p *Pass) {
 			if isZeroConst(p, be.X) || isZeroConst(p, be.Y) {
 				return true
 			}
-			p.ReportFix(be.OpPos, nanTrickFix(p, file, be),
+			p.Reportf(be.OpPos,
 				"floating-point %s comparison; use mathx.ApproxEq (or compare against an exact zero sentinel)",
 				be.Op)
 			return true
 		})
 	}
-}
-
-// nanTrickFix rewrites the self-comparison NaN idiom — `x != x` to
-// math.IsNaN(x), `x == x` to !math.IsNaN(x) — when both operands are
-// the same variable and the file already imports math under its own
-// name (adding imports is beyond a text edit's ambition). Any other
-// float comparison needs a human to pick the tolerance, so no fix.
-func nanTrickFix(p *Pass, file *ast.File, be *ast.BinaryExpr) *Fix {
-	x, ok := ast.Unparen(be.X).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	y, ok := ast.Unparen(be.Y).(*ast.Ident)
-	if !ok || p.Info.Uses[x] == nil || p.Info.Uses[x] != p.Info.Uses[y] {
-		return nil
-	}
-	if !fileImportsMath(file) {
-		return nil
-	}
-	repl := "math.IsNaN(" + x.Name + ")"
-	if be.Op == token.EQL {
-		repl = "!" + repl
-	}
-	return &Fix{
-		Message: "replace the self-comparison NaN idiom with math.IsNaN",
-		Edits:   []TextEdit{{Pos: be.Pos(), End: be.End(), New: repl}},
-	}
-}
-
-// fileImportsMath reports whether file imports "math" unaliased.
-func fileImportsMath(file *ast.File) bool {
-	for _, imp := range file.Imports {
-		if imp.Path.Value == `"math"` && (imp.Name == nil || imp.Name.Name == "math") {
-			return true
-		}
-	}
-	return false
 }
 
 // isZeroConst reports whether e is a compile-time numeric constant equal

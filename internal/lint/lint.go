@@ -30,11 +30,6 @@ type Finding struct {
 	Col      int            `json:"col"`
 	Analyzer string         `json:"analyzer"`
 	Message  string         `json:"message"`
-	// Fix is an optional machine-applicable rewrite resolving the
-	// finding (see fix.go); it stays off the JSON wire — the report
-	// schema carries fix *counts*, the edits themselves are positions
-	// into a specific parse and die with the process.
-	Fix *Fix `json:"-"`
 }
 
 // String renders the canonical `file:line:col: [analyzer] message` form.
@@ -65,11 +60,6 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportFix(pos, nil, format, args...)
-}
-
-// ReportFix records a finding at pos carrying a suggested fix.
-func (p *Pass) ReportFix(pos token.Pos, fix *Fix, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	p.report(Finding{
 		Pos:     position,
@@ -77,7 +67,6 @@ func (p *Pass) ReportFix(pos token.Pos, fix *Fix, format string, args ...any) {
 		Line:    position.Line,
 		Col:     position.Column,
 		Message: fmt.Sprintf(format, args...),
-		Fix:     fix,
 	})
 }
 

@@ -7,7 +7,6 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"strconv"
 	"strings"
 )
 
@@ -130,10 +129,7 @@ func staticNamePrefix(info *types.Info, arg ast.Expr) (name string, exact, ok bo
 
 // checkMetricName validates one resolved name: snake_case always, the
 // _total suffix convention per kind only when suffixKnown (a dynamic
-// name tail makes the suffix unknowable). Suffix violations on a plain
-// string literal carry a rename fix — a literal names exactly one
-// metric, so appending or stripping _total is mechanical; names built
-// from constants or concatenation may be shared and need a human.
+// name tail makes the suffix unknowable).
 func checkMetricName(p *Pass, kind, base string, suffixKnown bool, arg ast.Expr) {
 	pos := arg.Pos()
 	if !isSnakeCase(base) {
@@ -146,27 +142,12 @@ func checkMetricName(p *Pass, kind, base string, suffixKnown bool, arg ast.Expr)
 	switch kind {
 	case "counter":
 		if !strings.HasSuffix(base, "_total") {
-			p.ReportFix(pos, literalRenameFix(arg, base+"_total"),
-				"counter %q must end in _total (obs naming contract)", base)
+			p.Reportf(pos, "counter %q must end in _total (obs naming contract)", base)
 		}
 	case "gauge", "histogram":
 		if strings.HasSuffix(base, "_total") {
-			p.ReportFix(pos, literalRenameFix(arg, strings.TrimSuffix(base, "_total")),
-				"%s %q must not end in _total — that suffix marks monotonic counters", kind, base)
+			p.Reportf(pos, "%s %q must not end in _total — that suffix marks monotonic counters", kind, base)
 		}
-	}
-}
-
-// literalRenameFix rewrites a plain string-literal metric name to
-// newName; nil when the argument is anything but a basic literal.
-func literalRenameFix(arg ast.Expr, newName string) *Fix {
-	lit, ok := ast.Unparen(arg).(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING || newName == "" {
-		return nil
-	}
-	return &Fix{
-		Message: "rename the metric to " + strconv.Quote(newName),
-		Edits:   []TextEdit{{Pos: lit.Pos(), End: lit.End(), New: strconv.Quote(newName)}},
 	}
 }
 

@@ -152,17 +152,20 @@ func retryable(err error) bool {
 	return true
 }
 
+// backoffCap caps the retry backoff, Retry-After hints included.
+const backoffCap = time.Second
+
 // backoff computes the delay before retry attempt n (1-based): capped
 // exponential from BackoffBase, raised to the upstream's Retry-After
-// hint when that is longer, never above BackoffCap.
+// hint when that is longer, never above backoffCap.
 func (rt *Router) backoff(n int, err error) time.Duration {
 	d := rt.cfg.BackoffBase << (n - 1)
 	var ae *client.APIError
 	if errors.As(err, &ae) && ae.RetryAfter > d {
 		d = ae.RetryAfter
 	}
-	if d > rt.cfg.BackoffCap {
-		d = rt.cfg.BackoffCap
+	if d > backoffCap {
+		d = backoffCap
 	}
 	return d
 }

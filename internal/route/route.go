@@ -97,15 +97,13 @@ type Config struct {
 	// MaxRetries bounds fail-over retry attempts per request beyond the
 	// first (default 2).
 	MaxRetries int
-	// BackoffBase / BackoffCap shape the capped exponential retry
-	// backoff (defaults 25ms / 1s); an upstream Retry-After above the
-	// computed backoff is honored up to BackoffCap.
+	// BackoffBase is the first step of the exponential retry backoff
+	// (default 25ms), capped at backoffCap; an upstream Retry-After
+	// above the computed backoff is honored up to that cap.
 	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// ProbeInterval is the health-check period (default 500ms);
-	// ProbeTimeout bounds one probe (default ProbeInterval).
+	// ProbeInterval is the health-check period and the bound on one
+	// probe (default 500ms).
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 	// ProbeJitter spreads each probe period uniformly over
 	// ProbeInterval·[1−j, 1+j] (default 0.2, capped at 0.9; negative
 	// pins the period exactly — tests use that) so a fleet of routers
@@ -162,14 +160,8 @@ func (c Config) withDefaults() Config {
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 25 * time.Millisecond
 	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = time.Second
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval
 	}
 	if c.FailThreshold < 1 {
 		c.FailThreshold = 3
@@ -380,7 +372,7 @@ func (rt *Router) nextProbeDelay() time.Duration {
 func (rt *Router) probeAll(ctx context.Context) {
 	changed := false
 	for _, b := range rt.backends {
-		pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+		pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeInterval)
 		err := b.cli.Healthz(pctx)
 		cancel()
 		if err == nil {

@@ -88,11 +88,8 @@ type Config struct {
 	// CacheEntries caps the LRU result cache (default 1024).
 	CacheEntries int
 	// RunTimeout is the per-simulation deadline (default 30s). A
-	// request's timeout_ms field may shorten it, never extend past
-	// MaxTimeout.
+	// request's timeout_ms field may replace it, up to 2×RunTimeout.
 	RunTimeout time.Duration
-	// MaxTimeout clamps client-requested deadlines (default 2×RunTimeout).
-	MaxTimeout time.Duration
 	// MaxSweep caps the runs accepted in one /v1/sweep batch (default 64).
 	MaxSweep int
 	// Registry receives the serve_* metrics; nil builds a private one.
@@ -135,9 +132,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RunTimeout <= 0 {
 		c.RunTimeout = 30 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 2 * c.RunTimeout
 	}
 	if c.MaxSweep < 1 {
 		c.MaxSweep = 64
@@ -273,16 +267,12 @@ func (s *Server) acquire(ctx context.Context) error {
 
 func (s *Server) release() { <-s.sem }
 
-// timeout resolves the effective run deadline: the server default,
-// shortened (never extended beyond MaxTimeout) by a client-requested
-// timeout in milliseconds.
+// timeout resolves the effective run deadline: the server default, or
+// a client-requested timeout in milliseconds clamped to 2×RunTimeout.
 func (s *Server) timeout(requestedMs int) time.Duration {
 	d := s.cfg.RunTimeout
 	if requestedMs > 0 {
-		d = time.Duration(requestedMs) * time.Millisecond
-	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
+		d = min(time.Duration(requestedMs)*time.Millisecond, 2*s.cfg.RunTimeout)
 	}
 	return d
 }

@@ -2,9 +2,12 @@
 # Pre-commit gate: everything CI runs, in the order it fails fastest.
 #
 #   build          — the whole module must compile
+#   source lines   — print the non-test Go source line count: every
+#                    *.go outside bench/, *_test.go excluded, testdata
+#                    included; the one definition ROADMAP.md's line
+#                    deltas quote
 #   gofmt -l       — every tracked .go file (fixtures included) must be
-#                    gofmt-clean; solarvet -fix promises gofmt-clean
-#                    output, so the tree it rewrites must start clean
+#                    gofmt-clean, as CI requires
 #   go vet         — the stock toolchain checks
 #   go test ./...  — unit, property, golden and paper-gate tests; the
 #                    solarvet lint gate (lint_test.go) runs here too, so
@@ -33,6 +36,9 @@ cd "$(dirname "$0")/.."
 
 echo '== go build ./...'
 go build ./...
+
+echo '== non-test Go source lines (excluding bench/)'
+find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
 
 echo '== gofmt -l'
 unformatted="$(gofmt -l .)"
