@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"solarcore"
 	"solarcore/internal/exp"
 	"solarcore/internal/report"
 )
@@ -31,6 +32,10 @@ func main() {
 	ablations := flag.Bool("ablations", false, "also run the design-choice ablation sweeps")
 	htmlOut := flag.String("html", "", "write a self-contained HTML report (inline SVG charts) to this path")
 	flag.Parse()
+	// The day index follows the RunSpec rule every served run follows.
+	if err := (solarcore.RunSpec{Day: *day}).Validate(); err != nil {
+		log.Fatalf("-day: %v", err)
+	}
 
 	opts := exp.Options{Quick: *quick, StepMin: *step, Day: *day}
 	lab := exp.NewLab(opts)

@@ -198,9 +198,9 @@ func MountStudy(l *Lab) MountStudyResult {
 	}
 	res := MountStudyResult{Season: atmos.Apr.String()}
 	for _, site := range atmos.Sites {
-		tr := atmos.Generate(site, atmos.Apr, atmos.GenConfig{Day: l.Opts.Day})
 		fixedDay := l.Day(site, atmos.Apr)
-		trackedDay, err := sim.NewSolarDay(tr.WithMount(atmos.SingleAxisTracker), fixedDay.Params, 1, 1)
+		// WithMount returns a copy, so the shared cached day stays untouched.
+		trackedDay, err := sim.NewSolarDay(fixedDay.Trace.WithMount(atmos.SingleAxisTracker), fixedDay.Params, 1, 1)
 		if err != nil {
 			panic(err)
 		}

@@ -42,13 +42,11 @@ func FaultSweep(opts Options, kind string) (FaultSweepResult, error) {
 		Policies:    append(append([]string{}, MPPTPolicies...), "Fixed-75W"),
 	}
 	for _, inten := range res.Intensities {
-		s, err := fault.ParseSpec(fmt.Sprintf("%s:t0=%g,t1=%g,i=%g",
-			kind, faultSweepT0, faultSweepT1, inten))
-		if err != nil {
+		o := opts
+		o.Faults = fmt.Sprintf("%s:t0=%g,t1=%g,i=%g", kind, faultSweepT0, faultSweepT1, inten)
+		if _, err := fault.ParseSpec(o.Faults); err != nil {
 			return res, fmt.Errorf("exp: fault sweep: %w", err)
 		}
-		o := opts
-		o.Faults = s
 		l := NewLab(o)
 		var row []float64
 		trips := 0

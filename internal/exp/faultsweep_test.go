@@ -50,27 +50,18 @@ func TestFaultSweepUnknownKind(t *testing.T) {
 	}
 }
 
-// panicInjector simulates a third-party injector whose hook blows up
-// mid-simulation — the Lab's workers must contain it.
-type panicInjector struct{}
-
-func (panicInjector) Kind() string         { return "panic" }
-func (panicInjector) Window() fault.Window { return fault.Window{T0: 0, T1: 1e9} }
-func (panicInjector) Intensity() float64   { return 1 }
-func (panicInjector) IrradianceScale(minute float64) float64 {
-	panic("injector exploded")
-}
-
+// TestPrefetchContainsPanickingCell gives the lab a fault spec no cell
+// can run: every cell's run panics in its worker, and the Lab must
+// contain it and report the cell and the cause.
 func TestPrefetchContainsPanickingCell(t *testing.T) {
-	lab := NewLab(Options{Quick: true, StepMin: 4,
-		Faults: fault.NewSchedule(0, panicInjector{})})
+	lab := NewLab(Options{Quick: true, StepMin: 4, Faults: "warp-core:t0=0,t1=1,i=1"})
 	err := lab.PrefetchContext(context.Background())
 	if err == nil {
 		t.Fatal("panicking cells surfaced no error")
 	}
 	// The error names the cell, not just the panic payload.
-	if !strings.Contains(err.Error(), "injector exploded") {
-		t.Errorf("error %q misses the panic payload", err)
+	if !strings.Contains(err.Error(), `unknown kind "warp-core"`) {
+		t.Errorf("error %q misses the cause", err)
 	}
 	if !strings.Contains(err.Error(), "MPPT&Opt") {
 		t.Errorf("error %q does not identify a cell", err)

@@ -2,7 +2,9 @@
 // (Section 6). Each experiment is a function that returns typed data plus a
 // Render method producing the ASCII equivalent of the paper's plot; the
 // experiment index in DESIGN.md maps paper figure/table numbers to these
-// functions, and cmd/experiments drives them all.
+// functions, and cmd/experiments drives them all. The paper's grid cells
+// run through a Lab as solarcore.RunSpecs, so a figure's cell and a
+// served run of the same spec share one identity and one day cache.
 package exp
 
 import (
@@ -13,13 +15,13 @@ import (
 	"sync"
 	"time"
 
+	"solarcore"
 	"solarcore/internal/atmos"
 	"solarcore/internal/fault"
 	"solarcore/internal/lru"
 	"solarcore/internal/obs"
 	"solarcore/internal/par"
 	"solarcore/internal/power"
-	"solarcore/internal/pv"
 	"solarcore/internal/sched"
 	"solarcore/internal/sim"
 	"solarcore/internal/workload"
@@ -33,33 +35,11 @@ type Options struct {
 	Quick bool
 	// Day selects the generated weather day within each period.
 	Day int
-	// Faults, when armed, applies the fault schedule to every run the lab
-	// performs; the schedule tag becomes part of the cache keys, so one
-	// lab can serve faulted and clean grids without cross-talk.
-	Faults *fault.Schedule
-	// Watchdog tunes the degradation state machine of faulted runs (the
-	// zero value takes the DESIGN.md §11 defaults).
-	Watchdog fault.WatchdogConfig
-	// CacheEntries caps the lab's LRU result cache (0 takes
-	// DefaultCacheEntries; negative values clamp to 1), so unboundedly
-	// long ablation sweeps cannot grow memory without limit. Evictions
-	// are counted in MetricLabEvictions.
-	CacheEntries int
-}
-
-// DefaultCacheEntries is the result-cache cap when Options.CacheEntries
-// is zero: larger than the full site × season × mix × policy × budget
-// grid, so the paper's experiments never evict.
-const DefaultCacheEntries = 4096
-
-func (o Options) cacheEntries() int {
-	switch {
-	case o.CacheEntries > 0:
-		return o.CacheEntries
-	case o.CacheEntries < 0:
-		return 1
-	}
-	return DefaultCacheEntries
+	// Faults, when non-empty, is the fault schedule (fault.ParseSpec
+	// grammar) applied to every run the lab performs. It is the cells'
+	// RunSpec.Faults, so it is part of every cell's identity and one
+	// process can run faulted and clean labs without cross-talk.
+	Faults string
 }
 
 func (o Options) stepMin() float64 {
@@ -97,39 +77,39 @@ const (
 	// MetricLabCellMs is a histogram of per-cell simulation wall time in
 	// milliseconds (cache misses only — hits cost no simulation).
 	MetricLabCellMs = "lab_cell_wall_ms"
-	// MetricLabDays counts solar days materialized (weather synthesis +
-	// MPP profile precomputation).
+	// MetricLabDays counts the solar days this lab built (weather
+	// synthesis + MPP profile precomputation): its misses of the
+	// process-wide day cache.
 	MetricLabDays = "lab_days_built_total"
-	// MetricLabEvictions counts grid cells displaced from the bounded
-	// result cache by capacity pressure (Options.CacheEntries).
-	MetricLabEvictions = "lab_cache_evictions_total"
 )
 
-// Lab caches solar days and simulation runs so that the many experiments
-// sharing the site × season × mix × policy grid compute each run once. All
-// methods are safe for concurrent use. The run cache is a bounded LRU
-// (Options.CacheEntries), so arbitrarily long sweeps stay within a fixed
-// memory budget at the price of recomputing evicted cells. The lab keeps
-// an obs.Registry of cache hit/miss/eviction counters and per-cell
-// wall-time histograms; Metrics exports it.
+// labCells caps the Lab's cell cache: larger than the full site × season
+// × mix × policy × budget grid, so the paper's experiments never evict,
+// while arbitrarily long sweeps stay within a fixed memory budget.
+const labCells = 4096
+
+// Lab caches simulation runs so that the many experiments sharing the
+// site × season × mix × policy grid compute each run once. Every cached
+// cell is a solarcore.RunSpec run through spec.Runner, keyed by
+// spec.Hash, so a Lab cell and a served run of the same spec are one
+// identity with identical results. Days come from the process-wide day
+// cache (sim.CachedDay) that RunSpec.Runner also uses. All methods are
+// safe for concurrent use. The lab keeps an obs.Registry of cache
+// hit/miss counters, days built and per-cell wall-time histograms;
+// Metrics exports it.
 type Lab struct {
 	Opts Options
 
-	mu   sync.Mutex
-	days map[string]*sim.SolarDay
 	runs *lru.Cache[string, *sim.DayResult]
 	reg  *obs.Registry
 }
 
 // NewLab builds an empty lab.
 func NewLab(opts Options) *Lab {
-	reg := obs.NewRegistry()
 	return &Lab{
 		Opts: opts,
-		days: map[string]*sim.SolarDay{},
-		runs: lru.NewWithEvict[string, *sim.DayResult](opts.cacheEntries(),
-			func(string, *sim.DayResult) { reg.Add(MetricLabEvictions, 1) }),
-		reg: reg,
+		runs: lru.New[string, *sim.DayResult](labCells),
+		reg:  obs.NewRegistry(),
 	}
 }
 
@@ -139,75 +119,47 @@ func (l *Lab) Metrics() obs.Snapshot { return l.reg.Snapshot() }
 // Day returns the (cached) solar day for a site and season: the synthetic
 // weather trace bound to one BP3180N module.
 func (l *Lab) Day(site atmos.Site, season atmos.Season) *sim.SolarDay {
-	key := site.Code + season.String()
-	l.mu.Lock()
-	if d, ok := l.days[key]; ok {
-		l.mu.Unlock()
-		return d
-	}
-	l.mu.Unlock()
-
-	tr := atmos.Generate(site, season, atmos.GenConfig{Day: l.Opts.Day})
-	d, err := sim.NewSolarDay(tr, pv.BP3180N(), 1, 1)
+	d, built, err := sim.CachedDay(site, season, l.Opts.Day, 1)
 	if err != nil {
-		panic(fmt.Sprintf("exp: building solar day %s: %v", key, err))
+		panic(fmt.Sprintf("exp: building solar day %s%s: %v", site.Code, season, err))
 	}
-	l.reg.Add(MetricLabDays, 1)
-	l.mu.Lock()
-	l.days[key] = d
-	l.mu.Unlock()
+	if built {
+		l.reg.Add(MetricLabDays, 1)
+	}
 	return d
 }
 
-// cell serves one grid cell through the cache, recording the hit/miss
-// and — on a miss — the simulation wall time.
-func (l *Lab) cell(key string, run func() *sim.DayResult) *sim.DayResult {
+// cell serves the lab's run of mix on the site's season day, in the mode
+// set selects, as a solarcore.RunSpec cached under its Hash. It records
+// the hit/miss and — on a miss — the simulation wall time.
+func (l *Lab) cell(site atmos.Site, season atmos.Season, mix workload.Mix, set func(*solarcore.RunSpec)) *sim.DayResult {
+	spec := solarcore.RunSpec{Site: site.Code, Season: season.String(), Mix: mix.Name,
+		Day: l.Opts.Day, StepMin: l.Opts.stepMin(), Faults: l.Opts.Faults}
+	set(&spec)
+	key := spec.Hash()
 	if r, ok := l.runs.Get(key); ok {
 		l.reg.Add(MetricLabHits, 1)
 		return r
 	}
 	l.reg.Add(MetricLabMisses, 1)
 	start := time.Now()
-	r := run()
+	l.Day(site, season) // counts the build when this cell finds its day cold
+	runner, err := spec.Runner()
+	var r *sim.DayResult
+	if err == nil {
+		r, err = runner.Run()
+	}
+	if err != nil {
+		panic(fmt.Sprintf("exp: %s: %v", spec.Canonical(), err))
+	}
 	l.reg.Observe(MetricLabCellMs, time.Since(start).Seconds()*1000)
 	l.runs.Put(key, r)
 	return r
 }
 
-func (l *Lab) config(site atmos.Site, season atmos.Season, mix workload.Mix, keepSeries bool) sim.Config {
-	return sim.Config{
-		Day:        l.Day(site, season),
-		Mix:        mix,
-		StepMin:    l.Opts.stepMin(),
-		KeepSeries: keepSeries,
-		Faults:     l.Opts.Faults,
-		Watchdog:   l.Opts.Watchdog,
-	}
-}
-
-// faultTag is the cache-key suffix identifying the lab's fault schedule
-// ("" when disarmed), keeping faulted and clean cells apart.
-func (l *Lab) faultTag() string {
-	if tag := l.Opts.Faults.Tag(); tag != "" {
-		return "|" + tag
-	}
-	return ""
-}
-
 // MPPT runs (or recalls) a SolarCore day under the named Table 6 policy.
 func (l *Lab) MPPT(site atmos.Site, season atmos.Season, mix workload.Mix, policy string) *sim.DayResult {
-	key := fmt.Sprintf("%s|%s|%s|%s%s", site.Code, season, mix.Name, policy, l.faultTag())
-	return l.cell(key, func() *sim.DayResult {
-		alloc, ok := sched.ByName(policy)
-		if !ok {
-			panic("exp: unknown MPPT policy " + policy)
-		}
-		r, err := sim.RunMPPT(l.config(site, season, mix, false), alloc)
-		if err != nil {
-			panic(fmt.Sprintf("exp: %s: %v", key, err))
-		}
-		return r
-	})
+	return l.cell(site, season, mix, func(s *solarcore.RunSpec) { s.Policy = policy })
 }
 
 // MPPTSeries is MPPT with the per-minute budget/actual trace retained (for
@@ -217,36 +169,28 @@ func (l *Lab) MPPTSeries(site atmos.Site, season atmos.Season, mix workload.Mix,
 	if !ok {
 		panic("exp: unknown MPPT policy " + policy)
 	}
-	r, err := sim.RunMPPT(l.config(site, season, mix, true), alloc)
+	faults, err := fault.ParseSpec(l.Opts.Faults)
+	if err != nil {
+		panic(fmt.Sprintf("exp: series run: %v", err))
+	}
+	cfg := sim.Config{Day: l.Day(site, season), Mix: mix, StepMin: l.Opts.stepMin(), KeepSeries: true, Faults: faults}
+	r, err := sim.RunMPPT(cfg, alloc)
 	if err != nil {
 		panic(fmt.Sprintf("exp: series run: %v", err))
 	}
 	return r
 }
 
-// Fixed runs (or recalls) a Fixed-Power day at the given budget.
+// Fixed runs (or recalls) a Fixed-Power day at the given budget, which
+// must be positive: it is the cell's RunSpec.FixedW.
 func (l *Lab) Fixed(site atmos.Site, season atmos.Season, mix workload.Mix, budgetW float64) *sim.DayResult {
-	key := fmt.Sprintf("%s|%s|%s|fixed%g%s", site.Code, season, mix.Name, budgetW, l.faultTag())
-	return l.cell(key, func() *sim.DayResult {
-		r, err := sim.RunFixed(l.config(site, season, mix, false), budgetW)
-		if err != nil {
-			panic(fmt.Sprintf("exp: %s: %v", key, err))
-		}
-		return r
-	})
+	return l.cell(site, season, mix, func(s *solarcore.RunSpec) { s.FixedW = budgetW })
 }
 
 // Battery runs (or recalls) a battery-baseline day at the given overall
-// conversion efficiency.
+// conversion efficiency in (0, 1]: the cell's RunSpec.BatteryEff.
 func (l *Lab) Battery(site atmos.Site, season atmos.Season, mix workload.Mix, eff float64) *sim.DayResult {
-	key := fmt.Sprintf("%s|%s|%s|bat%g%s", site.Code, season, mix.Name, eff, l.faultTag())
-	return l.cell(key, func() *sim.DayResult {
-		r, err := sim.RunBattery(l.config(site, season, mix, false), eff)
-		if err != nil {
-			panic(fmt.Sprintf("exp: %s: %v", key, err))
-		}
-		return r
-	})
+	return l.cell(site, season, mix, func(s *solarcore.RunSpec) { s.BatteryEff = eff })
 }
 
 // MPPTPolicies lists the Table 6 tracking policies in the paper's order.
@@ -280,8 +224,6 @@ func (l *Lab) PrefetchContext(ctx context.Context) error {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("exp: prefetch canceled: %w", err)
 			}
-			// Materialize days serially first: cheap, avoids duplicate work.
-			l.Day(site, season)
 			for _, mix := range l.Opts.Mixes() {
 				for _, p := range MPPTPolicies {
 					jobs = append(jobs, job{site, season, mix, p})

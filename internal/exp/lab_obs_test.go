@@ -8,10 +8,16 @@ import (
 	"solarcore/internal/atmos"
 )
 
+// labMetricsRuns counts TestLabMetrics runs in this process. The day
+// cache is process-wide, so each run names a day index no other test (and
+// no earlier -count rerun) uses: otherwise its day could already be built.
+var labMetricsRuns int
+
 // TestLabMetrics checks the lab accounts cache traffic: a cold cell is a
 // miss with a wall-time sample, a warm cell is a hit.
 func TestLabMetrics(t *testing.T) {
-	lab := NewLab(Options{Quick: true})
+	lab := NewLab(Options{Quick: true, Day: 100 + labMetricsRuns})
+	labMetricsRuns++
 	mix := lab.Opts.Mixes()[0]
 
 	lab.MPPT(atmos.AZ, atmos.Jul, mix, "MPPT&Opt")

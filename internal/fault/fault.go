@@ -190,24 +190,6 @@ func (s *Schedule) Armed() bool {
 	return false
 }
 
-// Tag returns a short deterministic identifier of the schedule (kind,
-// window and intensity of every armed injector) for cache keys and run
-// labels.
-func (s *Schedule) Tag() string {
-	if !s.Armed() {
-		return ""
-	}
-	tag := fmt.Sprintf("seed%d", s.Seed)
-	for _, inj := range s.Injectors {
-		if inj.Intensity() <= 0 || inj.Window().Empty() {
-			continue
-		}
-		w := inj.Window()
-		tag += fmt.Sprintf("|%s@%g-%g*%g", inj.Kind(), w.T0, w.T1, inj.Intensity())
-	}
-	return tag
-}
-
 // Runtime is one run's view of a Schedule: the armed injector set plus
 // the per-run scratch state (frozen sensor readings). Create a fresh
 // Runtime per run; it is not safe for concurrent use, matching the

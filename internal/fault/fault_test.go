@@ -3,7 +3,6 @@ package fault
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"solarcore/internal/mathx"
@@ -232,25 +231,5 @@ func TestRuntimeComposition(t *testing.T) {
 	}
 	if !rt.PowerPathActive(720) || rt.PowerPathActive(800) {
 		t.Error("PowerPathActive window gating wrong")
-	}
-}
-
-func TestScheduleTag(t *testing.T) {
-	if tag := (&Schedule{}).Tag(); tag != "" {
-		t.Errorf("disarmed schedule tag %q, want empty", tag)
-	}
-	s := NewSchedule(42,
-		&CloudBurst{W: Window{600, 660}, I: 0.8},
-		&SensorStuck{W: Window{700, 720}, I: 0}, // disarmed: excluded
-	)
-	tag := s.Tag()
-	if !strings.Contains(tag, "cloud@600-660*0.8") {
-		t.Errorf("tag %q misses the armed injector", tag)
-	}
-	if strings.Contains(tag, "sensor-stuck") {
-		t.Errorf("tag %q lists a disarmed injector", tag)
-	}
-	if s.Tag() != tag {
-		t.Error("Tag is not deterministic")
 	}
 }

@@ -1,8 +1,8 @@
 // Package lru is a bounded, concurrency-safe least-recently-used cache.
 //
-// It exists because two hot paths must not grow without limit: the HTTP
-// result cache of internal/serve and the grid-cell cache of internal/exp's
-// Lab (an unbounded map before this package). The implementation is a
+// It exists because hot paths must not grow without limit: the HTTP
+// result cache of internal/serve, the grid-cell cache of internal/exp's
+// Lab and the process-wide day cache of internal/sim. The implementation is a
 // hand-rolled doubly-linked list over a map — stdlib-only, no interface
 // boxing — and every operation is O(1) under one mutex.
 package lru

@@ -14,7 +14,6 @@ import (
 	"solarcore/internal/atmos"
 	"solarcore/internal/fault"
 	"solarcore/internal/obs"
-	"solarcore/internal/pv"
 	"solarcore/internal/sched"
 	"solarcore/internal/sim"
 	"solarcore/internal/workload"
@@ -335,40 +334,59 @@ func specFinite(name string, v float64) error {
 	return nil
 }
 
+// resolvedSpec is a spec that passed Validate, with every name-bearing
+// field resolved to its model value.
+type resolvedSpec struct {
+	n      RunSpec // normalized
+	site   atmos.Site
+	season atmos.Season
+	mix    workload.Mix
+	faults *fault.Schedule
+}
+
 // Validate resolves every name-bearing field and checks value ranges,
 // without running anything. An unknown Policy wraps ErrUnknownPolicy. A
 // valid spec is guaranteed to build a Runner; engine-level failures can
 // still surface at Run time (e.g. a degenerate weather day).
 func (s RunSpec) Validate() error {
-	n := s.Normalized()
-	if _, err := atmos.SiteByCode(n.Site); err != nil {
-		return fmt.Errorf("solarcore: spec site: %w", err)
+	_, err := s.resolve()
+	return err
+}
+
+// resolve is Validate keeping what it resolved, so Runner parses each
+// name once.
+func (s RunSpec) resolve() (resolvedSpec, error) {
+	r := resolvedSpec{n: s.Normalized()}
+	n := r.n
+	var err error
+	if r.site, err = atmos.SiteByCode(n.Site); err != nil {
+		return r, fmt.Errorf("solarcore: spec site: %w", err)
 	}
-	if _, err := atmos.SeasonByName(n.Season); err != nil {
-		return fmt.Errorf("solarcore: spec season: %w", err)
+	if r.season, err = atmos.SeasonByName(n.Season); err != nil {
+		return r, fmt.Errorf("solarcore: spec season: %w", err)
 	}
-	if _, err := workload.MixByName(n.Mix); err != nil {
-		return fmt.Errorf("solarcore: spec mix: %w", err)
+	if r.mix, err = workload.MixByName(n.Mix); err != nil {
+		return r, fmt.Errorf("solarcore: spec mix: %w", err)
 	}
 	for _, f := range []struct {
 		name string
 		v    float64
 	}{{"step_min", n.StepMin}, {"fixed_w", n.FixedW}, {"battery_eff", n.BatteryEff}} {
 		if err := specFinite(f.name, f.v); err != nil {
-			return err
+			return r, err
 		}
 	}
 	if n.Day < 0 {
-		return fmt.Errorf("solarcore: spec day %d is negative", n.Day)
+		return r, fmt.Errorf("solarcore: spec day %d is negative", n.Day)
 	}
 	if n.Panels < 1 {
-		return fmt.Errorf("solarcore: spec panels %d (want >= 1)", n.Panels)
+		return r, fmt.Errorf("solarcore: spec panels %d (want >= 1)", n.Panels)
 	}
 	if n.FixedW < 0 {
-		return fmt.Errorf("solarcore: spec fixed_w %g is negative", n.FixedW)
+		return r, fmt.Errorf("solarcore: spec fixed_w %g is negative", n.FixedW)
 	}
 	if n.BatteryEff < 0 || n.BatteryEff > 1 {
-		return fmt.Errorf("solarcore: spec battery_eff %g outside (0, 1]", n.BatteryEff)
+		return r, fmt.Errorf("solarcore: spec battery_eff %g outside (0, 1]", n.BatteryEff)
 	}
 	baselines := 0
 	if n.FixedW > 0 {
@@ -378,20 +396,20 @@ func (s RunSpec) Validate() error {
 		baselines++
 	}
 	if baselines > 1 {
-		return fmt.Errorf("solarcore: spec selects both fixed_w and battery_eff (give at most one)")
+		return r, fmt.Errorf("solarcore: spec selects both fixed_w and battery_eff (give at most one)")
 	}
 	if baselines > 0 && s.Policy != "" {
-		return fmt.Errorf("solarcore: spec selects policy %q and a baseline (give at most one)", s.Policy)
+		return r, fmt.Errorf("solarcore: spec selects policy %q and a baseline (give at most one)", s.Policy)
 	}
 	if baselines == 0 {
 		if _, err := allocByName(n.Policy); err != nil {
-			return err
+			return r, err
 		}
 	}
-	if _, err := fault.ParseSpec(n.Faults); err != nil {
-		return fmt.Errorf("solarcore: spec faults: %w", err)
+	if r.faults, err = fault.ParseSpec(n.Faults); err != nil {
+		return r, fmt.Errorf("solarcore: spec faults: %w", err)
 	}
-	return nil
+	return r, nil
 }
 
 // Canonical renders the normalized spec as a stable, human-readable
@@ -423,48 +441,32 @@ func (s RunSpec) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Runner materializes the spec: it generates the weather day, binds the
-// PV array, resolves the mix and builds a Runner in the spec's mode, with
-// opts (observers, a context) applied on top. Validate runs first, so an
-// invalid spec fails here with the same error.
+// Runner materializes the spec: it takes the weather day bound to the PV
+// array from the process-wide day cache (sim.CachedDay), resolves the mix
+// and builds a Runner in the spec's mode, with opts (observers, a
+// context) applied on top. Validate runs first, so an invalid spec fails
+// here with the same error.
 func (s RunSpec) Runner(opts ...RunnerOption) (*Runner, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	n := s.Normalized()
-	site, err := atmos.SiteByCode(n.Site)
+	r, err := s.resolve()
 	if err != nil {
 		return nil, err
 	}
-	season, err := atmos.SeasonByName(n.Season)
-	if err != nil {
-		return nil, err
-	}
-	mix, err := workload.MixByName(n.Mix)
-	if err != nil {
-		return nil, err
-	}
-	faults, err := fault.ParseSpec(n.Faults)
-	if err != nil {
-		return nil, err
-	}
-	trace := atmos.Generate(site, season, atmos.GenConfig{Day: n.Day})
-	day, err := sim.NewSolarDay(trace, pv.BP3180N(), 1, n.Panels)
+	n := r.n
+	day, _, err := sim.CachedDay(r.site, r.season, n.Day, n.Panels)
 	if err != nil {
 		return nil, fmt.Errorf("solarcore: spec day build: %w", err)
 	}
-	cfg := Config{Day: day, Mix: mix, StepMin: n.StepMin}
-	all := []RunnerOption{WithFaults(faults)}
+	cfg := Config{Day: day, Mix: r.mix, StepMin: n.StepMin, Faults: r.faults}
+	var mode RunnerOption
 	switch {
 	case n.FixedW > 0:
-		all = append(all, WithFixedBudget(n.FixedW))
+		mode = WithFixedBudget(n.FixedW)
 	case n.BatteryEff > 0:
-		all = append(all, WithBattery(n.BatteryEff))
+		mode = WithBattery(n.BatteryEff)
 	default:
-		all = append(all, WithPolicy(n.Policy))
+		mode = WithPolicy(n.Policy)
 	}
-	all = append(all, opts...)
-	return NewRunner(cfg, all...)
+	return NewRunner(cfg, append([]RunnerOption{mode}, opts...)...)
 }
 
 // Run materializes and runs the spec under ctx in one call; see Runner.

@@ -22,6 +22,9 @@
 #                    preserves the machine-readable evidence
 #   go test -race  — the packages that exercise goroutines or share
 #                    state across steps
+#   experiments    — cmd/experiments -quick must exit 0 and write its 13
+#                    CSVs, and -day -1 must exit non-zero with a one-line
+#                    error instead of a panic
 #   fuzz smoke     — a few seconds of coverage-guided fuzzing on the
 #                    JSONL event decoder
 #   serving smoke  — boot a real solard on an ephemeral port, probe
@@ -69,6 +72,21 @@ go test -race . ./internal/exp ./internal/sim ./internal/dc ./internal/obs \
 
 echo '== fault sweep (smoke)'
 go test -run 'TestFaultSweepSensorDropout' ./internal/exp
+
+echo '== experiments -quick (13 CSVs; -day -1 rejected without a panic)'
+expdir="$(mktemp -d)"
+go build -o "$expdir/experiments" ./cmd/experiments
+"$expdir/experiments" -quick -csv "$expdir/csv" > "$expdir/quick.txt" \
+    || { echo 'experiments -quick failed'; tail "$expdir/quick.txt"; exit 1; }
+csvs="$(find "$expdir/csv" -name '*.csv' | wc -l)"
+[ "$csvs" -eq 13 ] || { echo "experiments -quick wrote $csvs CSVs, want 13"; exit 1; }
+if "$expdir/experiments" -quick -day -1 > "$expdir/negday.txt" 2>&1; then
+    echo 'experiments -quick -day -1 exited 0'; exit 1
+fi
+if grep -q '^panic:' "$expdir/negday.txt"; then
+    echo 'experiments -quick -day -1 panicked'; cat "$expdir/negday.txt"; exit 1
+fi
+rm -rf "$expdir"
 
 echo '== fuzz: obs JSONL decoder (smoke)'
 go test -run '^$' -fuzz 'FuzzReadEvents' -fuzztime 5s ./internal/obs
