@@ -13,7 +13,7 @@
 // results, merges the snapshots across the fleet (obs.MergeSnapshots) and
 // prints the aggregate as JSON. -faults installs a deterministic
 // fault-injection schedule over the shared array and node chips
-// (dc.RunDayFaults). -days N simulates N consecutive weather days on a
+// (dc.RunDay). -days N simulates N consecutive weather days on a
 // worker pool — one fresh cluster per day — and prints per-day rows plus
 // totals; a day whose worker panics is reported by index and weather
 // label without taking down the fleet, and the command exits non-zero.
@@ -156,7 +156,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, "%v", err)
 	}
 
-	res := dc.RunDayFaults(solarDay, cluster, *step, faultSched)
+	res := dc.RunDay(solarDay, cluster, *step, faultSched)
 
 	pf(stdout, "cluster      : %d nodes, %d×180 W array, %s\n", *nodes, *panels, tr.Label())
 	pf(stdout, "solar energy : %.0f Wh (%.1f%% utilization of %.0f Wh available)\n",
@@ -274,6 +274,6 @@ func simDay(j *dayJob, panels int, step float64, mkCluster func() (*dc.Cluster, 
 	if err != nil {
 		return fmt.Errorf("day %s: %w", j.trace.Label(), err)
 	}
-	j.res = dc.RunDayFaults(solarDay, cluster, step, s)
+	j.res = dc.RunDay(solarDay, cluster, step, s)
 	return nil
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 
+	"solarcore/internal/fault"
 	"solarcore/internal/mcore"
 	"solarcore/internal/sim"
 	"solarcore/internal/workload"
@@ -279,7 +280,7 @@ type DayResult struct {
 	// solar-powered.
 	MeanActiveNodes float64
 	// FaultWindows counts fault windows opened over the day (zero except
-	// under RunDayFaults with an armed schedule).
+	// under an armed fault schedule).
 	FaultWindows int
 	// PerNode breaks energy and work down by server.
 	PerNode []NodeDayResult
@@ -304,18 +305,21 @@ func (r *DayResult) Utilization() float64 {
 }
 
 // RunDay drives the cluster through a solar day with 10-minute budget
-// refills and per-minute shedding, mirroring the single-node engine.
+// refills and per-minute shedding, mirroring the single-node engine,
+// under the fault schedule s (DESIGN.md §11). Power-path faults — cloud
+// bursts, string disconnects, converter derates — scale the shared
+// array's deliverable budget (the cluster's budget model is linear in
+// the MPP, so the fault factors compose multiplicatively), and core
+// faults cap every node chip through the mcore level-cap mechanism.
+// Sensor and solver faults have no cluster analogue and are ignored. A
+// nil or disarmed schedule takes the exact clean code path.
 //
 // unit: stepMin=min
-func RunDay(day *sim.SolarDay, c *Cluster, stepMin float64) DayResult {
-	return runDay(day, c, stepMin, nil)
-}
-
-// runDay is the common day loop behind RunDay and RunDayFaults; a nil
-// fault state takes the exact clean code path.
-//
-// unit: stepMin=min
-func runDay(day *sim.SolarDay, c *Cluster, stepMin float64, cf *clusterFaults) DayResult {
+func RunDay(day *sim.SolarDay, c *Cluster, stepMin float64, s *fault.Schedule) DayResult {
+	var cf *clusterFaults
+	if rt := s.Runtime(); rt.Armed() {
+		cf = &clusterFaults{rt: rt}
+	}
 	if stepMin <= 0 {
 		stepMin = 1
 	}
@@ -373,7 +377,11 @@ func runDay(day *sim.SolarDay, c *Cluster, stepMin float64, cf *clusterFaults) D
 		res.MeanActiveNodes = activeSum / float64(activeN)
 	}
 	if cf != nil {
-		cf.uncap(c) // don't leave mid-window caps on a reused cluster
+		// Don't leave mid-window caps on a reused cluster: a nil runtime
+		// constrains nothing, so CapCores on it lifts them.
+		for _, n := range c.Nodes {
+			(*fault.Runtime)(nil).CapCores(end, n.Chip, cf.capped)
+		}
 		res.FaultWindows = cf.windows
 	}
 	return res

@@ -168,7 +168,7 @@ func TestRunDayCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := testCluster(t, 4, 25, 0)
-	res := RunDay(day, c, 2)
+	res := RunDay(day, c, 2, nil)
 	if res.SolarWh <= 0 || res.GInstrSolar <= 0 {
 		t.Fatalf("empty cluster day: %+v", res)
 	}
@@ -195,7 +195,7 @@ func TestRunDayDefaultsAndChipOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunDay(day, c, 0) // default step
+	res := RunDay(day, c, 0, nil) // default step
 	if res.SolarWh <= 0 {
 		t.Errorf("heterogeneous cluster day empty: %+v", res)
 	}
@@ -240,7 +240,7 @@ func TestPerNodeBreakdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := testCluster(t, 4, 25, 0)
-	res := RunDay(day, c, 2)
+	res := RunDay(day, c, 2, nil)
 	if len(res.PerNode) != 4 {
 		t.Fatalf("per-node entries = %d", len(res.PerNode))
 	}

@@ -2,74 +2,28 @@ package dc
 
 import (
 	"solarcore/internal/fault"
-	"solarcore/internal/sim"
 )
 
-// RunDayFaults is RunDay under a fault-injection schedule (DESIGN.md
-// §11). Power-path faults — cloud bursts, string disconnects, converter
-// derates — scale the shared array's deliverable budget (the cluster's
-// budget model is linear in the MPP, so the fault factors compose
-// multiplicatively), and core faults cap every node chip through the
-// mcore level-cap mechanism. Sensor and solver faults have no cluster
-// analogue and are ignored here. A nil or disarmed schedule takes the
-// exact RunDay code path.
-//
-// unit: stepMin=min
-func RunDayFaults(day *sim.SolarDay, c *Cluster, stepMin float64, s *fault.Schedule) DayResult {
-	rt := s.Runtime()
-	if !rt.Armed() {
-		return runDay(day, c, stepMin, nil)
-	}
-	return runDay(day, c, stepMin, &clusterFaults{rt: rt, prev: map[fault.Injector]bool{}})
-}
-
 // clusterFaults is one cluster day's fault state: the schedule runtime,
-// the previously-active injector set (for window counting) and whether
-// node chips currently carry fault level caps.
+// whether node chips currently carry fault level caps, and the number of
+// fault windows opened so far.
 type clusterFaults struct {
 	rt      *fault.Runtime
-	prev    map[fault.Injector]bool
 	capped  bool
 	windows int
 }
 
 // applyAt counts window openings and pushes core-fault level caps onto
-// every node chip (restoring them once the window closes).
+// every node chip (lifting them once the window closes).
 //
 // unit: t=min
 func (cf *clusterFaults) applyAt(t float64, c *Cluster) {
-	now := cf.rt.Active(t)
-	set := make(map[fault.Injector]bool, len(now))
-	for _, inj := range now {
-		set[inj] = true
-		if !cf.prev[inj] {
-			cf.windows++
-		}
-	}
-	cf.prev = set
-	if cf.rt.ConstrainsCores(t) {
-		for _, n := range c.Nodes {
-			top := n.Chip.NumLevels() - 1
-			for i := 0; i < n.Chip.NumCores(); i++ {
-				// cap is validated in range by construction
-				_ = n.Chip.SetLevelCap(i, cf.rt.CoreCap(t, i, n.Chip.NumCores(), top))
-			}
-		}
-		cf.capped = true
-	} else if cf.capped {
-		cf.uncap(c)
-	}
-}
-
-// uncap restores every node chip's level caps to unconstrained.
-func (cf *clusterFaults) uncap(c *Cluster) {
+	_, opened := cf.rt.Edges(t)
+	cf.windows += len(opened)
+	was := cf.capped
 	for _, n := range c.Nodes {
-		top := n.Chip.NumLevels() - 1
-		for i := 0; i < n.Chip.NumCores(); i++ {
-			_ = n.Chip.SetLevelCap(i, top) // top is always in range
-		}
+		cf.capped = cf.rt.CapCores(t, n.Chip, was)
 	}
-	cf.capped = false
 }
 
 // budgetScale composes the active power-path fault factors at minute t:

@@ -22,24 +22,24 @@ func faultTestDay(t *testing.T) *sim.SolarDay {
 
 func TestRunDayFaultsDisarmedIdentical(t *testing.T) {
 	day := faultTestDay(t)
-	clean := RunDay(day, testCluster(t, 4, 25, 0), 2)
+	clean := RunDay(day, testCluster(t, 4, 25, 0), 2, nil)
 	for _, s := range []*fault.Schedule{
 		nil,
 		{},
 		fault.NewSchedule(0, &fault.CloudBurst{W: fault.Window{T0: 600, T1: 700}, I: 0}),
 	} {
-		got := RunDayFaults(day, testCluster(t, 4, 25, 0), 2, s)
+		got := RunDay(day, testCluster(t, 4, 25, 0), 2, s)
 		if !reflect.DeepEqual(clean, got) {
-			t.Errorf("disarmed schedule %v diverges from RunDay", s)
+			t.Errorf("disarmed schedule %v diverges from the clean run", s)
 		}
 	}
 }
 
 func TestRunDayFaultsCloudBurst(t *testing.T) {
 	day := faultTestDay(t)
-	clean := RunDay(day, testCluster(t, 4, 25, 0), 2)
+	clean := RunDay(day, testCluster(t, 4, 25, 0), 2, nil)
 	s := fault.NewSchedule(0, &fault.CloudBurst{W: fault.Window{T0: 600, T1: 720}, I: 0.9})
-	res := RunDayFaults(day, testCluster(t, 4, 25, 0), 2, s)
+	res := RunDay(day, testCluster(t, 4, 25, 0), 2, s)
 	if res.FaultWindows != 1 {
 		t.Errorf("fault windows = %d, want 1", res.FaultWindows)
 	}
@@ -53,10 +53,10 @@ func TestRunDayFaultsCloudBurst(t *testing.T) {
 
 func TestRunDayFaultsCoreFailRestoresCaps(t *testing.T) {
 	day := faultTestDay(t)
-	clean := RunDay(day, testCluster(t, 4, 25, 0), 2)
+	clean := RunDay(day, testCluster(t, 4, 25, 0), 2, nil)
 	c := testCluster(t, 4, 25, 0)
 	s := fault.NewSchedule(0, &fault.CoreFail{W: fault.Window{T0: 600, T1: 700}, I: 0.5})
-	res := RunDayFaults(day, c, 2, s)
+	res := RunDay(day, c, 2, s)
 	if res.GInstrSolar >= clean.GInstrSolar {
 		t.Errorf("half the cores failing cost nothing: %.0f vs %.0f", res.GInstrSolar, clean.GInstrSolar)
 	}

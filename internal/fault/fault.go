@@ -30,6 +30,7 @@ import (
 	"fmt"
 
 	"solarcore/internal/mathx"
+	"solarcore/internal/mcore"
 	"solarcore/internal/power"
 )
 
@@ -197,7 +198,13 @@ func (s *Schedule) Armed() bool {
 type Runtime struct {
 	seed  int64
 	armed []Injector
-	sense []SenseState // parallel to armed, used by Senser injectors
+	state []injectorState // parallel to armed
+}
+
+// injectorState is one armed injector's per-run scratch.
+type injectorState struct {
+	sense SenseState // a Senser's frozen reading
+	on    bool       // the window covered the minute of the last Edges call
 }
 
 // Runtime builds the per-run state for this schedule. A disarmed
@@ -219,7 +226,7 @@ func (s *Schedule) Runtime() *Runtime {
 		}
 		rt.armed = append(rt.armed, inj)
 	}
-	rt.sense = make([]SenseState, len(rt.armed))
+	rt.state = make([]injectorState, len(rt.armed))
 	return rt
 }
 
@@ -243,8 +250,7 @@ func (s *Schedule) seed() int64 {
 func (rt *Runtime) Armed() bool { return rt != nil && len(rt.armed) > 0 }
 
 // Active returns the injectors whose windows cover the given minute, in
-// schedule order — the engine diffs consecutive calls to emit fault
-// begin/end observability events.
+// schedule order.
 //
 // unit: minute=min
 func (rt *Runtime) Active(minute float64) []Injector {
@@ -260,16 +266,54 @@ func (rt *Runtime) Active(minute float64) []Injector {
 	return active
 }
 
-// ActiveKinds returns the kinds of the injectors whose windows cover the
-// given minute, in schedule order.
+// Edges reports the window edges crossed since the previous call: the
+// injectors that stopped and started covering the minute, each in
+// schedule order. The first call compares against an all-inactive set.
+// The engine and the cluster loop call it at every sample to emit fault
+// begin/end events and count opened windows.
 //
 // unit: minute=min
-func (rt *Runtime) ActiveKinds(minute float64) []string {
-	var kinds []string
-	for _, inj := range rt.Active(minute) {
-		kinds = append(kinds, inj.Kind())
+func (rt *Runtime) Edges(minute float64) (closed, opened []Injector) {
+	if rt == nil {
+		return nil, nil
 	}
-	return kinds
+	for i, inj := range rt.armed {
+		on := inj.Window().Contains(minute)
+		if on == rt.state[i].on {
+			continue
+		}
+		rt.state[i].on = on
+		if on {
+			opened = append(opened, inj)
+		} else {
+			closed = append(closed, inj)
+		}
+	}
+	return closed, opened
+}
+
+// CapCores installs the level caps of the core faults active at the
+// minute on every core of chip and reports whether caps are now
+// installed. With no core fault active it lifts the caps when capped
+// says a previous call installed them, and leaves the chip alone
+// otherwise. A nil Runtime constrains nothing, so calling CapCores on
+// nil with capped set lifts every cap: the end-of-run restore.
+//
+// unit: minute=min
+func (rt *Runtime) CapCores(minute float64, chip *mcore.Chip, capped bool) bool {
+	constrained := rt.ConstrainsCores(minute)
+	if !constrained && !capped {
+		return false
+	}
+	cores, top := chip.NumCores(), chip.NumLevels()-1
+	for i := 0; i < cores; i++ {
+		cap := top
+		if constrained {
+			cap = rt.CoreCap(minute, i, cores, top)
+		}
+		_ = chip.SetLevelCap(i, cap) // CoreCap stays within [Gated, top]
+	}
+	return constrained
 }
 
 // PowerPathActive reports whether any injector perturbs the power path
@@ -335,7 +379,7 @@ func (rt *Runtime) Sense(minute float64, op power.Operating) power.Operating {
 	}
 	for i, inj := range rt.armed {
 		if s, ok := inj.(Senser); ok && inj.Window().Contains(minute) {
-			op = s.Sense(minute, op, &rt.sense[i])
+			op = s.Sense(minute, op, &rt.state[i].sense)
 		}
 	}
 	return op

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"solarcore/internal/mathx"
+	"solarcore/internal/mcore"
 	"solarcore/internal/power"
 )
 
@@ -88,11 +89,94 @@ func TestWindowGating(t *testing.T) {
 	if s := rt.IrradianceScale(630); s >= 1 {
 		t.Errorf("mid-window full burst barely scales: %v", s)
 	}
-	if got := rt.ActiveKinds(630); len(got) != 1 || got[0] != KindCloud {
-		t.Errorf("ActiveKinds(630) = %v", got)
+	if got := rt.Active(630); len(got) != 1 || got[0].Kind() != KindCloud {
+		t.Errorf("Active(630) = %v", got)
 	}
-	if got := rt.ActiveKinds(661); got != nil {
-		t.Errorf("ActiveKinds past window = %v", got)
+	if got := rt.Active(661); got != nil {
+		t.Errorf("Active past window = %v", got)
+	}
+}
+
+func TestRuntimeEdges(t *testing.T) {
+	cloud := &CloudBurst{W: Window{600, 700}, I: 1}
+	cut := &StringDisconnect{W: Window{650, 750}, I: 0.5}
+	drop := &SensorDropout{W: Window{600, 660}, I: 1}
+	rt := NewSchedule(3, cloud, cut, drop).Runtime()
+	cases := []struct {
+		minute         float64
+		closed, opened []Injector
+	}{
+		{599, nil, nil},
+		{600, nil, []Injector{cloud, drop}},
+		{630, nil, nil},
+		{660, []Injector{drop}, []Injector{cut}},
+		{700, []Injector{cloud}, nil},
+		{750, []Injector{cut}, nil},
+		{600, nil, []Injector{cloud, drop}}, // edges are relative to the last call
+	}
+	for _, c := range cases {
+		closed, opened := rt.Edges(c.minute)
+		if !sameInjectors(closed, c.closed) || !sameInjectors(opened, c.opened) {
+			t.Errorf("Edges(%v) = closed %v, opened %v; want %v, %v",
+				c.minute, closed, opened, c.closed, c.opened)
+		}
+	}
+	if closed, opened := (*Runtime)(nil).Edges(600); closed != nil || opened != nil {
+		t.Errorf("nil runtime reports edges: %v, %v", closed, opened)
+	}
+}
+
+func sameInjectors(a, b []Injector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestRuntimeCapCores(t *testing.T) {
+	chip := mcore.MustNewChip(mcore.DefaultConfig())
+	top := chip.NumLevels() - 1
+	rt := NewSchedule(0, &CoreFail{W: Window{600, 700}, I: 0.5}).Runtime()
+	caps := func() (failed, free int) {
+		for i := 0; i < chip.NumCores(); i++ {
+			switch chip.LevelCap(i) {
+			case mcore.Gated:
+				failed++
+			case top:
+				free++
+			}
+		}
+		return failed, free
+	}
+	if rt.CapCores(599, chip, false) {
+		t.Error("caps installed before the window")
+	}
+	if !rt.CapCores(650, chip, false) {
+		t.Fatal("no caps inside the window")
+	}
+	half := chip.NumCores() / 2
+	if failed, free := caps(); failed != half || free != chip.NumCores()-half {
+		t.Errorf("inside the window: %d failed, %d free; want %d of %d failed",
+			failed, free, half, chip.NumCores())
+	}
+	if rt.CapCores(700, chip, true) {
+		t.Error("caps still reported after the window")
+	}
+	if failed, free := caps(); failed != 0 || free != chip.NumCores() {
+		t.Errorf("after the window: %d failed, %d free; want every cap lifted", failed, free)
+	}
+	// The end-of-run restore: a nil runtime lifts caps installed earlier.
+	rt.CapCores(650, chip, false)
+	if (*Runtime)(nil).CapCores(650, chip, true) {
+		t.Error("nil runtime reports caps")
+	}
+	if failed, _ := caps(); failed != 0 {
+		t.Errorf("nil runtime left %d cores failed", failed)
 	}
 }
 

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -24,8 +25,9 @@ func Kinds() []string {
 //	field    := ('t0'|'t1'|'i'|'seed') '=' number
 //
 // e.g. "cloud:t0=600,t1=660,i=0.8;sensor-drop:t0=700,t1=720,i=1".
-// Every entry needs t0 < t1 and an intensity i in [0,1]; seed is
-// optional (the schedule seed is the first entry's seed when given).
+// Every value must be finite. Every entry needs t0 < t1 and an
+// intensity i in [0,1]; seed is optional and must fit an int64 (the
+// schedule seed is the first entry's seed when given).
 // Whitespace around tokens is ignored. An empty spec returns a disarmed
 // empty schedule. Errors name the offending token and list the known
 // kinds.
@@ -57,8 +59,17 @@ func ParseSpec(spec string) (*Schedule, error) {
 			}
 			key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return nil, fmt.Errorf("fault: %s: bad %s value %q", kind, key, val)
+			why := ""
+			switch {
+			case err != nil:
+				why = "not a number"
+			case math.IsNaN(f) || math.IsInf(f, 0):
+				why = "not finite"
+			case key == "seed" && (f < math.MinInt64 || f >= math.MaxInt64):
+				why = "outside int64"
+			}
+			if why != "" {
+				return nil, fmt.Errorf("fault: %s: bad %s value %q: %s", kind, key, val, why)
 			}
 			switch key {
 			case "t0":

@@ -66,9 +66,17 @@ func TestParseSpecErrors(t *testing.T) {
 		{"cloud:t0=660,t1=600,i=0.5", "empty", false},
 		{"cloud:t0=600,t1=660,i=1.5", "outside [0,1]", false},
 		{"cloud:t0=600,t1=660,i=-0.1", "outside [0,1]", false},
-		{"cloud:t0=abc,t1=660,i=0.5", "bad t0", false},
+		{"cloud:t0=abc,t1=660,i=0.5", `bad t0 value "abc": not a number`, false},
 		{"cloud:bogus=1,t0=600,t1=660,i=0.5", `unknown field "bogus"`, false},
 		{"cloud:t0,t1=660,i=0.5", "needs key=value", false},
+		{"cloud:t0=600,t1=700,i=nan", `bad i value "nan": not finite`, false},
+		{"cloud:t0=600,t1=700,i=+Inf", `bad i value "+Inf": not finite`, false},
+		{"cloud:t0=NaN,t1=700,i=0.5", `bad t0 value "NaN": not finite`, false},
+		{"cloud:t0=-inf,t1=700,i=0.5", `bad t0 value "-inf": not finite`, false},
+		{"cloud:t0=600,t1=inf,i=0.5", `bad t1 value "inf": not finite`, false},
+		{"sensor-drop:t0=600,t1=700,i=1,seed=nan", `bad seed value "nan": not finite`, false},
+		{"sensor-drop:t0=600,t1=700,i=1,seed=1e19", `bad seed value "1e19": outside int64`, false},
+		{"sensor-drop:t0=600,t1=700,i=1,seed=-1e19", `bad seed value "-1e19": outside int64`, false},
 	}
 	for _, c := range cases {
 		_, err := ParseSpec(c.spec)

@@ -49,65 +49,37 @@ func (m Mode) String() string {
 	return "unknown"
 }
 
-// WatchdogConfig tunes the supervision state machine. The zero value
-// takes the defaults noted per field.
-type WatchdogConfig struct {
-	// TripPeriods is how many consecutive unhealthy tracking periods
-	// trip Suspect into Fallback (default 2: with the period that
-	// entered Suspect, three bad periods total — "over N periods").
-	TripPeriods int
-	// HoldPeriods is how many periods Fallback holds before probing
-	// tracking again via Recovering (default 3).
-	HoldPeriods int
-	// RecoverPeriods is how many consecutive healthy probes graduate
-	// Recovering back to Tracking (default 2).
-	RecoverPeriods int
-	// Derate is the Fixed-Power fallback budget factor (default the
-	// Table 3 low-grade battery-system de-rating, 0.93 × 0.75 ≈ 0.70 —
-	// the floor a degraded standalone system still achieves).
+// The supervision thresholds. Derate is exported for the engine, which
+// plans the fallback period against it.
+const (
+	// tripPeriods consecutive unhealthy periods in Suspect trip Fallback:
+	// with the period that entered Suspect, three bad periods in all.
+	tripPeriods = 2
+	// holdPeriods is how long Fallback holds before Recovering probes.
+	holdPeriods = 3
+	// recoverPeriods consecutive healthy probes return to Tracking.
+	recoverPeriods = 2
+	// errTolerance is the relative budget-vs-settled-load mismatch
+	// beyond which a period counts unhealthy; clean runs sit well inside
+	// it even with the protective margin shed.
 	//
 	// unit: ratio
-	Derate float64
-	// ErrTolerance is the relative budget-vs-settled-load mismatch
-	// beyond which a period counts unhealthy (default 0.5; clean runs
-	// sit well inside it even with the protective margin shed).
+	errTolerance = 0.5
+	// senseTolerance is the relative sensed-vs-actual load mismatch
+	// beyond which a period counts unhealthy; the configured benign
+	// sensor noise stays in single digits.
 	//
 	// unit: ratio
-	ErrTolerance float64
-	// SenseTolerance is the relative sensed-vs-actual load mismatch
-	// beyond which a period counts unhealthy (default 0.25; the
-	// configured benign sensor noise stays in single digits).
+	senseTolerance = 0.25
+	// Derate is the Fixed-Power fallback budget factor: the Table 3
+	// low-grade battery-system de-rating, 0.93 tracking × 0.75 round
+	// trip ≈ 0.70, the floor a degraded standalone system still
+	// achieves. It mirrors power.BatteryLow.Derating() without importing
+	// it; TestWatchdogDerateMatchesTable3 pins the equality.
 	//
 	// unit: ratio
-	SenseTolerance float64
-}
-
-func (c *WatchdogConfig) fillDefaults() {
-	if c.TripPeriods <= 0 {
-		c.TripPeriods = 2
-	}
-	if c.HoldPeriods <= 0 {
-		c.HoldPeriods = 3
-	}
-	if c.RecoverPeriods <= 0 {
-		c.RecoverPeriods = 2
-	}
-	if c.Derate <= 0 || c.Derate > 1 {
-		c.Derate = batteryLowDerating
-	}
-	if c.ErrTolerance <= 0 {
-		c.ErrTolerance = 0.5
-	}
-	if c.SenseTolerance <= 0 {
-		c.SenseTolerance = 0.25
-	}
-}
-
-// batteryLowDerating mirrors power.BatteryLow.Derating() (Table 3,
-// low grade: 0.93 tracking × 0.75 round trip) without importing the
-// constant at runtime; the cross-package equality is pinned by
-// TestWatchdogDerateMatchesTable3.
-const batteryLowDerating = 0.93 * 0.75
+	Derate = 0.93 * 0.75
+)
 
 // PeriodStats is one tracking period's health evidence, fed to Observe.
 type PeriodStats struct {
@@ -148,7 +120,7 @@ type PeriodStats struct {
 // conditions are chosen so a fault-free run never looks unhealthy:
 // dawn/dusk overloads (budget under twice the minimal load) and the
 // protective-margin tracking gap stay healthy.
-func (c *WatchdogConfig) Healthy(st PeriodStats) bool {
+func Healthy(st PeriodStats) bool {
 	if st.SolverFault {
 		return false
 	}
@@ -161,12 +133,12 @@ func (c *WatchdogConfig) Healthy(st PeriodStats) bool {
 		return st.BudgetW < 2*st.MinLoadW
 	}
 	if st.BudgetW > 0 && st.BudgetW >= 2*st.MinLoadW {
-		if math.Abs(st.BudgetW-st.RaisedToW)/st.BudgetW > c.ErrTolerance {
+		if math.Abs(st.BudgetW-st.RaisedToW)/st.BudgetW > errTolerance {
 			return false // settled nowhere near the available power
 		}
 	}
 	if ref := math.Max(st.RaisedToW, st.SensedW); ref > 0 {
-		if math.Abs(st.RaisedToW-st.SensedW)/ref > c.SenseTolerance {
+		if math.Abs(st.RaisedToW-st.SensedW)/ref > senseTolerance {
 			return false // the sensors and the chip disagree wildly
 		}
 	}
@@ -178,7 +150,6 @@ func (c *WatchdogConfig) Healthy(st PeriodStats) bool {
 // ObserveFallback (periods spent in fallback), and exposes the counters
 // the observability layer reports.
 type Watchdog struct {
-	cfg  WatchdogConfig
 	mode Mode
 
 	unhealthy int // consecutive unhealthy periods in Suspect
@@ -192,14 +163,8 @@ type Watchdog struct {
 	inIncident      bool
 }
 
-// NewWatchdog builds a watchdog with defaulted configuration.
-func NewWatchdog(cfg WatchdogConfig) *Watchdog {
-	cfg.fillDefaults()
-	return &Watchdog{cfg: cfg}
-}
-
-// Config returns the defaulted configuration.
-func (w *Watchdog) Config() WatchdogConfig { return w.cfg }
+// NewWatchdog builds a watchdog in ModeTracking.
+func NewWatchdog() *Watchdog { return &Watchdog{} }
 
 // Mode returns the current state.
 func (w *Watchdog) Mode() Mode { return w.mode }
@@ -221,7 +186,7 @@ func (w *Watchdog) RecoveryMin() float64 { return w.recoveryMin }
 // for periods that actually ran the tracking controller (Tracking,
 // Suspect, Recovering); fallback periods go through ObserveFallback.
 func (w *Watchdog) Observe(st PeriodStats) Mode {
-	healthy := w.cfg.Healthy(st)
+	healthy := Healthy(st)
 	switch w.mode {
 	case ModeTracking:
 		if !healthy {
@@ -232,13 +197,13 @@ func (w *Watchdog) Observe(st PeriodStats) Mode {
 		if healthy {
 			w.mode = ModeTracking
 			w.unhealthy = 0
-		} else if w.unhealthy++; w.unhealthy > w.cfg.TripPeriods {
+		} else if w.unhealthy++; w.unhealthy > tripPeriods {
 			w.trip(st.Minute)
 		}
 	case ModeRecovering:
 		if !healthy {
 			w.trip(st.Minute)
-		} else if w.recovered++; w.recovered >= w.cfg.RecoverPeriods {
+		} else if w.recovered++; w.recovered >= recoverPeriods {
 			w.mode = ModeTracking
 			w.recovered = 0
 			if w.inIncident {
@@ -276,7 +241,7 @@ func (w *Watchdog) trip(minute float64) {
 // unit: minute=min
 func (w *Watchdog) ObserveFallback(minute float64) Mode {
 	w.fallbackPeriods++
-	if w.held++; w.held >= w.cfg.HoldPeriods {
+	if w.held++; w.held >= holdPeriods {
 		w.mode = ModeRecovering
 		w.recovered = 0
 	}

@@ -25,16 +25,13 @@ func sickStats(minute float64) PeriodStats {
 func TestWatchdogDerateMatchesTable3(t *testing.T) {
 	// The fallback de-rating is pinned to the Table 3 low-grade battery
 	// system product tracked in internal/power.
-	if got, want := batteryLowDerating, power.BatteryLow.Derating(); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("batteryLowDerating = %v, power.BatteryLow.Derating() = %v", got, want)
-	}
-	if cfg := NewWatchdog(WatchdogConfig{}).Config(); cfg.Derate != batteryLowDerating {
-		t.Fatalf("default Derate = %v, want %v", cfg.Derate, batteryLowDerating)
+	if got, want := Derate, power.BatteryLow.Derating(); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("Derate = %v, power.BatteryLow.Derating() = %v", got, want)
 	}
 }
 
 func TestWatchdogStaysTrackingWhenHealthy(t *testing.T) {
-	wd := NewWatchdog(WatchdogConfig{})
+	wd := NewWatchdog()
 	for m := 0.0; m < 100; m += 10 {
 		if mode := wd.Observe(healthyStats(m)); mode != ModeTracking {
 			t.Fatalf("healthy run left tracking: %v at minute %v", mode, m)
@@ -46,34 +43,33 @@ func TestWatchdogStaysTrackingWhenHealthy(t *testing.T) {
 }
 
 func TestHealthyPredicateCleanEdgeCases(t *testing.T) {
-	cfg := NewWatchdog(WatchdogConfig{}).Config()
 	// Dawn/dusk overload: thin budget makes an overload legitimate.
-	if !cfg.Healthy(PeriodStats{Minute: 0, Overload: true, BudgetW: 15, MinLoadW: 10, MaxSteps: 512}) {
+	if !Healthy(PeriodStats{Minute: 0, Overload: true, BudgetW: 15, MinLoadW: 10, MaxSteps: 512}) {
 		t.Error("dawn overload with thin budget judged unhealthy")
 	}
 	// Overload with a comfortable budget is a fault.
-	if cfg.Healthy(PeriodStats{Minute: 0, Overload: true, BudgetW: 100, MinLoadW: 10, MaxSteps: 512}) {
+	if Healthy(PeriodStats{Minute: 0, Overload: true, BudgetW: 100, MinLoadW: 10, MaxSteps: 512}) {
 		t.Error("overload with comfortable budget judged healthy")
 	}
 	// Protective-margin tracking gap stays healthy.
-	if !cfg.Healthy(PeriodStats{Minute: 0, Steps: 30, MaxSteps: 512,
+	if !Healthy(PeriodStats{Minute: 0, Steps: 30, MaxSteps: 512,
 		RaisedToW: 70, SensedW: 69, BudgetW: 100, MinLoadW: 10}) {
 		t.Error("margin-sized tracking gap judged unhealthy")
 	}
 	// Non-convergence: effort cap exhausted.
-	if cfg.Healthy(PeriodStats{Minute: 0, Steps: 512, MaxSteps: 512,
+	if Healthy(PeriodStats{Minute: 0, Steps: 512, MaxSteps: 512,
 		RaisedToW: 90, SensedW: 88, BudgetW: 100, MinLoadW: 10}) {
 		t.Error("step-cap exhaustion judged healthy")
 	}
 	// Solver fault is always unhealthy.
-	if cfg.Healthy(PeriodStats{Minute: 0, SolverFault: true, MaxSteps: 512,
+	if Healthy(PeriodStats{Minute: 0, SolverFault: true, MaxSteps: 512,
 		RaisedToW: 90, SensedW: 88, BudgetW: 100, MinLoadW: 10}) {
 		t.Error("solver fault judged healthy")
 	}
 }
 
 func TestWatchdogTripAndRecovery(t *testing.T) {
-	wd := NewWatchdog(WatchdogConfig{}) // trip 2, hold 3, recover 2
+	wd := NewWatchdog() // trip 2, hold 3, recover 2
 	m := 0.0
 	next := func(st PeriodStats) Mode {
 		st.Minute = m
@@ -119,7 +115,7 @@ func TestWatchdogTripAndRecovery(t *testing.T) {
 }
 
 func TestWatchdogRelapse(t *testing.T) {
-	wd := NewWatchdog(WatchdogConfig{TripPeriods: 1, HoldPeriods: 1, RecoverPeriods: 2})
+	wd := NewWatchdog() // trip 2, hold 3, recover 2
 	m := 0.0
 	obs := func(st PeriodStats) Mode {
 		st.Minute = m
@@ -129,12 +125,15 @@ func TestWatchdogRelapse(t *testing.T) {
 		}
 		return wd.Observe(st)
 	}
-	obs(sickStats(0)) // suspect
-	obs(sickStats(0)) // trip -> fallback
+	for i := 0; i < 3; i++ {
+		obs(sickStats(0)) // suspect, suspect, trip -> fallback
+	}
 	if wd.Mode() != ModeFallback {
 		t.Fatalf("not in fallback: %v", wd.Mode())
 	}
-	obs(healthyStats(0)) // hold elapses -> recovering
+	for i := 0; i < 3; i++ {
+		obs(healthyStats(0)) // the third held period elapses the hold -> recovering
+	}
 	if wd.Mode() != ModeRecovering {
 		t.Fatalf("not recovering: %v", wd.Mode())
 	}
@@ -151,7 +150,7 @@ func TestWatchdogRelapse(t *testing.T) {
 }
 
 func TestSuspectRecoversWithoutTrip(t *testing.T) {
-	wd := NewWatchdog(WatchdogConfig{})
+	wd := NewWatchdog()
 	wd.Observe(sickStats(0))
 	if wd.Mode() != ModeSuspect {
 		t.Fatalf("not suspect: %v", wd.Mode())

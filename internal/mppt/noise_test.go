@@ -95,13 +95,13 @@ func TestStuckSensorRecoversAfterWindow(t *testing.T) {
 func TestSensorDropoutTripsWatchdogWithinN(t *testing.T) {
 	// Dropout fault via the SenseFault hook, supervised the way the
 	// engine does it: under a total dropout the watchdog must trip into
-	// fallback within TripPeriods+1 tracked periods of the window
+	// fallback within tripPeriods+1 tracked periods of the window
 	// opening, and graduate back to tracking after the window closes.
 	const t0, t1, period = 50.0, 150.0, 10.0
 	rt := fault.NewSchedule(3,
 		&fault.SensorDropout{W: fault.Window{T0: t0, T1: t1}, I: 1}).Runtime()
 	ctrl := rig(t, "HM2", sched.OptTPR{}, Config{SenseFault: rt.Sense})
-	wd := fault.NewWatchdog(fault.WatchdogConfig{})
+	wd := fault.NewWatchdog()
 	env := pv.Env{Irradiance: 850, CellTemp: 30}
 
 	tripped := -1.0
@@ -125,7 +125,8 @@ func TestSensorDropoutTripsWatchdogWithinN(t *testing.T) {
 	if tripped < 0 {
 		t.Fatal("watchdog never tripped under a total sensor dropout")
 	}
-	if maxTrip := t0 + period*float64(wd.Config().TripPeriods+1); tripped > maxTrip {
+	const tripPeriods = 2 // the watchdog's trip threshold
+	if maxTrip := t0 + period*(tripPeriods+1); tripped > maxTrip {
 		t.Errorf("tripped at minute %v, want within %v", tripped, maxTrip)
 	}
 	if wd.Mode() != fault.ModeTracking {

@@ -35,7 +35,9 @@ type BankDayResult struct {
 // depth-of-discharge floor, and cycling wear. The bank state persists
 // across calls, so multi-day deployments can chain runs.
 func RunBatteryBank(cfg Config, bank *power.Bank, trackingEff float64) (*BankDayResult, error) {
-	if err := cfg.fillDefaults(); err != nil {
+	res := &BankDayResult{}
+	var r dayRun
+	if err := r.begin(&cfg, &res.DayResult, "BatteryBank", "BatteryBank"); err != nil {
 		return nil, err
 	}
 	if bank == nil {
@@ -44,21 +46,9 @@ func RunBatteryBank(cfg Config, bank *power.Bank, trackingEff float64) (*BankDay
 	if trackingEff <= 0 || trackingEff > 1 {
 		return nil, fmt.Errorf("sim: tracking efficiency %v outside (0,1]", trackingEff)
 	}
-	chip, err := buildChip(&cfg)
-	if err != nil {
-		return nil, err
-	}
+	chip := r.chip
 	_ = chip.SetAllLevels(chip.NumLevels() - 1) // stable supply: run flat out (level is in range)
-
-	res := &BankDayResult{DayResult: *newResult(cfg, "BatteryBank")}
-	o := cfg.Observer
-	if o != nil {
-		o.OnRunStart(obs.RunStartEvent{
-			Runner: "BatteryBank", Policy: res.Policy, Mix: cfg.Mix.Name,
-			Label: cfg.Day.Trace.Label(), Cores: chip.NumCores(),
-			StartMin: cfg.Day.StartMinute(), EndMin: cfg.Day.EndMinute(),
-		})
-	}
+	r.start()
 	cycles0 := bank.EquivalentFullCycles()
 	cap0 := bank.CapacityWh()
 	loss0 := bank.LossWh()
@@ -88,14 +78,15 @@ func RunBatteryBank(cfg Config, bank *power.Bank, trackingEff float64) (*BankDay
 		}
 		bank.Idle(dt)
 
-		if o != nil {
-			o.OnTick(obs.TickEvent{Minute: t, BudgetW: harvest, DemandW: demand, OnSolar: powered})
+		if r.o != nil {
+			r.o.OnTick(obs.TickEvent{Minute: t, BudgetW: harvest, DemandW: demand, OnSolar: powered})
 		}
 		if powered {
 			res.SolarMin += dt
-			res.SolarWh += demand * dt / 60
-			res.GInstrSolar += chip.Throughput(t) * dt * 60
-			res.GInstrTotal += chip.Throughput(t) * dt * 60
+			r.meter.Add(power.Solar, demand, dt)
+			ginstr := chip.Throughput(t) * dt * 60
+			res.GInstrSolar += ginstr
+			res.GInstrTotal += ginstr
 		} else {
 			// The load browns out: undo the partial bank draw's delivery
 			// accounting is unnecessary (energy already left the cells — a
@@ -115,8 +106,6 @@ func RunBatteryBank(cfg Config, bank *power.Bank, trackingEff float64) (*BankDay
 	res.CapacityFadeWh = cap0 - bank.CapacityWh()
 	res.BatteryLossWh = bank.LossWh() - loss0
 	res.FinalSoC = bank.SoC()
-	if o != nil {
-		o.OnRunEnd(runEndEvent("BatteryBank", &res.DayResult))
-	}
+	r.end()
 	return res, nil
 }

@@ -58,11 +58,6 @@ type Config struct {
 	// schedule (every intensity zero) leaves the run byte-identical to a
 	// fault-free one — the engine takes the exact clean code path.
 	Faults *fault.Schedule
-	// Watchdog tunes the MPPT supervision state machine that detects
-	// tracking malfunction under faults and falls back to a de-rated
-	// Fixed-Power budget (DESIGN.md §11). The zero value takes the
-	// defaults; it is only consulted when Faults is armed.
-	Watchdog fault.WatchdogConfig
 	// Thermal enables the per-core RC die-temperature model and throttle
 	// governor; nil runs thermally unconstrained (the paper's setting).
 	Thermal *thermal.Config
@@ -121,29 +116,158 @@ func (c *Config) fillDefaults() error {
 	return nil
 }
 
-// buildChip constructs the chip and applies the mix.
-func buildChip(cfg *Config) (*mcore.Chip, error) {
+// dayRun is the skeleton every runner shares: the chip, the result it
+// fills, the energy meter and transfer switch, and the few config values
+// the shared bookkeeping reads. It holds values, not pointers into the
+// Config, so a runner's Config stays on its stack.
+type dayRun struct {
+	chip  *mcore.Chip
+	res   *DayResult
+	meter power.EnergyMeter
+	ats   power.TransferSwitch
+	fx    *faultCtx // nil unless an armed fault schedule is installed
+	day   *SolarDay
+	o     obs.Observer
+
+	runner     string
+	eta        float64 // clean conversion efficiency, unit: ratio
+	stepMin    float64 // unit: min
+	keepSeries bool
+}
+
+// begin defaults cfg, builds the chip with the mix applied and every
+// core gated, and writes the result header into res.
+func (r *dayRun) begin(cfg *Config, res *DayResult, runner, policy string) error {
+	if err := cfg.fillDefaults(); err != nil {
+		return err
+	}
 	chip, err := mcore.NewChip(cfg.Chip)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := cfg.Mix.Apply(chip); err != nil {
-		return nil, err
+		return err
 	}
 	_ = chip.SetAllLevels(mcore.Gated) // fresh chip: Gated is always a valid level
-	return chip, nil
+	*res = DayResult{Policy: policy, Mix: cfg.Mix.Name, Label: cfg.Day.Trace.Label(),
+		DaytimeMin: cfg.Day.DaytimeMinutes(), MPPEnergyWh: cfg.Day.MPPEnergyWh()}
+	*r = dayRun{
+		chip: chip, res: res, ats: *power.NewTransferSwitch(power.Utility),
+		day: cfg.Day, o: cfg.Observer, runner: runner,
+		stepMin: cfg.StepMin, keepSeries: cfg.KeepSeries,
+	}
+	return nil
+}
+
+// start emits OnRunStart.
+func (r *dayRun) start() {
+	if r.o != nil {
+		r.o.OnRunStart(obs.RunStartEvent{
+			Runner: r.runner, Policy: r.res.Policy, Mix: r.res.Mix,
+			Label: r.res.Label, Cores: r.chip.NumCores(),
+			StartMin: r.day.StartMinute(), EndMin: r.day.EndMinute(),
+		})
+	}
+}
+
+// applyFaults pushes the armed fault schedule's state at minute t into
+// the chip and circuit; a no-op on fault-free runs.
+//
+// unit: t=min
+func (r *dayRun) applyFaults(t float64) {
+	if r.fx != nil {
+		r.fx.applyAt(t, r.chip)
+	}
+}
+
+// budgetAt returns the post-conversion power available at minute t,
+// routed through the fault runtime when a schedule is armed.
+//
+// unit: t=min, return=W
+func (r *dayRun) budgetAt(t float64) float64 {
+	if r.fx != nil {
+		return r.fx.budgetAt(t)
+	}
+	return r.eta * r.day.MPPAt(t)
+}
+
+// book accounts one sub-sample of dt minutes at minute t: the transfer
+// switch and meter follow the supply, solar minutes and instructions
+// accrue, and the tick reaches the observer and the series.
+//
+// unit: t=min, dt=min, budgetW=W, demandW=W
+func (r *dayRun) book(t, dt, budgetW, demandW float64, onSolar bool) {
+	src := power.Utility
+	if onSolar {
+		src = power.Solar
+	}
+	r.ats.Select(src)
+	r.meter.Add(src, demandW, dt)
+	ginstr := r.chip.Throughput(t) * dt * 60
+	if onSolar {
+		r.res.SolarMin += dt
+		r.res.GInstrSolar += ginstr
+	}
+	r.res.GInstrTotal += ginstr
+	if r.o != nil {
+		r.o.OnTick(obs.TickEvent{Minute: t, BudgetW: budgetW, DemandW: demandW, OnSolar: onSolar})
+	}
+	if r.keepSeries {
+		actual := 0.0
+		if onSolar {
+			actual = demandW
+		}
+		r.res.Series = append(r.res.Series, TracePoint{Minute: t, BudgetW: budgetW, ActualW: actual, OnSolar: onSolar})
+	}
+}
+
+// fixedPeriod runs [t0, t1) the Fixed-Power way: the chip is planned
+// once against budgetW (greedy LP, Table 6) and each sub-sample runs on
+// solar only while the available power covers that budget — the
+// power-transfer threshold semantics of Section 6.2.
+//
+// unit: t0=min, t1=min, budgetW=W
+func (r *dayRun) fixedPeriod(t0, t1, budgetW float64) {
+	sched.PlanBudget(r.chip, t0, budgetW)
+	for t := t0; t < t1-1e-9; t += r.stepMin {
+		dt := math.Min(r.stepMin, t1-t)
+		r.applyFaults(t)
+		avail := r.budgetAt(t)
+		demand := r.chip.Power(t)
+		r.book(t, dt, avail, demand, avail >= budgetW && demand > 0 && demand <= avail)
+	}
+}
+
+// end writes the fault report and the metered energy, then emits
+// OnRunEnd with the day's totals.
+func (r *dayRun) end() {
+	res := r.res
+	if r.fx != nil {
+		res.Faults = r.fx.finish(r.day.EndMinute())
+	}
+	res.SolarWh = r.meter.EnergyWh(power.Solar)
+	res.UtilityWh = r.meter.EnergyWh(power.Utility)
+	if r.o != nil {
+		r.o.OnRunEnd(obs.RunEndEvent{
+			Runner: r.runner, SolarWh: res.SolarWh, UtilityWh: res.UtilityWh,
+			SolarMin: res.SolarMin, DaytimeMin: res.DaytimeMin, Overloads: res.Overloads,
+			Transitions: res.Transitions, ATSSwitches: res.ATSSwitches,
+			// Zero on fault-free runs, so the encoded event is unchanged.
+			FaultsInjected: res.Faults.Injected, BrownoutSheds: res.Faults.BrownoutSheds,
+			WatchdogTrips: res.Faults.WatchdogTrips, FallbackPeriods: res.Faults.FallbackPeriods,
+			SolverFaults: res.Faults.SolverFaults, RecoveryMin: res.Faults.RecoveryMin,
+		})
+	}
 }
 
 // RunMPPT simulates one day under SolarCore power management with the
 // given load-adaptation policy (MPPT&IC, MPPT&RR or MPPT&Opt).
 func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
-	if err := cfg.fillDefaults(); err != nil {
+	var r dayRun
+	if err := r.begin(&cfg, new(DayResult), "MPPT", alloc.Name()); err != nil {
 		return nil, err
 	}
-	chip, err := buildChip(&cfg)
-	if err != nil {
-		return nil, err
-	}
+	chip, res := r.chip, r.res
 	circuit := power.NewCircuit(cfg.Day.Gen)
 	circuit.VNominal = cfg.VNominal
 	if cfg.DeltaK > 0 {
@@ -151,7 +275,9 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 	}
 	// fx is nil unless an armed fault schedule is installed; every fault
 	// touch point below is gated on it so the clean path is untouched.
-	fx := newFaultCtx(&cfg, circuit, circuit.Conv.Efficiency)
+	r.eta = circuit.Conv.Efficiency
+	r.fx = newFaultCtx(&cfg, circuit, r.eta)
+	fx := r.fx
 	mcfg := mppt.Config{
 		MarginSteps: cfg.MarginSteps,
 		SensorError: cfg.SensorError,
@@ -176,24 +302,14 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 		}
 	}
 
-	res := newResult(cfg, alloc.Name())
+	r.start()
 	o := cfg.Observer
-	if o != nil {
-		o.OnRunStart(obs.RunStartEvent{
-			Runner: "MPPT", Policy: alloc.Name(), Mix: cfg.Mix.Name,
-			Label: cfg.Day.Trace.Label(), Cores: chip.NumCores(),
-			StartMin: cfg.Day.StartMinute(), EndMin: cfg.Day.EndMinute(),
-		})
-	}
-	eta := circuit.Conv.Efficiency
-	// envAt and budgetAt route through the fault runtime when a schedule
-	// is armed; otherwise they are the clean day profile.
-	envAt, budgetAt := cfg.Day.EnvAt, func(t float64) float64 { return eta * cfg.Day.MPPAt(t) }
+	// envAt routes through the fault runtime when a schedule is armed;
+	// otherwise it is the clean day profile.
+	envAt := cfg.Day.EnvAt
 	if fx != nil {
-		envAt, budgetAt = fx.envAt, fx.budgetAt
+		envAt = fx.envAt
 	}
-	var meter power.EnergyMeter
-	ats := power.NewTransferSwitch(power.Utility)
 	top := chip.NumLevels() - 1
 	// The protective power margin is sized from the observed load ripple
 	// (Section 6.1: high-EPI workloads generate large power ripples, so
@@ -216,8 +332,13 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 			fx.applyAt(t0, chip)
 			if fx.wd.Mode() == fault.ModeFallback {
 				// Degraded operation: the watchdog abandoned tracking, so
-				// this period runs on the de-rated Fixed-Power budget.
-				runFallbackPeriod(&cfg, fx, chip, &meter, ats, res, t0, t1)
+				// this period runs Fixed-Power against the de-rated budget
+				// (Table 3 de-rating of the actually-available power) and
+				// the controller is left alone until the hold elapses. The
+				// thermal governor is not advanced: fallback runs well
+				// below the clean budget, so throttling cannot engage.
+				r.fixedPeriod(t0, t1, fault.Derate*fx.budgetAt(t0))
+				fx.observeFallback(t0)
 				prevDemand = 0
 				continue
 			}
@@ -238,7 +359,7 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 			track = ctrl.Track(envAt(t0), t0)
 		}
 		onSolar := track.Solar()
-		trackBudget := budgetAt(t0)
+		trackBudget := r.budgetAt(t0)
 		prevDemand = 0 // tracking moved the levels; restart ripple pairing
 		if !onSolar {
 			res.Overloads++
@@ -248,10 +369,8 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 		var errs []float64
 		for t := t0; t < t1-1e-9; t += cfg.StepMin {
 			dt := math.Min(cfg.StepMin, t1-t)
-			if fx != nil {
-				fx.applyAt(t, chip)
-			}
-			budget := budgetAt(t)
+			r.applyFaults(t)
+			budget := r.budgetAt(t)
 			if cfg.EventTracking && trackBudget > 0 &&
 				math.Abs(budget-trackBudget) > 0.15*trackBudget {
 				track = ctrl.Track(envAt(t), t)
@@ -332,29 +451,10 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 			}
 			prevDemand = demand
 			solarNow := onSolar && demand > 0 && demand <= budget
-			if solarNow {
-				ats.Select(power.Solar)
-				meter.Add(power.Solar, demand, dt)
-				res.SolarMin += dt
-				res.GInstrSolar += chip.Throughput(t) * dt * 60
-				if budget > 0 {
-					errs = append(errs, math.Abs(budget-demand)/budget)
-				}
-			} else {
-				ats.Select(power.Utility)
-				meter.Add(power.Utility, demand, dt)
+			if solarNow && budget > 0 {
+				errs = append(errs, math.Abs(budget-demand)/budget)
 			}
-			res.GInstrTotal += chip.Throughput(t) * dt * 60
-			if o != nil {
-				o.OnTick(obs.TickEvent{Minute: t, BudgetW: budget, DemandW: demand, OnSolar: solarNow})
-			}
-			if cfg.KeepSeries {
-				actual := 0.0
-				if solarNow {
-					actual = demand
-				}
-				res.Series = append(res.Series, TracePoint{Minute: t, BudgetW: budget, ActualW: actual, OnSolar: solarNow})
-			}
+			r.book(t, dt, budget, demand, solarNow)
 		}
 		if onSolar && len(errs) > 0 {
 			res.PeriodErrs = append(res.PeriodErrs, mathx.Mean(errs))
@@ -368,16 +468,11 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 				RaisedToW: track.RaisedTo, SensedW: track.Op.PLoad,
 				BudgetW: trackBudget, MinLoadW: chip.MinPower(t0),
 				SolverFault: solverErr != nil,
-			}, fx.wd.Config().Derate*trackBudget)
+			}, fault.Derate*trackBudget)
 		}
 	}
-	if fx != nil {
-		res.Faults = fx.finish(end)
-	}
-	res.SolarWh = meter.EnergyWh(power.Solar)
-	res.UtilityWh = meter.EnergyWh(power.Utility)
 	res.Transitions = chip.Transitions()
-	res.ATSSwitches = ats.Switches()
+	res.ATSSwitches = r.ats.Switches()
 	if thermalModel != nil {
 		res.ThrottleEvents = thermalModel.ThrottleEvents()
 		res.PeakTempC = thermalModel.Peak()
@@ -397,31 +492,8 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 			res.GInstrTotal *= 1 - frac
 		}
 	}
-	if o != nil {
-		o.OnRunEnd(runEndEvent("MPPT", res))
-	}
+	r.end()
 	return res, nil
-}
-
-// runEndEvent folds a finished day's totals into the closing hook event.
-func runEndEvent(runner string, res *DayResult) obs.RunEndEvent {
-	return obs.RunEndEvent{
-		Runner:      runner,
-		SolarWh:     res.SolarWh,
-		UtilityWh:   res.UtilityWh,
-		SolarMin:    res.SolarMin,
-		DaytimeMin:  res.DaytimeMin,
-		Overloads:   res.Overloads,
-		Transitions: res.Transitions,
-		ATSSwitches: res.ATSSwitches,
-		// Zero on fault-free runs, so the encoded event is unchanged.
-		FaultsInjected:  res.Faults.Injected,
-		BrownoutSheds:   res.Faults.BrownoutSheds,
-		WatchdogTrips:   res.Faults.WatchdogTrips,
-		FallbackPeriods: res.Faults.FallbackPeriods,
-		SolverFaults:    res.Faults.SolverFaults,
-		RecoveryMin:     res.Faults.RecoveryMin,
-	}
 }
 
 // RunFixed simulates one day under the non-tracking Fixed-Power baseline:
@@ -429,85 +501,28 @@ func runEndEvent(runner string, res *DayResult) obs.RunEndEvent {
 // on solar only while the panel's deliverable power covers that budget —
 // the power-transfer threshold semantics of Section 6.2.
 func RunFixed(cfg Config, budgetW float64) (*DayResult, error) {
-	if err := cfg.fillDefaults(); err != nil {
+	var r dayRun
+	if err := r.begin(&cfg, new(DayResult), "Fixed-Power", fmt.Sprintf("Fixed-Power(%gW)", budgetW)); err != nil {
 		return nil, err
 	}
 	if budgetW <= 0 {
 		return nil, fmt.Errorf("sim: fixed budget must be positive, got %v", budgetW)
 	}
-	chip, err := buildChip(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	conv := power.NewConverter()
-	eta := conv.Efficiency
 	// The fixed baseline has no tracker, so only power-path faults and
-	// core constraints apply; availAt routes through the fault runtime.
-	fx := newFaultCtx(&cfg, nil, eta)
-	availAt := func(t float64) float64 { return eta * cfg.Day.MPPAt(t) }
-	if fx != nil {
-		availAt = fx.budgetAt
-	}
-
-	res := newResult(cfg, "Fixed-Power")
-	res.Policy = fmt.Sprintf("Fixed-Power(%gW)", budgetW)
-	o := cfg.Observer
-	if o != nil {
-		o.OnRunStart(obs.RunStartEvent{
-			Runner: "Fixed-Power", Policy: res.Policy, Mix: cfg.Mix.Name,
-			Label: cfg.Day.Trace.Label(), Cores: chip.NumCores(),
-			StartMin: cfg.Day.StartMinute(), EndMin: cfg.Day.EndMinute(),
-		})
-	}
-	var meter power.EnergyMeter
-
+	// core constraints apply.
+	r.eta = power.NewConverter().Efficiency
+	r.fx = newFaultCtx(&cfg, nil, r.eta)
+	r.start()
 	start, end := cfg.Day.StartMinute(), cfg.Day.EndMinute()
 	for t0 := start; t0 < end; t0 += cfg.TrackPeriodMin {
 		if err := cfg.canceled(); err != nil {
 			return nil, err
 		}
-		t1 := math.Min(t0+cfg.TrackPeriodMin, end)
-		if fx != nil {
-			fx.applyAt(t0, chip)
-		}
-		sched.PlanBudget(chip, t0, budgetW)
-		for t := t0; t < t1-1e-9; t += cfg.StepMin {
-			dt := math.Min(cfg.StepMin, t1-t)
-			if fx != nil {
-				fx.applyAt(t, chip)
-			}
-			avail := availAt(t)
-			demand := chip.Power(t)
-			solarNow := avail >= budgetW && demand > 0 && demand <= avail
-			if solarNow {
-				meter.Add(power.Solar, demand, dt)
-				res.SolarMin += dt
-				res.GInstrSolar += chip.Throughput(t) * dt * 60
-			} else {
-				meter.Add(power.Utility, demand, dt)
-			}
-			res.GInstrTotal += chip.Throughput(t) * dt * 60
-			if o != nil {
-				o.OnTick(obs.TickEvent{Minute: t, BudgetW: avail, DemandW: demand, OnSolar: solarNow})
-			}
-			if cfg.KeepSeries {
-				actual := 0.0
-				if solarNow {
-					actual = demand
-				}
-				res.Series = append(res.Series, TracePoint{Minute: t, BudgetW: avail, ActualW: actual, OnSolar: solarNow})
-			}
-		}
+		r.applyFaults(t0)
+		r.fixedPeriod(t0, math.Min(t0+cfg.TrackPeriodMin, end), budgetW)
 	}
-	if fx != nil {
-		res.Faults = fx.finish(end)
-	}
-	res.SolarWh = meter.EnergyWh(power.Solar)
-	res.UtilityWh = meter.EnergyWh(power.Utility)
-	if o != nil {
-		o.OnRunEnd(runEndEvent("Fixed-Power", res))
-	}
-	return res, nil
+	r.end()
+	return r.res, nil
 }
 
 // RunBattery simulates the battery-equipped standalone baseline of
@@ -515,35 +530,24 @@ func RunFixed(cfg Config, budgetW float64) (*DayResult, error) {
 // maximum power all day, the de-rated energy is buffered, and the chip
 // consumes it at full speed under a stable supply until it runs out.
 func RunBattery(cfg Config, eff float64) (*DayResult, error) {
-	if err := cfg.fillDefaults(); err != nil {
+	var r dayRun
+	if err := r.begin(&cfg, new(DayResult), "Battery", fmt.Sprintf("Battery(%.0f%%)", eff*100)); err != nil {
 		return nil, err
 	}
 	if eff <= 0 || eff > 1 {
 		return nil, fmt.Errorf("sim: battery efficiency %v outside (0,1]", eff)
 	}
-	chip, err := buildChip(&cfg)
-	if err != nil {
-		return nil, err
-	}
+	chip, res := r.chip, r.res
 	_ = chip.SetAllLevels(chip.NumLevels() - 1) // level is in range by construction
-
-	res := newResult(cfg, fmt.Sprintf("Battery(%.0f%%)", eff*100))
-	o := cfg.Observer
-	if o != nil {
-		o.OnRunStart(obs.RunStartEvent{
-			Runner: "Battery", Policy: res.Policy, Mix: cfg.Mix.Name,
-			Label: cfg.Day.Trace.Label(), Cores: chip.NumCores(),
-			StartMin: cfg.Day.StartMinute(), EndMin: cfg.Day.EndMinute(),
-		})
-	}
+	r.start()
 	bat := power.NewBatterySystem(eff)
 	// The battery's dedicated charge controller still loses harvest to
 	// power-path faults (clouds, string cuts); core faults constrain the
 	// chip. Sensor, converter and solver faults have no battery analogue.
-	fx := newFaultCtx(&cfg, nil, 1)
+	r.fx = newFaultCtx(&cfg, nil, 1)
 	harvestAt := cfg.Day.MPPAt
-	if fx != nil {
-		harvestAt = fx.mppAt
+	if r.fx != nil {
+		harvestAt = r.fx.mppAt
 	}
 
 	start, end := cfg.Day.StartMinute(), cfg.Day.EndMinute()
@@ -558,39 +562,23 @@ func RunBattery(cfg Config, eff float64) (*DayResult, error) {
 			return nil, err
 		}
 		dt := math.Min(cfg.StepMin, end-t)
-		if fx != nil {
-			fx.applyAt(t, chip)
-		}
+		r.applyFaults(t)
 		demand := chip.Power(t)
 		got := bat.Draw(demand, dt)
-		if o != nil {
+		if r.o != nil {
 			// The battery supplies on demand while charged, so the
 			// available power equals demand until the bank empties.
-			o.OnTick(obs.TickEvent{Minute: t, BudgetW: demand, DemandW: demand, OnSolar: got > 0})
+			r.o.OnTick(obs.TickEvent{Minute: t, BudgetW: demand, DemandW: demand, OnSolar: got > 0})
 		}
 		if got <= 0 {
 			break
 		}
 		res.SolarMin += got
-		res.SolarWh += demand * got / 60
-		res.GInstrSolar += chip.Throughput(t) * got * 60
-		res.GInstrTotal += chip.Throughput(t) * got * 60
+		r.meter.Add(power.Solar, demand, got)
+		ginstr := chip.Throughput(t) * got * 60
+		res.GInstrSolar += ginstr
+		res.GInstrTotal += ginstr
 	}
-	if fx != nil {
-		res.Faults = fx.finish(end)
-	}
-	if o != nil {
-		o.OnRunEnd(runEndEvent("Battery", res))
-	}
+	r.end()
 	return res, nil
-}
-
-func newResult(cfg Config, policy string) *DayResult {
-	return &DayResult{
-		Policy:      policy,
-		Mix:         cfg.Mix.Name,
-		Label:       cfg.Day.Trace.Label(),
-		DaytimeMin:  cfg.Day.DaytimeMinutes(),
-		MPPEnergyWh: cfg.Day.MPPEnergyWh(),
-	}
 }

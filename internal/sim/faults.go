@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math"
-
 	"solarcore/internal/fault"
 	"solarcore/internal/mcore"
 	"solarcore/internal/obs"
@@ -89,9 +87,6 @@ type faultCtx struct {
 
 	report FaultReport
 	capped bool // level caps currently installed on the chip
-
-	prevActive []fault.Injector
-	prevSet    map[fault.Injector]bool
 }
 
 // newFaultCtx builds the per-run fault state, or nil when cfg carries no
@@ -107,7 +102,7 @@ func newFaultCtx(cfg *Config, circuit *power.Circuit, eta float64) *faultCtx {
 	}
 	fx := &faultCtx{
 		rt:  rt,
-		wd:  fault.NewWatchdog(cfg.Watchdog),
+		wd:  fault.NewWatchdog(),
 		day: cfg.Day,
 		gen: &faultGen{inner: cfg.Day.Gen, scale: 1},
 		eta: eta,
@@ -165,45 +160,24 @@ func (fx *faultCtx) applyAt(t float64, chip *mcore.Chip) {
 		fx.conv.Locked = stuck
 		fx.conv.Efficiency = fx.baseEff * effScale
 	}
-	top := chip.NumLevels() - 1
-	if fx.rt.ConstrainsCores(t) {
-		for i := 0; i < chip.NumCores(); i++ {
-			// cap is validated in range by construction
-			_ = chip.SetLevelCap(i, fx.rt.CoreCap(t, i, chip.NumCores(), top))
-		}
-		fx.capped = true
-	} else if fx.capped {
-		for i := 0; i < chip.NumCores(); i++ {
-			_ = chip.SetLevelCap(i, top) // top is always in range
-		}
-		fx.capped = false
-	}
+	fx.capped = fx.rt.CapCores(t, chip, fx.capped)
 }
 
-// edgeEvents diffs the active injector set against the previous sample
-// and emits one FaultEvent per injector crossing a window edge.
+// edgeEvents emits one FaultEvent per injector crossing a window edge
+// since the previous sample.
 //
 // unit: t=min
 func (fx *faultCtx) edgeEvents(t float64) {
-	now := fx.rt.Active(t)
-	set := make(map[fault.Injector]bool, len(now))
-	for _, inj := range now {
-		set[inj] = true
+	closed, opened := fx.rt.Edges(t)
+	for _, inj := range closed {
+		obs.EmitFault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind(),
+			Intensity: inj.Intensity(), Phase: obs.FaultEnd})
 	}
-	for _, inj := range fx.prevActive {
-		if !set[inj] {
-			obs.EmitFault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind(),
-				Intensity: inj.Intensity(), Phase: obs.FaultEnd})
-		}
+	for _, inj := range opened {
+		fx.report.Injected++
+		obs.EmitFault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind(),
+			Intensity: inj.Intensity(), Phase: obs.FaultBegin})
 	}
-	for _, inj := range now {
-		if !fx.prevSet[inj] {
-			fx.report.Injected++
-			obs.EmitFault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind(),
-				Intensity: inj.Intensity(), Phase: obs.FaultBegin})
-		}
-	}
-	fx.prevActive, fx.prevSet = now, set
 }
 
 // brownout is the brownout guard: while the settled rail voltage sags
@@ -291,55 +265,13 @@ func watchdogReason(from, to fault.Mode) string {
 	return ""
 }
 
-// runFallbackPeriod runs one tracking period in watchdog fallback: the
-// chip is planned once against the de-rated budget (Table 3 de-rating of
-// the actually-available power) with Fixed-Power solar semantics, and
-// the tracking controller is left alone until the hold elapses. The
-// thermal governor is not advanced here — fallback runs well below the
-// clean budget, so throttling cannot engage.
-//
-// unit: t0=min, t1=min
-func runFallbackPeriod(cfg *Config, fx *faultCtx, chip *mcore.Chip, meter *power.EnergyMeter, ats *power.TransferSwitch, res *DayResult, t0, t1 float64) {
-	o := cfg.Observer
-	fbBudget := fx.wd.Config().Derate * fx.budgetAt(t0)
-	sched.PlanBudget(chip, t0, fbBudget)
-	for t := t0; t < t1-1e-9; t += cfg.StepMin {
-		dt := math.Min(cfg.StepMin, t1-t)
-		fx.applyAt(t, chip)
-		avail := fx.budgetAt(t)
-		demand := chip.Power(t)
-		solarNow := avail >= fbBudget && demand > 0 && demand <= avail
-		if solarNow {
-			ats.Select(power.Solar)
-			meter.Add(power.Solar, demand, dt)
-			res.SolarMin += dt
-			res.GInstrSolar += chip.Throughput(t) * dt * 60
-		} else {
-			ats.Select(power.Utility)
-			meter.Add(power.Utility, demand, dt)
-		}
-		res.GInstrTotal += chip.Throughput(t) * dt * 60
-		if o != nil {
-			o.OnTick(obs.TickEvent{Minute: t, BudgetW: avail, DemandW: demand, OnSolar: solarNow})
-		}
-		if cfg.KeepSeries {
-			actual := 0.0
-			if solarNow {
-				actual = demand
-			}
-			res.Series = append(res.Series, TracePoint{Minute: t, BudgetW: avail, ActualW: actual, OnSolar: solarNow})
-		}
-	}
-	fx.observeFallback(t0)
-}
-
 // finish closes any still-open fault windows with end events and folds
 // the watchdog counters into the final report.
 //
 // unit: end=min
 func (fx *faultCtx) finish(end float64) FaultReport {
 	fx.edgeEvents(end) // windows already closed before end emit here
-	for _, inj := range fx.prevActive {
+	for _, inj := range fx.rt.Active(end) {
 		obs.EmitFault(fx.o, obs.FaultEvent{Minute: end, Kind: inj.Kind(),
 			Intensity: inj.Intensity(), Phase: obs.FaultEnd})
 	}

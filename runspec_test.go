@@ -34,6 +34,7 @@ func TestRunSpecValidate(t *testing.T) {
 		{"both baselines", solarcore.RunSpec{FixedW: 50, BatteryEff: 0.5}, "at most one"},
 		{"policy plus baseline", solarcore.RunSpec{Policy: solarcore.PolicyOpt, FixedW: 50}, "at most one"},
 		{"bad faults", solarcore.RunSpec{Faults: "warp:t0=0"}, "faults"},
+		{"NaN fault intensity", solarcore.RunSpec{Faults: "cloud:t0=600,t1=700,i=nan"}, "not finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -25,6 +25,9 @@
 #   experiments    — cmd/experiments -quick must exit 0 and write its 13
 #                    CSVs, and -day -1 must exit non-zero with a one-line
 #                    error instead of a panic
+#   solarsim faults— a total sensor dropout must exit 0 and report
+#                    fallback periods on its `faults :` line, and the
+#                    same spec with a NaN intensity must be rejected
 #   fuzz smoke     — a few seconds of coverage-guided fuzzing on the
 #                    JSONL event decoder
 #   serving smoke  — boot a real solard on an ephemeral port, probe
@@ -87,6 +90,19 @@ if grep -q '^panic:' "$expdir/negday.txt"; then
     echo 'experiments -quick -day -1 panicked'; cat "$expdir/negday.txt"; exit 1
 fi
 rm -rf "$expdir"
+
+echo '== solarsim -faults (sensor dropout falls back; a NaN intensity is rejected)'
+simdir="$(mktemp -d)"
+go build -o "$simdir/solarsim" ./cmd/solarsim
+"$simdir/solarsim" -faults 'sensor-drop:t0=600,t1=720,i=1' > "$simdir/drop.txt" \
+    || { echo 'solarsim -faults sensor-drop failed'; cat "$simdir/drop.txt"; exit 1; }
+fallback="$(sed -n 's/^faults *:.* \([0-9][0-9]*\) fallback periods.*/\1/p' "$simdir/drop.txt")"
+[ -n "$fallback" ] && [ "$fallback" -gt 0 ] \
+    || { echo "solarsim sensor dropout ran '$fallback' fallback periods, want > 0"; cat "$simdir/drop.txt"; exit 1; }
+if "$simdir/solarsim" -faults 'sensor-drop:t0=600,t1=720,i=nan' > "$simdir/nan.txt" 2>&1; then
+    echo 'solarsim accepted a NaN fault intensity'; exit 1
+fi
+rm -rf "$simdir"
 
 echo '== fuzz: obs JSONL decoder (smoke)'
 go test -run '^$' -fuzz 'FuzzReadEvents' -fuzztime 5s ./internal/obs

@@ -314,9 +314,6 @@ type (
 	FaultInjector = fault.Injector
 	// FaultWindow is a half-open activity interval [T0, T1) in minutes.
 	FaultWindow = fault.Window
-	// WatchdogConfig tunes the MPPT-supervision degradation machinery
-	// (Config.Watchdog); the zero value takes the documented defaults.
-	WatchdogConfig = fault.WatchdogConfig
 	// FaultReport aggregates a run's injected disturbances and the
 	// degradation responses (DayResult.Faults).
 	FaultReport = sim.FaultReport
