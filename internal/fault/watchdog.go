@@ -148,7 +148,8 @@ func Healthy(st PeriodStats) bool {
 // Watchdog is the per-run supervision state machine. It is driven at
 // tracking-period granularity by Observe (normal periods) and
 // ObserveFallback (periods spent in fallback), and exposes the counters
-// the observability layer reports.
+// the observability layer reports. The zero value is ready in
+// ModeTracking.
 type Watchdog struct {
 	mode Mode
 
@@ -162,9 +163,6 @@ type Watchdog struct {
 	recoveryMin     float64 // unit: min
 	inIncident      bool
 }
-
-// NewWatchdog builds a watchdog in ModeTracking.
-func NewWatchdog() *Watchdog { return &Watchdog{} }
 
 // Mode returns the current state.
 func (w *Watchdog) Mode() Mode { return w.mode }

@@ -31,7 +31,7 @@ func TestWatchdogDerateMatchesTable3(t *testing.T) {
 }
 
 func TestWatchdogStaysTrackingWhenHealthy(t *testing.T) {
-	wd := NewWatchdog()
+	wd := &Watchdog{}
 	for m := 0.0; m < 100; m += 10 {
 		if mode := wd.Observe(healthyStats(m)); mode != ModeTracking {
 			t.Fatalf("healthy run left tracking: %v at minute %v", mode, m)
@@ -69,7 +69,7 @@ func TestHealthyPredicateCleanEdgeCases(t *testing.T) {
 }
 
 func TestWatchdogTripAndRecovery(t *testing.T) {
-	wd := NewWatchdog() // trip 2, hold 3, recover 2
+	wd := &Watchdog{} // trip 2, hold 3, recover 2
 	m := 0.0
 	next := func(st PeriodStats) Mode {
 		st.Minute = m
@@ -115,7 +115,7 @@ func TestWatchdogTripAndRecovery(t *testing.T) {
 }
 
 func TestWatchdogRelapse(t *testing.T) {
-	wd := NewWatchdog() // trip 2, hold 3, recover 2
+	wd := &Watchdog{} // trip 2, hold 3, recover 2
 	m := 0.0
 	obs := func(st PeriodStats) Mode {
 		st.Minute = m
@@ -150,7 +150,7 @@ func TestWatchdogRelapse(t *testing.T) {
 }
 
 func TestSuspectRecoversWithoutTrip(t *testing.T) {
-	wd := NewWatchdog()
+	wd := &Watchdog{}
 	wd.Observe(sickStats(0))
 	if wd.Mode() != ModeSuspect {
 		t.Fatalf("not suspect: %v", wd.Mode())

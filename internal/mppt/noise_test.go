@@ -101,7 +101,7 @@ func TestSensorDropoutTripsWatchdogWithinN(t *testing.T) {
 	rt := fault.NewSchedule(3,
 		&fault.SensorDropout{W: fault.Window{T0: t0, T1: t1}, I: 1}).Runtime()
 	ctrl := rig(t, "HM2", sched.OptTPR{}, Config{SenseFault: rt.Sense})
-	wd := fault.NewWatchdog()
+	wd := &fault.Watchdog{}
 	env := pv.Env{Irradiance: 850, CellTemp: 30}
 
 	tripped := -1.0

@@ -149,8 +149,13 @@ func (r *dayRun) begin(cfg *Config, res *DayResult, runner, policy string) error
 		return err
 	}
 	_ = chip.SetAllLevels(mcore.Gated) // fresh chip: Gated is always a valid level
-	*res = DayResult{Policy: policy, Mix: cfg.Mix.Name, Label: cfg.Day.Trace.Label(),
-		DaytimeMin: cfg.Day.DaytimeMinutes(), MPPEnergyWh: cfg.Day.MPPEnergyWh()}
+	*res = DayResult{
+		Policy:      policy,
+		Mix:         cfg.Mix.Name,
+		Label:       cfg.Day.Trace.Label(),
+		DaytimeMin:  cfg.Day.DaytimeMinutes(),
+		MPPEnergyWh: cfg.Day.MPPEnergyWh(),
+	}
 	*r = dayRun{
 		chip: chip, res: res, ats: *power.NewTransferSwitch(power.Utility),
 		day: cfg.Day, o: cfg.Observer, runner: runner,
@@ -249,13 +254,21 @@ func (r *dayRun) end() {
 	res.UtilityWh = r.meter.EnergyWh(power.Utility)
 	if r.o != nil {
 		r.o.OnRunEnd(obs.RunEndEvent{
-			Runner: r.runner, SolarWh: res.SolarWh, UtilityWh: res.UtilityWh,
-			SolarMin: res.SolarMin, DaytimeMin: res.DaytimeMin, Overloads: res.Overloads,
-			Transitions: res.Transitions, ATSSwitches: res.ATSSwitches,
+			Runner:      r.runner,
+			SolarWh:     res.SolarWh,
+			UtilityWh:   res.UtilityWh,
+			SolarMin:    res.SolarMin,
+			DaytimeMin:  res.DaytimeMin,
+			Overloads:   res.Overloads,
+			Transitions: res.Transitions,
+			ATSSwitches: res.ATSSwitches,
 			// Zero on fault-free runs, so the encoded event is unchanged.
-			FaultsInjected: res.Faults.Injected, BrownoutSheds: res.Faults.BrownoutSheds,
-			WatchdogTrips: res.Faults.WatchdogTrips, FallbackPeriods: res.Faults.FallbackPeriods,
-			SolverFaults: res.Faults.SolverFaults, RecoveryMin: res.Faults.RecoveryMin,
+			FaultsInjected:  res.Faults.Injected,
+			BrownoutSheds:   res.Faults.BrownoutSheds,
+			WatchdogTrips:   res.Faults.WatchdogTrips,
+			FallbackPeriods: res.Faults.FallbackPeriods,
+			SolverFaults:    res.Faults.SolverFaults,
+			RecoveryMin:     res.Faults.RecoveryMin,
 		})
 	}
 }

@@ -102,7 +102,7 @@ func newFaultCtx(cfg *Config, circuit *power.Circuit, eta float64) *faultCtx {
 	}
 	fx := &faultCtx{
 		rt:  rt,
-		wd:  fault.NewWatchdog(),
+		wd:  &fault.Watchdog{},
 		day: cfg.Day,
 		gen: &faultGen{inner: cfg.Day.Gen, scale: 1},
 		eta: eta,
@@ -212,22 +212,20 @@ func (fx *faultCtx) brownout(t float64, circuit *power.Circuit, chip *mcore.Chip
 // transitions into fallback.
 //
 // unit: fallbackBudgetW=W
-func (fx *faultCtx) observe(st fault.PeriodStats, fallbackBudgetW float64) fault.Mode {
+func (fx *faultCtx) observe(st fault.PeriodStats, fallbackBudgetW float64) {
 	from := fx.wd.Mode()
 	to := fx.wd.Observe(st)
 	fx.emitWatchdog(st.Minute, from, to, fallbackBudgetW)
-	return to
 }
 
 // observeFallback accounts one fallback period and emits the transition
 // out of fallback when the hold elapses.
 //
 // unit: t=min
-func (fx *faultCtx) observeFallback(t float64) fault.Mode {
+func (fx *faultCtx) observeFallback(t float64) {
 	from := fx.wd.Mode()
 	to := fx.wd.ObserveFallback(t)
 	fx.emitWatchdog(t, from, to, 0)
-	return to
 }
 
 // emitWatchdog reports a supervision state transition, if any.
