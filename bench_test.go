@@ -195,8 +195,8 @@ func BenchmarkDaySimulation(b *testing.B) {
 }
 
 // benchRunner builds the standard day/mix Runner used by the observer
-// overhead pair below.
-func benchRunner(b *testing.B, opts ...solarcore.RunnerOption) *solarcore.Runner {
+// overhead pair below and by the allocation gate (allocs_test.go).
+func benchRunner(b testing.TB, opts ...solarcore.RunnerOption) *solarcore.Runner {
 	b.Helper()
 	trace := solarcore.GenerateWeather(solarcore.AZ, solarcore.Jul, 0)
 	day, err := solarcore.NewDay(trace, solarcore.BP3180N(), 1, 1)

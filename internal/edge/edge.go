@@ -78,7 +78,7 @@ func Instrument(h http.HandlerFunc, clock func() time.Time, accessLog *obs.JSONL
 			if status == 0 {
 				status = http.StatusOK
 			}
-			accessLog.OnAccess(obs.AccessEvent{
+			accessLog.On(obs.Event{Type: obs.TypeAccess, Access: &obs.AccessEvent{
 				Method: r.Method,
 				Path:   r.URL.Path,
 				Status: status,
@@ -86,7 +86,7 @@ func Instrument(h http.HandlerFunc, clock func() time.Time, accessLog *obs.JSONL
 				Bytes:  rec.bytes,
 				Cache:  rec.Header().Get(client.HeaderCache),
 				Remote: r.RemoteAddr,
-			})
+			}})
 		}()
 		h(rec, r)
 	})

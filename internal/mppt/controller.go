@@ -180,7 +180,7 @@ func (c *Controller) operate(env pv.Env, minute float64) power.Operating {
 func (c *Controller) Track(env pv.Env, minute float64) Result {
 	res := c.track(env, minute)
 	if o := c.Cfg.Observer; o != nil {
-		o.OnTrack(obs.TrackEvent{
+		obs.Track(o, obs.TrackEvent{
 			Minute:   minute,
 			K:        c.Circuit.Conv.K,
 			Steps:    res.Steps,
@@ -276,7 +276,7 @@ func (c *Controller) track(env pv.Env, minute float64) Result {
 		}
 		steps++
 		if o := c.Cfg.Observer; o != nil {
-			o.OnAlloc(obs.AllocEvent{Minute: minute, Dir: -1, Reason: obs.AllocMargin,
+			obs.Alloc(o, obs.AllocEvent{Minute: minute, Dir: -1, Reason: obs.AllocMargin,
 				DemandW: c.Chip.Power(minute)})
 		}
 	}

@@ -2,10 +2,9 @@ package obs
 
 // HTTP-serving observability (DESIGN.md §12): solard's access log rides
 // the same versioned JSONL envelope as the simulation event stream, so
-// one ReadEvents call decodes either (or a mixed file). AccessEvent is
-// not part of the Observer interface — requests are not simulation
-// lifecycle hooks — and is instead emitted directly on a JSONLSink via
-// OnAccess.
+// one ReadEvents call decodes either (or a mixed file). Requests are not
+// simulation events, so the engine never emits an AccessEvent; the HTTP
+// edge hands one straight to its sink's On.
 
 // TypeAccess is the Event.Type discriminator of an AccessEvent line.
 const TypeAccess = "access"
@@ -39,9 +38,4 @@ type AccessEvent struct {
 	Cache string `json:"cache,omitempty"`
 	// Remote is the client address, when known.
 	Remote string `json:"remote,omitempty"`
-}
-
-// OnAccess appends one access-log line to the sink.
-func (s *JSONLSink) OnAccess(ev AccessEvent) {
-	s.emit(Event{Type: TypeAccess, Access: &ev})
 }

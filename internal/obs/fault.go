@@ -2,11 +2,8 @@ package obs
 
 // Fault-injection observability (DESIGN.md §11): two extra event kinds —
 // FaultEvent marking an injector's window opening and closing, and
-// WatchdogEvent marking MPPT-supervision state transitions — delivered
-// through the optional FaultObserver extension interface so existing
-// Observer implementations keep compiling and simply miss the new
-// events. The built-in observers (Nop, Multi, JSONLSink, Metrics) all
-// implement the extension.
+// WatchdogEvent marking MPPT-supervision state transitions — emitted
+// through the Fault and Watchdog helpers like every other event.
 
 // FaultEvent phases.
 const (
@@ -46,63 +43,6 @@ type WatchdogEvent struct {
 	FallbackBudgetW float64 `json:"fallback_budget_w"`
 }
 
-// FaultObserver is the optional extension interface for fault-injection
-// events. The engine feeds these through EmitFault/EmitWatchdog, which
-// type-assert, so a plain Observer silently ignores them.
-type FaultObserver interface {
-	// OnFault reports one fault window edge.
-	OnFault(FaultEvent)
-	// OnWatchdog reports one supervision state transition.
-	OnWatchdog(WatchdogEvent)
-}
-
-// EmitFault delivers a FaultEvent to o when it implements FaultObserver;
-// a no-op otherwise (including for a nil Observer).
-func EmitFault(o Observer, ev FaultEvent) {
-	if fo, ok := o.(FaultObserver); ok {
-		fo.OnFault(ev)
-	}
-}
-
-// EmitWatchdog delivers a WatchdogEvent to o when it implements
-// FaultObserver; a no-op otherwise (including for a nil Observer).
-func EmitWatchdog(o Observer, ev WatchdogEvent) {
-	if fo, ok := o.(FaultObserver); ok {
-		fo.OnWatchdog(ev)
-	}
-}
-
-// OnFault implements FaultObserver.
-func (Nop) OnFault(FaultEvent) {}
-
-// OnWatchdog implements FaultObserver.
-func (Nop) OnWatchdog(WatchdogEvent) {}
-
-// OnFault implements FaultObserver: the fan-out forwards to every member
-// that implements the extension.
-func (m multi) OnFault(ev FaultEvent) {
-	for _, o := range m {
-		EmitFault(o, ev)
-	}
-}
-
-// OnWatchdog implements FaultObserver.
-func (m multi) OnWatchdog(ev WatchdogEvent) {
-	for _, o := range m {
-		EmitWatchdog(o, ev)
-	}
-}
-
-// OnFault implements FaultObserver.
-func (s *JSONLSink) OnFault(ev FaultEvent) {
-	s.emit(Event{Type: TypeFault, Fault: &ev})
-}
-
-// OnWatchdog implements FaultObserver.
-func (s *JSONLSink) OnWatchdog(ev WatchdogEvent) {
-	s.emit(Event{Type: TypeWatchdog, Watchdog: &ev})
-}
-
 // Fault-path metric names (DESIGN.md §11). All stay at zero — and absent
 // from snapshots — on fault-free runs.
 const (
@@ -119,17 +59,3 @@ const (
 	// MetricSolverFaults counts typed solver faults absorbed.
 	MetricSolverFaults = "solver_faults_total"
 )
-
-// OnFault implements FaultObserver.
-func (m metricsObserver) OnFault(ev FaultEvent) {
-	if ev.Phase == FaultBegin {
-		m.reg.Add(MetricFaults, 1)
-	}
-}
-
-// OnWatchdog implements FaultObserver.
-func (m metricsObserver) OnWatchdog(ev WatchdogEvent) {
-	if ev.To == "fallback" && ev.From != "fallback" {
-		m.reg.Add(MetricWatchdogTrips, 1)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,7 +14,9 @@ import (
 // FuzzReadEvents fuzzes the JSONL decoder with arbitrary byte streams:
 // whatever arrives — truncated lines, duplicate payloads, wrong versions,
 // binary garbage — ReadEvents must either fail cleanly or return events
-// that all satisfy the envelope invariants. It must never panic.
+// that all satisfy the envelope invariants. It must never panic. Every
+// event it returns must also survive the one encode path: re-emitted
+// through JSONLSink.On and decoded again, it comes back deeply equal.
 func FuzzReadEvents(f *testing.F) {
 	// A valid line of each payload family, plus the classic breakages.
 	f.Add(`{"v":1,"type":"run_start","run_start":{}}`)
@@ -32,6 +35,22 @@ func FuzzReadEvents(f *testing.F) {
 	// (no trailing newline) must salvage the prefix with io.ErrUnexpectedEOF.
 	f.Add(`{"v":1,"type":"run_end","run_end":{}}` + "\n" + `{"v":1,"type":"tick","tick":{"minu`)
 	f.Add(`{"v":1,"type":"gap","gap":{"dropped":3}}` + "\n" + `{"v":1,`)
+	// An access-log line with every field set.
+	f.Add(`{"v":1,"type":"access","access":{"method":"POST","path":"/v1/run","status":200,` +
+		`"dur_ms":12.5,"bytes":4096,"cache":"coalesced","remote":"127.0.0.1:9"}}`)
+	// One populated line of each of the ten payload kinds.
+	f.Add(strings.Join([]string{
+		`{"v":1,"type":"run_start","run_start":{"runner":"MPPT","policy":"MPPT&Opt","mix":"HM2","label":"Jul@AZ","cores":8,"start_min":300,"end_min":1140}}`,
+		`{"v":1,"type":"track","track":{"minute":300,"k":3.0625,"steps":41,"overload":false,"load_w":55.5,"sensed_w":55.125,"levels":[3,-1,0]}}`,
+		`{"v":1,"type":"alloc","alloc":{"minute":301,"dir":-1,"reason":"shed","demand_w":50.25,"budget_w":49.5}}`,
+		`{"v":1,"type":"tick","tick":{"minute":301,"budget_w":49.5,"demand_w":48.75,"on_solar":true}}`,
+		`{"v":1,"type":"fault","fault":{"minute":600,"kind":"sensor-drop","intensity":1,"phase":"begin"}}`,
+		`{"v":1,"type":"watchdog","watchdog":{"minute":610,"from":"suspect","to":"fallback","reason":"trip","fallback_budget_w":21.5}}`,
+		`{"v":1,"type":"run_end","run_end":{"runner":"MPPT","solar_wh":400.125,"utility_wh":20.5,"solar_min":500,"daytime_min":840,"overloads":2,"transitions":1234,"ats_switches":4,"watchdog_trips":1,"recovery_min":30}}`,
+		`{"v":1,"type":"access","access":{"method":"GET","path":"/healthz","status":200,"dur_ms":0.1,"bytes":16}}`,
+		`{"v":1,"type":"store","store":{"op":"quarantine","key":"abc123","detail":"checksum mismatch"}}`,
+		`{"v":1,"type":"gap","gap":{"dropped":3}}`,
+	}, "\n"))
 	f.Fuzz(func(t *testing.T, line string) {
 		// Whether ReadEvents fails or salvages a torn tail, every event it
 		// hands back must satisfy the envelope invariants.
@@ -45,30 +64,18 @@ func FuzzReadEvents(f *testing.F) {
 		if err != nil && len(events) > 0 && !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("partial events with a non-torn error %v\ninput: %q", err, line)
 		}
+		var buf bytes.Buffer
+		sink := obs.NewJSONLSink(&buf)
+		for _, ev := range events {
+			sink.On(ev)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := obs.ReadEvents(&buf)
+		if err != nil || !reflect.DeepEqual(again, events) {
+			t.Fatalf("re-emitted events do not decode equal (err=%v):\ngot  %+v\nwant %+v\ninput: %q",
+				err, again, events, line)
+		}
 	})
-}
-
-// TestAccessEventRoundTrip checks an access-log line written by OnAccess
-// survives ReadEvents bit-for-bit.
-func TestAccessEventRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	sink := obs.NewJSONLSink(&buf)
-	want := obs.AccessEvent{
-		Method: "POST", Path: "/v1/run", Status: 200,
-		DurMs: 12.5, Bytes: 4096, Cache: obs.CacheCoalesced, Remote: "127.0.0.1:9",
-	}
-	sink.OnAccess(want)
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := obs.ReadEvents(&buf)
-	if err != nil {
-		t.Fatalf("ReadEvents: %v", err)
-	}
-	if len(events) != 1 || events[0].Type != obs.TypeAccess || events[0].Access == nil {
-		t.Fatalf("decoded %d events, want one %s", len(events), obs.TypeAccess)
-	}
-	if got := *events[0].Access; got != want {
-		t.Errorf("round trip changed the event:\ngot  %+v\nwant %+v", got, want)
-	}
 }

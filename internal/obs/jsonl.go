@@ -72,16 +72,11 @@ type StoreEvent struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// OnStore appends one store lifecycle line to the sink.
-func (s *JSONLSink) OnStore(ev StoreEvent) {
-	s.emit(Event{Type: TypeStore, Store: &ev})
-}
-
-// Event is the JSONL envelope: one line per hook invocation, with Type
-// selecting which single payload pointer is populated. The envelope
-// round-trips exactly through encoding/json (Go emits float64 with the
-// shortest representation that parses back to the same value), which the
-// schema test asserts.
+// Event is the JSONL envelope: one line per event, with Type selecting
+// which single payload pointer is populated. The envelope round-trips
+// exactly through encoding/json (Go emits float64 with the shortest
+// representation that parses back to the same value), which the schema
+// test asserts.
 type Event struct {
 	// V is the schema version (SchemaVersion).
 	V int `json:"v"`
@@ -164,39 +159,16 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 	return &JSONLSink{buf: buf, enc: json.NewEncoder(buf)}
 }
 
-func (s *JSONLSink) emit(ev Event) {
+// On implements Observer: it stamps the schema version and appends ev
+// as one line. Any envelope is accepted, the access-log and store
+// events included. A TrackEvent's Levels slice is encoded, not retained.
+func (s *JSONLSink) On(ev Event) {
 	ev.V = SchemaVersion
 	s.mu.Lock()
 	if s.err == nil {
 		s.err = s.enc.Encode(ev)
 	}
 	s.mu.Unlock()
-}
-
-// OnRunStart implements Observer.
-func (s *JSONLSink) OnRunStart(ev RunStartEvent) {
-	s.emit(Event{Type: TypeRunStart, RunStart: &ev})
-}
-
-// OnTrack implements Observer. The Levels slice is referenced, not
-// copied; the engine hands each event a fresh slice.
-func (s *JSONLSink) OnTrack(ev TrackEvent) {
-	s.emit(Event{Type: TypeTrack, Track: &ev})
-}
-
-// OnAlloc implements Observer.
-func (s *JSONLSink) OnAlloc(ev AllocEvent) {
-	s.emit(Event{Type: TypeAlloc, Alloc: &ev})
-}
-
-// OnTick implements Observer.
-func (s *JSONLSink) OnTick(ev TickEvent) {
-	s.emit(Event{Type: TypeTick, Tick: &ev})
-}
-
-// OnRunEnd implements Observer.
-func (s *JSONLSink) OnRunEnd(ev RunEndEvent) {
-	s.emit(Event{Type: TypeRunEnd, RunEnd: &ev})
 }
 
 // Err returns the first write error, if any.

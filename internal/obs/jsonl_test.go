@@ -10,15 +10,15 @@ import (
 	"testing"
 )
 
-// drive sends one of each event through an Observer in run order.
+// drive sends one of each run event through o in run order.
 func drive(o Observer) {
-	o.OnRunStart(RunStartEvent{Runner: "MPPT", Policy: "MPPT&Opt", Mix: "HM2",
+	RunStart(o, RunStartEvent{Runner: "MPPT", Policy: "MPPT&Opt", Mix: "HM2",
 		Label: "Jul@AZ", Cores: 8, StartMin: 300, EndMin: 1140})
-	o.OnTrack(TrackEvent{Minute: 300, K: 3.0625, Steps: 41, LoadW: 55.5,
+	Track(o, TrackEvent{Minute: 300, K: 3.0625, Steps: 41, LoadW: 55.5,
 		SensedW: 55.125, Levels: []int{3, 3, -1, 2, 0, 1, 3, 2}})
-	o.OnAlloc(AllocEvent{Minute: 301, Dir: -1, Reason: AllocShed, DemandW: 50.25, BudgetW: 49.5})
-	o.OnTick(TickEvent{Minute: 301, BudgetW: 49.5, DemandW: 48.75, OnSolar: true})
-	o.OnRunEnd(RunEndEvent{Runner: "MPPT", SolarWh: 400.125, UtilityWh: 20.5,
+	Alloc(o, AllocEvent{Minute: 301, Dir: -1, Reason: AllocShed, DemandW: 50.25, BudgetW: 49.5})
+	Tick(o, TickEvent{Minute: 301, BudgetW: 49.5, DemandW: 48.75, OnSolar: true})
+	RunEnd(o, RunEndEvent{Runner: "MPPT", SolarWh: 400.125, UtilityWh: 20.5,
 		SolarMin: 500, DaytimeMin: 840, Overloads: 2, Transitions: 1234, ATSSwitches: 4})
 }
 
@@ -77,9 +77,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestStoreEventRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
-	sink.OnStore(StoreEvent{Op: StoreOpWarmStart, Records: 12, Bytes: 4096, DurMs: 1.5})
-	sink.OnStore(StoreEvent{Op: StoreOpQuarantine, Key: "abc123", Detail: "checksum mismatch"})
-	sink.OnStore(StoreEvent{Op: StoreOpEvict, Key: "def456", Bytes: 2048})
+	sink.On(Event{Type: TypeStore, Store: &StoreEvent{Op: StoreOpWarmStart, Records: 12, Bytes: 4096, DurMs: 1.5}})
+	sink.On(Event{Type: TypeStore, Store: &StoreEvent{Op: StoreOpQuarantine, Key: "abc123", Detail: "checksum mismatch"}})
+	sink.On(Event{Type: TypeStore, Store: &StoreEvent{Op: StoreOpEvict, Key: "def456", Bytes: 2048}})
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestJSONLSinkStickyError(t *testing.T) {
 	// A tiny bufio buffer forces the write through to the failing writer.
 	sink := NewJSONLSink(&failWriter{})
 	for i := 0; i < 5000; i++ { // enough volume to overflow the buffer
-		sink.OnTick(TickEvent{Minute: float64(i)})
+		Tick(sink, TickEvent{Minute: float64(i)})
 	}
 	if err := sink.Err(); !errors.Is(err, errBoom) {
 		t.Errorf("Err() = %v, want %v", err, errBoom)

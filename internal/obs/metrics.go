@@ -47,64 +47,65 @@ func Metrics(reg *Registry) Observer { return metricsObserver{reg} }
 
 type metricsObserver struct{ reg *Registry }
 
-// OnRunStart implements Observer.
-func (metricsObserver) OnRunStart(RunStartEvent) {}
-
-// OnTrack implements Observer.
-func (m metricsObserver) OnTrack(ev TrackEvent) {
-	m.reg.Add(MetricTracks, 1)
-	if ev.Overload {
-		m.reg.Add(MetricOverloads, 1)
-	}
-	m.reg.Observe(MetricTrackSteps, float64(ev.Steps))
-	m.reg.Set(MetricTrackK, ev.K)
-}
-
-// OnAlloc implements Observer.
-func (m metricsObserver) OnAlloc(ev AllocEvent) {
-	m.reg.Add(MetricAllocs, 1)
-	if ev.Dir > 0 {
-		m.reg.Add(MetricAllocRaises, 1)
-	} else {
-		m.reg.Add(MetricAllocLowers, 1)
-	}
-}
-
-// OnTick implements Observer.
-func (m metricsObserver) OnTick(ev TickEvent) {
-	m.reg.Add(MetricTicks, 1)
-	if ev.OnSolar {
-		m.reg.Add(MetricSolarTicks, 1)
-		if ev.BudgetW > 0 {
-			err := ev.BudgetW - ev.DemandW
-			if err < 0 {
-				err = -err
-			}
-			m.reg.Observe(MetricTickErr, err/ev.BudgetW)
+// On implements Observer.
+func (m metricsObserver) On(ev Event) {
+	switch {
+	case ev.Track != nil:
+		m.reg.Add(MetricTracks, 1)
+		if ev.Track.Overload {
+			m.reg.Add(MetricOverloads, 1)
 		}
-	}
-}
-
-// OnRunEnd implements Observer.
-func (m metricsObserver) OnRunEnd(ev RunEndEvent) {
-	m.reg.Add(MetricRuns, 1)
-	m.reg.Add(MetricSolarWh, ev.SolarWh)
-	m.reg.Add(MetricUtilityWh, ev.UtilityWh)
-	m.reg.Add(MetricSolarMin, ev.SolarMin)
-	m.reg.Add(MetricTransitions, float64(ev.Transitions))
-	m.reg.Add(MetricATSSwitches, float64(ev.ATSSwitches))
-	// Fault-path counters are only touched when non-zero so they stay
-	// absent from clean-run snapshots (an Add materialises the counter).
-	if ev.BrownoutSheds > 0 {
-		m.reg.Add(MetricBrownoutSheds, float64(ev.BrownoutSheds))
-	}
-	if ev.FallbackPeriods > 0 {
-		m.reg.Add(MetricFallbackPeriods, float64(ev.FallbackPeriods))
-	}
-	if ev.SolverFaults > 0 {
-		m.reg.Add(MetricSolverFaults, float64(ev.SolverFaults))
-	}
-	if ev.RecoveryMin > 0 {
-		m.reg.Add(MetricRecoveryMin, ev.RecoveryMin)
+		m.reg.Observe(MetricTrackSteps, float64(ev.Track.Steps))
+		m.reg.Set(MetricTrackK, ev.Track.K)
+	case ev.Alloc != nil:
+		m.reg.Add(MetricAllocs, 1)
+		if ev.Alloc.Dir > 0 {
+			m.reg.Add(MetricAllocRaises, 1)
+		} else {
+			m.reg.Add(MetricAllocLowers, 1)
+		}
+	case ev.Tick != nil:
+		tk := ev.Tick
+		m.reg.Add(MetricTicks, 1)
+		if tk.OnSolar {
+			m.reg.Add(MetricSolarTicks, 1)
+			if tk.BudgetW > 0 {
+				err := tk.BudgetW - tk.DemandW
+				if err < 0 {
+					err = -err
+				}
+				m.reg.Observe(MetricTickErr, err/tk.BudgetW)
+			}
+		}
+	case ev.RunEnd != nil:
+		end := ev.RunEnd
+		m.reg.Add(MetricRuns, 1)
+		m.reg.Add(MetricSolarWh, end.SolarWh)
+		m.reg.Add(MetricUtilityWh, end.UtilityWh)
+		m.reg.Add(MetricSolarMin, end.SolarMin)
+		m.reg.Add(MetricTransitions, float64(end.Transitions))
+		m.reg.Add(MetricATSSwitches, float64(end.ATSSwitches))
+		// Fault-path counters are only touched when non-zero so they stay
+		// absent from clean-run snapshots (an Add materialises the counter).
+		if end.BrownoutSheds > 0 {
+			m.reg.Add(MetricBrownoutSheds, float64(end.BrownoutSheds))
+		}
+		if end.FallbackPeriods > 0 {
+			m.reg.Add(MetricFallbackPeriods, float64(end.FallbackPeriods))
+		}
+		if end.SolverFaults > 0 {
+			m.reg.Add(MetricSolverFaults, float64(end.SolverFaults))
+		}
+		if end.RecoveryMin > 0 {
+			m.reg.Add(MetricRecoveryMin, end.RecoveryMin)
+		}
+	case ev.Fault != nil:
+		if ev.Fault.Phase == FaultBegin {
+			m.reg.Add(MetricFaults, 1)
+		}
+	case ev.Watchdog != nil:
+		if ev.Watchdog.To == "fallback" && ev.Watchdog.From != "fallback" {
+			m.reg.Add(MetricWatchdogTrips, 1)
+		}
 	}
 }

@@ -1,15 +1,19 @@
-// Package obs is the simulation stack's observability layer: a hook
-// interface the discrete-time engine (internal/sim) and the MPPT
-// controller (internal/mppt) invoke as a run unfolds, a metrics registry
-// of counters/gauges/histograms with snapshot export and cross-fleet
-// merging, and a JSONL event sink with a versioned, round-trip-tested
-// schema.
+// Package obs is the simulation stack's observability layer: a
+// one-method Observer the discrete-time engine (internal/sim) and the
+// MPPT controller (internal/mppt) feed as a run unfolds, a metrics
+// registry of counters/gauges/histograms with snapshot export and
+// cross-fleet merging, and a JSONL event sink with a versioned,
+// round-trip-tested schema.
 //
-// The package is stdlib-only and designed so that the disabled path is
-// free: a nil Observer in sim.Config skips every hook, and the no-op
-// observer (Nop) costs one dynamic call per event — benchmarked at under
-// 5 % of a RunMPPT day (BenchmarkRunMPPTNopObserver vs BenchmarkRunMPPT
-// at the repository root).
+// Every event travels as the JSONL envelope Event, which the sink
+// encodes as-is: Observer.On receives it, and the typed emit helpers
+// (RunStart, Track, Alloc, Tick, RunEnd, Fault, Watchdog) build it. Each
+// helper is a no-op on a nil Observer, so the disabled path is free: a
+// nil Observer in sim.Config builds no event at all. The no-op observer
+// (Nop) costs one dynamic call and one allocation (the boxed payload)
+// per event — benchmarked at under 5 % of a RunMPPT day
+// (BenchmarkRunMPPTNopObserver vs BenchmarkRunMPPT at the repository
+// root).
 //
 // Event semantics follow the paper's control structure: one RunStartEvent
 // and one RunEndEvent bracket a day; each 10-minute tracking period opens
@@ -22,24 +26,80 @@
 // Figures 13-14.
 package obs
 
-// Observer receives simulation lifecycle hooks. Implementations must be
-// safe for the call pattern of one run: hooks arrive sequentially from a
-// single goroutine, but distinct runs may drive distinct observers
-// concurrently. Hook calls must not retain the Levels slice of a
-// TrackEvent beyond the call unless they copy it.
+// Observer receives events. Implementations must be safe for the call
+// pattern of one run: events arrive sequentially from a single
+// goroutine, but distinct runs may drive distinct observers
+// concurrently. A run delivers one TypeRunStart event before any other
+// and one TypeRunEnd event after every other; the run_end is not
+// delivered when the run aborts with an error (including cancellation).
+// On must not retain the payload pointers, or the Levels slice of a
+// TrackEvent, beyond the call unless it copies them.
 type Observer interface {
-	// OnRunStart opens a run: one call, before any other hook.
-	OnRunStart(RunStartEvent)
-	// OnTrack reports one MPPT tracking session (Figure 9), invoked by
-	// the controller at each tracking period.
-	OnTrack(TrackEvent)
-	// OnAlloc reports one per-core DVFS move outside a tracking session.
-	OnAlloc(AllocEvent)
-	// OnTick reports one simulation sub-sample.
-	OnTick(TickEvent)
-	// OnRunEnd closes a run: one call, after every other hook. It is not
-	// invoked when the run aborts with an error (including cancellation).
-	OnRunEnd(RunEndEvent)
+	// On receives one event; exactly one payload pointer is set, the
+	// one Event.Type names. V is left for encoders to stamp.
+	On(Event)
+}
+
+// The emit helpers below build the envelope for one event kind and hand
+// it to o; each is a no-op when o is nil. The payload is copied inside
+// the nil check: taking the parameter's address directly would move it
+// to the heap on entry, charging the nil-observer path an allocation
+// per event.
+
+// RunStart reports the start of a run to o.
+func RunStart(o Observer, ev RunStartEvent) {
+	if o != nil {
+		p := ev
+		o.On(Event{Type: TypeRunStart, RunStart: &p})
+	}
+}
+
+// Track reports one MPPT tracking session (Figure 9) to o.
+func Track(o Observer, ev TrackEvent) {
+	if o != nil {
+		p := ev
+		o.On(Event{Type: TypeTrack, Track: &p})
+	}
+}
+
+// Alloc reports one per-core DVFS move outside a tracking session to o.
+func Alloc(o Observer, ev AllocEvent) {
+	if o != nil {
+		p := ev
+		o.On(Event{Type: TypeAlloc, Alloc: &p})
+	}
+}
+
+// Tick reports one simulation sub-sample to o.
+func Tick(o Observer, ev TickEvent) {
+	if o != nil {
+		p := ev
+		o.On(Event{Type: TypeTick, Tick: &p})
+	}
+}
+
+// RunEnd reports the end of a completed run to o.
+func RunEnd(o Observer, ev RunEndEvent) {
+	if o != nil {
+		p := ev
+		o.On(Event{Type: TypeRunEnd, RunEnd: &p})
+	}
+}
+
+// Fault reports one fault window edge to o.
+func Fault(o Observer, ev FaultEvent) {
+	if o != nil {
+		p := ev
+		o.On(Event{Type: TypeFault, Fault: &p})
+	}
+}
+
+// Watchdog reports one supervision state transition to o.
+func Watchdog(o Observer, ev WatchdogEvent) {
+	if o != nil {
+		p := ev
+		o.On(Event{Type: TypeWatchdog, Watchdog: &p})
+	}
 }
 
 // RunStartEvent announces a starting day run.
@@ -171,27 +231,15 @@ type RunEndEvent struct {
 	RecoveryMin float64 `json:"recovery_min,omitempty"`
 }
 
-// Nop is the no-op Observer: every hook returns immediately. Attaching
-// it (rather than nil) exercises the full hook path; the root benchmark
+// Nop is the no-op Observer: On returns immediately. Attaching it
+// (rather than nil) exercises the full emit path; the root benchmark
 // BenchmarkRunMPPTNopObserver holds its overhead under 5 %.
 type Nop struct{}
 
-// OnRunStart implements Observer.
-func (Nop) OnRunStart(RunStartEvent) {}
+// On implements Observer.
+func (Nop) On(Event) {}
 
-// OnTrack implements Observer.
-func (Nop) OnTrack(TrackEvent) {}
-
-// OnAlloc implements Observer.
-func (Nop) OnAlloc(AllocEvent) {}
-
-// OnTick implements Observer.
-func (Nop) OnTick(TickEvent) {}
-
-// OnRunEnd implements Observer.
-func (Nop) OnRunEnd(RunEndEvent) {}
-
-// Multi fans every hook out to each non-nil observer in order. It
+// Multi fans every event out to each non-nil observer in order. It
 // returns nil when the list has no non-nil entries and the single
 // observer itself when it has exactly one, so callers can attach the
 // result directly without paying for an empty fan-out.
@@ -213,37 +261,9 @@ func Multi(observers ...Observer) Observer {
 
 type multi []Observer
 
-// OnRunStart implements Observer.
-func (m multi) OnRunStart(ev RunStartEvent) {
+// On implements Observer.
+func (m multi) On(ev Event) {
 	for _, o := range m {
-		o.OnRunStart(ev)
-	}
-}
-
-// OnTrack implements Observer.
-func (m multi) OnTrack(ev TrackEvent) {
-	for _, o := range m {
-		o.OnTrack(ev)
-	}
-}
-
-// OnAlloc implements Observer.
-func (m multi) OnAlloc(ev AllocEvent) {
-	for _, o := range m {
-		o.OnAlloc(ev)
-	}
-}
-
-// OnTick implements Observer.
-func (m multi) OnTick(ev TickEvent) {
-	for _, o := range m {
-		o.OnTick(ev)
-	}
-}
-
-// OnRunEnd implements Observer.
-func (m multi) OnRunEnd(ev RunEndEvent) {
-	for _, o := range m {
-		o.OnRunEnd(ev)
+		o.On(ev)
 	}
 }

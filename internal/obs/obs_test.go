@@ -2,27 +2,23 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
-// recorder counts hook invocations.
-type recorder struct {
-	starts, tracks, allocs, ticks, ends int
-}
+// recorder counts events by type.
+type recorder map[string]int
 
-func (r *recorder) OnRunStart(RunStartEvent) { r.starts++ }
-func (r *recorder) OnTrack(TrackEvent)       { r.tracks++ }
-func (r *recorder) OnAlloc(AllocEvent)       { r.allocs++ }
-func (r *recorder) OnTick(TickEvent)         { r.ticks++ }
-func (r *recorder) OnRunEnd(RunEndEvent)     { r.ends++ }
+func (r recorder) On(ev Event) { r[ev.Type]++ }
 
 func TestMultiFansOut(t *testing.T) {
-	a, b := &recorder{}, &recorder{}
+	a, b := recorder{}, recorder{}
 	m := Multi(a, nil, b)
 	drive(m)
-	for _, r := range []*recorder{a, b} {
-		if r.starts != 1 || r.tracks != 1 || r.allocs != 1 || r.ticks != 1 || r.ends != 1 {
-			t.Errorf("recorder = %+v, want one of each", r)
+	want := recorder{TypeRunStart: 1, TypeTrack: 1, TypeAlloc: 1, TypeTick: 1, TypeRunEnd: 1}
+	for _, r := range []recorder{a, b} {
+		if !reflect.DeepEqual(r, want) {
+			t.Errorf("recorder = %v, want one of each", r)
 		}
 	}
 }
@@ -39,16 +35,17 @@ func TestMultiCollapses(t *testing.T) {
 
 func TestNopImplementsObserver(t *testing.T) {
 	var o Observer = Nop{}
-	drive(o) // must not panic
+	drive(o)   // must not panic
+	drive(nil) // the emit helpers skip a nil observer
 }
 
 func TestMetricsObserver(t *testing.T) {
 	reg := NewRegistry()
 	m := Metrics(reg)
 	drive(m)
-	m.OnTrack(TrackEvent{Minute: 310, K: 2.5, Steps: 7, Overload: true})
-	m.OnTick(TickEvent{Minute: 302, BudgetW: 50, DemandW: 60, OnSolar: false})
-	m.OnAlloc(AllocEvent{Minute: 303, Dir: +1, Reason: AllocRaise})
+	Track(m, TrackEvent{Minute: 310, K: 2.5, Steps: 7, Overload: true})
+	Tick(m, TickEvent{Minute: 302, BudgetW: 50, DemandW: 60, OnSolar: false})
+	Alloc(m, AllocEvent{Minute: 303, Dir: +1, Reason: AllocRaise})
 
 	s := reg.Snapshot()
 	wantCounters := map[string]float64{

@@ -30,14 +30,11 @@ func streamConfig(cfg Config) Config {
 
 // emitRun is the canonical stub feed: run_start, n ticks, run_end.
 func emitRun(o obs.Observer, n int) {
-	if o == nil {
-		return
-	}
-	o.OnRunStart(obs.RunStartEvent{Runner: "stub"})
+	obs.RunStart(o, obs.RunStartEvent{Runner: "stub"})
 	for i := 0; i < n; i++ {
-		o.OnTick(obs.TickEvent{Minute: float64(i)})
+		obs.Tick(o, obs.TickEvent{Minute: float64(i)})
 	}
-	o.OnRunEnd(obs.RunEndEvent{Runner: "stub"})
+	obs.RunEnd(o, obs.RunEndEvent{Runner: "stub"})
 }
 
 // streamStub builds a streaming Server whose runner emits a fixed event
@@ -346,9 +343,7 @@ func TestStreamErrorFrame(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s, ts := newTestServer(t, streamConfig(Config{}))
 			s.runSpec = func(_ context.Context, _ solarcore.RunSpec, o obs.Observer) (*solarcore.DayResult, error) {
-				if o != nil {
-					o.OnRunStart(obs.RunStartEvent{Runner: "doomed"})
-				}
+				obs.RunStart(o, obs.RunStartEvent{Runner: "doomed"})
 				return nil, tc.err
 			}
 			st := mustStream(t, client.New(ts.URL), specReq())
@@ -379,13 +374,9 @@ func TestStreamHeartbeat(t *testing.T) {
 	release := make(chan struct{})
 	s, ts := newTestServer(t, streamConfig(Config{Heartbeat: 5 * time.Millisecond}))
 	s.runSpec = func(_ context.Context, _ solarcore.RunSpec, o obs.Observer) (*solarcore.DayResult, error) {
-		if o != nil {
-			o.OnRunStart(obs.RunStartEvent{Runner: "slow"})
-		}
+		obs.RunStart(o, obs.RunStartEvent{Runner: "slow"})
 		<-release
-		if o != nil {
-			o.OnRunEnd(obs.RunEndEvent{Runner: "slow"})
-		}
+		obs.RunEnd(o, obs.RunEndEvent{Runner: "slow"})
 		return fakeResult("slow"), nil
 	}
 	req := specReq()

@@ -78,9 +78,7 @@ func RunBatteryBank(cfg Config, bank *power.Bank, trackingEff float64) (*BankDay
 		}
 		bank.Idle(dt)
 
-		if r.o != nil {
-			r.o.OnTick(obs.TickEvent{Minute: t, BudgetW: harvest, DemandW: demand, OnSolar: powered})
-		}
+		obs.Tick(r.o, obs.TickEvent{Minute: t, BudgetW: harvest, DemandW: demand, OnSolar: powered})
 		if powered {
 			res.SolarMin += dt
 			r.meter.Add(power.Solar, demand, dt)

@@ -16,6 +16,12 @@ import (
 	"solarcore/internal/workload"
 )
 
+// EngineVersion names the engine's output: a change to any result or
+// event byte bumps it, and TestEngineGolden pins it to the hash table.
+// RunSpec.Canonical carries it, so a store, ring or stream tail keyed on
+// a spec hash never replays another engine's bytes as current.
+const EngineVersion = 1
+
 // Config describes one day run. Zero-valued fields take the paper's
 // defaults: 10-minute tracking periods, 1-minute sub-sampling, 12 V rail,
 // one DVFS step of power margin, Table 4 chip.
@@ -67,12 +73,13 @@ type Config struct {
 	// checks it at least once per tracking period (or sub-sample) and
 	// returns the wrapped context error instead of a partial result.
 	Ctx context.Context
-	// Observer, when non-nil, receives lifecycle hooks as the run
-	// unfolds: OnRunStart/OnRunEnd bracketing the day, one OnTrack per
-	// MPPT tracking session, OnAlloc per mid-period DVFS move and OnTick
-	// per sub-sample (see package obs). A nil observer costs nothing;
-	// the no-op observer's overhead is held under 5 % by the root
-	// benchmark BenchmarkRunMPPTNopObserver.
+	// Observer, when non-nil, receives the run's events as it unfolds:
+	// run_start/run_end bracketing the day, one track per MPPT tracking
+	// session, one alloc per mid-period DVFS move, one tick per
+	// sub-sample, and fault/watchdog events on faulted runs (see package
+	// obs). A nil observer costs nothing; the no-op observer's overhead
+	// is held under 5 % by the root benchmark
+	// BenchmarkRunMPPTNopObserver.
 	Observer obs.Observer
 }
 
@@ -164,15 +171,13 @@ func (r *dayRun) begin(cfg *Config, res *DayResult, runner, policy string) error
 	return nil
 }
 
-// start emits OnRunStart.
+// start emits the run_start event.
 func (r *dayRun) start() {
-	if r.o != nil {
-		r.o.OnRunStart(obs.RunStartEvent{
-			Runner: r.runner, Policy: r.res.Policy, Mix: r.res.Mix,
-			Label: r.res.Label, Cores: r.chip.NumCores(),
-			StartMin: r.day.StartMinute(), EndMin: r.day.EndMinute(),
-		})
-	}
+	obs.RunStart(r.o, obs.RunStartEvent{
+		Runner: r.runner, Policy: r.res.Policy, Mix: r.res.Mix,
+		Label: r.res.Label, Cores: r.chip.NumCores(),
+		StartMin: r.day.StartMinute(), EndMin: r.day.EndMinute(),
+	})
 }
 
 // applyFaults pushes the armed fault schedule's state at minute t into
@@ -214,9 +219,7 @@ func (r *dayRun) book(t, dt, budgetW, demandW float64, onSolar bool) {
 		r.res.GInstrSolar += ginstr
 	}
 	r.res.GInstrTotal += ginstr
-	if r.o != nil {
-		r.o.OnTick(obs.TickEvent{Minute: t, BudgetW: budgetW, DemandW: demandW, OnSolar: onSolar})
-	}
+	obs.Tick(r.o, obs.TickEvent{Minute: t, BudgetW: budgetW, DemandW: demandW, OnSolar: onSolar})
 	if r.keepSeries {
 		actual := 0.0
 		if onSolar {
@@ -243,8 +246,8 @@ func (r *dayRun) fixedPeriod(t0, t1, budgetW float64) {
 	}
 }
 
-// end writes the fault report and the metered energy, then emits
-// OnRunEnd with the day's totals.
+// end writes the fault report and the metered energy, then emits the
+// run_end event with the day's totals.
 func (r *dayRun) end() {
 	res := r.res
 	if r.fx != nil {
@@ -252,25 +255,23 @@ func (r *dayRun) end() {
 	}
 	res.SolarWh = r.meter.EnergyWh(power.Solar)
 	res.UtilityWh = r.meter.EnergyWh(power.Utility)
-	if r.o != nil {
-		r.o.OnRunEnd(obs.RunEndEvent{
-			Runner:      r.runner,
-			SolarWh:     res.SolarWh,
-			UtilityWh:   res.UtilityWh,
-			SolarMin:    res.SolarMin,
-			DaytimeMin:  res.DaytimeMin,
-			Overloads:   res.Overloads,
-			Transitions: res.Transitions,
-			ATSSwitches: res.ATSSwitches,
-			// Zero on fault-free runs, so the encoded event is unchanged.
-			FaultsInjected:  res.Faults.Injected,
-			BrownoutSheds:   res.Faults.BrownoutSheds,
-			WatchdogTrips:   res.Faults.WatchdogTrips,
-			FallbackPeriods: res.Faults.FallbackPeriods,
-			SolverFaults:    res.Faults.SolverFaults,
-			RecoveryMin:     res.Faults.RecoveryMin,
-		})
-	}
+	obs.RunEnd(r.o, obs.RunEndEvent{
+		Runner:      r.runner,
+		SolarWh:     res.SolarWh,
+		UtilityWh:   res.UtilityWh,
+		SolarMin:    res.SolarMin,
+		DaytimeMin:  res.DaytimeMin,
+		Overloads:   res.Overloads,
+		Transitions: res.Transitions,
+		ATSSwitches: res.ATSSwitches,
+		// Zero on fault-free runs, so the encoded event is unchanged.
+		FaultsInjected:  res.Faults.Injected,
+		BrownoutSheds:   res.Faults.BrownoutSheds,
+		WatchdogTrips:   res.Faults.WatchdogTrips,
+		FallbackPeriods: res.Faults.FallbackPeriods,
+		SolverFaults:    res.Faults.SolverFaults,
+		RecoveryMin:     res.Faults.RecoveryMin,
+	})
 }
 
 // RunMPPT simulates one day under SolarCore power management with the
@@ -415,10 +416,8 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 						break
 					}
 					demand = chip.Power(t)
-					if o != nil {
-						o.OnAlloc(obs.AllocEvent{Minute: t, Dir: -1, Reason: obs.AllocShed,
-							DemandW: demand, BudgetW: budget})
-					}
+					obs.Alloc(o, obs.AllocEvent{Minute: t, Dir: -1, Reason: obs.AllocShed,
+						DemandW: demand, BudgetW: budget})
 				}
 				for budget-demand > raiseBand()*budget {
 					if !alloc.Raise(chip, t) {
@@ -426,17 +425,13 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 					}
 					if next := chip.Power(t); next <= budget {
 						demand = next
-						if o != nil {
-							o.OnAlloc(obs.AllocEvent{Minute: t, Dir: +1, Reason: obs.AllocRaise,
-								DemandW: demand, BudgetW: budget})
-						}
+						obs.Alloc(o, obs.AllocEvent{Minute: t, Dir: +1, Reason: obs.AllocRaise,
+							DemandW: demand, BudgetW: budget})
 					} else {
 						alloc.Lower(chip, t)
 						demand = chip.Power(t)
-						if o != nil {
-							o.OnAlloc(obs.AllocEvent{Minute: t, Dir: -1, Reason: obs.AllocRevert,
-								DemandW: demand, BudgetW: budget})
-						}
+						obs.Alloc(o, obs.AllocEvent{Minute: t, Dir: -1, Reason: obs.AllocRevert,
+							DemandW: demand, BudgetW: budget})
 						break
 					}
 				}
@@ -578,11 +573,9 @@ func RunBattery(cfg Config, eff float64) (*DayResult, error) {
 		r.applyFaults(t)
 		demand := chip.Power(t)
 		got := bat.Draw(demand, dt)
-		if r.o != nil {
-			// The battery supplies on demand while charged, so the
-			// available power equals demand until the bank empties.
-			r.o.OnTick(obs.TickEvent{Minute: t, BudgetW: demand, DemandW: demand, OnSolar: got > 0})
-		}
+		// The battery supplies on demand while charged, so the available
+		// power equals demand until the bank empties.
+		obs.Tick(r.o, obs.TickEvent{Minute: t, BudgetW: demand, DemandW: demand, OnSolar: got > 0})
 		if got <= 0 {
 			break
 		}

@@ -170,12 +170,12 @@ func (fx *faultCtx) applyAt(t float64, chip *mcore.Chip) {
 func (fx *faultCtx) edgeEvents(t float64) {
 	closed, opened := fx.rt.Edges(t)
 	for _, inj := range closed {
-		obs.EmitFault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind(),
+		obs.Fault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind(),
 			Intensity: inj.Intensity(), Phase: obs.FaultEnd})
 	}
 	for _, inj := range opened {
 		fx.report.Injected++
-		obs.EmitFault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind(),
+		obs.Fault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind(),
 			Intensity: inj.Intensity(), Phase: obs.FaultBegin})
 	}
 }
@@ -198,10 +198,8 @@ func (fx *faultCtx) brownout(t float64, circuit *power.Circuit, chip *mcore.Chip
 		}
 		demand = chip.Power(t)
 		fx.report.BrownoutSheds++
-		if fx.o != nil {
-			fx.o.OnAlloc(obs.AllocEvent{Minute: t, Dir: -1, Reason: obs.AllocBrownout,
-				DemandW: demand})
-		}
+		obs.Alloc(fx.o, obs.AllocEvent{Minute: t, Dir: -1, Reason: obs.AllocBrownout,
+			DemandW: demand})
 	}
 	return demand
 }
@@ -238,7 +236,7 @@ func (fx *faultCtx) emitWatchdog(t float64, from, to fault.Mode, fallbackBudgetW
 	if to != fault.ModeFallback {
 		fallbackBudgetW = 0
 	}
-	obs.EmitWatchdog(fx.o, obs.WatchdogEvent{
+	obs.Watchdog(fx.o, obs.WatchdogEvent{
 		Minute: t, From: from.String(), To: to.String(),
 		Reason: watchdogReason(from, to), FallbackBudgetW: fallbackBudgetW,
 	})
@@ -270,7 +268,7 @@ func watchdogReason(from, to fault.Mode) string {
 func (fx *faultCtx) finish(end float64) FaultReport {
 	fx.edgeEvents(end) // windows already closed before end emit here
 	for _, inj := range fx.rt.Active(end) {
-		obs.EmitFault(fx.o, obs.FaultEvent{Minute: end, Kind: inj.Kind(),
+		obs.Fault(fx.o, obs.FaultEvent{Minute: end, Kind: inj.Kind(),
 			Intensity: inj.Intensity(), Phase: obs.FaultEnd})
 	}
 	r := fx.report

@@ -67,6 +67,14 @@ func goldenBank(t *testing.T, cfg Config) any {
 	return res
 }
 
+// engineTables maps each EngineVersion to the SHA-256 of its golden hash
+// table (every row's result and event hash, in order). An output change
+// re-pins the rows, bumps EngineVersion and adds an entry; the entries of
+// earlier versions stay as they are.
+var engineTables = map[int]string{
+	1: "adc8143fd1203734dffe5e0a8395eea919451445410b3fb732556220e4f94da0",
+}
+
 // TestEngineGolden pins every runner's output bytes: a refactor of the
 // day loops must leave each row's result JSON and event stream
 // unchanged. AZ/Apr, mix M2, 2-minute sub-samples, series kept.
@@ -121,6 +129,14 @@ func TestEngineGolden(t *testing.T) {
 			exercises: func(r *DayResult) bool { return r.PeakTempC > 0 },
 			result:    "852b154fab0b4f4b98a218388525d810f9f0df14f4972ef8d0f69776ac4f3fee",
 			jsnl:      "f39ec0ec4899ede15b27ced42b56f94fa217993f1b5d09199bcd3bc5411136ec"},
+	}
+	table := sha256.New()
+	for _, row := range rows {
+		table.Write([]byte(row.result + row.jsnl))
+	}
+	if got := hex.EncodeToString(table.Sum(nil)); engineTables[EngineVersion] != got {
+		t.Errorf("hash table digest %s is not pinned for EngineVersion %d: "+
+			"re-pinned hashes need a bumped EngineVersion and a new engineTables entry", got, EngineVersion)
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -1,44 +1,45 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"solarcore/internal/atmos"
+	"solarcore/internal/fault"
 	"solarcore/internal/obs"
 	"solarcore/internal/sched"
 )
 
-// recorder captures every hook invocation in order.
+// recorder captures every event in order.
 type recorder struct {
-	types  []string
-	starts []obs.RunStartEvent
-	tracks []obs.TrackEvent
-	allocs []obs.AllocEvent
-	ticks  []obs.TickEvent
-	ends   []obs.RunEndEvent
+	types     []string
+	starts    []obs.RunStartEvent
+	tracks    []obs.TrackEvent
+	ticks     []obs.TickEvent
+	ends      []obs.RunEndEvent
+	faults    []obs.FaultEvent
+	watchdogs []obs.WatchdogEvent
 }
 
-func (r *recorder) OnRunStart(ev obs.RunStartEvent) {
-	r.types = append(r.types, "run_start")
-	r.starts = append(r.starts, ev)
-}
-func (r *recorder) OnTrack(ev obs.TrackEvent) {
-	r.types = append(r.types, "track")
-	r.tracks = append(r.tracks, ev)
-}
-func (r *recorder) OnAlloc(ev obs.AllocEvent) {
-	r.types = append(r.types, "alloc")
-	r.allocs = append(r.allocs, ev)
-}
-func (r *recorder) OnTick(ev obs.TickEvent) {
-	r.types = append(r.types, "tick")
-	r.ticks = append(r.ticks, ev)
-}
-func (r *recorder) OnRunEnd(ev obs.RunEndEvent) {
-	r.types = append(r.types, "run_end")
-	r.ends = append(r.ends, ev)
+func (r *recorder) On(ev obs.Event) {
+	r.types = append(r.types, ev.Type)
+	switch {
+	case ev.RunStart != nil:
+		r.starts = append(r.starts, *ev.RunStart)
+	case ev.Track != nil:
+		r.tracks = append(r.tracks, *ev.Track)
+	case ev.Tick != nil:
+		r.ticks = append(r.ticks, *ev.Tick)
+	case ev.RunEnd != nil:
+		r.ends = append(r.ends, *ev.RunEnd)
+	case ev.Fault != nil:
+		r.faults = append(r.faults, *ev.Fault)
+	case ev.Watchdog != nil:
+		r.watchdogs = append(r.watchdogs, *ev.Watchdog)
+	}
 }
 
 // TestObserverEventSequence pins the hook contract: one run_start first,
@@ -120,6 +121,44 @@ func TestObserverBaselines(t *testing.T) {
 				t.Errorf("runner mismatch: %q vs %q", rec.starts[0].Runner, rec.ends[0].Runner)
 			}
 		})
+	}
+}
+
+// TestPlainObserverSeesFaultEvents checks that fault and watchdog events
+// reach any Observer, not just the encoders: under a total sensor
+// dropout a plain recorder and a JSONLSink attached to the same run see
+// the same sequence of event types.
+func TestPlainObserverSeesFaultEvents(t *testing.T) {
+	cfg := cfgFor(t, atmos.AZ, atmos.Apr, "M2")
+	s, err := fault.ParseSpec("sensor-drop:t0=600,t1=720,i=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = s
+	rec := &recorder{}
+	var buf bytes.Buffer
+	sink := obs.NewJSONLSink(&buf)
+	cfg.Observer = obs.Multi(rec, sink)
+	if _, err := RunMPPT(cfg, sched.OptTPR{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sunk := make([]string, len(events))
+	for i, ev := range events {
+		sunk[i] = ev.Type
+	}
+	if !slices.Equal(rec.types, sunk) {
+		t.Errorf("recorder saw %d events, sink wrote %d; sequences differ", len(rec.types), len(sunk))
+	}
+	if len(rec.faults) == 0 || len(rec.watchdogs) == 0 {
+		t.Errorf("recorder saw %d fault and %d watchdog events, want both > 0",
+			len(rec.faults), len(rec.watchdogs))
 	}
 }
 

@@ -365,7 +365,7 @@ func (s *Store) setGaugesLocked() {
 // event emits one JSONL store event when a sink is configured.
 func (s *Store) event(ev obs.StoreEvent) {
 	if s.cfg.Events != nil {
-		s.cfg.Events.OnStore(ev)
+		s.cfg.Events.On(obs.Event{Type: obs.TypeStore, Store: &ev})
 	}
 }
 

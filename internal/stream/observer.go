@@ -6,9 +6,9 @@ import (
 	"solarcore/internal/obs"
 )
 
-// Publisher adapts a Topic into an obs.Observer (and obs.FaultObserver):
-// every hook encodes its event onto the versioned JSONL envelope and
-// publishes the line. The encoding is byte-identical to what
+// Publisher adapts a Topic into an obs.Observer: On stamps the schema
+// version on the event's JSONL envelope, encodes it and publishes the
+// line under the event's type. The encoding is byte-identical to what
 // obs.JSONLSink writes for the same event (json.Marshal and
 // json.Encoder.Encode produce the same bytes, modulo the trailing
 // newline the sink appends), so a live stream and a durable tail replay
@@ -16,7 +16,7 @@ import (
 //
 // Publish never blocks (Topic drops oldest under pressure), so a
 // Publisher attached via solarcore.WithObserver keeps the simulation
-// hot-path cost at one marshal per hook — and the benchmark pair in
+// hot-path cost at one marshal per event — and the benchmark pair in
 // bench_test.go holds that to <1% of the run.
 type Publisher struct {
 	t *Topic
@@ -25,49 +25,14 @@ type Publisher struct {
 // NewPublisher wraps t as an event-publishing observer.
 func NewPublisher(t *Topic) *Publisher { return &Publisher{t: t} }
 
-func (p *Publisher) publish(typ string, ev obs.Event) {
+// On implements obs.Observer.
+func (p *Publisher) On(ev obs.Event) {
 	ev.V = obs.SchemaVersion
-	ev.Type = typ
 	b, err := json.Marshal(ev)
 	if err != nil {
 		// The envelope is plain structs of numbers and strings; Marshal
 		// cannot fail. Drop the line rather than poison the stream.
 		return
 	}
-	p.t.Publish(typ, b)
-}
-
-// OnRunStart implements obs.Observer.
-func (p *Publisher) OnRunStart(ev obs.RunStartEvent) {
-	p.publish(obs.TypeRunStart, obs.Event{RunStart: &ev})
-}
-
-// OnTrack implements obs.Observer.
-func (p *Publisher) OnTrack(ev obs.TrackEvent) {
-	p.publish(obs.TypeTrack, obs.Event{Track: &ev})
-}
-
-// OnAlloc implements obs.Observer.
-func (p *Publisher) OnAlloc(ev obs.AllocEvent) {
-	p.publish(obs.TypeAlloc, obs.Event{Alloc: &ev})
-}
-
-// OnTick implements obs.Observer.
-func (p *Publisher) OnTick(ev obs.TickEvent) {
-	p.publish(obs.TypeTick, obs.Event{Tick: &ev})
-}
-
-// OnRunEnd implements obs.Observer.
-func (p *Publisher) OnRunEnd(ev obs.RunEndEvent) {
-	p.publish(obs.TypeRunEnd, obs.Event{RunEnd: &ev})
-}
-
-// OnFault implements obs.FaultObserver.
-func (p *Publisher) OnFault(ev obs.FaultEvent) {
-	p.publish(obs.TypeFault, obs.Event{Fault: &ev})
-}
-
-// OnWatchdog implements obs.FaultObserver.
-func (p *Publisher) OnWatchdog(ev obs.WatchdogEvent) {
-	p.publish(obs.TypeWatchdog, obs.Event{Watchdog: &ev})
+	p.t.Publish(ev.Type, b)
 }

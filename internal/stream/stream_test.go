@@ -261,10 +261,10 @@ func TestPublisherMatchesSinkBytes(t *testing.T) {
 func TestReplayDeliversStoredTail(t *testing.T) {
 	var tail bytes.Buffer
 	sink := obs.NewJSONLSink(&tail)
-	sink.OnRunStart(obs.RunStartEvent{Policy: "opt"})
-	sink.OnTick(obs.TickEvent{Minute: 1})
-	sink.OnTick(obs.TickEvent{Minute: 2})
-	sink.OnRunEnd(obs.RunEndEvent{})
+	obs.RunStart(sink, obs.RunStartEvent{Policy: "opt"})
+	obs.Tick(sink, obs.TickEvent{Minute: 1})
+	obs.Tick(sink, obs.TickEvent{Minute: 2})
+	obs.RunEnd(sink, obs.RunEndEvent{})
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -34,10 +34,11 @@ func allocByName(policy string) (Allocator, error) {
 	return alloc, nil
 }
 
-// Observability layer (package obs). Observer hooks, metric names and
+// Observability layer (package obs). Observer events, metric names and
 // the JSONL event schema are specified in DESIGN.md §10.
 type (
-	// Observer receives simulation lifecycle hooks (see WithObserver).
+	// Observer receives a run's events through its one method, On (see
+	// WithObserver).
 	Observer = obs.Observer
 	// Registry is a concurrency-safe store of counters, gauges and
 	// histograms with snapshot export.
@@ -48,7 +49,8 @@ type (
 	// JSONLSink is an Observer appending one JSON line per event to a
 	// writer, in the schema ReadEvents decodes.
 	JSONLSink = obs.JSONLSink
-	// ObsEvent is one decoded JSONL event envelope.
+	// ObsEvent is one JSONL event envelope: what an Observer receives
+	// and what ReadEvents decodes.
 	ObsEvent = obs.Event
 )
 
@@ -70,8 +72,8 @@ func MetricsObserver(reg *Registry) Observer { return obs.Metrics(reg) }
 // MergeMetrics aggregates registry snapshots across a fleet of runs.
 func MergeMetrics(snaps ...MetricsSnapshot) MetricsSnapshot { return obs.MergeSnapshots(snaps...) }
 
-// NopObserver returns the no-op observer: every hook is received and
-// discarded. Useful for exercising the full hook path in benchmarks.
+// NopObserver returns the no-op observer: every event is received and
+// discarded. Useful for exercising the full emit path in benchmarks.
 func NopObserver() Observer { return obs.Nop{} }
 
 // runMode selects which engine entry point a Runner drives.
@@ -175,7 +177,7 @@ func WithBank(bank *Bank, trackingEff float64) RunnerOption {
 	}
 }
 
-// WithObserver attaches an observer to the run's lifecycle hooks. The
+// WithObserver attaches an observer to the run's events. The
 // option composes: each call adds another observer, and all of them (plus
 // any Config.Observer) receive every event.
 func WithObserver(o Observer) RunnerOption {
@@ -415,7 +417,9 @@ func (s RunSpec) resolve() (resolvedSpec, error) {
 // Canonical renders the normalized spec as a stable, human-readable
 // identity string: two specs simulate identically exactly when their
 // Canonical strings are equal. Floats use the shortest round-trippable
-// form, so the encoding is bijective for finite values.
+// form, so the encoding is bijective for finite values. The string ends
+// with sim.EngineVersion, so one spec run by two engine versions has two
+// identities.
 func (s RunSpec) Canonical() string {
 	n := s.Normalized()
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -430,6 +434,7 @@ func (s RunSpec) Canonical() string {
 		"fixed=" + g(n.FixedW),
 		"battery=" + g(n.BatteryEff),
 		"faults=" + n.Faults,
+		"engine=" + strconv.Itoa(sim.EngineVersion),
 	}
 	return strings.Join(parts, "|")
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
 	"solarcore"
+	"solarcore/internal/sim"
 )
 
 // TestRunSpecValidate table-tests the validation surface of the solard
@@ -69,7 +71,8 @@ func TestRunSpecUnknownPolicyWrapsSentinel(t *testing.T) {
 
 // TestRunSpecCanonicalIdentity checks the cache-identity algebra: the
 // zero spec and the spelled-out default spec are the same simulation,
-// while every meaningful field change moves the hash.
+// while every meaningful field change moves the hash, and the identity
+// names the engine version that produces the bytes.
 func TestRunSpecCanonicalIdentity(t *testing.T) {
 	zero := solarcore.RunSpec{}
 	explicit := solarcore.RunSpec{Site: "AZ", Season: "Jul", Mix: "HM2",
@@ -83,6 +86,9 @@ func TestRunSpecCanonicalIdentity(t *testing.T) {
 	}
 	if len(zero.Hash()) != 64 {
 		t.Errorf("Hash() = %q, want 64 hex chars", zero.Hash())
+	}
+	if want := "|engine=" + strconv.Itoa(sim.EngineVersion); !strings.HasSuffix(zero.Canonical(), want) {
+		t.Errorf("Canonical() = %q does not name the engine (%q)", zero.Canonical(), want)
 	}
 	variants := []solarcore.RunSpec{
 		{Site: "CO"}, {Season: "Jan"}, {Mix: "L1"}, {Policy: solarcore.PolicyIC},

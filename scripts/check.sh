@@ -25,8 +25,9 @@
 #   experiments    — cmd/experiments -quick must exit 0 and write its 13
 #                    CSVs, and -day -1 must exit non-zero with a one-line
 #                    error instead of a panic
-#   solarsim faults— a total sensor dropout must exit 0 and report
-#                    fallback periods on its `faults :` line, and the
+#   solarsim faults— a total sensor dropout must exit 0, report
+#                    fallback periods on its `faults :` line and write
+#                    fault and watchdog events to its -trace, and the
 #                    same spec with a NaN intensity must be rejected
 #   fuzz smoke     — a few seconds of coverage-guided fuzzing on the
 #                    JSONL event decoder
@@ -91,11 +92,15 @@ if grep -q '^panic:' "$expdir/negday.txt"; then
 fi
 rm -rf "$expdir"
 
-echo '== solarsim -faults (sensor dropout falls back; a NaN intensity is rejected)'
+echo '== solarsim -faults (sensor dropout falls back and traces fault/watchdog events; a NaN intensity is rejected)'
 simdir="$(mktemp -d)"
 go build -o "$simdir/solarsim" ./cmd/solarsim
-"$simdir/solarsim" -faults 'sensor-drop:t0=600,t1=720,i=1' > "$simdir/drop.txt" \
+"$simdir/solarsim" -faults 'sensor-drop:t0=600,t1=720,i=1' -trace "$simdir/drop.jsonl" > "$simdir/drop.txt" \
     || { echo 'solarsim -faults sensor-drop failed'; cat "$simdir/drop.txt"; exit 1; }
+for typ in fault watchdog; do
+    grep -q "\"type\":\"$typ\"" "$simdir/drop.jsonl" \
+        || { echo "solarsim sensor dropout trace carries no $typ event"; exit 1; }
+done
 fallback="$(sed -n 's/^faults *:.* \([0-9][0-9]*\) fallback periods.*/\1/p' "$simdir/drop.txt")"
 [ -n "$fallback" ] && [ "$fallback" -gt 0 ] \
     || { echo "solarsim sensor dropout ran '$fallback' fallback periods, want > 0"; cat "$simdir/drop.txt"; exit 1; }
