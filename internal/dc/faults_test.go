@@ -26,7 +26,7 @@ func TestRunDayFaultsDisarmedIdentical(t *testing.T) {
 	for _, s := range []*fault.Schedule{
 		nil,
 		{},
-		fault.NewSchedule(0, &fault.CloudBurst{W: fault.Window{T0: 600, T1: 700}, I: 0}),
+		fault.NewSchedule(0, fault.Injector{Kind: fault.KindCloud, W: fault.Window{T0: 600, T1: 700}, I: 0}),
 	} {
 		got := RunDay(day, testCluster(t, 4, 25, 0), 2, s)
 		if !reflect.DeepEqual(clean, got) {
@@ -38,7 +38,7 @@ func TestRunDayFaultsDisarmedIdentical(t *testing.T) {
 func TestRunDayFaultsCloudBurst(t *testing.T) {
 	day := faultTestDay(t)
 	clean := RunDay(day, testCluster(t, 4, 25, 0), 2, nil)
-	s := fault.NewSchedule(0, &fault.CloudBurst{W: fault.Window{T0: 600, T1: 720}, I: 0.9})
+	s := fault.NewSchedule(0, fault.Injector{Kind: fault.KindCloud, W: fault.Window{T0: 600, T1: 720}, I: 0.9})
 	res := RunDay(day, testCluster(t, 4, 25, 0), 2, s)
 	if res.FaultWindows != 1 {
 		t.Errorf("fault windows = %d, want 1", res.FaultWindows)
@@ -55,7 +55,7 @@ func TestRunDayFaultsCoreFailRestoresCaps(t *testing.T) {
 	day := faultTestDay(t)
 	clean := RunDay(day, testCluster(t, 4, 25, 0), 2, nil)
 	c := testCluster(t, 4, 25, 0)
-	s := fault.NewSchedule(0, &fault.CoreFail{W: fault.Window{T0: 600, T1: 700}, I: 0.5})
+	s := fault.NewSchedule(0, fault.Injector{Kind: fault.KindCoreFail, W: fault.Window{T0: 600, T1: 700}, I: 0.5})
 	res := RunDay(day, c, 2, s)
 	if res.GInstrSolar >= clean.GInstrSolar {
 		t.Errorf("half the cores failing cost nothing: %.0f vs %.0f", res.GInstrSolar, clean.GInstrSolar)

@@ -9,13 +9,13 @@
 // composes injectors — cloud-transient irradiance bursts, I/V sensor
 // faults (stuck-at, bias drift, dropout), DC/DC converter faults (stuck
 // transfer ratio, efficiency derate), core failure / forced throttle and
-// PV string disconnect — each active over a [T0,T1) window with an
-// Intensity knob where zero is exactly a no-op. Everything is
-// deterministic: stochastic injectors (dropout, burst flicker) derive
-// their randomness from a splitmix64 hash of (Schedule.Seed, virtual
-// minute), so the same schedule replays bit-identically regardless of
-// call order, goroutine interleaving or wall-clock — the repo-wide
-// seeded-randomness convention (DESIGN.md §9).
+// PV string disconnect — each an Injector value naming its Kind, active
+// over a [T0,T1) window with an intensity knob where zero is exactly a
+// no-op. Everything is deterministic: stochastic kinds (dropout, burst
+// flicker, solver) derive their randomness from a splitmix64 hash of
+// (seed, virtual minute), so the same schedule replays bit-identically
+// regardless of call order, goroutine interleaving or wall-clock — the
+// repo-wide seeded-randomness convention (DESIGN.md §9).
 //
 // The engine (internal/sim) consults a per-run Runtime at every tracking
 // period and sub-sample; when no injector carries a positive intensity
@@ -28,6 +28,8 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"solarcore/internal/mathx"
 	"solarcore/internal/mcore"
@@ -75,92 +77,25 @@ func (w Window) frac(minute float64) float64 {
 	return mathx.Clamp((minute-w.T0)/(w.T1-w.T0), 0, 1)
 }
 
-// Injector is one scheduled disturbance. Concrete injectors additionally
-// implement the capability interfaces below (IrradianceScaler, Senser,
-// ConverterMod, CoreMod, SolverMod); the Runtime type-switches on those,
-// so a custom injector participates by implementing any subset.
-type Injector interface {
-	// Kind returns the spec keyword of the injector (see ParseSpec).
-	Kind() string
-	// Window returns the activity window.
-	Window() Window
-	// Intensity returns the severity knob in [0,1]; zero is exactly a
-	// no-op and the injector is treated as absent.
-	//
-	// unit: ratio
-	Intensity() float64
-}
-
-// IrradianceScaler scales the plane-of-array irradiance the panel sees
-// (cloud transients).
-type IrradianceScaler interface {
-	// IrradianceScale returns the multiplicative factor in [0,1] applied
-	// to the irradiance at the given minute (1 outside the window).
-	//
-	// unit: minute=min, return=ratio
-	IrradianceScale(minute float64) float64
-}
-
-// GeneratorScaler scales the PV generator's current output (string
-// disconnects: a fraction of the parallel strings drops off the bus).
-type GeneratorScaler interface {
-	// GeneratorScale returns the multiplicative factor in [0,1] applied
-	// to the generator output current at the given minute.
-	//
-	// unit: minute=min, return=ratio
-	GeneratorScale(minute float64) float64
-}
-
-// Senser corrupts the controller's I/V sensor readings at the load rail.
-// Implementations receive scratch state that persists for one run (the
-// stuck-at injector freezes the first in-window reading there).
-type Senser interface {
-	// Sense transforms a sensor reading taken at the given minute. The
-	// state pointer is this injector's per-run scratch cell.
-	//
-	// unit: minute=min
-	Sense(minute float64, op power.Operating, state *SenseState) power.Operating
-}
-
-// SenseState is one Senser's per-run scratch: the frozen reading of a
-// stuck-at sensor fault.
-type SenseState struct {
-	frozen   power.Operating
-	hasValue bool
-}
-
-// ConverterMod perturbs the DC/DC matching converter.
-type ConverterMod interface {
-	// Converter returns whether the transfer ratio is stuck (tuning
-	// requests ignored) and the multiplicative efficiency factor in
-	// [0,1] at the given minute.
-	//
-	// unit: minute=min, effScale=ratio
-	Converter(minute float64) (stuck bool, effScale float64)
-}
-
-// CoreMod constrains the multi-core chip (core failure, forced throttle).
-type CoreMod interface {
-	// CoreCap returns the highest DVFS level the core may occupy at the
-	// given minute: top (= levels-1) means unconstrained, mcore.Gated
-	// (-1) means the core is failed and forced off.
-	//
-	// unit: minute=min
-	CoreCap(minute float64, core, cores, top int) int
-}
-
-// SolverMod injects failures into the operating-point solver path.
-type SolverMod interface {
-	// SolverErr returns a non-nil typed error (errors.Is ErrSolverFault)
-	// when the solver is faulted at the given minute.
-	//
-	// unit: minute=min
-	SolverErr(minute float64) error
+// Injector is one scheduled disturbance: a kind of DESIGN.md §11's
+// table, active over a window at an intensity. The Runtime dispatches on
+// Kind; the per-kind effects are documented on the Kind* constants.
+type Injector struct {
+	Kind string // a Kinds() keyword
+	W    Window
+	// I is the severity knob in [0,1]; zero is exactly a no-op and the
+	// injector is treated as absent.
+	I float64 // unit: ratio
+	// Seed drives the stochastic kinds (cloud, sensor-drop, solver); 0
+	// inherits a per-injector stream from the schedule seed.
+	Seed int64
 }
 
 // Schedule is a deterministic, seeded composition of injectors — the
 // whole fault plan for one simulated day. The zero value (and any
 // schedule whose injectors all carry zero intensity) is exactly a no-op.
+// A Schedule is read-only to this package, so one schedule may drive
+// any number of concurrent runs.
 type Schedule struct {
 	// Seed drives every stochastic injector through a splitmix64 hash of
 	// (Seed, virtual minute); zero picks a fixed default so schedules
@@ -184,66 +119,80 @@ func (s *Schedule) Armed() bool {
 		return false
 	}
 	for _, inj := range s.Injectors {
-		if inj.Intensity() > 0 && !inj.Window().Empty() {
+		if armed(inj) {
 			return true
 		}
 	}
 	return false
 }
 
-// Runtime is one run's view of a Schedule: the armed injector set plus
-// the per-run scratch state (frozen sensor readings). Create a fresh
-// Runtime per run; it is not safe for concurrent use, matching the
-// single-goroutine hook discipline of the engine.
-type Runtime struct {
-	seed  int64
-	armed []Injector
-	state []injectorState // parallel to armed
+// armed reports whether one injector can ever perturb the run.
+func armed(inj Injector) bool { return inj.I > 0 && !inj.W.Empty() }
+
+// String renders the schedule in ParseSpec's grammar: entries joined by
+// ';', each kind:t0=<g>,t1=<g>,i=<g> with a ,seed=<n> suffix when the
+// entry carries a seed, floats in their shortest round-trip form. It is
+// the one spelling of a parsed schedule: ParseSpec(s.String()) equals s.
+// The grammar carries the schedule seed only through entry seeds, so a
+// NewSchedule seed with no seeded entry does not survive the round trip.
+func (s *Schedule) String() string {
+	if s == nil {
+		return ""
+	}
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	entries := make([]string, len(s.Injectors))
+	for i, inj := range s.Injectors {
+		entries[i] = inj.Kind + ":t0=" + g(inj.W.T0) + ",t1=" + g(inj.W.T1) + ",i=" + g(inj.I)
+		if inj.Seed != 0 {
+			entries[i] += ",seed=" + strconv.FormatInt(inj.Seed, 10)
+		}
+	}
+	return strings.Join(entries, ";")
 }
 
-// injectorState is one armed injector's per-run scratch.
-type injectorState struct {
-	sense SenseState // a Senser's frozen reading
-	on    bool       // the window covered the minute of the last Edges call
+// Runtime is one run's view of a Schedule: the armed injector set plus
+// the per-run state of each. Create a fresh Runtime per run; it is not
+// safe for concurrent use, matching the single-goroutine hook discipline
+// of the engine.
+type Runtime struct {
+	armed []armedInjector
+}
+
+// armedInjector is one armed injector with its per-run state.
+type armedInjector struct {
+	Injector
+	seed      int64           // the resolved stochastic seed
+	frozen    power.Operating // a sensor-stuck fault's first in-window reading
+	hasFrozen bool
+	on        bool // the window covered the minute of the last Edges call
 }
 
 // Runtime builds the per-run state for this schedule. A disarmed
-// schedule returns nil, which every Runtime method accepts.
+// schedule returns nil, which every Runtime method accepts. It writes
+// nothing reachable from s.
 func (s *Schedule) Runtime() *Runtime {
 	if !s.Armed() {
 		return nil
 	}
-	rt := &Runtime{seed: s.seed()}
+	seed := s.Seed
+	if seed == 0 {
+		seed = 0xFA017 // "fault": fixed default, mirroring mppt's 0x5eed
+	}
+	rt := &Runtime{armed: make([]armedInjector, 0, len(s.Injectors))}
 	for i, inj := range s.Injectors {
-		if inj.Intensity() <= 0 || inj.Window().Empty() {
+		if !armed(inj) {
 			continue
 		}
-		// Stochastic injectors without an explicit seed inherit a
-		// per-injector stream derived from the schedule seed, so two
-		// dropout windows in one schedule draw independent sequences.
-		if sd, ok := inj.(seedable); ok {
-			sd.defaultSeed(rt.seed + int64(i+1)*0x1000193)
+		// Injectors without an explicit seed draw a per-injector stream
+		// derived from the schedule seed, so two dropout windows in one
+		// schedule draw independent sequences.
+		a := armedInjector{Injector: inj, seed: inj.Seed}
+		if a.seed == 0 {
+			a.seed = seed + int64(i+1)*0x1000193
 		}
-		rt.armed = append(rt.armed, inj)
+		rt.armed = append(rt.armed, a)
 	}
-	rt.state = make([]injectorState, len(rt.armed))
 	return rt
-}
-
-// seedable is implemented by stochastic injectors that accept a default
-// seed from the enclosing schedule (a no-op when an explicit Seed was
-// set).
-type seedable interface {
-	defaultSeed(seed int64)
-}
-
-// seed resolves the schedule seed, defaulting to a fixed constant so the
-// zero value stays deterministic.
-func (s *Schedule) seed() int64 {
-	if s.Seed != 0 {
-		return s.Seed
-	}
-	return 0xFA017 // "fault": fixed default, mirroring mppt's 0x5eed
 }
 
 // Armed reports whether this runtime carries any live injector.
@@ -258,9 +207,9 @@ func (rt *Runtime) Active(minute float64) []Injector {
 		return nil
 	}
 	var active []Injector
-	for _, inj := range rt.armed {
-		if inj.Window().Contains(minute) {
-			active = append(active, inj)
+	for i := range rt.armed {
+		if a := &rt.armed[i]; a.W.Contains(minute) {
+			active = append(active, a.Injector)
 		}
 	}
 	return active
@@ -277,16 +226,17 @@ func (rt *Runtime) Edges(minute float64) (closed, opened []Injector) {
 	if rt == nil {
 		return nil, nil
 	}
-	for i, inj := range rt.armed {
-		on := inj.Window().Contains(minute)
-		if on == rt.state[i].on {
+	for i := range rt.armed {
+		a := &rt.armed[i]
+		on := a.W.Contains(minute)
+		if on == a.on {
 			continue
 		}
-		rt.state[i].on = on
+		a.on = on
 		if on {
-			opened = append(opened, inj)
+			opened = append(opened, a.Injector)
 		} else {
-			closed = append(closed, inj)
+			closed = append(closed, a.Injector)
 		}
 	}
 	return closed, opened
@@ -325,19 +275,20 @@ func (rt *Runtime) PowerPathActive(minute float64) bool {
 	if rt == nil {
 		return false
 	}
-	for _, inj := range rt.armed {
-		if !inj.Window().Contains(minute) {
-			continue
-		}
-		switch inj.(type) {
-		case IrradianceScaler, GeneratorScaler, ConverterMod:
-			return true
+	for i := range rt.armed {
+		switch a := &rt.armed[i]; a.Kind {
+		case KindCloud, KindStringCut, KindConvStuck, KindConvDerate:
+			if a.W.Contains(minute) {
+				return true
+			}
 		}
 	}
 	return false
 }
 
-// IrradianceScale composes every active irradiance fault at the minute.
+// IrradianceScale composes every active cloud burst at the minute: the
+// multiplicative factor in [0,1] applied to the plane-of-array
+// irradiance.
 //
 // unit: minute=min, return=ratio
 func (rt *Runtime) IrradianceScale(minute float64) float64 {
@@ -345,15 +296,17 @@ func (rt *Runtime) IrradianceScale(minute float64) float64 {
 	if rt == nil {
 		return scale
 	}
-	for _, inj := range rt.armed {
-		if is, ok := inj.(IrradianceScaler); ok && inj.Window().Contains(minute) {
-			scale *= mathx.Clamp(is.IrradianceScale(minute), 0, 1)
+	for i := range rt.armed {
+		if a := &rt.armed[i]; a.Kind == KindCloud && a.W.Contains(minute) {
+			scale *= cloudScale(a.Injector, a.seed, minute)
 		}
 	}
 	return scale
 }
 
-// GeneratorScale composes every active generator-output fault.
+// GeneratorScale composes every active string disconnect: the
+// multiplicative factor in [0,1] applied to the generator output
+// current.
 //
 // unit: minute=min, return=ratio
 func (rt *Runtime) GeneratorScale(minute float64) float64 {
@@ -361,32 +314,33 @@ func (rt *Runtime) GeneratorScale(minute float64) float64 {
 	if rt == nil {
 		return scale
 	}
-	for _, inj := range rt.armed {
-		if gs, ok := inj.(GeneratorScaler); ok && inj.Window().Contains(minute) {
-			scale *= mathx.Clamp(gs.GeneratorScale(minute), 0, 1)
+	for i := range rt.armed {
+		if a := &rt.armed[i]; a.Kind == KindStringCut && a.W.Contains(minute) {
+			scale *= mathx.Clamp(1-a.I, 0, 1)
 		}
 	}
 	return scale
 }
 
-// Sense runs a sensor reading through every active sensor fault in
-// schedule order.
+// Sense runs a sensor reading at the load rail through every active
+// sensor fault in schedule order.
 //
 // unit: minute=min
 func (rt *Runtime) Sense(minute float64, op power.Operating) power.Operating {
 	if rt == nil {
 		return op
 	}
-	for i, inj := range rt.armed {
-		if s, ok := inj.(Senser); ok && inj.Window().Contains(minute) {
-			op = s.Sense(minute, op, &rt.state[i].sense)
+	for i := range rt.armed {
+		if a := &rt.armed[i]; a.W.Contains(minute) {
+			op = sense(a, minute, op)
 		}
 	}
 	return op
 }
 
-// Converter composes every active converter fault: stuck wins over free,
-// efficiency factors multiply.
+// Converter composes every active converter fault: whether the transfer
+// ratio is stuck (stuck wins over free) and the multiplicative
+// efficiency factor in [0,1] (factors multiply).
 //
 // unit: minute=min, effScale=ratio
 func (rt *Runtime) Converter(minute float64) (stuck bool, effScale float64) {
@@ -394,18 +348,22 @@ func (rt *Runtime) Converter(minute float64) (stuck bool, effScale float64) {
 	if rt == nil {
 		return false, effScale
 	}
-	for _, inj := range rt.armed {
-		if cm, ok := inj.(ConverterMod); ok && inj.Window().Contains(minute) {
-			s, e := cm.Converter(minute)
-			stuck = stuck || s
-			effScale *= mathx.Clamp(e, 0, 1)
+	for i := range rt.armed {
+		if a := &rt.armed[i]; a.W.Contains(minute) {
+			switch a.Kind {
+			case KindConvStuck:
+				stuck = true
+			case KindConvDerate:
+				effScale *= mathx.Clamp(1-a.I, 0, 1)
+			}
 		}
 	}
 	return stuck, effScale
 }
 
 // CoreCap returns the tightest DVFS level cap any active core fault
-// imposes on the core; top means unconstrained.
+// imposes on the core: top (= levels-1) means unconstrained, mcore.Gated
+// means the core is failed and forced off.
 //
 // unit: minute=min
 func (rt *Runtime) CoreCap(minute float64, core, cores, top int) int {
@@ -413,9 +371,9 @@ func (rt *Runtime) CoreCap(minute float64, core, cores, top int) int {
 	if rt == nil {
 		return cap
 	}
-	for _, inj := range rt.armed {
-		if cm, ok := inj.(CoreMod); ok && inj.Window().Contains(minute) {
-			if c := cm.CoreCap(minute, core, cores, top); c < cap {
+	for i := range rt.armed {
+		if a := &rt.armed[i]; a.W.Contains(minute) {
+			if c := coreCap(a.Injector, core, cores, top); c < cap {
 				cap = c
 			}
 		}
@@ -431,27 +389,25 @@ func (rt *Runtime) ConstrainsCores(minute float64) bool {
 	if rt == nil {
 		return false
 	}
-	for _, inj := range rt.armed {
-		if _, ok := inj.(CoreMod); ok && inj.Window().Contains(minute) {
+	for i := range rt.armed {
+		if a := &rt.armed[i]; (a.Kind == KindCoreFail || a.Kind == KindCoreThrottle) && a.W.Contains(minute) {
 			return true
 		}
 	}
 	return false
 }
 
-// SolverErr returns the first active injected solver fault at the
-// minute, or nil.
+// SolverErr returns the typed error (errors.Is ErrSolverFault) of the
+// first active solver fault that fires at the minute, or nil.
 //
 // unit: minute=min
 func (rt *Runtime) SolverErr(minute float64) error {
 	if rt == nil {
 		return nil
 	}
-	for _, inj := range rt.armed {
-		if sm, ok := inj.(SolverMod); ok && inj.Window().Contains(minute) {
-			if err := sm.SolverErr(minute); err != nil {
-				return err
-			}
+	for i := range rt.armed {
+		if a := &rt.armed[i]; a.Kind == KindSolver && a.W.Contains(minute) && fires(a.Injector, a.seed, minute) {
+			return SolverError(minute)
 		}
 	}
 	return nil

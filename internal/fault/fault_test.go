@@ -3,6 +3,8 @@ package fault
 import (
 	"errors"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"solarcore/internal/mathx"
@@ -18,12 +20,12 @@ func TestScheduleArmed(t *testing.T) {
 	}{
 		{"nil", nil, false},
 		{"empty", &Schedule{}, false},
-		{"zero intensity", NewSchedule(0, &CloudBurst{W: Window{600, 660}, I: 0}), false},
-		{"empty window", NewSchedule(0, &CloudBurst{W: Window{660, 600}, I: 0.5}), false},
-		{"armed", NewSchedule(0, &CloudBurst{W: Window{600, 660}, I: 0.5}), true},
+		{"zero intensity", NewSchedule(0, Injector{Kind: KindCloud, W: Window{600, 660}, I: 0}), false},
+		{"empty window", NewSchedule(0, Injector{Kind: KindCloud, W: Window{660, 600}, I: 0.5}), false},
+		{"armed", NewSchedule(0, Injector{Kind: KindCloud, W: Window{600, 660}, I: 0.5}), true},
 		{"mixed", NewSchedule(0,
-			&CloudBurst{W: Window{600, 660}, I: 0},
-			&SensorDropout{W: Window{700, 720}, I: 0.3}), true},
+			Injector{Kind: KindCloud, W: Window{600, 660}, I: 0},
+			Injector{Kind: KindSensorDrop, W: Window{700, 720}, I: 0.3}), true},
 	}
 	for _, c := range cases {
 		if got := c.s.Armed(); got != c.want {
@@ -36,50 +38,47 @@ func TestScheduleArmed(t *testing.T) {
 }
 
 func TestZeroIntensityInjectorsAreNoOps(t *testing.T) {
-	// Each injector at zero intensity must not perturb its channel even
-	// when evaluated directly inside its window.
+	// Each kind at zero intensity must not perturb its channel even when
+	// its effect is evaluated directly inside its window.
 	const minute = 630.0
 	w := Window{600, 660}
 	op := power.Operating{VPanel: 30, IPanel: 4, VLoad: 12, ILoad: 9.6}
 	op.PLoad = op.VLoad * op.ILoad
+	zero := func(kind string) Injector { return Injector{Kind: kind, W: w, I: 0} }
 
-	if s := (&CloudBurst{W: w, I: 0, Seed: 1}).IrradianceScale(minute); s != 1 {
-		t.Errorf("CloudBurst zero intensity scales irradiance by %v", s)
+	if s := cloudScale(zero(KindCloud), 1, minute); s != 1 {
+		t.Errorf("cloud zero intensity scales irradiance by %v", s)
 	}
-	if s := (&StringDisconnect{W: w, I: 0}).GeneratorScale(minute); s != 1 {
-		t.Errorf("StringDisconnect zero intensity scales generator by %v", s)
+	for _, kind := range []string{KindSensorStuck, KindSensorBias, KindSensorDrop} {
+		a := armedInjector{Injector: zero(kind), seed: 1}
+		if got := sense(&a, minute, op); got != op {
+			t.Errorf("%s zero intensity altered the reading: %+v", kind, got)
+		}
 	}
-	var st SenseState
-	if got := (&SensorStuck{W: w, I: 0}).Sense(minute, op, &st); got != op {
-		t.Errorf("SensorStuck zero intensity altered the reading: %+v", got)
+	// The power-path kinds act only through the Runtime, which leaves a
+	// zero-intensity injector out.
+	for _, kind := range []string{KindStringCut, KindConvStuck, KindConvDerate} {
+		rt := NewSchedule(0, zero(kind)).Runtime()
+		if s := rt.GeneratorScale(minute); s != 1 {
+			t.Errorf("%s zero intensity scales generator by %v", kind, s)
+		}
+		if stuck, eff := rt.Converter(minute); stuck || eff != 1 {
+			t.Errorf("%s zero intensity: stuck=%v eff=%v", kind, stuck, eff)
+		}
 	}
-	var st2 SenseState
-	if got := (&SensorBias{W: w, I: 0}).Sense(minute, op, &st2); got != op {
-		t.Errorf("SensorBias zero intensity altered the reading: %+v", got)
+	if n := failedCores(zero(KindCoreFail), 16); n != 0 {
+		t.Errorf("core-fail zero intensity kills %d cores", n)
 	}
-	var st3 SenseState
-	if got := (&SensorDropout{W: w, I: 0, Seed: 1}).Sense(minute, op, &st3); got != op {
-		t.Errorf("SensorDropout zero intensity altered the reading: %+v", got)
+	if cap := coreCap(zero(KindCoreThrottle), 0, 16, 5); cap != 5 {
+		t.Errorf("core-throttle zero intensity caps at %d", cap)
 	}
-	if stuck, eff := (&ConverterStuck{W: w, I: 0}).Converter(minute); stuck || eff != 1 {
-		t.Errorf("ConverterStuck zero intensity: stuck=%v eff=%v", stuck, eff)
-	}
-	if stuck, eff := (&ConverterDerate{W: w, I: 0}).Converter(minute); stuck || eff != 1 {
-		t.Errorf("ConverterDerate zero intensity: stuck=%v eff=%v", stuck, eff)
-	}
-	if n := (&CoreFail{W: w, I: 0}).Failed(16); n != 0 {
-		t.Errorf("CoreFail zero intensity kills %d cores", n)
-	}
-	if cap := (&CoreThrottle{W: w, I: 0}).CoreCap(minute, 0, 16, 5); cap != 5 {
-		t.Errorf("CoreThrottle zero intensity caps at %d", cap)
-	}
-	if err := (&SolverFault{W: w, I: 0, Seed: 1}).SolverErr(minute); err != nil {
-		t.Errorf("SolverFault zero intensity errors: %v", err)
+	if fires(zero(KindSolver), 1, minute) {
+		t.Error("solver zero intensity fires")
 	}
 }
 
 func TestWindowGating(t *testing.T) {
-	rt := NewSchedule(7, &CloudBurst{W: Window{600, 660}, I: 1}).Runtime()
+	rt := NewSchedule(7, Injector{Kind: KindCloud, W: Window{600, 660}, I: 1}).Runtime()
 	if s := rt.IrradianceScale(599.9); s != 1 {
 		t.Errorf("before window: scale %v", s)
 	}
@@ -89,7 +88,7 @@ func TestWindowGating(t *testing.T) {
 	if s := rt.IrradianceScale(630); s >= 1 {
 		t.Errorf("mid-window full burst barely scales: %v", s)
 	}
-	if got := rt.Active(630); len(got) != 1 || got[0].Kind() != KindCloud {
+	if got := rt.Active(630); len(got) != 1 || got[0].Kind != KindCloud {
 		t.Errorf("Active(630) = %v", got)
 	}
 	if got := rt.Active(661); got != nil {
@@ -98,9 +97,9 @@ func TestWindowGating(t *testing.T) {
 }
 
 func TestRuntimeEdges(t *testing.T) {
-	cloud := &CloudBurst{W: Window{600, 700}, I: 1}
-	cut := &StringDisconnect{W: Window{650, 750}, I: 0.5}
-	drop := &SensorDropout{W: Window{600, 660}, I: 1}
+	cloud := Injector{Kind: KindCloud, W: Window{600, 700}, I: 1}
+	cut := Injector{Kind: KindStringCut, W: Window{650, 750}, I: 0.5}
+	drop := Injector{Kind: KindSensorDrop, W: Window{600, 660}, I: 1}
 	rt := NewSchedule(3, cloud, cut, drop).Runtime()
 	cases := []struct {
 		minute         float64
@@ -116,7 +115,7 @@ func TestRuntimeEdges(t *testing.T) {
 	}
 	for _, c := range cases {
 		closed, opened := rt.Edges(c.minute)
-		if !sameInjectors(closed, c.closed) || !sameInjectors(opened, c.opened) {
+		if !slices.Equal(closed, c.closed) || !slices.Equal(opened, c.opened) {
 			t.Errorf("Edges(%v) = closed %v, opened %v; want %v, %v",
 				c.minute, closed, opened, c.closed, c.opened)
 		}
@@ -126,22 +125,10 @@ func TestRuntimeEdges(t *testing.T) {
 	}
 }
 
-func sameInjectors(a, b []Injector) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestRuntimeCapCores(t *testing.T) {
 	chip := mcore.MustNewChip(mcore.DefaultConfig())
 	top := chip.NumLevels() - 1
-	rt := NewSchedule(0, &CoreFail{W: Window{600, 700}, I: 0.5}).Runtime()
+	rt := NewSchedule(0, Injector{Kind: KindCoreFail, W: Window{600, 700}, I: 0.5}).Runtime()
 	caps := func() (failed, free int) {
 		for i := 0; i < chip.NumCores(); i++ {
 			switch chip.LevelCap(i) {
@@ -185,8 +172,8 @@ func TestDeterminismAcrossRuntimes(t *testing.T) {
 	// call order; a different seed diverges.
 	mk := func(seed int64) *Runtime {
 		return NewSchedule(seed,
-			&CloudBurst{W: Window{500, 700}, I: 0.8},
-			&SensorDropout{W: Window{500, 700}, I: 0.5},
+			Injector{Kind: KindCloud, W: Window{500, 700}, I: 0.8},
+			Injector{Kind: KindSensorDrop, W: Window{500, 700}, I: 0.5},
 		).Runtime()
 	}
 	a, b := mk(1), mk(1)
@@ -215,25 +202,24 @@ func TestDeterminismAcrossRuntimes(t *testing.T) {
 }
 
 func TestSensorStuckFreezesFirstReading(t *testing.T) {
-	inj := &SensorStuck{W: Window{600, 660}, I: 1}
-	var st SenseState
+	a := armedInjector{Injector: Injector{Kind: KindSensorStuck, W: Window{600, 660}, I: 1}}
 	first := power.Operating{VLoad: 12, ILoad: 5, PLoad: 60}
-	got := inj.Sense(610, first, &st)
+	got := sense(&a, 610, first)
 	if got.PLoad != first.VLoad*first.ILoad {
 		t.Errorf("first in-window reading changed: %+v", got)
 	}
 	later := power.Operating{VLoad: 6, ILoad: 1, PLoad: 6}
-	got = inj.Sense(620, later, &st)
+	got = sense(&a, 620, later)
 	if got.VLoad != 12 || got.ILoad != 5 {
 		t.Errorf("full-intensity stuck sensor leaked the live reading: %+v", got)
 	}
 }
 
 func TestSensorDropoutFraction(t *testing.T) {
-	inj := &SensorDropout{W: Window{0, 10000}, I: 0.5, Seed: 9}
+	inj := Injector{Kind: KindSensorDrop, W: Window{0, 10000}, I: 0.5}
 	dropped := 0
 	for m := 0; m < 10000; m++ {
-		if inj.Dropped(float64(m)) {
+		if fires(inj, 9, float64(m)) {
 			dropped++
 		}
 	}
@@ -251,16 +237,16 @@ func TestCoreFailCounts(t *testing.T) {
 		{0.01, 16, 1}, {0.5, 16, 8}, {1, 16, 16}, {0.3, 4, 2},
 	}
 	for _, c := range cases {
-		inj := &CoreFail{W: Window{0, 1}, I: c.i}
-		if got := inj.Failed(c.cores); got != c.want {
-			t.Errorf("Failed(%v, %d cores) = %d, want %d", c.i, c.cores, got, c.want)
+		inj := Injector{Kind: KindCoreFail, W: Window{0, 1}, I: c.i}
+		if got := failedCores(inj, c.cores); got != c.want {
+			t.Errorf("failedCores(%v, %d cores) = %d, want %d", c.i, c.cores, got, c.want)
 		}
 	}
-	inj := &CoreFail{W: Window{0, 1}, I: 0.5}
-	if cap := inj.CoreCap(0.5, 0, 4, 5); cap != -1 {
+	inj := Injector{Kind: KindCoreFail, W: Window{0, 1}, I: 0.5}
+	if cap := coreCap(inj, 0, 4, 5); cap != mcore.Gated {
 		t.Errorf("failed core caps at %d, want Gated (-1)", cap)
 	}
-	if cap := inj.CoreCap(0.5, 3, 4, 5); cap != 5 {
+	if cap := coreCap(inj, 3, 4, 5); cap != 5 {
 		t.Errorf("surviving core caps at %d, want top", cap)
 	}
 }
@@ -273,7 +259,7 @@ func TestSolverErrorTyped(t *testing.T) {
 	if !errors.Is(err, mathx.ErrNoConverge) {
 		t.Error("SolverError does not wrap the mathx cause")
 	}
-	rt := NewSchedule(3, &SolverFault{W: Window{600, 700}, I: 1}).Runtime()
+	rt := NewSchedule(3, Injector{Kind: KindSolver, W: Window{600, 700}, I: 1}).Runtime()
 	if err := rt.SolverErr(650); !errors.Is(err, ErrSolverFault) {
 		t.Errorf("runtime solver fault not typed: %v", err)
 	}
@@ -284,10 +270,10 @@ func TestSolverErrorTyped(t *testing.T) {
 
 func TestRuntimeComposition(t *testing.T) {
 	rt := NewSchedule(5,
-		&ConverterStuck{W: Window{600, 700}, I: 1},
-		&ConverterDerate{W: Window{650, 750}, I: 0.2},
-		&CoreThrottle{W: Window{600, 700}, I: 0.5},
-		&CoreFail{W: Window{600, 700}, I: 0.1},
+		Injector{Kind: KindConvStuck, W: Window{600, 700}, I: 1},
+		Injector{Kind: KindConvDerate, W: Window{650, 750}, I: 0.2},
+		Injector{Kind: KindCoreThrottle, W: Window{600, 700}, I: 0.5},
+		Injector{Kind: KindCoreFail, W: Window{600, 700}, I: 0.1},
 	).Runtime()
 
 	stuck, eff := rt.Converter(620)
@@ -315,5 +301,44 @@ func TestRuntimeComposition(t *testing.T) {
 	}
 	if !rt.PowerPathActive(720) || rt.PowerPathActive(800) {
 		t.Error("PowerPathActive window gating wrong")
+	}
+}
+
+func TestScheduleSharedAcrossRuns(t *testing.T) {
+	// One parsed schedule drives two concurrent runs: each builds its own
+	// Runtime, both replay the same values, and the schedule is left
+	// exactly as parsed (no derived seed written back).
+	s, err := ParseSpec("cloud:t0=600,t1=700,i=0.8;sensor-drop:t0=620,t1=680,i=0.5;solver:t0=650,t1=700,i=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(s.Injectors)
+	var sums [2]float64
+	var wg sync.WaitGroup
+	for g := range sums {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt := s.Runtime()
+			for m := 600.0; m < 700; m++ {
+				op := rt.Sense(m, power.Operating{VLoad: 12, ILoad: 5, PLoad: 60})
+				sums[g] += rt.IrradianceScale(m) + op.PLoad
+				if rt.SolverErr(m) != nil {
+					sums[g]++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if sums[0] != sums[1] {
+		t.Errorf("concurrent runs of one schedule diverged: %v vs %v", sums[0], sums[1])
+	}
+	if !slices.Equal(s.Injectors, want) {
+		t.Errorf("Runtime wrote to its schedule: %+v, parsed %+v", s.Injectors, want)
+	}
+	for _, inj := range s.Injectors {
+		if inj.Seed != 0 {
+			t.Errorf("%s carries seed %d after Runtime, parsed 0", inj.Kind, inj.Seed)
+		}
 	}
 }

@@ -3,12 +3,13 @@ package fault
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Kinds lists the built-in injector spec keywords in a stable order, for
-// error messages and documentation.
+// Kinds lists the injector kinds in a stable order: the kinds ParseSpec
+// accepts, for error messages and documentation.
 func Kinds() []string {
 	return []string{
 		KindCloud, KindSensorStuck, KindSensorBias, KindSensorDrop,
@@ -93,41 +94,13 @@ func ParseSpec(spec string) (*Schedule, error) {
 		if intensity < 0 || intensity > 1 {
 			return nil, fmt.Errorf("fault: %s: intensity %g outside [0,1]", kind, intensity)
 		}
-		inj, err := newInjector(kind, w, intensity, seed)
-		if err != nil {
-			return nil, err
+		if !slices.Contains(Kinds(), kind) {
+			return nil, fmt.Errorf("fault: unknown kind %q (known kinds: %s)", kind, strings.Join(Kinds(), " "))
 		}
 		if seed != 0 && s.Seed == 0 {
 			s.Seed = seed
 		}
-		s.Injectors = append(s.Injectors, inj)
+		s.Injectors = append(s.Injectors, Injector{Kind: kind, W: w, I: intensity, Seed: seed})
 	}
 	return s, nil
-}
-
-// newInjector builds the built-in injector for a spec keyword.
-func newInjector(kind string, w Window, intensity float64, seed int64) (Injector, error) {
-	switch kind {
-	case KindCloud:
-		return &CloudBurst{W: w, I: intensity, Seed: seed}, nil
-	case KindSensorStuck:
-		return &SensorStuck{W: w, I: intensity}, nil
-	case KindSensorBias:
-		return &SensorBias{W: w, I: intensity}, nil
-	case KindSensorDrop:
-		return &SensorDropout{W: w, I: intensity, Seed: seed}, nil
-	case KindConvStuck:
-		return &ConverterStuck{W: w, I: intensity}, nil
-	case KindConvDerate:
-		return &ConverterDerate{W: w, I: intensity}, nil
-	case KindCoreFail:
-		return &CoreFail{W: w, I: intensity}, nil
-	case KindCoreThrottle:
-		return &CoreThrottle{W: w, I: intensity}, nil
-	case KindStringCut:
-		return &StringDisconnect{W: w, I: intensity}, nil
-	case KindSolver:
-		return &SolverFault{W: w, I: intensity, Seed: seed}, nil
-	}
-	return nil, fmt.Errorf("fault: unknown kind %q (known kinds: %s)", kind, strings.Join(Kinds(), " "))
 }

@@ -85,7 +85,7 @@ func TestStuckSensorRecoversAfterWindow(t *testing.T) {
 
 	clean := finalFrac(rig(t, "HM2", sched.OptTPR{}, Config{}))
 	rt := fault.NewSchedule(1,
-		&fault.SensorStuck{W: fault.Window{T0: 40, T1: 120}, I: 1}).Runtime()
+		fault.Injector{Kind: fault.KindSensorStuck, W: fault.Window{T0: 40, T1: 120}, I: 1}).Runtime()
 	faulted := finalFrac(rig(t, "HM2", sched.OptTPR{}, Config{SenseFault: rt.Sense}))
 	if faulted < clean-0.10 {
 		t.Errorf("post-recovery tracked fraction %.2f, clean %.2f: outside tolerance", faulted, clean)
@@ -99,7 +99,7 @@ func TestSensorDropoutTripsWatchdogWithinN(t *testing.T) {
 	// opening, and graduate back to tracking after the window closes.
 	const t0, t1, period = 50.0, 150.0, 10.0
 	rt := fault.NewSchedule(3,
-		&fault.SensorDropout{W: fault.Window{T0: t0, T1: t1}, I: 1}).Runtime()
+		fault.Injector{Kind: fault.KindSensorDrop, W: fault.Window{T0: t0, T1: t1}, I: 1}).Runtime()
 	ctrl := rig(t, "HM2", sched.OptTPR{}, Config{SenseFault: rt.Sense})
 	wd := &fault.Watchdog{}
 	env := pv.Env{Irradiance: 850, CellTemp: 30}

@@ -17,15 +17,15 @@ import (
 // no schedule at all.
 func zeroIntensitySchedule() *fault.Schedule {
 	return fault.NewSchedule(99,
-		&fault.CloudBurst{W: fault.Window{T0: 600, T1: 660}, I: 0},
-		&fault.SensorStuck{W: fault.Window{T0: 600, T1: 660}, I: 0},
-		&fault.SensorDropout{W: fault.Window{T0: 600, T1: 660}, I: 0},
-		&fault.ConverterStuck{W: fault.Window{T0: 600, T1: 660}, I: 0},
-		&fault.ConverterDerate{W: fault.Window{T0: 600, T1: 660}, I: 0},
-		&fault.CoreFail{W: fault.Window{T0: 600, T1: 660}, I: 0},
-		&fault.CoreThrottle{W: fault.Window{T0: 600, T1: 660}, I: 0},
-		&fault.StringDisconnect{W: fault.Window{T0: 600, T1: 660}, I: 0},
-		&fault.SolverFault{W: fault.Window{T0: 600, T1: 660}, I: 0},
+		fault.Injector{Kind: fault.KindCloud, W: fault.Window{T0: 600, T1: 660}, I: 0},
+		fault.Injector{Kind: fault.KindSensorStuck, W: fault.Window{T0: 600, T1: 660}, I: 0},
+		fault.Injector{Kind: fault.KindSensorDrop, W: fault.Window{T0: 600, T1: 660}, I: 0},
+		fault.Injector{Kind: fault.KindConvStuck, W: fault.Window{T0: 600, T1: 660}, I: 0},
+		fault.Injector{Kind: fault.KindConvDerate, W: fault.Window{T0: 600, T1: 660}, I: 0},
+		fault.Injector{Kind: fault.KindCoreFail, W: fault.Window{T0: 600, T1: 660}, I: 0},
+		fault.Injector{Kind: fault.KindCoreThrottle, W: fault.Window{T0: 600, T1: 660}, I: 0},
+		fault.Injector{Kind: fault.KindStringCut, W: fault.Window{T0: 600, T1: 660}, I: 0},
+		fault.Injector{Kind: fault.KindSolver, W: fault.Window{T0: 600, T1: 660}, I: 0},
 	)
 }
 
@@ -95,7 +95,7 @@ func TestSensorDropoutDegradesGracefully(t *testing.T) {
 	// baseline's utilization.
 	schedule := func() *fault.Schedule {
 		return fault.NewSchedule(0,
-			&fault.SensorDropout{W: fault.Window{T0: 600, T1: 720}, I: 1})
+			fault.Injector{Kind: fault.KindSensorDrop, W: fault.Window{T0: 600, T1: 720}, I: 1})
 	}
 
 	cfg := cfgFor(t, atmos.AZ, atmos.Apr, "M2")
@@ -138,7 +138,7 @@ func TestSensorDropoutDegradesGracefully(t *testing.T) {
 func TestSolverFaultDoesNotAbort(t *testing.T) {
 	cfg := cfgFor(t, atmos.AZ, atmos.Jul, "H1")
 	cfg.Faults = fault.NewSchedule(0,
-		&fault.SolverFault{W: fault.Window{T0: 600, T1: 700}, I: 1})
+		fault.Injector{Kind: fault.KindSolver, W: fault.Window{T0: 600, T1: 700}, I: 1})
 	res, err := RunMPPT(cfg, sched.OptTPR{})
 	if err != nil {
 		t.Fatalf("solver faults aborted the run: %v", err)
@@ -161,7 +161,7 @@ func TestCloudBurstReducesNotZeroes(t *testing.T) {
 	}
 	cfg := cfgFor(t, atmos.AZ, atmos.Jul, "M2")
 	cfg.Faults = fault.NewSchedule(0,
-		&fault.CloudBurst{W: fault.Window{T0: 600, T1: 720}, I: 0.9})
+		fault.Injector{Kind: fault.KindCloud, W: fault.Window{T0: 600, T1: 720}, I: 0.9})
 	res, err := RunMPPT(cfg, sched.OptTPR{})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestCoreFailRespectedAllDay(t *testing.T) {
 	// chip must never run more than the surviving cores.
 	cfg := cfgFor(t, atmos.AZ, atmos.Jul, "H1")
 	cfg.Faults = fault.NewSchedule(0,
-		&fault.CoreFail{W: fault.Window{T0: 600, T1: 700}, I: 0.5})
+		fault.Injector{Kind: fault.KindCoreFail, W: fault.Window{T0: 600, T1: 700}, I: 0.5})
 	res, err := RunMPPT(cfg, sched.OptTPR{})
 	if err != nil {
 		t.Fatal(err)
@@ -203,8 +203,8 @@ func TestCoreFailRespectedAllDay(t *testing.T) {
 func TestFaultTraceValidatesAndCarriesEvents(t *testing.T) {
 	cfg := cfgFor(t, atmos.AZ, atmos.Apr, "M2")
 	cfg.Faults = fault.NewSchedule(0,
-		&fault.SensorDropout{W: fault.Window{T0: 600, T1: 720}, I: 1},
-		&fault.CloudBurst{W: fault.Window{T0: 640, T1: 680}, I: 0.7},
+		fault.Injector{Kind: fault.KindSensorDrop, W: fault.Window{T0: 600, T1: 720}, I: 1},
+		fault.Injector{Kind: fault.KindCloud, W: fault.Window{T0: 640, T1: 680}, I: 0.7},
 	)
 	_, trace := runTraced(t, cfg, "MPPT&Opt")
 	events, err := obs.ReadEvents(bytes.NewReader(trace))

@@ -170,13 +170,13 @@ func (fx *faultCtx) applyAt(t float64, chip *mcore.Chip) {
 func (fx *faultCtx) edgeEvents(t float64) {
 	closed, opened := fx.rt.Edges(t)
 	for _, inj := range closed {
-		obs.Fault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind(),
-			Intensity: inj.Intensity(), Phase: obs.FaultEnd})
+		obs.Fault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind,
+			Intensity: inj.I, Phase: obs.FaultEnd})
 	}
 	for _, inj := range opened {
 		fx.report.Injected++
-		obs.Fault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind(),
-			Intensity: inj.Intensity(), Phase: obs.FaultBegin})
+		obs.Fault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind,
+			Intensity: inj.I, Phase: obs.FaultBegin})
 	}
 }
 
@@ -268,8 +268,8 @@ func watchdogReason(from, to fault.Mode) string {
 func (fx *faultCtx) finish(end float64) FaultReport {
 	fx.edgeEvents(end) // windows already closed before end emit here
 	for _, inj := range fx.rt.Active(end) {
-		obs.Fault(fx.o, obs.FaultEvent{Minute: end, Kind: inj.Kind(),
-			Intensity: inj.Intensity(), Phase: obs.FaultEnd})
+		obs.Fault(fx.o, obs.FaultEvent{Minute: end, Kind: inj.Kind,
+			Intensity: inj.I, Phase: obs.FaultEnd})
 	}
 	r := fx.report
 	r.WatchdogTrips = fx.wd.Trips()

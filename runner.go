@@ -417,11 +417,19 @@ func (s RunSpec) resolve() (resolvedSpec, error) {
 // Canonical renders the normalized spec as a stable, human-readable
 // identity string: two specs simulate identically exactly when their
 // Canonical strings are equal. Floats use the shortest round-trippable
-// form, so the encoding is bijective for finite values. The string ends
-// with sim.EngineVersion, so one spec run by two engine versions has two
+// form, so the encoding is bijective for finite values. A parseable
+// fault spec is rendered as its fault.Schedule's String, so every
+// spelling of one schedule shares one identity; an unparseable one stays
+// verbatim for Validate to reject. The string ends with
+// sim.EngineVersion, so one spec run by two engine versions has two
 // identities.
 func (s RunSpec) Canonical() string {
 	n := s.Normalized()
+	if n.Faults != "" {
+		if fs, err := fault.ParseSpec(n.Faults); err == nil {
+			n.Faults = fs.String()
+		}
+	}
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	parts := []string{
 		"site=" + n.Site,

@@ -95,6 +95,27 @@ func TestRunSpecCanonicalIdentity(t *testing.T) {
 		{Day: 7}, {StepMin: 8}, {Panels: 4}, {FixedW: 75}, {BatteryEff: 0.8},
 		{Faults: "cloud:t0=600,t1=720,i=0.9"},
 	}
+	// Spellings of one simulation share one identity; a fault spec that
+	// does not parse keeps its own verbatim (Validate rejects it).
+	for _, group := range [][]solarcore.RunSpec{
+		{{Faults: "cloud:t0=600,t1=660,i=0.8"},
+			{Faults: "cloud: t0=600.0, t1=660, intensity=.8"},
+			{Faults: " cloud:i=8e-1,t1=6.6e2,t0=600 ;"}},
+		{{Faults: "sensor-drop:t0=700,t1=720,i=1,seed=7;core-fail:t0=1,t1=2,i=0"},
+			{Faults: "sensor-drop:t0=700,t1=720,i=1.0,seed=7.0; core-fail:t0=1,t1=2,i=0.0"}},
+		{{}, {Faults: " ; "}},
+	} {
+		for _, v := range group[1:] {
+			if v.Hash() != group[0].Hash() {
+				t.Errorf("spellings of one spec have different identities:\n%s\n%s",
+					group[0].Canonical(), v.Canonical())
+			}
+		}
+	}
+	bad := solarcore.RunSpec{Faults: "cloud:t0=abc"}
+	if c := bad.Canonical(); !strings.Contains(c, "|faults=cloud:t0=abc|") {
+		t.Errorf("unparseable faults not kept verbatim: %s", c)
+	}
 	seen := map[string]string{zero.Hash(): "default"}
 	for _, v := range variants {
 		h := v.Hash()

@@ -30,7 +30,7 @@
 #                    fault and watchdog events to its -trace, and the
 #                    same spec with a NaN intensity must be rejected
 #   fuzz smoke     — a few seconds of coverage-guided fuzzing on the
-#                    JSONL event decoder
+#                    JSONL event decoder and the fault-spec grammar
 #   serving smoke  — boot a real solard on an ephemeral port, probe
 #                    /healthz and /v1/run over HTTP, then drive a short
 #                    solarload run, watch a whole run over GET
@@ -111,6 +111,9 @@ rm -rf "$simdir"
 
 echo '== fuzz: obs JSONL decoder (smoke)'
 go test -run '^$' -fuzz 'FuzzReadEvents' -fuzztime 5s ./internal/obs
+
+echo '== fuzz: fault-spec grammar (smoke)'
+go test -run '^$' -fuzz 'FuzzParseSpec' -fuzztime 5s ./internal/fault
 
 echo '== fuzz: store record codec (smoke)'
 go test -run '^$' -fuzz 'FuzzStoreRecord' -fuzztime 5s ./internal/store

@@ -308,9 +308,8 @@ type (
 	// injectors — the whole fault plan for one simulated day. Install it
 	// with WithFaults (or Config.Faults); the zero value is a no-op.
 	FaultSchedule = fault.Schedule
-	// FaultInjector is one scheduled disturbance; the built-in kinds are
-	// listed by FaultKinds and custom injectors participate by
-	// implementing the capability interfaces of package fault.
+	// FaultInjector is one scheduled disturbance: a kind listed by
+	// FaultKinds, active over a window at an intensity in [0,1].
 	FaultInjector = fault.Injector
 	// FaultWindow is a half-open activity interval [T0, T1) in minutes.
 	FaultWindow = fault.Window
