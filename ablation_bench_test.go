@@ -97,7 +97,7 @@ func BenchmarkLPUpperBound(b *testing.B) {
 	m.Apply(chip)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lp.DVFSUpperBound(chip, 0, 90); err != nil {
+		if _, err := lp.DVFSUpperBound(chip, 90); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -156,7 +156,8 @@ func BenchmarkSchedulerRaise(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		chip.SetAllLevels(2)
-		if !opt.Raise(chip, float64(i)) {
+		chip.At(float64(i))
+		if !opt.Raise(chip) {
 			b.Fatal("raise failed")
 		}
 	}
@@ -217,7 +218,8 @@ func BenchmarkThermalAdvance(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		model.Advance(float64(i), 0.1, 35)
+		chip.At(float64(i))
+		model.Advance(0.1, 35)
 	}
 }
 
@@ -267,6 +269,7 @@ func BenchmarkClusterFillBudget(b *testing.B) {
 	budgets := []float64{100, 400, 900}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.FillBudget(float64(i), budgets[i%len(budgets)])
+		c.At(float64(i))
+		c.FillBudget(budgets[i%len(budgets)])
 	}
 }

@@ -186,22 +186,25 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, "%v", err)
 		}
 		budget := 0.96 * solarDay.MPPAt(720) * 0.95
-		fairCluster.FillBudgetFairShare(720, budget)
-		cluster2.FillBudget(720, budget)
+		fairCluster.At(720)
+		cluster2.At(720)
+		fairCluster.FillBudgetFairShare(budget)
+		cluster2.FillBudget(budget)
 		pf(stdout, "\nmidday baseline comparison at %.0f W budget:\n", budget)
-		pf(stdout, "  global TPR : %d active nodes, %6.2f GIPS\n", cluster2.ActiveNodes(), cluster2.Throughput(720))
-		pf(stdout, "  fair share : %d active nodes, %6.2f GIPS\n", fairCluster.ActiveNodes(), fairCluster.Throughput(720))
+		pf(stdout, "  global TPR : %d active nodes, %6.2f GIPS\n", cluster2.ActiveNodes(), cluster2.Throughput())
+		pf(stdout, "  fair share : %d active nodes, %6.2f GIPS\n", fairCluster.ActiveNodes(), fairCluster.Throughput())
 	}
 
 	pln(stdout, "\nmidday allocation snapshot:")
-	cluster.FillBudget(720, 0.96*solarDay.MPPAt(720)*0.95)
+	cluster.At(720)
+	cluster.FillBudget(0.96 * solarDay.MPPAt(720) * 0.95)
 	for _, n := range cluster.Nodes {
 		state := "parked"
 		if n.Active() {
 			state = "active"
 		}
 		pf(stdout, "  %s [%s]  %6.1f W  %6.2f GIPS  levels %v\n",
-			n.Name, state, n.Power(720), n.Throughput(720), n.Chip.Levels())
+			n.Name, state, n.Power(), n.Throughput(), n.Chip.Levels())
 	}
 	return 0
 }

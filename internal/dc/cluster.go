@@ -82,9 +82,9 @@ func (n *Node) Active() bool {
 
 // Power returns the node draw including overhead when active.
 //
-// unit: minute=min, return=W
-func (n *Node) Power(minute float64) float64 {
-	p := n.Chip.Power(minute)
+// unit: return=W
+func (n *Node) Power() float64 {
+	p := n.Chip.Power()
 	if p > 0 {
 		p += n.overheadW
 	}
@@ -93,8 +93,8 @@ func (n *Node) Power(minute float64) float64 {
 
 // Throughput returns the node throughput in GIPS.
 //
-// unit: minute=min, return=GIPS
-func (n *Node) Throughput(minute float64) float64 { return n.Chip.Throughput(minute) }
+// unit: return=GIPS
+func (n *Node) Throughput() float64 { return n.Chip.Throughput() }
 
 // Cluster is a set of nodes sharing one solar budget.
 type Cluster struct {
@@ -128,24 +128,34 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
+// At samples every node chip's workload at a simulation minute (see
+// mcore.Chip.At); the reads and moves below use that sample.
+//
+// unit: minute=min
+func (c *Cluster) At(minute float64) {
+	for _, n := range c.Nodes {
+		n.Chip.At(minute)
+	}
+}
+
 // Power returns the total cluster draw.
 //
-// unit: minute=min, return=W
-func (c *Cluster) Power(minute float64) float64 {
+// unit: return=W
+func (c *Cluster) Power() float64 {
 	sum := 0.0
 	for _, n := range c.Nodes {
-		sum += n.Power(minute)
+		sum += n.Power()
 	}
 	return sum
 }
 
 // Throughput returns the total cluster throughput in GIPS.
 //
-// unit: minute=min, return=GIPS
-func (c *Cluster) Throughput(minute float64) float64 {
+// unit: return=GIPS
+func (c *Cluster) Throughput() float64 {
 	sum := 0.0
 	for _, n := range c.Nodes {
-		sum += n.Throughput(minute)
+		sum += n.Throughput()
 	}
 	return sum
 }
@@ -165,8 +175,8 @@ func (c *Cluster) ActiveNodes() int {
 // ΔP) honoring node caps and charging activation overhead to the first
 // core of a parked node.
 //
-// unit: minute=min, dP=W
-func (c *Cluster) bestRaise(minute float64) (ni, core int, dP float64, ok bool) {
+// unit: dP=W
+func (c *Cluster) bestRaise() (ni, core int, dP float64, ok bool) {
 	bestTPR := 0.0
 	ni = -1
 	for i, n := range c.Nodes {
@@ -174,9 +184,9 @@ func (c *Cluster) bestRaise(minute float64) (ni, core int, dP float64, ok bool) 
 		if !n.Active() {
 			activation = n.overheadW
 		}
-		nodePower := n.Power(minute)
+		nodePower := n.Power()
 		for ci := 0; ci < n.Chip.NumCores(); ci++ {
-			dT, dp, can := n.Chip.DeltaUp(ci, minute)
+			dT, dp, can := n.Chip.DeltaUp(ci)
 			if !can || dp <= 0 {
 				continue
 			}
@@ -194,10 +204,8 @@ func (c *Cluster) bestRaise(minute float64) (ni, core int, dP float64, ok bool) 
 
 // Raise gives one DVFS step of power to the best core in the cluster;
 // false when saturated (or every remaining step violates a cap).
-//
-// unit: minute=min
-func (c *Cluster) Raise(minute float64) bool {
-	ni, core, _, ok := c.bestRaise(minute)
+func (c *Cluster) Raise() bool {
+	ni, core, _, ok := c.bestRaise()
 	if !ok {
 		return false
 	}
@@ -206,15 +214,13 @@ func (c *Cluster) Raise(minute float64) bool {
 
 // Lower reclaims one DVFS step from the cluster-wide worst core, crediting
 // the node overhead when the step parks the node.
-//
-// unit: minute=min
-func (c *Cluster) Lower(minute float64) bool {
+func (c *Cluster) Lower() bool {
 	bestCost := math.Inf(1)
 	ni, core := -1, -1
 	for i, n := range c.Nodes {
 		lastCore := n.Active() && ungatedCores(n.Chip) == 1
 		for ci := 0; ci < n.Chip.NumCores(); ci++ {
-			dT, dp, can := n.Chip.DeltaDown(ci, minute)
+			dT, dp, can := n.Chip.DeltaDown(ci)
 			if !can {
 				continue
 			}
@@ -248,24 +254,24 @@ func ungatedCores(chip *mcore.Chip) int {
 // FillBudget adapts the cluster to sit as close under the budget as the
 // step granularity allows and returns the resulting power.
 //
-// unit: minute=min, budget=W, return=W
-func (c *Cluster) FillBudget(minute, budget float64) float64 {
+// unit: budget=W, return=W
+func (c *Cluster) FillBudget(budget float64) float64 {
 	guard := 0
-	for c.Power(minute) > budget && guard < 1<<14 {
-		if !c.Lower(minute) {
+	for c.Power() > budget && guard < 1<<14 {
+		if !c.Lower() {
 			break
 		}
 		guard++
 	}
 	for guard < 1<<14 {
-		ni, core, dP, ok := c.bestRaise(minute)
-		if !ok || c.Power(minute)+dP > budget {
+		ni, core, dP, ok := c.bestRaise()
+		if !ok || c.Power()+dP > budget {
 			break
 		}
 		c.Nodes[ni].Chip.StepUp(core)
 		guard++
 	}
-	return c.Power(minute)
+	return c.Power()
 }
 
 // DayResult summarizes a cluster day.
@@ -336,32 +342,34 @@ func RunDay(day *sim.SolarDay, c *Cluster, stepMin float64, s *fault.Schedule) D
 	for t0 := start; t0 < end; t0 += trackPeriod {
 		t1 := math.Min(t0+trackPeriod, end)
 		refill := eta * day.MPPAt(t0) * 0.95
+		c.At(t0)
 		if cf != nil {
 			cf.applyAt(t0, c)
 			refill *= cf.budgetScale(t0)
 		}
-		c.FillBudget(t0, refill)
+		c.FillBudget(refill)
 		for t := t0; t < t1-1e-9; t += stepMin {
 			dt := math.Min(stepMin, t1-t)
 			budget := eta * day.MPPAt(t)
+			c.At(t)
 			if cf != nil {
 				cf.applyAt(t, c)
 				budget *= cf.budgetScale(t)
 			}
-			p := c.Power(t)
+			p := c.Power()
 			for p > budget {
-				if !c.Lower(t) {
+				if !c.Lower() {
 					break
 				}
-				p = c.Power(t)
+				p = c.Power()
 			}
 			if p > 0 && p <= budget {
 				res.SolarWh += p * dt / 60
 				res.SolarMin += dt
-				res.GInstrSolar += c.Throughput(t) * dt * 60
+				res.GInstrSolar += c.Throughput() * dt * 60
 				for i, n := range c.Nodes {
-					res.PerNode[i].SolarWh += n.Power(t) * dt / 60
-					res.PerNode[i].GInstrSolar += n.Throughput(t) * dt * 60
+					res.PerNode[i].SolarWh += n.Power() * dt / 60
+					res.PerNode[i].GInstrSolar += n.Throughput() * dt * 60
 					if n.Active() {
 						res.PerNode[i].ActiveMin += dt
 					}
@@ -393,16 +401,16 @@ func RunDay(day *sim.SolarDay, c *Cluster, stepMin float64, s *fault.Schedule) D
 // which is exactly what the global allocator avoids — keep it for
 // comparisons.
 //
-// unit: minute=min, budget=W, return=W
-func (c *Cluster) FillBudgetFairShare(minute, budget float64) float64 {
+// unit: budget=W, return=W
+func (c *Cluster) FillBudgetFairShare(budget float64) float64 {
 	share := budget / float64(len(c.Nodes))
 	for _, n := range c.Nodes {
 		// Shed anything over the share first.
-		for n.Power(minute) > share {
+		for n.Power() > share {
 			lowered := false
 			worst, worstTPR := -1, math.Inf(1)
 			for ci := 0; ci < n.Chip.NumCores(); ci++ {
-				dT, dp, ok := n.Chip.DeltaDown(ci, minute)
+				dT, dp, ok := n.Chip.DeltaDown(ci)
 				if !ok || dp <= 0 {
 					continue
 				}
@@ -425,15 +433,15 @@ func (c *Cluster) FillBudgetFairShare(minute, budget float64) float64 {
 			}
 			best, bestTPR := -1, 0.0
 			for ci := 0; ci < n.Chip.NumCores(); ci++ {
-				dT, dp, ok := n.Chip.DeltaUp(ci, minute)
+				dT, dp, ok := n.Chip.DeltaUp(ci)
 				if !ok || dp <= 0 {
 					continue
 				}
 				dp += activation
-				if n.Power(minute)+dp > share {
+				if n.Power()+dp > share {
 					continue
 				}
-				if n.capW > 0 && n.Power(minute)+dp > n.capW {
+				if n.capW > 0 && n.Power()+dp > n.capW {
 					continue
 				}
 				if tpr := dT / dp; tpr > bestTPR {
@@ -446,5 +454,5 @@ func (c *Cluster) FillBudgetFairShare(minute, budget float64) float64 {
 			n.Chip.StepUp(best)
 		}
 	}
-	return c.Power(minute)
+	return c.Power()
 }

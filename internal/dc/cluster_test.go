@@ -48,15 +48,15 @@ func TestClusterStartsParked(t *testing.T) {
 	if c.ActiveNodes() != 0 {
 		t.Errorf("fresh cluster has %d active nodes", c.ActiveNodes())
 	}
-	if c.Power(0) != 0 {
-		t.Errorf("parked cluster draws %v W", c.Power(0))
+	if c.Power() != 0 {
+		t.Errorf("parked cluster draws %v W", c.Power())
 	}
 }
 
 func TestFillBudgetRespectsBudget(t *testing.T) {
 	c := testCluster(t, 4, 20, 0)
 	for _, budget := range []float64{30, 80, 200, 500, 1200} {
-		p := c.FillBudget(0, budget)
+		p := c.FillBudget(budget)
 		if p > budget+1e-9 {
 			t.Errorf("budget %v: filled to %v", budget, p)
 		}
@@ -67,9 +67,9 @@ func TestConsolidationEmergesFromOverhead(t *testing.T) {
 	// At a budget that could feed 4 nodes' chips but wastes 4 overheads,
 	// the TPR allocator should concentrate on fewer nodes.
 	withOverhead := testCluster(t, 4, 40, 0)
-	withOverhead.FillBudget(0, 120)
+	withOverhead.FillBudget(120)
 	free := testCluster(t, 4, 0, 0)
-	free.FillBudget(0, 120)
+	free.FillBudget(120)
 	if a, b := withOverhead.ActiveNodes(), free.ActiveNodes(); a >= b {
 		t.Errorf("overheaded cluster active=%d, free cluster active=%d — overhead should consolidate", a, b)
 	}
@@ -80,14 +80,14 @@ func TestConsolidationEmergesFromOverhead(t *testing.T) {
 
 func TestNodeCapRespected(t *testing.T) {
 	c := testCluster(t, 3, 10, 80)
-	c.FillBudget(0, 10000)
+	c.FillBudget(10000)
 	for _, n := range c.Nodes {
-		if p := n.Power(0); p > 80+1e-9 {
+		if p := n.Power(); p > 80+1e-9 {
 			t.Errorf("%s exceeds its 80 W cap: %.1f W", n.Name, p)
 		}
 	}
 	// Cluster saturates below nodes × cap.
-	if total := c.Power(0); total > 3*80+1e-9 {
+	if total := c.Power(); total > 3*80+1e-9 {
 		t.Errorf("cluster power %v exceeds cap sum", total)
 	}
 }
@@ -97,8 +97,8 @@ func TestGlobalBeatsUniformSplit(t *testing.T) {
 	// each node an equal share of the budget.
 	budget := 260.0
 	global := testCluster(t, 4, 25, 0)
-	global.FillBudget(0, budget)
-	globalT := global.Throughput(0)
+	global.FillBudget(budget)
+	globalT := global.Throughput()
 
 	uniform := testCluster(t, 4, 25, 0)
 	share := budget / 4
@@ -111,12 +111,12 @@ func TestGlobalBeatsUniformSplit(t *testing.T) {
 				activation = 25
 			}
 			for ci := 0; ci < n.Chip.NumCores(); ci++ {
-				dT, dp, ok := n.Chip.DeltaUp(ci, 0)
+				dT, dp, ok := n.Chip.DeltaUp(ci)
 				if !ok || dp <= 0 {
 					continue
 				}
 				dp += activation
-				if n.Power(0)+dp > share {
+				if n.Power()+dp > share {
 					continue
 				}
 				if tpr := dT / dp; tpr > bestTPR {
@@ -130,7 +130,7 @@ func TestGlobalBeatsUniformSplit(t *testing.T) {
 			n.Chip.StepUp(best)
 		}
 	}
-	uniformT := uniform.Throughput(0)
+	uniformT := uniform.Throughput()
 	if globalT < uniformT {
 		t.Errorf("global %v GIPS below uniform split %v", globalT, uniformT)
 	}
@@ -139,7 +139,7 @@ func TestGlobalBeatsUniformSplit(t *testing.T) {
 func TestRaiseLowerSaturation(t *testing.T) {
 	c := testCluster(t, 2, 15, 0)
 	raises := 0
-	for c.Raise(0) {
+	for c.Raise() {
 		raises++
 		if raises > 500 {
 			t.Fatal("raise never saturates")
@@ -149,14 +149,14 @@ func TestRaiseLowerSaturation(t *testing.T) {
 		t.Error("full cluster should have every node active")
 	}
 	lowers := 0
-	for c.Lower(0) {
+	for c.Lower() {
 		lowers++
 		if lowers > 500 {
 			t.Fatal("lower never saturates")
 		}
 	}
-	if raises != lowers || c.Power(0) != 0 {
-		t.Errorf("raises %d, lowers %d, final power %v", raises, lowers, c.Power(0))
+	if raises != lowers || c.Power() != 0 {
+		t.Errorf("raises %d, lowers %d, final power %v", raises, lowers, c.Power())
 	}
 }
 
@@ -204,10 +204,10 @@ func TestRunDayDefaultsAndChipOverride(t *testing.T) {
 func TestFairShareBaseline(t *testing.T) {
 	budget := 260.0
 	global := testCluster(t, 4, 25, 0)
-	global.FillBudget(0, budget)
+	global.FillBudget(budget)
 
 	fair := testCluster(t, 4, 25, 0)
-	p := fair.FillBudgetFairShare(0, budget)
+	p := fair.FillBudgetFairShare(budget)
 	if p > budget+1e-9 {
 		t.Errorf("fair share filled to %v over budget %v", p, budget)
 	}
@@ -215,8 +215,8 @@ func TestFairShareBaseline(t *testing.T) {
 		t.Errorf("fair share should spread wider: %d vs %d nodes",
 			fair.ActiveNodes(), global.ActiveNodes())
 	}
-	if global.Throughput(0) < fair.Throughput(0) {
-		t.Errorf("global TPR %v GIPS below fair share %v", global.Throughput(0), fair.Throughput(0))
+	if global.Throughput() < fair.Throughput() {
+		t.Errorf("global TPR %v GIPS below fair share %v", global.Throughput(), fair.Throughput())
 	}
 }
 
@@ -224,9 +224,9 @@ func TestFairShareTinyBudget(t *testing.T) {
 	// A budget below one node's activation cost per share leaves the fair
 	// cluster dark while the global allocator still lights one node.
 	fair := testCluster(t, 6, 40, 0)
-	fair.FillBudgetFairShare(0, 90) // 15 W/node share < 40 W overhead
+	fair.FillBudgetFairShare(90) // 15 W/node share < 40 W overhead
 	global := testCluster(t, 6, 40, 0)
-	global.FillBudget(0, 90)
+	global.FillBudget(90)
 	if fair.ActiveNodes() >= global.ActiveNodes() && global.ActiveNodes() > 0 {
 		t.Errorf("expected consolidation advantage: fair %d vs global %d",
 			fair.ActiveNodes(), global.ActiveNodes())

@@ -19,7 +19,7 @@ type snapshot struct {
 }
 
 func snap(c *Cluster, p float64) snapshot {
-	s := snapshot{PowerW: p, GIPS: c.Throughput(720), ActiveNodes: c.ActiveNodes()}
+	s := snapshot{PowerW: p, GIPS: c.Throughput(), ActiveNodes: c.ActiveNodes()}
 	for _, n := range c.Nodes {
 		s.Levels = append(s.Levels, n.Chip.Levels())
 	}
@@ -51,11 +51,13 @@ func TestClusterGolden(t *testing.T) {
 		}, "d7343ca100228d58afd6f218140b9d1c1585f58d5daa5f86b9726299518bdc1c"},
 		{"FillBudget/midday", func(t *testing.T) any {
 			c := testCluster(t, 4, 25, 0)
-			return snap(c, c.FillBudget(720, 300))
+			c.At(720)
+			return snap(c, c.FillBudget(300))
 		}, "efa6a91a2a5a38b4266aa85a5599364f9ca642e28c7aa81e1633150592e4aec1"},
 		{"FillBudgetFairShare/midday", func(t *testing.T) any {
 			c := testCluster(t, 4, 25, 0)
-			return snap(c, c.FillBudgetFairShare(720, 300))
+			c.At(720)
+			return snap(c, c.FillBudgetFairShare(300))
 		}, "e3bf97e08d06ff32492f4b2157924030d7e11c4132f1405e50f3fc2d0281ebdd"},
 	}
 	for _, row := range rows {

@@ -87,14 +87,14 @@ func ConsolidationStudy() ConsolidationResult {
 	for _, budget := range []float64{60, 120, 240, 480, 900} {
 		over := build(25)
 		free := build(0)
-		over.FillBudget(0, budget)
-		free.FillBudget(0, budget)
+		over.FillBudget(budget) // fresh clusters are sampled at minute 0
+		free.FillBudget(budget)
 		res.Rows = append(res.Rows, ConsolidationRow{
 			BudgetW:        budget,
 			ActiveOverhead: float64(over.ActiveNodes()),
 			ActiveFree:     float64(free.ActiveNodes()),
-			ThroughputOver: over.Throughput(0),
-			ThroughputFree: free.Throughput(0),
+			ThroughputOver: over.Throughput(),
+			ThroughputFree: free.Throughput(),
 		})
 	}
 	return res

@@ -63,12 +63,16 @@ func (c *CoreDevice) SetState(s int) error {
 	return c.Chip.SetLevel(c.Core, s-1)
 }
 
-// Power returns the core's draw.
-func (c *CoreDevice) Power(minute float64) float64 { return c.Chip.CorePower(c.Core, minute) }
+// Power samples the chip at minute and returns the core's draw.
+func (c *CoreDevice) Power(minute float64) float64 {
+	c.Chip.At(minute)
+	return c.Chip.CorePower(c.Core)
+}
 
-// Utility returns weighted GIPS.
+// Utility samples the chip at minute and returns weighted GIPS.
 func (c *CoreDevice) Utility(minute float64) float64 {
-	return c.Weight * c.Chip.CoreThroughput(c.Core, minute)
+	c.Chip.At(minute)
+	return c.Weight * c.Chip.CoreThroughput(c.Core)
 }
 
 // Disk is a DRPM multi-speed disk (Gurumurthi et al., the paper's [17]):

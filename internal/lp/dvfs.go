@@ -16,24 +16,22 @@ import (
 //
 // Fractional x model time-multiplexing between adjacent points, so the LP
 // optimum upper-bounds every integral assignment, including the greedy
-// planner in package sched.
-func DVFSRelaxation(chip *mcore.Chip, minute, budget float64) Problem {
+// planner in package sched. The columns read the chip's current sample
+// (mcore.Chip.At) and stop at each core's level cap: a column above the
+// cap stays zero, so a capped core adds nothing there. Building the
+// problem writes no level.
+func DVFSRelaxation(chip *mcore.Chip, budget float64) Problem {
 	cores := chip.NumCores()
 	levels := chip.NumLevels()
 	n := cores * levels
 
-	save := chip.Levels()
-	defer func() { _ = chip.RestoreLevels(save) }() // restoring the levels we just read
-
 	c := make([]float64, n)
 	pw := make([]float64, n)
 	for i := 0; i < cores; i++ {
-		for l := 0; l < levels; l++ {
-			_ = chip.SetLevel(i, l) // i and l iterate the chip's own ranges
-			c[i*levels+l] = chip.CoreThroughput(i, minute)
-			pw[i*levels+l] = chip.CorePower(i, minute)
+		for l := 0; l <= chip.LevelCap(i); l++ {
+			c[i*levels+l] = chip.ThroughputAt(i, l)
+			pw[i*levels+l] = chip.PowerAt(i, l)
 		}
-		_ = chip.SetLevel(i, save[i])
 	}
 
 	a := make([][]float64, 0, cores+1)
@@ -54,8 +52,8 @@ func DVFSRelaxation(chip *mcore.Chip, minute, budget float64) Problem {
 
 // DVFSUpperBound solves the relaxation and returns the maximum fractional
 // throughput for the budget.
-func DVFSUpperBound(chip *mcore.Chip, minute, budget float64) (float64, error) {
-	sol, err := Solve(DVFSRelaxation(chip, minute, budget))
+func DVFSUpperBound(chip *mcore.Chip, budget float64) (float64, error) {
+	sol, err := Solve(DVFSRelaxation(chip, budget))
 	if err != nil {
 		return 0, err
 	}

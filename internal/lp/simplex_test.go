@@ -124,9 +124,9 @@ func TestGreedyPlannerNearLPBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, budget := range []float64{30, 60, 90, 120, 150, 200} {
-		sched.PlanBudget(chip, 0, budget)
-		greedy := chip.Throughput(0)
-		bound, err := DVFSUpperBound(chip, 0, budget)
+		sched.PlanBudget(chip, budget)
+		greedy := chip.Throughput()
+		bound, err := DVFSUpperBound(chip, budget)
 		if err != nil {
 			t.Fatalf("budget %v: %v", budget, err)
 		}
@@ -143,8 +143,8 @@ func TestDVFSRelaxationRestoresChip(t *testing.T) {
 	chip := mcore.MustNewChip(mcore.DefaultConfig())
 	chip.SetLevel(3, 4)
 	chip.SetLevel(5, mcore.Gated)
-	before := chip.Levels()
-	if _, err := DVFSUpperBound(chip, 0, 80); err != nil {
+	before, transitions := chip.Levels(), chip.Transitions()
+	if _, err := DVFSUpperBound(chip, 80); err != nil {
 		t.Fatal(err)
 	}
 	after := chip.Levels()
@@ -152,5 +152,34 @@ func TestDVFSRelaxationRestoresChip(t *testing.T) {
 		if before[i] != after[i] {
 			t.Fatalf("chip levels mutated: %v → %v", before, after)
 		}
+	}
+	if got := chip.Transitions(); got != transitions {
+		t.Errorf("building the relaxation counted %d DVFS transitions", got-transitions)
+	}
+
+	// A capped core contributes nothing above its cap, so an unbounded
+	// budget reaches every other core's top point and the capped core's
+	// cap, not its top.
+	const capped, cap = 2, 1
+	if err := chip.SetLevelCap(capped, cap); err != nil {
+		t.Fatal(err)
+	}
+	p := DVFSRelaxation(chip, 1e9)
+	levels := chip.NumLevels()
+	for l := cap + 1; l < levels; l++ {
+		if c, pw := p.C[capped*levels+l], p.A[len(p.A)-1][capped*levels+l]; c != 0 || pw != 0 {
+			t.Errorf("capped core column %d: throughput %v, power %v; want zero", l, c, pw)
+		}
+	}
+	bound, err := DVFSUpperBound(chip, 1e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0.0
+	for i := 0; i < chip.NumCores(); i++ {
+		want += chip.ThroughputAt(i, chip.LevelCap(i))
+	}
+	if math.Abs(bound-want) > 1e-9 {
+		t.Errorf("unbounded LP bound %v, want %v with core %d held at its cap", bound, want, capped)
 	}
 }

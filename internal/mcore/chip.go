@@ -7,7 +7,9 @@ import "fmt"
 // effective switched capacitance (nF) that set throughput and dynamic
 // power. Package workload provides phase-varying implementations.
 type Activity interface {
-	// Demand returns the activity seen at a simulation minute.
+	// Demand returns the activity seen at a simulation minute. It must
+	// be pure in minute: the chip samples it once per Chip.At and reuses
+	// that sample for every read until the next one.
 	//
 	// unit: minute=min, ipc=instr, ceffNF=F
 	Demand(minute float64) (ipc, ceffNF float64)
@@ -28,36 +30,43 @@ func (a ConstantActivity) Demand(minute float64) (ipc, ceffNF float64) { return 
 // Gated marks a power-gated core (per-core power gating, Section 4.1).
 const Gated = -1
 
+// core is one core's state: its operating point, its level cap, the
+// activity it runs and that activity's sample at the chip's minute.
+type core struct {
+	level int
+	// cap bounds the reachable operating point: top (the default) is
+	// unconstrained, Gated marks a failed core forced off. The
+	// fault-injection layer (internal/fault) drives it.
+	cap int
+	act Activity
+	// ipc and ceffNF are act's Demand at the chip's minute.
+	ipc    float64 // unit: instr
+	ceffNF float64 // unit: F
+}
+
 // Chip is the simulated multi-core processor: per-core DVFS level and
-// activity, with power and throughput evaluation at arbitrary simulation
-// times. It is a pure model — no goroutines, no wall-clock.
+// activity, sampled at one simulation minute at a time (At). Every read
+// is a pure function of the levels and that sample. It is a pure model
+// — no goroutines, no wall-clock.
 type Chip struct {
-	cfg      Config
-	levels   []int
-	activity []Activity
-	// caps bounds each core's reachable operating point: top (the
-	// default) is unconstrained, Gated marks a failed core forced off.
-	// The fault-injection layer (internal/fault) drives this; nil means
-	// no cap was ever installed and every fast path skips the checks.
-	caps []int
+	cfg    Config
+	cores  []core
+	minute float64 // unit: min
 
 	transitions uint64
 }
 
 // NewChip builds a chip from cfg with every core at the lowest operating
-// point running a nominal activity (IPC 1, 2.5 nF).
+// point running a nominal activity (IPC 1, 2.5 nF), sampled at minute 0.
 func NewChip(cfg Config) (*Chip, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Chip{
-		cfg:      cfg,
-		levels:   make([]int, cfg.Cores),
-		activity: make([]Activity, cfg.Cores),
+	c := &Chip{cfg: cfg, cores: make([]core, cfg.Cores)}
+	for i := range c.cores {
+		c.cores[i] = core{cap: len(cfg.Points) - 1, act: ConstantActivity{IPC: 1, CeffNF: 2.5}}
 	}
-	for i := range c.activity {
-		c.activity[i] = ConstantActivity{IPC: 1, CeffNF: 2.5}
-	}
+	c.At(0)
 	return c, nil
 }
 
@@ -70,6 +79,18 @@ func MustNewChip(cfg Config) *Chip {
 	return c
 }
 
+// At samples every core's activity at a simulation minute. Power,
+// throughput and the TPR probes read that sample until the next At.
+//
+// unit: minute=min
+func (c *Chip) At(minute float64) {
+	c.minute = minute
+	for i := range c.cores {
+		k := &c.cores[i]
+		k.ipc, k.ceffNF = k.act.Demand(minute)
+	}
+}
+
 // Config returns the chip configuration.
 func (c *Chip) Config() Config { return c.cfg }
 
@@ -80,7 +101,7 @@ func (c *Chip) NumCores() int { return c.cfg.Cores }
 func (c *Chip) NumLevels() int { return len(c.cfg.Points) }
 
 // Level returns the current operating point index of a core, or Gated.
-func (c *Chip) Level(core int) int { return c.levels[core] }
+func (c *Chip) Level(core int) int { return c.cores[core].level }
 
 // SetLevel sets a core's operating point; Gated powers the core down.
 // A request above the core's installed level cap (see SetLevelCap) is
@@ -93,27 +114,20 @@ func (c *Chip) SetLevel(core, level int) error {
 	if level != Gated && (level < 0 || level >= len(c.cfg.Points)) {
 		return fmt.Errorf("mcore: level %d out of range", level)
 	}
-	if cap := c.levelCap(core); level > cap {
-		level = cap
+	k := &c.cores[core]
+	if level > k.cap {
+		level = k.cap
 	}
-	if c.levels[core] != level {
+	if k.level != level {
 		c.transitions++
 	}
-	c.levels[core] = level
+	k.level = level
 	return nil
-}
-
-// levelCap returns the core's effective cap: top when none installed.
-func (c *Chip) levelCap(core int) int {
-	if c.caps == nil {
-		return len(c.cfg.Points) - 1
-	}
-	return c.caps[core]
 }
 
 // LevelCap returns the core's installed operating-point cap: the top
 // level when unconstrained, Gated for a failed core.
-func (c *Chip) LevelCap(core int) int { return c.levelCap(core) }
+func (c *Chip) LevelCap(core int) int { return c.cores[core].cap }
 
 // SetLevelCap bounds a core's reachable operating point: StepUp stops at
 // the cap and SetLevel requests above it clamp down. cap = NumLevels()-1
@@ -124,22 +138,13 @@ func (c *Chip) SetLevelCap(core, cap int) error {
 	if core < 0 || core >= c.cfg.Cores {
 		return fmt.Errorf("mcore: core %d out of range", core)
 	}
-	top := len(c.cfg.Points) - 1
-	if cap != Gated && (cap < 0 || cap > top) {
+	if cap != Gated && (cap < 0 || cap > len(c.cfg.Points)-1) {
 		return fmt.Errorf("mcore: level cap %d out of range", cap)
 	}
-	if c.caps == nil {
-		if cap == top {
-			return nil // installing the default is a no-op
-		}
-		c.caps = make([]int, c.cfg.Cores)
-		for i := range c.caps {
-			c.caps[i] = top
-		}
-	}
-	c.caps[core] = cap
-	if c.levels[core] > cap {
-		c.levels[core] = cap
+	k := &c.cores[core]
+	k.cap = cap
+	if k.level > cap {
+		k.level = cap
 		c.transitions++
 	}
 	return nil
@@ -155,7 +160,8 @@ func (c *Chip) SetAllLevels(level int) error {
 	return nil
 }
 
-// SetActivity assigns the program behaviour a core executes.
+// SetActivity assigns the program behaviour a core executes and samples
+// it at the chip's current minute.
 func (c *Chip) SetActivity(core int, a Activity) error {
 	if core < 0 || core >= c.cfg.Cores {
 		return fmt.Errorf("mcore: core %d out of range", core)
@@ -163,7 +169,9 @@ func (c *Chip) SetActivity(core int, a Activity) error {
 	if a == nil {
 		return fmt.Errorf("mcore: nil activity for core %d", core)
 	}
-	c.activity[core] = a
+	k := &c.cores[core]
+	k.act = a
+	k.ipc, k.ceffNF = a.Demand(c.minute)
 	return nil
 }
 
@@ -171,141 +179,115 @@ func (c *Chip) SetActivity(core int, a Activity) error {
 // first) and reports whether anything changed. A core at its level cap —
 // including a failed core capped at Gated — refuses to move.
 func (c *Chip) StepUp(core int) bool {
-	switch {
-	case c.levels[core] >= c.levelCap(core):
+	k := &c.cores[core]
+	if k.level >= k.cap {
 		return false
-	case c.levels[core] == Gated:
-		c.levels[core] = 0
-		c.transitions++
-		return true
-	default:
-		c.levels[core]++
-		c.transitions++
-		return true
 	}
+	k.level++ // Gated+1 is the lowest point
+	c.transitions++
+	return true
 }
 
 // StepDown lowers a core one operating point, gating it below the lowest
 // point, and reports whether anything changed.
 func (c *Chip) StepDown(core int) bool {
-	switch {
-	case c.levels[core] == Gated:
+	k := &c.cores[core]
+	if k.level == Gated {
 		return false
-	case c.levels[core] == 0:
-		c.levels[core] = Gated
-		c.transitions++
-		return true
-	default:
-		c.levels[core]--
-		c.transitions++
-		return true
 	}
+	k.level-- // 0−1 is Gated
+	c.transitions++
+	return true
 }
 
-// CorePower returns one core's instantaneous power draw (W) at the given
-// simulation minute: Ceff·V²·f dynamic power plus voltage-proportional
-// leakage; zero when gated.
+// PowerAt returns the power (W) a core would draw at operating point lvl
+// under its current sample: Ceff·V²·f dynamic power plus
+// voltage-proportional leakage and the active floor; zero when Gated.
 //
-// unit: minute=min, return=W
-func (c *Chip) CorePower(core int, minute float64) float64 {
-	lvl := c.levels[core]
+// unit: return=W
+func (c *Chip) PowerAt(core, lvl int) float64 {
 	if lvl == Gated {
 		return 0
 	}
-	_, ceff := c.activity[core].Demand(minute)
 	p := c.cfg.Points[lvl]
-	base := ceff*p.VoltV*p.VoltV*p.FreqGHz + c.cfg.LeakWPerV*p.VoltV + c.cfg.ActiveWatts
+	base := c.cores[core].ceffNF*p.VoltV*p.VoltV*p.FreqGHz + c.cfg.LeakWPerV*p.VoltV + c.cfg.ActiveWatts
 	return base * c.cfg.classOf(core).Power
 }
 
+// ThroughputAt returns the throughput in GIPS (billion instructions per
+// second) a core would deliver at operating point lvl under its current
+// sample: IPC·f, zero when Gated.
+//
+// unit: return=GIPS
+func (c *Chip) ThroughputAt(core, lvl int) float64 {
+	if lvl == Gated {
+		return 0
+	}
+	return c.cores[core].ipc * c.cfg.Points[lvl].FreqGHz * c.cfg.classOf(core).Perf
+}
+
+// CorePower returns one core's instantaneous power draw (W) at its
+// current level.
+//
+// unit: return=W
+func (c *Chip) CorePower(core int) float64 { return c.PowerAt(core, c.cores[core].level) }
+
 // Power returns the chip's total instantaneous power draw (W).
 //
-// unit: minute=min, return=W
-func (c *Chip) Power(minute float64) float64 {
+// unit: return=W
+func (c *Chip) Power() float64 {
 	sum := 0.0
-	for i := 0; i < c.cfg.Cores; i++ {
-		sum += c.CorePower(i, minute)
+	for i := range c.cores {
+		sum += c.CorePower(i)
 	}
 	return sum
 }
 
-// CoreThroughput returns one core's instantaneous throughput in GIPS
-// (billion instructions per second): IPC·f, zero when gated.
+// CoreThroughput returns one core's instantaneous throughput in GIPS at
+// its current level.
 //
-// unit: minute=min, return=GIPS
-func (c *Chip) CoreThroughput(core int, minute float64) float64 {
-	lvl := c.levels[core]
-	if lvl == Gated {
-		return 0
-	}
-	ipc, _ := c.activity[core].Demand(minute)
-	return ipc * c.cfg.Points[lvl].FreqGHz * c.cfg.classOf(core).Perf
+// unit: return=GIPS
+func (c *Chip) CoreThroughput(core int) float64 {
+	return c.ThroughputAt(core, c.cores[core].level)
 }
 
 // Throughput returns the chip's total instantaneous throughput in GIPS.
 //
-// unit: minute=min, return=GIPS
-func (c *Chip) Throughput(minute float64) float64 {
+// unit: return=GIPS
+func (c *Chip) Throughput() float64 {
 	sum := 0.0
-	for i := 0; i < c.cfg.Cores; i++ {
-		sum += c.CoreThroughput(i, minute)
+	for i := range c.cores {
+		sum += c.CoreThroughput(i)
 	}
 	return sum
 }
 
 // MinPower returns the chip power with every core gated except one at the
 // lowest operating point — the smallest load the chip can present while
-// still making progress.
+// still making progress. It depends on neither levels nor caps.
 //
-// unit: minute=min, return=W
-func (c *Chip) MinPower(minute float64) float64 {
+// unit: return=W
+func (c *Chip) MinPower() float64 {
 	min := 0.0
-	for i := 0; i < c.cfg.Cores; i++ {
-		save := c.levels[i]
-		c.levels[i] = 0
-		p := c.CorePower(i, minute)
-		c.levels[i] = save
-		if i == 0 || p < min {
+	for i := range c.cores {
+		if p := c.PowerAt(i, 0); i == 0 || p < min {
 			min = p
 		}
 	}
 	return min
 }
 
-// MaxPower returns the chip power with every core at the top operating
-// point.
-//
-// unit: minute=min, return=W
-func (c *Chip) MaxPower(minute float64) float64 {
-	sum := 0.0
-	top := len(c.cfg.Points) - 1
-	for i := 0; i < c.cfg.Cores; i++ {
-		save := c.levels[i]
-		c.levels[i] = top
-		sum += c.CorePower(i, minute)
-		c.levels[i] = save
-	}
-	return sum
-}
-
 // DeltaUp returns the throughput and power increases of raising a core one
-// operating point at the given minute. ok is false when the core is already
-// at the top.
+// operating point. ok is false when the core is already at the top.
 //
-// unit: minute=min, dT=GIPS, dP=W
-func (c *Chip) DeltaUp(core int, minute float64) (dT, dP float64, ok bool) {
-	lvl := c.levels[core]
+// unit: dT=GIPS, dP=W
+func (c *Chip) DeltaUp(core int) (dT, dP float64, ok bool) {
+	lvl := c.cores[core].level
 	if lvl == len(c.cfg.Points)-1 {
 		return 0, 0, false
 	}
-	t0, p0 := c.CoreThroughput(core, minute), c.CorePower(core, minute)
-	c.levels[core] = lvl + 1
-	if lvl == Gated {
-		c.levels[core] = 0
-	}
-	dT = c.CoreThroughput(core, minute) - t0
-	dP = c.CorePower(core, minute) - p0
-	c.levels[core] = lvl
+	dT = c.ThroughputAt(core, lvl+1) - c.ThroughputAt(core, lvl)
+	dP = c.PowerAt(core, lvl+1) - c.PowerAt(core, lvl)
 	return dT, dP, true
 }
 
@@ -313,21 +295,14 @@ func (c *Chip) DeltaUp(core int, minute float64) (dT, dP float64, ok bool) {
 // numbers) of lowering a core one operating point. ok is false when the
 // core is already gated.
 //
-// unit: minute=min, dT=GIPS, dP=W
-func (c *Chip) DeltaDown(core int, minute float64) (dT, dP float64, ok bool) {
-	lvl := c.levels[core]
+// unit: dT=GIPS, dP=W
+func (c *Chip) DeltaDown(core int) (dT, dP float64, ok bool) {
+	lvl := c.cores[core].level
 	if lvl == Gated {
 		return 0, 0, false
 	}
-	t0, p0 := c.CoreThroughput(core, minute), c.CorePower(core, minute)
-	if lvl == 0 {
-		c.levels[core] = Gated
-	} else {
-		c.levels[core] = lvl - 1
-	}
-	dT = t0 - c.CoreThroughput(core, minute)
-	dP = p0 - c.CorePower(core, minute)
-	c.levels[core] = lvl
+	dT = c.ThroughputAt(core, lvl) - c.ThroughputAt(core, lvl-1)
+	dP = c.PowerAt(core, lvl) - c.PowerAt(core, lvl-1)
 	return dT, dP, true
 }
 
@@ -335,9 +310,9 @@ func (c *Chip) DeltaDown(core int, minute float64) (dT, dP float64, ok bool) {
 // level (Section 4.3) — the marginal performance return of giving this core
 // more power. Returns 0 when the core cannot be raised.
 //
-// unit: minute=min, return=GIPS/W
-func (c *Chip) TPRUp(core int, minute float64) float64 {
-	dT, dP, ok := c.DeltaUp(core, minute)
+// unit: return=GIPS/W
+func (c *Chip) TPRUp(core int) float64 {
+	dT, dP, ok := c.DeltaUp(core)
 	if !ok || dP <= 0 {
 		return 0
 	}
@@ -348,9 +323,9 @@ func (c *Chip) TPRUp(core int, minute float64) float64 {
 // level — the performance cost per watt reclaimed. Returns +Inf-free 0 when
 // the core is gated already.
 //
-// unit: minute=min, return=GIPS/W
-func (c *Chip) TPRDown(core int, minute float64) float64 {
-	dT, dP, ok := c.DeltaDown(core, minute)
+// unit: return=GIPS/W
+func (c *Chip) TPRDown(core int) float64 {
+	dT, dP, ok := c.DeltaDown(core)
 	if !ok || dP <= 0 {
 		return 0
 	}
@@ -360,25 +335,14 @@ func (c *Chip) TPRDown(core int, minute float64) float64 {
 // Transitions returns the cumulative count of per-core operating-point
 // changes — each one costs a VRM voltage ramp and a PLL relock, so power
 // managers that thrash levels pay for it (see sim.Config.DVFSTransitionUs).
-// DeltaUp/DeltaDown probes do not count; they restore the level.
+// The probes (DeltaUp, DeltaDown, PowerAt, ...) never write a level.
 func (c *Chip) Transitions() uint64 { return c.transitions }
 
 // Levels returns a copy of the per-core operating point indices.
 func (c *Chip) Levels() []int {
-	out := make([]int, len(c.levels))
-	copy(out, c.levels)
+	out := make([]int, len(c.cores))
+	for i, k := range c.cores {
+		out[i] = k.level
+	}
 	return out
-}
-
-// RestoreLevels sets all per-core levels from a snapshot produced by Levels.
-func (c *Chip) RestoreLevels(levels []int) error {
-	if len(levels) != c.cfg.Cores {
-		return fmt.Errorf("mcore: snapshot has %d cores, chip has %d", len(levels), c.cfg.Cores)
-	}
-	for i, l := range levels {
-		if err := c.SetLevel(i, l); err != nil {
-			return err
-		}
-	}
-	return nil
 }

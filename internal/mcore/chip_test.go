@@ -98,17 +98,17 @@ func TestPowerMonotoneInLevel(t *testing.T) {
 		if err := c.SetLevel(0, lvl); err != nil {
 			t.Fatal(err)
 		}
-		p := c.CorePower(0, 0)
+		p := c.CorePower(0)
 		if p <= prev {
 			t.Errorf("power at level %d = %v, not increasing", lvl, p)
 		}
 		prev = p
 	}
 	c.SetLevel(0, Gated)
-	if p := c.CorePower(0, 0); p != 0 {
+	if p := c.CorePower(0); p != 0 {
 		t.Errorf("gated power = %v, want 0", p)
 	}
-	if tp := c.CoreThroughput(0, 0); tp != 0 {
+	if tp := c.CoreThroughput(0); tp != 0 {
 		t.Errorf("gated throughput = %v, want 0", tp)
 	}
 }
@@ -120,9 +120,9 @@ func TestCubicPowerLaw(t *testing.T) {
 	cfg.ActiveWatts = 0
 	c := MustNewChip(cfg)
 	c.SetLevel(0, 0)
-	p0 := c.CorePower(0, 0)
+	p0 := c.CorePower(0)
 	c.SetLevel(0, 5)
-	p5 := c.CorePower(0, 0)
+	p5 := c.CorePower(0)
 	v0, v5 := cfg.Points[0].VoltV, cfg.Points[5].VoltV
 	f0, f5 := cfg.Points[0].FreqGHz, cfg.Points[5].FreqGHz
 	want := (v5 * v5 * f5) / (v0 * v0 * f0)
@@ -144,21 +144,18 @@ func TestChipPowerScale(t *testing.T) {
 	// panel, which is what makes the tracking problem interesting.
 	c := newTestChip(t)
 	c.SetAllLevels(5)
-	max := c.Power(0)
+	max := c.Power()
 	if max < 110 || max > 220 {
 		t.Errorf("max chip power = %.1f W, want 110-220", max)
 	}
 	c.SetAllLevels(0)
-	min := c.Power(0)
+	min := c.Power()
 	if min < 15 || min > 100 {
 		t.Errorf("all-min chip power = %.1f W, want 15-100", min)
 	}
-	if mp := c.MinPower(0); mp >= min/4 {
+	if mp := c.MinPower(); mp >= min/4 {
 		// One ungated core at the bottom point should be ~1/8 of all-min.
 		t.Errorf("MinPower = %.1f W, want well below all-min %.1f", mp, min)
-	}
-	if mx := c.MaxPower(0); math.Abs(mx-max) > 1e-9 {
-		t.Errorf("MaxPower = %v, want %v", mx, max)
 	}
 }
 
@@ -191,7 +188,7 @@ func TestDeltaAndTPR(t *testing.T) {
 	c.SetLevel(0, 2)
 	c.SetLevel(1, 2)
 
-	dT, dP, ok := c.DeltaUp(0, 0)
+	dT, dP, ok := c.DeltaUp(0)
 	if !ok || dT <= 0 || dP <= 0 {
 		t.Fatalf("DeltaUp = %v, %v, %v", dT, dP, ok)
 	}
@@ -200,22 +197,22 @@ func TestDeltaAndTPR(t *testing.T) {
 		t.Error("DeltaUp mutated level")
 	}
 	// High-IPC low-power core 0 has better TPR than low-IPC high-power core 1.
-	if c.TPRUp(0, 0) <= c.TPRUp(1, 0) {
-		t.Errorf("TPR ordering wrong: %v vs %v", c.TPRUp(0, 0), c.TPRUp(1, 0))
+	if c.TPRUp(0) <= c.TPRUp(1) {
+		t.Errorf("TPR ordering wrong: %v vs %v", c.TPRUp(0), c.TPRUp(1))
 	}
 
 	c.SetLevel(0, 5)
-	if _, _, ok := c.DeltaUp(0, 0); ok {
+	if _, _, ok := c.DeltaUp(0); ok {
 		t.Error("DeltaUp at top should be !ok")
 	}
-	if tpr := c.TPRUp(0, 0); tpr != 0 {
+	if tpr := c.TPRUp(0); tpr != 0 {
 		t.Errorf("TPRUp at top = %v, want 0", tpr)
 	}
 	c.SetLevel(0, Gated)
-	if _, _, ok := c.DeltaDown(0, 0); ok {
+	if _, _, ok := c.DeltaDown(0); ok {
 		t.Error("DeltaDown when gated should be !ok")
 	}
-	dT, dP, ok = c.DeltaUp(0, 0)
+	dT, dP, ok = c.DeltaUp(0)
 	if !ok || dT <= 0 || dP <= 0 {
 		t.Error("DeltaUp from gated should work (ungating)")
 	}
@@ -228,9 +225,9 @@ func TestThroughputProportionalToFrequency(t *testing.T) {
 	c := newTestChip(t)
 	c.SetActivity(3, ConstantActivity{IPC: 1.5, CeffNF: 2.5})
 	c.SetLevel(3, 0)
-	t0 := c.CoreThroughput(3, 0)
+	t0 := c.CoreThroughput(3)
 	c.SetLevel(3, 5)
-	t5 := c.CoreThroughput(3, 0)
+	t5 := c.CoreThroughput(3)
 	if math.Abs(t5/t0-2.5) > 1e-9 { // 2.5 GHz / 1.0 GHz
 		t.Errorf("throughput ratio = %v, want 2.5", t5/t0)
 	}
@@ -242,14 +239,13 @@ func TestLevelsSnapshotRoundTrip(t *testing.T) {
 	c.SetLevel(4, Gated)
 	snap := c.Levels()
 	c.SetAllLevels(5)
-	if err := c.RestoreLevels(snap); err != nil {
-		t.Fatal(err)
+	for i, l := range snap {
+		if err := c.SetLevel(i, l); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if c.Level(0) != 3 || c.Level(4) != Gated || c.Level(1) != 0 {
 		t.Errorf("restore mismatch: %v", c.Levels())
-	}
-	if err := c.RestoreLevels([]int{1, 2}); err == nil {
-		t.Error("short snapshot should error")
 	}
 	// Mutating the snapshot must not touch the chip.
 	snap[0] = 5
@@ -271,9 +267,9 @@ func TestPowerAdditivity(t *testing.T) {
 		}
 		sum := 0.0
 		for i := 0; i < 8; i++ {
-			sum += c.CorePower(i, 0)
+			sum += c.CorePower(i)
 		}
-		return math.Abs(sum-c.Power(0)) < 1e-9
+		return math.Abs(sum-c.Power()) < 1e-9
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
@@ -304,10 +300,10 @@ func TestAccessorsAndTransitions(t *testing.T) {
 	}
 	// Delta probes must not count as transitions.
 	before := c.Transitions()
-	c.DeltaUp(2, 0)
-	c.DeltaDown(1, 0)
-	c.TPRUp(2, 0)
-	c.TPRDown(1, 0)
+	c.DeltaUp(2)
+	c.DeltaDown(1)
+	c.TPRUp(2)
+	c.TPRDown(1)
 	if c.Transitions() != before {
 		t.Error("probes counted as transitions")
 	}
@@ -319,11 +315,11 @@ func TestTPRDownOrdering(t *testing.T) {
 	c.SetActivity(1, ConstantActivity{IPC: 0.4, CeffNF: 3.5})
 	c.SetAllLevels(3)
 	// Stepping down the high-IPC core loses more throughput per watt.
-	if c.TPRDown(0, 0) <= c.TPRDown(1, 0) {
-		t.Errorf("TPRDown ordering wrong: %v vs %v", c.TPRDown(0, 0), c.TPRDown(1, 0))
+	if c.TPRDown(0) <= c.TPRDown(1) {
+		t.Errorf("TPRDown ordering wrong: %v vs %v", c.TPRDown(0), c.TPRDown(1))
 	}
 	c.SetLevel(2, Gated)
-	if c.TPRDown(2, 0) != 0 {
+	if c.TPRDown(2) != 0 {
 		t.Error("gated TPRDown should be 0")
 	}
 }

@@ -36,11 +36,11 @@ func TestLittleCoresScalePowerAndThroughput(t *testing.T) {
 	c.SetAllLevels(5)
 	// All cores share the default activity, so the big/little ratio is the
 	// class ratio exactly.
-	big, little := c.CorePower(0, 0), c.CorePower(7, 0)
+	big, little := c.CorePower(0), c.CorePower(7)
 	if math.Abs(little/big-0.25) > 1e-9 {
 		t.Errorf("little/big power = %v, want 0.25", little/big)
 	}
-	bigT, littleT := c.CoreThroughput(0, 0), c.CoreThroughput(7, 0)
+	bigT, littleT := c.CoreThroughput(0), c.CoreThroughput(7)
 	if math.Abs(littleT/bigT-0.5) > 1e-9 {
 		t.Errorf("little/big throughput = %v, want 0.5", littleT/bigT)
 	}
@@ -52,8 +52,8 @@ func TestLittleCoresWinLowBudgetTPR(t *testing.T) {
 	// first when everything sits gated.
 	c := MustNewChip(BigLittleConfig())
 	c.SetAllLevels(Gated)
-	bigTPR := c.TPRUp(0, 0)
-	littleTPR := c.TPRUp(7, 0)
+	bigTPR := c.TPRUp(0)
+	littleTPR := c.TPRUp(7)
 	if littleTPR <= bigTPR {
 		t.Errorf("little TPR %v not above big %v", littleTPR, bigTPR)
 	}
@@ -72,7 +72,7 @@ func TestHomogeneousUnaffectedByNilClasses(t *testing.T) {
 	b := MustNewChip(cfg)
 	a.SetAllLevels(3)
 	b.SetAllLevels(3)
-	if a.Power(0) != b.Power(0) || a.Throughput(0) != b.Throughput(0) {
+	if a.Power() != b.Power() || a.Throughput() != b.Throughput() {
 		t.Error("identity classes changed behaviour")
 	}
 }

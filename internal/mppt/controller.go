@@ -152,7 +152,7 @@ func (r *Result) Solar() bool { return !r.Overload && r.RaisedTo > 0 }
 //
 // unit: minute=min
 func (c *Controller) operate(env pv.Env, minute float64) power.Operating {
-	op := c.Circuit.OperateAtDemand(env, c.Chip.Power(minute))
+	op := c.Circuit.OperateAtDemand(env, c.Chip.Power())
 	if c.noise != nil {
 		e := c.Cfg.SensorError
 		op.VLoad *= 1 + e*(2*c.noise.Float64()-1)
@@ -174,10 +174,13 @@ func (c *Controller) operate(env pv.Env, minute float64) power.Operating {
 // tuning direction) and Step 3 (load-match back to nominal) until output
 // power stops improving, and finally sheds MarginSteps of load as the
 // protective power margin. When Config.Observer is set, the settled
-// session is reported as one obs.TrackEvent.
+// session is reported as one obs.TrackEvent. The session samples the
+// chip at minute (mcore.Chip.At); minute also reaches Config.SenseFault
+// and stamps the events.
 //
 // unit: minute=min
 func (c *Controller) Track(env pv.Env, minute float64) Result {
+	c.Chip.At(minute)
 	res := c.track(env, minute)
 	if o := c.Cfg.Observer; o != nil {
 		obs.Track(o, obs.TrackEvent{
@@ -222,7 +225,7 @@ func (c *Controller) track(env pv.Env, minute float64) Result {
 	// Optional global ratio scan: only meaningful once Step 1 has
 	// established a load to measure against; afterwards the rail must be
 	// re-matched at the chosen ratio.
-	if c.Cfg.ScanPoints > 1 && c.Chip.Power(minute) > 0 {
+	if c.Cfg.ScanPoints > 1 && c.Chip.Power() > 0 {
 		c.scanRatio(env, minute, &steps)
 		op, overload = c.restoreRail(env, minute, &steps)
 		if overload {
@@ -271,18 +274,18 @@ func (c *Controller) track(env pv.Env, minute float64) Result {
 	// Protective power margin (Section 4.3): one step of headroom so that
 	// workload phase swings do not overrun the budget mid-period.
 	for i := 0; i < c.Cfg.MarginSteps; i++ {
-		if !c.Alloc.Lower(c.Chip, minute) {
+		if !c.Alloc.Lower(c.Chip) {
 			break
 		}
 		steps++
 		if o := c.Cfg.Observer; o != nil {
 			obs.Alloc(o, obs.AllocEvent{Minute: minute, Dir: -1, Reason: obs.AllocMargin,
-				DemandW: c.Chip.Power(minute)})
+				DemandW: c.Chip.Power()})
 		}
 	}
 	op = c.operate(env, minute)
 
-	res := Result{Op: op, Steps: steps, RaisedTo: c.Chip.Power(minute), Trajectory: traj}
+	res := Result{Op: op, Steps: steps, RaisedTo: c.Chip.Power(), Trajectory: traj}
 	if res.Solar() {
 		c.lastGoodK = conv.K
 	}
@@ -333,7 +336,7 @@ func (c *Controller) restoreRail(env pv.Env, minute float64, steps *int) (power.
 	lastDir, flips, zeroProbes := 0, 0, 0
 	for *steps < c.Cfg.MaxSteps {
 		op := c.operate(env, minute)
-		demand := c.Chip.Power(minute)
+		demand := c.Chip.Power()
 
 		var dir int
 		switch {
@@ -345,7 +348,7 @@ func (c *Controller) restoreRail(env pv.Env, minute float64, steps *int) (power.
 			if demand <= 0 {
 				// In-band but unloaded: probe a minimal load (bounded — a
 				// panel that cannot carry it keeps knocking us back here).
-				if zeroProbes < 2 && c.Alloc.Raise(c.Chip, minute) {
+				if zeroProbes < 2 && c.Alloc.Raise(c.Chip) {
 					zeroProbes++
 					*steps++
 					continue
@@ -356,11 +359,11 @@ func (c *Controller) restoreRail(env pv.Env, minute float64, steps *int) (power.
 		}
 		if lastDir != 0 && dir != lastDir {
 			flips++
-			if flips >= 3 && demand > c.minimalDemand(minute) {
+			if flips >= 3 && demand > c.minimalDemand() {
 				// Straddling the band between two real configurations:
 				// end on the undersupplied side.
 				if dir < 0 {
-					c.Alloc.Lower(c.Chip, minute)
+					c.Alloc.Lower(c.Chip)
 					*steps++
 					op = c.operate(env, minute)
 				}
@@ -370,7 +373,7 @@ func (c *Controller) restoreRail(env pv.Env, minute float64, steps *int) (power.
 		lastDir = dir
 
 		if dir > 0 {
-			if !c.Alloc.Raise(c.Chip, minute) {
+			if !c.Alloc.Raise(c.Chip) {
 				// All cores at top: the panel oversupplies the chip.
 				return op, false
 			}
@@ -380,7 +383,7 @@ func (c *Controller) restoreRail(env pv.Env, minute float64, steps *int) (power.
 
 		// Rail low. At minimal load the fix is a smaller ratio, not less
 		// load; with load to spare, shed it.
-		if demand <= c.minimalDemand(minute) {
+		if demand <= c.minimalDemand() {
 			if c.Circuit.Conv.Step(-1) {
 				*steps++
 				continue
@@ -390,11 +393,11 @@ func (c *Controller) restoreRail(env pv.Env, minute float64, steps *int) (power.
 			}
 			// Converter railed with the minimal load still sagging the
 			// rail: the panel cannot carry even one core.
-			c.Alloc.Lower(c.Chip, minute)
+			c.Alloc.Lower(c.Chip)
 			*steps++
 			return c.operate(env, minute), true
 		}
-		if !c.Alloc.Lower(c.Chip, minute) {
+		if !c.Alloc.Lower(c.Chip) {
 			// Nothing left to shed and the rail still sags.
 			if c.Circuit.Conv.Step(-1) {
 				*steps++
@@ -411,7 +414,7 @@ func (c *Controller) restoreRail(env pv.Env, minute float64, steps *int) (power.
 // one core at the lowest operating point. Demand at or below it means load
 // shedding cannot help the rail any further.
 //
-// unit: minute=min, return=W
-func (c *Controller) minimalDemand(minute float64) float64 {
-	return c.Chip.MinPower(minute) * 1.01
+// unit: return=W
+func (c *Controller) minimalDemand() float64 {
+	return c.Chip.MinPower() * 1.01
 }

@@ -116,7 +116,7 @@ func TestSensorDropoutTripsWatchdogWithinN(t *testing.T) {
 			Steps: res.Steps, MaxSteps: ctrl.Cfg.MaxSteps,
 			RaisedToW: res.RaisedTo, SensedW: res.Op.PLoad,
 			BudgetW:  ctrl.Circuit.AvailableMax(env),
-			MinLoadW: ctrl.Chip.MinPower(m),
+			MinLoadW: ctrl.Chip.MinPower(),
 		})
 		if tripped < 0 && wd.Mode() == fault.ModeFallback {
 			tripped = m

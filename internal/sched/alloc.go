@@ -25,10 +25,10 @@ type Allocator interface {
 	Name() string
 	// Raise moves one core up one operating point; false when every core is
 	// already at the top.
-	Raise(chip *mcore.Chip, minute float64) bool
+	Raise(chip *mcore.Chip) bool
 	// Lower moves one core down one operating point (possibly gating it);
 	// false when every core is already gated.
-	Lower(chip *mcore.Chip, minute float64) bool
+	Lower(chip *mcore.Chip) bool
 	// Reset clears any cursor state at the start of a run.
 	Reset()
 }
@@ -45,10 +45,10 @@ func (OptTPR) Name() string { return "MPPT&Opt" }
 func (OptTPR) Reset() {}
 
 // Raise steps up the core with the best marginal throughput per watt.
-func (OptTPR) Raise(chip *mcore.Chip, minute float64) bool {
+func (OptTPR) Raise(chip *mcore.Chip) bool {
 	best, bestTPR := -1, 0.0
 	for i := 0; i < chip.NumCores(); i++ {
-		if tpr := chip.TPRUp(i, minute); tpr > bestTPR {
+		if tpr := chip.TPRUp(i); tpr > bestTPR {
 			best, bestTPR = i, tpr
 		}
 	}
@@ -59,13 +59,13 @@ func (OptTPR) Raise(chip *mcore.Chip, minute float64) bool {
 }
 
 // Lower steps down the core whose last watt buys the least throughput.
-func (OptTPR) Lower(chip *mcore.Chip, minute float64) bool {
+func (OptTPR) Lower(chip *mcore.Chip) bool {
 	worst, worstTPR := -1, 0.0
 	for i := 0; i < chip.NumCores(); i++ {
 		if chip.Level(i) == mcore.Gated {
 			continue
 		}
-		tpr := chip.TPRDown(i, minute)
+		tpr := chip.TPRDown(i)
 		if tpr <= 0 {
 			continue
 		}
@@ -92,12 +92,12 @@ func (*RoundRobin) Name() string { return "MPPT&RR" }
 func (r *RoundRobin) Reset() { r.cursor = 0 }
 
 // Raise steps up the next core in cyclic order that can move.
-func (r *RoundRobin) Raise(chip *mcore.Chip, minute float64) bool {
+func (r *RoundRobin) Raise(chip *mcore.Chip) bool {
 	return r.next(chip, (*mcore.Chip).StepUp)
 }
 
 // Lower steps down the next core in cyclic order that can move.
-func (r *RoundRobin) Lower(chip *mcore.Chip, minute float64) bool {
+func (r *RoundRobin) Lower(chip *mcore.Chip) bool {
 	return r.next(chip, (*mcore.Chip).StepDown)
 }
 
@@ -125,7 +125,7 @@ func (IndividualCore) Name() string { return "MPPT&IC" }
 func (IndividualCore) Reset() {}
 
 // Raise steps up the lowest-numbered core that is not yet at the top.
-func (IndividualCore) Raise(chip *mcore.Chip, minute float64) bool {
+func (IndividualCore) Raise(chip *mcore.Chip) bool {
 	for i := 0; i < chip.NumCores(); i++ {
 		if chip.StepUp(i) {
 			return true
@@ -136,7 +136,7 @@ func (IndividualCore) Raise(chip *mcore.Chip, minute float64) bool {
 
 // Lower steps down the highest-numbered core that is not yet gated, so the
 // concentration built by Raise is preserved.
-func (IndividualCore) Lower(chip *mcore.Chip, minute float64) bool {
+func (IndividualCore) Lower(chip *mcore.Chip) bool {
 	for i := chip.NumCores() - 1; i >= 0; i-- {
 		if chip.StepDown(i) {
 			return true
@@ -191,10 +191,11 @@ func ByName(name string) (Allocator, bool) {
 // all cores gated, it greedily steps up the best throughput-per-watt core
 // while the chip's total power stays within the budget. This is the
 // Fixed-Power baseline's "linear programming optimization with a fixed
-// power budget" (Table 6) in its exact greedy form.
+// power budget" (Table 6) in its exact greedy form, against the chip's
+// current sample (mcore.Chip.At).
 //
 // It returns the planned chip power.
-func PlanBudget(chip *mcore.Chip, minute, budget float64) float64 {
+func PlanBudget(chip *mcore.Chip, budget float64) float64 {
 	for i := 0; i < chip.NumCores(); i++ {
 		_ = chip.SetLevel(i, mcore.Gated) // i and Gated are in range by construction
 	}
@@ -203,7 +204,7 @@ func PlanBudget(chip *mcore.Chip, minute, budget float64) float64 {
 		best, bestTPR := -1, 0.0
 		var bestDP float64
 		for i := 0; i < chip.NumCores(); i++ {
-			dT, dP, ok := chip.DeltaUp(i, minute)
+			dT, dP, ok := chip.DeltaUp(i)
 			if !ok || dP <= 0 || power+dP > budget {
 				continue
 			}

@@ -28,11 +28,11 @@ func TestOptRaisesBestTPRCore(t *testing.T) {
 	// Identify the best marginal core by hand.
 	best, bestTPR := -1, 0.0
 	for i := 0; i < 8; i++ {
-		if tpr := chip.TPRUp(i, 0); tpr > bestTPR {
+		if tpr := chip.TPRUp(i); tpr > bestTPR {
 			best, bestTPR = i, tpr
 		}
 	}
-	OptTPR{}.Raise(chip, 0)
+	OptTPR{}.Raise(chip)
 	if chip.Level(best) != 3 {
 		t.Errorf("Opt raised %v, want core %d", chip.Levels(), best)
 	}
@@ -43,12 +43,12 @@ func TestOptLowerPrefersWorstCore(t *testing.T) {
 	chip.SetAllLevels(3)
 	worst, worstTPR := -1, 0.0
 	for i := 0; i < 8; i++ {
-		tpr := chip.TPRDown(i, 0)
+		tpr := chip.TPRDown(i)
 		if worst < 0 || (tpr > 0 && tpr < worstTPR) {
 			worst, worstTPR = i, tpr
 		}
 	}
-	OptTPR{}.Lower(chip, 0)
+	OptTPR{}.Lower(chip)
 	if chip.Level(worst) != 2 {
 		t.Errorf("Opt lowered %v, want core %d", chip.Levels(), worst)
 	}
@@ -57,15 +57,15 @@ func TestOptLowerPrefersWorstCore(t *testing.T) {
 func TestOptExtremes(t *testing.T) {
 	chip := hm2Chip(t)
 	chip.SetAllLevels(5)
-	if (OptTPR{}).Raise(chip, 0) {
+	if (OptTPR{}).Raise(chip) {
 		t.Error("Raise with all cores at top should fail")
 	}
 	chip.SetAllLevels(mcore.Gated)
-	if (OptTPR{}).Lower(chip, 0) {
+	if (OptTPR{}).Lower(chip) {
 		t.Error("Lower with all cores gated should fail")
 	}
 	// From all gated, Raise must ungate something.
-	if !(OptTPR{}).Raise(chip, 0) {
+	if !(OptTPR{}).Raise(chip) {
 		t.Error("Raise from all gated should succeed")
 	}
 }
@@ -75,7 +75,7 @@ func TestRoundRobinSpreadsEvenly(t *testing.T) {
 	rr := &RoundRobin{}
 	rr.Reset()
 	for i := 0; i < 16; i++ {
-		if !rr.Raise(chip, 0) {
+		if !rr.Raise(chip) {
 			t.Fatal("raise failed early")
 		}
 	}
@@ -85,7 +85,7 @@ func TestRoundRobinSpreadsEvenly(t *testing.T) {
 		}
 	}
 	for i := 0; i < 8; i++ {
-		rr.Lower(chip, 0)
+		rr.Lower(chip)
 	}
 	for i, lvl := range chip.Levels() {
 		if lvl != 0 {
@@ -99,14 +99,14 @@ func TestRoundRobinSkipsSaturated(t *testing.T) {
 	chip.SetAllLevels(5)
 	chip.SetLevel(3, 2)
 	rr := &RoundRobin{}
-	if !rr.Raise(chip, 0) {
+	if !rr.Raise(chip) {
 		t.Fatal("raise should find the one tunable core")
 	}
 	if chip.Level(3) != 3 {
 		t.Errorf("levels %v, want core 3 raised", chip.Levels())
 	}
 	chip.SetAllLevels(5)
-	if rr.Raise(chip, 0) {
+	if rr.Raise(chip) {
 		t.Error("raise with everything at top should fail")
 	}
 }
@@ -116,7 +116,7 @@ func TestIndividualCoreConcentrates(t *testing.T) {
 	ic := IndividualCore{}
 	// 6 raises from all-gated: core 0 gets gated→0→1→2→3→4; the 7th touches core 0 again.
 	for i := 0; i < 6; i++ {
-		ic.Raise(chip, 0)
+		ic.Raise(chip)
 	}
 	levels := chip.Levels()
 	if levels[0] != 5 {
@@ -125,13 +125,13 @@ func TestIndividualCoreConcentrates(t *testing.T) {
 	if levels[1] != mcore.Gated {
 		t.Errorf("levels %v, want core 1 untouched", levels)
 	}
-	ic.Raise(chip, 0)
+	ic.Raise(chip)
 	if chip.Level(1) != 0 {
 		t.Errorf("7th raise should ungate core 1: %v", chip.Levels())
 	}
 	// Lower takes from the tail first.
 	chip.SetAllLevels(3)
-	ic.Lower(chip, 0)
+	ic.Lower(chip)
 	if chip.Level(7) != 2 {
 		t.Errorf("lower should hit core 7 first: %v", chip.Levels())
 	}
@@ -161,8 +161,8 @@ func TestPlanBudgetRespectsBudget(t *testing.T) {
 	chip := hm2Chip(t)
 	prop := func(bRaw uint8) bool {
 		budget := float64(bRaw) // 0..255 W
-		planned := PlanBudget(chip, 0, budget)
-		diff := planned - chip.Power(0)
+		planned := PlanBudget(chip, budget)
+		diff := planned - chip.Power()
 		return planned <= budget+1e-9 && diff < 1e-6 && diff > -1e-6
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
@@ -174,8 +174,8 @@ func TestPlanBudgetMonotone(t *testing.T) {
 	chip := hm2Chip(t)
 	prevT := 0.0
 	for _, b := range []float64{10, 25, 50, 75, 100, 125, 200} {
-		PlanBudget(chip, 0, b)
-		tp := chip.Throughput(0)
+		PlanBudget(chip, b)
+		tp := chip.Throughput()
 		if tp < prevT-1e-9 {
 			t.Errorf("budget %v: throughput %v fell below %v", b, tp, prevT)
 		}
@@ -186,7 +186,7 @@ func TestPlanBudgetMonotone(t *testing.T) {
 func TestPlanBudgetZero(t *testing.T) {
 	chip := hm2Chip(t)
 	chip.SetAllLevels(5)
-	if got := PlanBudget(chip, 0, 0); got != 0 {
+	if got := PlanBudget(chip, 0); got != 0 {
 		t.Errorf("zero budget planned %v W", got)
 	}
 	for i, lvl := range chip.Levels() {
@@ -201,14 +201,14 @@ func TestPlanBudgetBeatsNaiveUniform(t *testing.T) {
 	// throughput of the best uniform-level assignment that fits.
 	chip := hm2Chip(t)
 	budget := 60.0
-	PlanBudget(chip, 0, budget)
-	planned := chip.Throughput(0)
+	PlanBudget(chip, budget)
+	planned := chip.Throughput()
 
 	bestUniform := 0.0
 	for lvl := 0; lvl < chip.NumLevels(); lvl++ {
 		chip.SetAllLevels(lvl)
-		if chip.Power(0) <= budget && chip.Throughput(0) > bestUniform {
-			bestUniform = chip.Throughput(0)
+		if chip.Power() <= budget && chip.Throughput() > bestUniform {
+			bestUniform = chip.Throughput()
 		}
 	}
 	if planned < bestUniform {

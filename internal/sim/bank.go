@@ -63,7 +63,8 @@ func RunBatteryBank(cfg Config, bank *power.Bank, trackingEff float64) (*BankDay
 		}
 		dt := math.Min(cfg.StepMin, end-t)
 		harvest := trackingEff * cfg.Day.MPPAt(t)
-		demand := chip.Power(t)
+		r.at(t)
+		demand := chip.Power()
 
 		direct := math.Min(harvest, demand)
 		deficit := demand - direct
@@ -82,7 +83,7 @@ func RunBatteryBank(cfg Config, bank *power.Bank, trackingEff float64) (*BankDay
 		if powered {
 			res.SolarMin += dt
 			r.meter.Add(power.Solar, demand, dt)
-			ginstr := chip.Throughput(t) * dt * 60
+			ginstr := chip.Throughput() * dt * 60
 			res.GInstrSolar += ginstr
 			res.GInstrTotal += ginstr
 		} else {

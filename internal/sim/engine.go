@@ -180,11 +180,14 @@ func (r *dayRun) start() {
 	})
 }
 
-// applyFaults pushes the armed fault schedule's state at minute t into
-// the chip and circuit; a no-op on fault-free runs.
+// at moves the run to minute t: it samples the chip's workload there
+// (mcore.Chip.At) and pushes the armed fault schedule's state into the
+// chip and circuit. It is the one place a run changes its minute; every
+// chip read and move until the next at uses this sample.
 //
 // unit: t=min
-func (r *dayRun) applyFaults(t float64) {
+func (r *dayRun) at(t float64) {
+	r.chip.At(t)
 	if r.fx != nil {
 		r.fx.applyAt(t, r.chip)
 	}
@@ -213,7 +216,7 @@ func (r *dayRun) book(t, dt, budgetW, demandW float64, onSolar bool) {
 	}
 	r.ats.Select(src)
 	r.meter.Add(src, demandW, dt)
-	ginstr := r.chip.Throughput(t) * dt * 60
+	ginstr := r.chip.Throughput() * dt * 60
 	if onSolar {
 		r.res.SolarMin += dt
 		r.res.GInstrSolar += ginstr
@@ -232,16 +235,17 @@ func (r *dayRun) book(t, dt, budgetW, demandW float64, onSolar bool) {
 // fixedPeriod runs [t0, t1) the Fixed-Power way: the chip is planned
 // once against budgetW (greedy LP, Table 6) and each sub-sample runs on
 // solar only while the available power covers that budget — the
-// power-transfer threshold semantics of Section 6.2.
+// power-transfer threshold semantics of Section 6.2. The caller has
+// moved the run to t0.
 //
 // unit: t0=min, t1=min, budgetW=W
 func (r *dayRun) fixedPeriod(t0, t1, budgetW float64) {
-	sched.PlanBudget(r.chip, t0, budgetW)
+	sched.PlanBudget(r.chip, budgetW)
 	for t := t0; t < t1-1e-9; t += r.stepMin {
 		dt := math.Min(r.stepMin, t1-t)
-		r.applyFaults(t)
+		r.at(t)
 		avail := r.budgetAt(t)
-		demand := r.chip.Power(t)
+		demand := r.chip.Power()
 		r.book(t, dt, avail, demand, avail >= budgetW && demand > 0 && demand <= avail)
 	}
 }
@@ -342,25 +346,27 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 			return nil, err
 		}
 		t1 := math.Min(t0+cfg.TrackPeriodMin, end)
-		if fx != nil {
-			fx.applyAt(t0, chip)
-			if fx.wd.Mode() == fault.ModeFallback {
-				// Degraded operation: the watchdog abandoned tracking, so
-				// this period runs Fixed-Power against the de-rated budget
-				// (Table 3 de-rating of the actually-available power) and
-				// the controller is left alone until the hold elapses. The
-				// thermal governor is not advanced: fallback runs well
-				// below the clean budget, so throttling cannot engage.
-				r.fixedPeriod(t0, t1, fault.Derate*fx.budgetAt(t0))
-				fx.observeFallback(t0)
-				prevDemand = 0
-				continue
-			}
+		r.at(t0)
+		if fx != nil && fx.wd.Mode() == fault.ModeFallback {
+			// Degraded operation: the watchdog abandoned tracking, so
+			// this period runs Fixed-Power against the de-rated budget
+			// (Table 3 de-rating of the actually-available power) and
+			// the controller is left alone until the hold elapses. The
+			// thermal governor is not advanced: fallback runs well
+			// below the clean budget, so throttling cannot engage.
+			r.fixedPeriod(t0, t1, fault.Derate*fx.budgetAt(t0))
+			fx.observeFallback(t0)
+			prevDemand = 0
+			continue
 		}
 		var track mppt.Result
 		var solverErr error
+		var minLoadW float64 // unit: W
 		if fx != nil {
 			solverErr = fx.rt.SolverErr(t0)
+			// The watchdog judges the period against the period-start
+			// sample; the sub-samples below move the chip on.
+			minLoadW = chip.MinPower()
 		}
 		if solverErr != nil {
 			// A typed solver fault (errors.Is fault.ErrSolverFault) is a
@@ -383,7 +389,7 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 		var errs []float64
 		for t := t0; t < t1-1e-9; t += cfg.StepMin {
 			dt := math.Min(cfg.StepMin, t1-t)
-			r.applyFaults(t)
+			r.at(t)
 			budget := r.budgetAt(t)
 			if cfg.EventTracking && trackBudget > 0 &&
 				math.Abs(budget-trackBudget) > 0.15*trackBudget {
@@ -396,7 +402,7 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 					_ = chip.SetAllLevels(top) // top comes from the chip itself
 				}
 			}
-			demand := chip.Power(t)
+			demand := chip.Power()
 			// Ripple is the phase-induced demand drift at unchanged DVFS
 			// levels: compare against the post-adaptation demand of the
 			// previous sub-sample.
@@ -412,24 +418,24 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 				// recovering supply re-raises the load once the gap exceeds
 				// the hysteresis band, preserving the protective margin.
 				for demand > budget {
-					if !alloc.Lower(chip, t) {
+					if !alloc.Lower(chip) {
 						break
 					}
-					demand = chip.Power(t)
+					demand = chip.Power()
 					obs.Alloc(o, obs.AllocEvent{Minute: t, Dir: -1, Reason: obs.AllocShed,
 						DemandW: demand, BudgetW: budget})
 				}
 				for budget-demand > raiseBand()*budget {
-					if !alloc.Raise(chip, t) {
+					if !alloc.Raise(chip) {
 						break
 					}
-					if next := chip.Power(t); next <= budget {
+					if next := chip.Power(); next <= budget {
 						demand = next
 						obs.Alloc(o, obs.AllocEvent{Minute: t, Dir: +1, Reason: obs.AllocRaise,
 							DemandW: demand, BudgetW: budget})
 					} else {
-						alloc.Lower(chip, t)
-						demand = chip.Power(t)
+						alloc.Lower(chip)
+						demand = chip.Power()
 						obs.Alloc(o, obs.AllocEvent{Minute: t, Dir: -1, Reason: obs.AllocRevert,
 							DemandW: demand, BudgetW: budget})
 						break
@@ -453,9 +459,9 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 				}
 				for done := 0.0; done < dt-1e-12; done += inner {
 					step := math.Min(inner, dt-done)
-					thermalModel.Advance(t, step, amb)
+					thermalModel.Advance(step, amb)
 				}
-				demand = chip.Power(t) // throttling may have shed load
+				demand = chip.Power() // throttling may have shed load
 			}
 			prevDemand = demand
 			solarNow := onSolar && demand > 0 && demand <= budget
@@ -474,7 +480,7 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 				Minute: t0, Overload: track.Overload,
 				Steps: track.Steps, MaxSteps: ctrl.Cfg.MaxSteps,
 				RaisedToW: track.RaisedTo, SensedW: track.Op.PLoad,
-				BudgetW: trackBudget, MinLoadW: chip.MinPower(t0),
+				BudgetW: trackBudget, MinLoadW: minLoadW,
 				SolverFault: solverErr != nil,
 			}, fault.Derate*trackBudget)
 		}
@@ -526,7 +532,7 @@ func RunFixed(cfg Config, budgetW float64) (*DayResult, error) {
 		if err := cfg.canceled(); err != nil {
 			return nil, err
 		}
-		r.applyFaults(t0)
+		r.at(t0)
 		r.fixedPeriod(t0, math.Min(t0+cfg.TrackPeriodMin, end), budgetW)
 	}
 	r.end()
@@ -570,8 +576,8 @@ func RunBattery(cfg Config, eff float64) (*DayResult, error) {
 			return nil, err
 		}
 		dt := math.Min(cfg.StepMin, end-t)
-		r.applyFaults(t)
-		demand := chip.Power(t)
+		r.at(t)
+		demand := chip.Power()
 		got := bat.Draw(demand, dt)
 		// The battery supplies on demand while charged, so the available
 		// power equals demand until the bank empties.
@@ -581,7 +587,7 @@ func RunBattery(cfg Config, eff float64) (*DayResult, error) {
 		}
 		res.SolarMin += got
 		r.meter.Add(power.Solar, demand, got)
-		ginstr := chip.Throughput(t) * got * 60
+		ginstr := chip.Throughput() * got * 60
 		res.GInstrSolar += ginstr
 		res.GInstrTotal += ginstr
 	}

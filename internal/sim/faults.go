@@ -193,10 +193,10 @@ func (fx *faultCtx) brownout(t float64, circuit *power.Circuit, chip *mcore.Chip
 		if op.VLoad >= 0.9*circuit.VNominal {
 			break
 		}
-		if !alloc.Lower(chip, t) {
+		if !alloc.Lower(chip) {
 			break
 		}
-		demand = chip.Power(t)
+		demand = chip.Power()
 		fx.report.BrownoutSheds++
 		obs.Alloc(fx.o, obs.AllocEvent{Minute: t, Dir: -1, Reason: obs.AllocBrownout,
 			DemandW: demand})

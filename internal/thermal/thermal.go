@@ -122,11 +122,11 @@ func (m *Model) SteadyState(powerW, ambientC float64) float64 {
 // TMax is stepped down one operating point (one intervention per call);
 // a throttled core re-arms below TMax − THyst.
 //
-// unit: minute=min, dtMin=min, ambientC=°C
-func (m *Model) Advance(minute, dtMin, ambientC float64) {
+// unit: dtMin=min, ambientC=°C
+func (m *Model) Advance(dtMin, ambientC float64) {
 	decay := math.Exp(-dtMin / m.cfg.TauMin)
 	for i := range m.tempC {
-		target := m.SteadyState(m.chip.CorePower(i, minute), ambientC)
+		target := m.SteadyState(m.chip.CorePower(i), ambientC)
 		m.tempC[i] = target + (m.tempC[i]-target)*decay
 		if m.tempC[i] > m.peakC {
 			m.peakC = m.tempC[i]
@@ -139,7 +139,7 @@ func (m *Model) Advance(minute, dtMin, ambientC float64) {
 			// to an operating point whose steady state is sustainable, not
 			// one notch per tick — the die is already over the trip point.
 			for m.chip.Level(i) != mcore.Gated &&
-				m.SteadyState(m.chip.CorePower(i, minute), ambientC) > m.cfg.TMaxC-m.cfg.THystC/2 {
+				m.SteadyState(m.chip.CorePower(i), ambientC) > m.cfg.TMaxC-m.cfg.THystC/2 {
 				if !m.chip.StepDown(i) {
 					break
 				}

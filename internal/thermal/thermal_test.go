@@ -48,10 +48,10 @@ func TestWarmupApproachesSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := chip.CorePower(0, 0)
+	p := chip.CorePower(0)
 	want := m.SteadyState(p, 25)
 	for i := 0; i < 50; i++ {
-		m.Advance(0, 0.1, 25)
+		m.Advance(0.1, 25)
 		if m.Throttled(0) {
 			t.Fatalf("mid-level core should not throttle (T=%.1f)", m.Temp(0))
 		}
@@ -66,11 +66,11 @@ func TestGatedCoreCoolsToAmbient(t *testing.T) {
 	chip.SetAllLevels(5)
 	m, _ := NewModel(chip, DefaultConfig(), 30)
 	for i := 0; i < 40; i++ {
-		m.Advance(0, 0.1, 30)
+		m.Advance(0.1, 30)
 	}
 	chip.SetAllLevels(mcore.Gated)
 	for i := 0; i < 60; i++ {
-		m.Advance(0, 0.1, 30)
+		m.Advance(0.1, 30)
 	}
 	if math.Abs(m.Temp(3)-30) > 0.5 {
 		t.Errorf("gated core at %.1f °C, want ambient 30", m.Temp(3))
@@ -89,7 +89,7 @@ func TestHotCoreThrottles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		m.Advance(0, 0.1, 45)
+		m.Advance(0.1, 45)
 	}
 	if m.ThrottleEvents() == 0 {
 		t.Fatalf("no throttling at MaxTemp %.1f °C", m.MaxTemp())
@@ -116,12 +116,12 @@ func TestHysteresisRearm(t *testing.T) {
 	cfg.TMaxC = 80
 	m, _ := NewModel(chip, cfg, 45)
 	for i := 0; i < 80; i++ {
-		m.Advance(0, 0.1, 45)
+		m.Advance(0.1, 45)
 	}
 	// Cool everything: gate the chip, drop ambient.
 	chip.SetAllLevels(mcore.Gated)
 	for i := 0; i < 200; i++ {
-		m.Advance(0, 0.1, 20)
+		m.Advance(0.1, 20)
 	}
 	for i := 0; i < chip.NumCores(); i++ {
 		if m.Throttled(i) {
@@ -135,14 +135,14 @@ func TestThrottleInteractsWithAllocation(t *testing.T) {
 	// allocator thought it spent are partially revoked by physics.
 	chip := testChip(t)
 	chip.SetAllLevels(5)
-	before := chip.Power(0)
+	before := chip.Power()
 	cfg := DefaultConfig()
 	cfg.TMaxC = 75
 	m, _ := NewModel(chip, cfg, 48)
 	for i := 0; i < 150; i++ {
-		m.Advance(0, 0.1, 48)
+		m.Advance(0.1, 48)
 	}
-	if after := chip.Power(0); after >= before {
+	if after := chip.Power(); after >= before {
 		t.Errorf("throttling left chip power unchanged: %.1f W", after)
 	}
 }
@@ -152,12 +152,12 @@ func TestPeakIsHighWaterMark(t *testing.T) {
 	chip.SetAllLevels(5)
 	m, _ := NewModel(chip, DefaultConfig(), 30)
 	for i := 0; i < 60; i++ {
-		m.Advance(0, 0.1, 30)
+		m.Advance(0.1, 30)
 	}
 	hot := m.Peak()
 	chip.SetAllLevels(mcore.Gated)
 	for i := 0; i < 200; i++ {
-		m.Advance(0, 0.1, 20)
+		m.Advance(0.1, 20)
 	}
 	if m.Peak() != hot {
 		t.Errorf("peak moved after cooldown: %v vs %v", m.Peak(), hot)

@@ -68,10 +68,10 @@ func TestMixApply(t *testing.T) {
 	chip.SetAllLevels(5)
 	// After applying a heterogeneous mix the cores must not all draw the
 	// same power (different benchmarks, different capacitance).
-	p0 := chip.CorePower(0, 0)
+	p0 := chip.CorePower(0)
 	diverse := false
 	for i := 1; i < 8; i++ {
-		if chip.CorePower(i, 0) != p0 {
+		if chip.CorePower(i) != p0 {
 			diverse = true
 		}
 	}

@@ -16,6 +16,9 @@ import (
 // simulator run — in place of the synthetic phase model. The profile
 // repeats cyclically, matching how the paper runs each benchmark's
 // representative execution interval in a loop.
+//
+// A chip samples Demand once per mcore.Chip.At, so edits to the exported
+// fields take effect at the chip's next At or SetActivity.
 type TraceActivity struct {
 	// StepMin is the profile sampling interval in minutes.
 	StepMin float64
