@@ -49,6 +49,18 @@ func TestClusterGolden(t *testing.T) {
 			}
 			return res
 		}, "d7343ca100228d58afd6f218140b9d1c1585f58d5daa5f86b9726299518bdc1c"},
+		{"RunDay/string-cut+conv-derate+core-throttle", func(t *testing.T) any {
+			s, err := fault.ParseSpec("string-cut:t0=580,t1=680,i=0.5;conv-derate:t0=640,t1=720,i=0.3;" +
+				"core-throttle:t0=700,t1=800,i=0.6")
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := RunDay(faultTestDay(t), testCluster(t, 4, 25, 0), 2, s)
+			if res.FaultWindows != 3 || res.SolarWh <= 0 {
+				t.Errorf("fault windows = %d, solar %v Wh: want 3 windows on a solar day", res.FaultWindows, res.SolarWh)
+			}
+			return res
+		}, "81880fd9f41993e084fc8deb8f0b48a2a64b5ef2ebc592806e74cc6bbe36e970"},
 		{"FillBudget/midday", func(t *testing.T) any {
 			c := testCluster(t, 4, 25, 0)
 			c.At(720)
