@@ -144,7 +144,8 @@ func BenchmarkFullSystemFill(b *testing.B) {
 	budgets := []float64{40, 90, 140}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.FillBudget(float64(i), budgets[i%len(budgets)])
+		sys.At(float64(i))
+		sys.FillBudget(budgets[i%len(budgets)])
 	}
 }
 

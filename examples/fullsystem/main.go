@@ -70,10 +70,11 @@ func main() {
 	fmt.Printf("service delivered : %.0f weighted unit-seconds\n\n", res.ServiceUnits)
 
 	fmt.Println("state of every device at midday after budget filling:")
-	sys.FillBudget(720, 0.96*day.MPPAt(720)*0.95)
+	sys.At(720)
+	sys.FillBudget(0.96 * day.MPPAt(720) * 0.95)
 	for _, d := range sys.Devices {
 		fmt.Printf("  %-8s state %d/%d  %6.2f W  utility %6.2f\n",
-			d.Name(), d.State(), d.NumStates()-1, d.Power(720), d.Utility(720))
+			d.Name(), d.State(), d.NumStates()-1, d.PowerAt(d.State()), d.UtilityAt(d.State()))
 	}
 	_ = chip
 }

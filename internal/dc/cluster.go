@@ -318,14 +318,13 @@ func (r *DayResult) Utilization() float64 {
 // the MPP, so the fault factors compose multiplicatively), and core
 // faults cap every node chip through the mcore level-cap mechanism.
 // Sensor and solver faults have no cluster analogue and are ignored. A
-// nil or disarmed schedule takes the exact clean code path.
+// nil or disarmed schedule scales every budget by exactly 1 and caps
+// nothing, so the day is byte-identical to a clean one.
 //
 // unit: stepMin=min
 func RunDay(day *sim.SolarDay, c *Cluster, stepMin float64, s *fault.Schedule) DayResult {
-	var cf *clusterFaults
-	if rt := s.Runtime(); rt.Armed() {
-		cf = &clusterFaults{rt: rt}
-	}
+	rt := s.Runtime() // nil when s is disarmed; every query accepts nil
+	capped := false   // node chips carry fault level caps
 	if stepMin <= 0 {
 		stepMin = 1
 	}
@@ -336,26 +335,32 @@ func RunDay(day *sim.SolarDay, c *Cluster, stepMin float64, s *fault.Schedule) D
 	for i, n := range c.Nodes {
 		res.PerNode[i].Name = n.Name
 	}
+	// at moves the cluster and the fault schedule to minute t: it samples
+	// every node chip, counts the windows opened, caps the node chips
+	// under core faults (lifting the caps once the window closes) and
+	// returns the budget scale of the power-path faults, whose factors
+	// compose multiplicatively because the budget is linear in the MPP.
+	at := func(t float64) float64 {
+		c.At(t)
+		rt.At(t)
+		_, opened := rt.Edges()
+		res.FaultWindows += len(opened)
+		was := capped
+		for _, n := range c.Nodes {
+			capped = rt.CapCores(n.Chip, was)
+		}
+		_, eff := rt.Converter()
+		return rt.IrradianceScale() * rt.GeneratorScale() * eff
+	}
 	var activeSum float64
 	var activeN int
 	start, end := day.StartMinute(), day.EndMinute()
 	for t0 := start; t0 < end; t0 += trackPeriod {
 		t1 := math.Min(t0+trackPeriod, end)
-		refill := eta * day.MPPAt(t0) * 0.95
-		c.At(t0)
-		if cf != nil {
-			cf.applyAt(t0, c)
-			refill *= cf.budgetScale(t0)
-		}
-		c.FillBudget(refill)
+		c.FillBudget(eta * day.MPPAt(t0) * 0.95 * at(t0))
 		for t := t0; t < t1-1e-9; t += stepMin {
 			dt := math.Min(stepMin, t1-t)
-			budget := eta * day.MPPAt(t)
-			c.At(t)
-			if cf != nil {
-				cf.applyAt(t, c)
-				budget *= cf.budgetScale(t)
-			}
+			budget := eta * day.MPPAt(t) * at(t)
 			p := c.Power()
 			for p > budget {
 				if !c.Lower() {
@@ -384,13 +389,10 @@ func RunDay(day *sim.SolarDay, c *Cluster, stepMin float64, s *fault.Schedule) D
 	if activeN > 0 {
 		res.MeanActiveNodes = activeSum / float64(activeN)
 	}
-	if cf != nil {
-		// Don't leave mid-window caps on a reused cluster: a nil runtime
-		// constrains nothing, so CapCores on it lifts them.
-		for _, n := range c.Nodes {
-			(*fault.Runtime)(nil).CapCores(end, n.Chip, cf.capped)
-		}
-		res.FaultWindows = cf.windows
+	// Don't leave mid-window caps on a reused cluster: a nil runtime
+	// constrains nothing, so CapCores on it lifts them.
+	for _, n := range c.Nodes {
+		(*fault.Runtime)(nil).CapCores(n.Chip, capped)
 	}
 	return res
 }

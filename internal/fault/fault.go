@@ -150,12 +150,22 @@ func (s *Schedule) String() string {
 	return strings.Join(entries, ";")
 }
 
-// Runtime is one run's view of a Schedule: the armed injector set plus
-// the per-run state of each. Create a fresh Runtime per run; it is not
-// safe for concurrent use, matching the single-goroutine hook discipline
-// of the engine.
+// Runtime is one run's view of a Schedule: the armed injector set, the
+// per-run state of each, and the schedule's sample at one instant. At
+// moves the runtime to a minute; every other query reads that sample.
+// Create a fresh Runtime per run; it is not safe for concurrent use,
+// matching the single-goroutine hook discipline of the engine.
 type Runtime struct {
 	armed []armedInjector
+
+	// The sample taken by the last At.
+	minute    float64 // unit: min
+	irr, gen  float64 // irradiance and generator-current scales, unit: ratio
+	eff       float64 // converter efficiency scale, unit: ratio
+	stuck     bool    // a converter fault jams the transfer ratio
+	powerPath bool    // an irradiance, generator or converter fault is active
+	cores     bool    // a core fault is active
+	solver    bool    // a solver fault fires
 }
 
 // armedInjector is one armed injector with its per-run state.
@@ -164,7 +174,10 @@ type armedInjector struct {
 	seed      int64           // the resolved stochastic seed
 	frozen    power.Operating // a sensor-stuck fault's first in-window reading
 	hasFrozen bool
-	on        bool // the window covered the minute of the last Edges call
+	live      bool    // the window covers the minute of the last At
+	on        bool    // the window covered the minute of the last Edges call
+	bias      float64 // a sensor-bias fault's current scale at the last At, unit: ratio
+	drop      bool    // a sensor-drop fault fires at the last At
 }
 
 // Runtime builds the per-run state for this schedule. A disarmed
@@ -178,7 +191,7 @@ func (s *Schedule) Runtime() *Runtime {
 	if seed == 0 {
 		seed = 0xFA017 // "fault": fixed default, mirroring mppt's 0x5eed
 	}
-	rt := &Runtime{armed: make([]armedInjector, 0, len(s.Injectors))}
+	rt := &Runtime{armed: make([]armedInjector, 0, len(s.Injectors)), irr: 1, gen: 1, eff: 1}
 	for i, inj := range s.Injectors {
 		if !armed(inj) {
 			continue
@@ -198,42 +211,67 @@ func (s *Schedule) Runtime() *Runtime {
 // Armed reports whether this runtime carries any live injector.
 func (rt *Runtime) Armed() bool { return rt != nil && len(rt.armed) > 0 }
 
-// Active returns the injectors whose windows cover the given minute, in
-// schedule order.
+// At samples the schedule at a simulation minute: which windows cover
+// it, the composed power-path scales, the core- and solver-fault flags
+// and each sensor fault's state. Factors compose multiplicatively in
+// schedule order. It tests each armed window once; a nil Runtime
+// ignores the call.
 //
 // unit: minute=min
-func (rt *Runtime) Active(minute float64) []Injector {
+func (rt *Runtime) At(minute float64) {
 	if rt == nil {
-		return nil
+		return
 	}
-	var active []Injector
+	rt.minute = minute
+	rt.irr, rt.gen, rt.eff = 1, 1, 1
+	rt.stuck, rt.powerPath, rt.cores, rt.solver = false, false, false, false
 	for i := range rt.armed {
-		if a := &rt.armed[i]; a.W.Contains(minute) {
-			active = append(active, a.Injector)
+		a := &rt.armed[i]
+		if a.live = a.W.Contains(minute); !a.live {
+			continue
+		}
+		switch a.Kind {
+		case KindCloud:
+			rt.irr *= cloudScale(a.Injector, a.seed, minute)
+		case KindStringCut:
+			rt.gen *= mathx.Clamp(1-a.I, 0, 1)
+		case KindConvStuck:
+			rt.stuck = true
+		case KindConvDerate:
+			rt.eff *= mathx.Clamp(1-a.I, 0, 1)
+		case KindCoreFail, KindCoreThrottle:
+			rt.cores = true
+		case KindSolver:
+			rt.solver = rt.solver || fires(a.Injector, a.seed, minute)
+		case KindSensorBias:
+			a.bias = 1 + a.I*a.W.frac(minute)
+		case KindSensorDrop:
+			a.drop = fires(a.Injector, a.seed, minute)
+		}
+		switch a.Kind {
+		case KindCloud, KindStringCut, KindConvStuck, KindConvDerate:
+			rt.powerPath = true
 		}
 	}
-	return active
 }
 
-// Edges reports the window edges crossed since the previous call: the
-// injectors that stopped and started covering the minute, each in
-// schedule order. The first call compares against an all-inactive set.
-// The engine and the cluster loop call it at every sample to emit fault
-// begin/end events and count opened windows.
-//
-// unit: minute=min
-func (rt *Runtime) Edges(minute float64) (closed, opened []Injector) {
+// Edges reports the window edges crossed between the previous call and
+// the last At: the injectors that stopped and started covering the
+// sampled minute, each in schedule order. The first call compares
+// against an all-inactive set. The engine and the cluster loop call it
+// at every sample to emit fault begin/end events and count opened
+// windows.
+func (rt *Runtime) Edges() (closed, opened []Injector) {
 	if rt == nil {
 		return nil, nil
 	}
 	for i := range rt.armed {
 		a := &rt.armed[i]
-		on := a.W.Contains(minute)
-		if on == a.on {
+		if a.live == a.on {
 			continue
 		}
-		a.on = on
-		if on {
+		a.on = a.live
+		if a.on {
 			opened = append(opened, a.Injector)
 		} else {
 			closed = append(closed, a.Injector)
@@ -242,175 +280,107 @@ func (rt *Runtime) Edges(minute float64) (closed, opened []Injector) {
 	return closed, opened
 }
 
-// CapCores installs the level caps of the core faults active at the
-// minute on every core of chip and reports whether caps are now
-// installed. With no core fault active it lifts the caps when capped
-// says a previous call installed them, and leaves the chip alone
-// otherwise. A nil Runtime constrains nothing, so calling CapCores on
-// nil with capped set lifts every cap: the end-of-run restore.
-//
-// unit: minute=min
-func (rt *Runtime) CapCores(minute float64, chip *mcore.Chip, capped bool) bool {
-	constrained := rt.ConstrainsCores(minute)
+// Close ends the run: it returns the injectors whose windows were open
+// at the last Edges call, in schedule order, and marks them closed.
+func (rt *Runtime) Close() []Injector {
+	if rt == nil {
+		return nil
+	}
+	var open []Injector
+	for i := range rt.armed {
+		if a := &rt.armed[i]; a.on {
+			a.on, a.live = false, false
+			open = append(open, a.Injector)
+		}
+	}
+	return open
+}
+
+// CapCores installs on every core of chip the tightest level cap of the
+// sampled core faults — top (= levels-1) unconstrained, mcore.Gated
+// failed — and reports whether caps are now installed. With no core
+// fault active it lifts the caps when capped says a previous call
+// installed them, and leaves the chip alone otherwise. A nil Runtime
+// constrains nothing, so calling CapCores on nil with capped set lifts
+// every cap: the end-of-run restore.
+func (rt *Runtime) CapCores(chip *mcore.Chip, capped bool) bool {
+	constrained := rt != nil && rt.cores
 	if !constrained && !capped {
 		return false
 	}
 	cores, top := chip.NumCores(), chip.NumLevels()-1
-	for i := 0; i < cores; i++ {
+	for core := 0; core < cores; core++ {
 		cap := top
-		if constrained {
-			cap = rt.CoreCap(minute, i, cores, top)
+		for i := 0; constrained && i < len(rt.armed); i++ {
+			if a := &rt.armed[i]; a.live {
+				cap = min(cap, coreCap(a.Injector, core, cores, top))
+			}
 		}
-		_ = chip.SetLevelCap(i, cap) // CoreCap stays within [Gated, top]
+		_ = chip.SetLevelCap(core, cap) // coreCap stays within [Gated, top]
 	}
 	return constrained
 }
 
 // PowerPathActive reports whether any injector perturbs the power path
-// (irradiance, generator or converter) at the given minute. When false,
-// the engine may use its precomputed clean MPP profile unchanged.
+// (irradiance, generator or converter) at the sampled minute. When
+// false, the engine may use its precomputed clean MPP profile unchanged.
+func (rt *Runtime) PowerPathActive() bool { return rt != nil && rt.powerPath }
+
+// IrradianceScale is the composed factor in [0,1] the sampled cloud
+// bursts apply to the plane-of-array irradiance.
 //
-// unit: minute=min
-func (rt *Runtime) PowerPathActive(minute float64) bool {
+// unit: return=ratio
+func (rt *Runtime) IrradianceScale() float64 {
 	if rt == nil {
-		return false
+		return 1
 	}
-	for i := range rt.armed {
-		switch a := &rt.armed[i]; a.Kind {
-		case KindCloud, KindStringCut, KindConvStuck, KindConvDerate:
-			if a.W.Contains(minute) {
-				return true
-			}
-		}
-	}
-	return false
+	return rt.irr
 }
 
-// IrradianceScale composes every active cloud burst at the minute: the
-// multiplicative factor in [0,1] applied to the plane-of-array
-// irradiance.
+// GeneratorScale is the composed factor in [0,1] the sampled string
+// disconnects apply to the generator output current.
 //
-// unit: minute=min, return=ratio
-func (rt *Runtime) IrradianceScale(minute float64) float64 {
-	scale := 1.0
+// unit: return=ratio
+func (rt *Runtime) GeneratorScale() float64 {
 	if rt == nil {
-		return scale
+		return 1
 	}
-	for i := range rt.armed {
-		if a := &rt.armed[i]; a.Kind == KindCloud && a.W.Contains(minute) {
-			scale *= cloudScale(a.Injector, a.seed, minute)
-		}
-	}
-	return scale
+	return rt.gen
 }
 
-// GeneratorScale composes every active string disconnect: the
-// multiplicative factor in [0,1] applied to the generator output
-// current.
+// Converter reports the sampled converter faults: whether the transfer
+// ratio is stuck (stuck wins over free) and the composed efficiency
+// factor in [0,1].
 //
-// unit: minute=min, return=ratio
-func (rt *Runtime) GeneratorScale(minute float64) float64 {
-	scale := 1.0
+// unit: effScale=ratio
+func (rt *Runtime) Converter() (stuck bool, effScale float64) {
 	if rt == nil {
-		return scale
+		return false, 1
 	}
-	for i := range rt.armed {
-		if a := &rt.armed[i]; a.Kind == KindStringCut && a.W.Contains(minute) {
-			scale *= mathx.Clamp(1-a.I, 0, 1)
-		}
-	}
-	return scale
+	return rt.stuck, rt.eff
 }
 
-// Sense runs a sensor reading at the load rail through every active
+// Sense runs a sensor reading at the load rail through every sampled
 // sensor fault in schedule order.
-//
-// unit: minute=min
-func (rt *Runtime) Sense(minute float64, op power.Operating) power.Operating {
+func (rt *Runtime) Sense(op power.Operating) power.Operating {
 	if rt == nil {
 		return op
 	}
 	for i := range rt.armed {
-		if a := &rt.armed[i]; a.W.Contains(minute) {
-			op = sense(a, minute, op)
+		if a := &rt.armed[i]; a.live {
+			op = sense(a, op)
 		}
 	}
 	return op
 }
 
-// Converter composes every active converter fault: whether the transfer
-// ratio is stuck (stuck wins over free) and the multiplicative
-// efficiency factor in [0,1] (factors multiply).
-//
-// unit: minute=min, effScale=ratio
-func (rt *Runtime) Converter(minute float64) (stuck bool, effScale float64) {
-	effScale = 1.0
-	if rt == nil {
-		return false, effScale
-	}
-	for i := range rt.armed {
-		if a := &rt.armed[i]; a.W.Contains(minute) {
-			switch a.Kind {
-			case KindConvStuck:
-				stuck = true
-			case KindConvDerate:
-				effScale *= mathx.Clamp(1-a.I, 0, 1)
-			}
-		}
-	}
-	return stuck, effScale
-}
-
-// CoreCap returns the tightest DVFS level cap any active core fault
-// imposes on the core: top (= levels-1) means unconstrained, mcore.Gated
-// means the core is failed and forced off.
-//
-// unit: minute=min
-func (rt *Runtime) CoreCap(minute float64, core, cores, top int) int {
-	cap := top
-	if rt == nil {
-		return cap
-	}
-	for i := range rt.armed {
-		if a := &rt.armed[i]; a.W.Contains(minute) {
-			if c := coreCap(a.Injector, core, cores, top); c < cap {
-				cap = c
-			}
-		}
-	}
-	return cap
-}
-
-// ConstrainsCores reports whether any core fault is active at the
-// minute, letting the engine skip the per-core cap sweep otherwise.
-//
-// unit: minute=min
-func (rt *Runtime) ConstrainsCores(minute float64) bool {
-	if rt == nil {
-		return false
-	}
-	for i := range rt.armed {
-		if a := &rt.armed[i]; (a.Kind == KindCoreFail || a.Kind == KindCoreThrottle) && a.W.Contains(minute) {
-			return true
-		}
-	}
-	return false
-}
-
-// SolverErr returns the typed error (errors.Is ErrSolverFault) of the
-// first active solver fault that fires at the minute, or nil.
-//
-// unit: minute=min
-func (rt *Runtime) SolverErr(minute float64) error {
-	if rt == nil {
+// SolverErr returns the typed error (errors.Is ErrSolverFault) when a
+// sampled solver fault fires, or nil.
+func (rt *Runtime) SolverErr() error {
+	if rt == nil || !rt.solver {
 		return nil
 	}
-	for i := range rt.armed {
-		if a := &rt.armed[i]; a.Kind == KindSolver && a.W.Contains(minute) && fires(a.Injector, a.seed, minute) {
-			return SolverError(minute)
-		}
-	}
-	return nil
+	return SolverError(rt.minute)
 }
 
 // hash01 returns a deterministic pseudo-random value in [0,1) from a

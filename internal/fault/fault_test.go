@@ -50,8 +50,8 @@ func TestZeroIntensityInjectorsAreNoOps(t *testing.T) {
 		t.Errorf("cloud zero intensity scales irradiance by %v", s)
 	}
 	for _, kind := range []string{KindSensorStuck, KindSensorBias, KindSensorDrop} {
-		a := armedInjector{Injector: zero(kind), seed: 1}
-		if got := sense(&a, minute, op); got != op {
+		a := armedInjector{Injector: zero(kind), seed: 1, bias: 1}
+		if got := sense(&a, op); got != op {
 			t.Errorf("%s zero intensity altered the reading: %+v", kind, got)
 		}
 	}
@@ -59,10 +59,11 @@ func TestZeroIntensityInjectorsAreNoOps(t *testing.T) {
 	// zero-intensity injector out.
 	for _, kind := range []string{KindStringCut, KindConvStuck, KindConvDerate} {
 		rt := NewSchedule(0, zero(kind)).Runtime()
-		if s := rt.GeneratorScale(minute); s != 1 {
+		rt.At(minute)
+		if s := rt.GeneratorScale(); s != 1 {
 			t.Errorf("%s zero intensity scales generator by %v", kind, s)
 		}
-		if stuck, eff := rt.Converter(minute); stuck || eff != 1 {
+		if stuck, eff := rt.Converter(); stuck || eff != 1 {
 			t.Errorf("%s zero intensity: stuck=%v eff=%v", kind, stuck, eff)
 		}
 	}
@@ -79,20 +80,28 @@ func TestZeroIntensityInjectorsAreNoOps(t *testing.T) {
 
 func TestWindowGating(t *testing.T) {
 	rt := NewSchedule(7, Injector{Kind: KindCloud, W: Window{600, 660}, I: 1}).Runtime()
-	if s := rt.IrradianceScale(599.9); s != 1 {
-		t.Errorf("before window: scale %v", s)
+	scale := func(minute float64) float64 {
+		rt.At(minute)
+		return rt.IrradianceScale()
 	}
-	if s := rt.IrradianceScale(660); s != 1 {
-		t.Errorf("at window close (half-open): scale %v", s)
+	if s := scale(599.9); s != 1 || rt.PowerPathActive() {
+		t.Errorf("before window: scale %v, power path active %v", s, rt.PowerPathActive())
 	}
-	if s := rt.IrradianceScale(630); s >= 1 {
+	if s := scale(660); s != 1 || rt.PowerPathActive() {
+		t.Errorf("at window close (half-open): scale %v, power path active %v", s, rt.PowerPathActive())
+	}
+	if s := scale(630); s >= 1 || !rt.PowerPathActive() {
 		t.Errorf("mid-window full burst barely scales: %v", s)
 	}
-	if got := rt.Active(630); len(got) != 1 || got[0].Kind != KindCloud {
-		t.Errorf("Active(630) = %v", got)
+	if got := rt.Close(); got != nil {
+		t.Errorf("Close before any Edges call = %v", got)
 	}
-	if got := rt.Active(661); got != nil {
-		t.Errorf("Active past window = %v", got)
+	rt.Edges()
+	if got := rt.Close(); len(got) != 1 || got[0].Kind != KindCloud {
+		t.Errorf("Close inside the window = %v", got)
+	}
+	if closed, opened := rt.Edges(); closed != nil || opened != nil {
+		t.Errorf("edges after Close: closed %v, opened %v", closed, opened)
 	}
 }
 
@@ -114,13 +123,16 @@ func TestRuntimeEdges(t *testing.T) {
 		{600, nil, []Injector{cloud, drop}}, // edges are relative to the last call
 	}
 	for _, c := range cases {
-		closed, opened := rt.Edges(c.minute)
+		rt.At(c.minute)
+		closed, opened := rt.Edges()
 		if !slices.Equal(closed, c.closed) || !slices.Equal(opened, c.opened) {
 			t.Errorf("Edges(%v) = closed %v, opened %v; want %v, %v",
 				c.minute, closed, opened, c.closed, c.opened)
 		}
 	}
-	if closed, opened := (*Runtime)(nil).Edges(600); closed != nil || opened != nil {
+	var nilRT *Runtime
+	nilRT.At(600)
+	if closed, opened := nilRT.Edges(); closed != nil || opened != nil {
 		t.Errorf("nil runtime reports edges: %v, %v", closed, opened)
 	}
 }
@@ -140,10 +152,14 @@ func TestRuntimeCapCores(t *testing.T) {
 		}
 		return failed, free
 	}
-	if rt.CapCores(599, chip, false) {
+	capAt := func(minute float64, capped bool) bool {
+		rt.At(minute)
+		return rt.CapCores(chip, capped)
+	}
+	if capAt(599, false) {
 		t.Error("caps installed before the window")
 	}
-	if !rt.CapCores(650, chip, false) {
+	if !capAt(650, false) {
 		t.Fatal("no caps inside the window")
 	}
 	half := chip.NumCores() / 2
@@ -151,15 +167,15 @@ func TestRuntimeCapCores(t *testing.T) {
 		t.Errorf("inside the window: %d failed, %d free; want %d of %d failed",
 			failed, free, half, chip.NumCores())
 	}
-	if rt.CapCores(700, chip, true) {
+	if capAt(700, true) {
 		t.Error("caps still reported after the window")
 	}
 	if failed, free := caps(); failed != 0 || free != chip.NumCores() {
 		t.Errorf("after the window: %d failed, %d free; want every cap lifted", failed, free)
 	}
 	// The end-of-run restore: a nil runtime lifts caps installed earlier.
-	rt.CapCores(650, chip, false)
-	if (*Runtime)(nil).CapCores(650, chip, true) {
+	capAt(650, false)
+	if (*Runtime)(nil).CapCores(chip, true) {
 		t.Error("nil runtime reports caps")
 	}
 	if failed, _ := caps(); failed != 0 {
@@ -179,21 +195,30 @@ func TestDeterminismAcrossRuntimes(t *testing.T) {
 	a, b := mk(1), mk(1)
 	other := mk(2)
 	diverged := false
+	at := func(m float64, rts ...*Runtime) {
+		for _, rt := range rts {
+			rt.At(m)
+		}
+	}
 	for m := 500.0; m < 700; m++ {
-		if a.IrradianceScale(m) != b.IrradianceScale(m) {
+		at(m, a, b, other)
+		if a.IrradianceScale() != b.IrradianceScale() {
 			t.Fatalf("same seed diverged at minute %v", m)
 		}
 		op := power.Operating{VLoad: 12, ILoad: 5, PLoad: 60}
-		if a.Sense(m, op) != b.Sense(m, op) {
+		if a.Sense(op) != b.Sense(op) {
 			t.Fatalf("sense streams diverged at minute %v", m)
 		}
-		if a.IrradianceScale(m) != other.IrradianceScale(m) {
+		if a.IrradianceScale() != other.IrradianceScale() {
 			diverged = true
 		}
 	}
 	// Out-of-order replay: hash01 is stateless, so revisiting an earlier
 	// minute reproduces its value.
-	if a.IrradianceScale(550) != b.IrradianceScale(550) {
+	at(550, a)
+	at(690, b)
+	at(550, b)
+	if a.IrradianceScale() != b.IrradianceScale() {
 		t.Fatal("out-of-order revisit diverged")
 	}
 	if !diverged {
@@ -204,12 +229,12 @@ func TestDeterminismAcrossRuntimes(t *testing.T) {
 func TestSensorStuckFreezesFirstReading(t *testing.T) {
 	a := armedInjector{Injector: Injector{Kind: KindSensorStuck, W: Window{600, 660}, I: 1}}
 	first := power.Operating{VLoad: 12, ILoad: 5, PLoad: 60}
-	got := sense(&a, 610, first)
+	got := sense(&a, first)
 	if got.PLoad != first.VLoad*first.ILoad {
 		t.Errorf("first in-window reading changed: %+v", got)
 	}
 	later := power.Operating{VLoad: 6, ILoad: 1, PLoad: 6}
-	got = sense(&a, 620, later)
+	got = sense(&a, later)
 	if got.VLoad != 12 || got.ILoad != 5 {
 		t.Errorf("full-intensity stuck sensor leaked the live reading: %+v", got)
 	}
@@ -260,10 +285,12 @@ func TestSolverErrorTyped(t *testing.T) {
 		t.Error("SolverError does not wrap the mathx cause")
 	}
 	rt := NewSchedule(3, Injector{Kind: KindSolver, W: Window{600, 700}, I: 1}).Runtime()
-	if err := rt.SolverErr(650); !errors.Is(err, ErrSolverFault) {
+	rt.At(650)
+	if err := rt.SolverErr(); !errors.Is(err, ErrSolverFault) {
 		t.Errorf("runtime solver fault not typed: %v", err)
 	}
-	if err := rt.SolverErr(500); err != nil {
+	rt.At(500)
+	if err := rt.SolverErr(); err != nil {
 		t.Errorf("solver fault outside window: %v", err)
 	}
 }
@@ -276,31 +303,47 @@ func TestRuntimeComposition(t *testing.T) {
 		Injector{Kind: KindCoreFail, W: Window{600, 700}, I: 0.1},
 	).Runtime()
 
-	stuck, eff := rt.Converter(620)
+	converter := func(minute float64) (bool, float64) {
+		rt.At(minute)
+		return rt.Converter()
+	}
+	stuck, eff := converter(620)
 	if !stuck || eff != 1 {
 		t.Errorf("stuck-only region: stuck=%v eff=%v", stuck, eff)
 	}
-	stuck, eff = rt.Converter(660)
+	stuck, eff = converter(660)
 	if !stuck || math.Abs(eff-0.8) > 1e-12 {
 		t.Errorf("overlap region: stuck=%v eff=%v, want true, 0.8", stuck, eff)
 	}
-	stuck, eff = rt.Converter(720)
+	stuck, eff = converter(720)
 	if stuck || math.Abs(eff-0.8) > 1e-12 {
 		t.Errorf("derate-only region: stuck=%v eff=%v", stuck, eff)
 	}
+	if !rt.PowerPathActive() {
+		t.Error("PowerPathActive false inside the derate window")
+	}
+	rt.At(800)
+	if rt.PowerPathActive() {
+		t.Error("PowerPathActive true after every window")
+	}
 
-	// Tightest core cap wins: core 0 is failed (Gated beats throttle).
-	if cap := rt.CoreCap(650, 0, 16, 5); cap != -1 {
-		t.Errorf("failed core composed cap %d, want -1", cap)
+	// Tightest core cap wins: core 0 is failed (Gated beats throttle),
+	// the rest are throttled to half the top level.
+	chip := mcore.MustNewChip(mcore.DefaultConfig())
+	top := chip.NumLevels() - 1
+	rt.At(650)
+	if !rt.CapCores(chip, false) {
+		t.Fatal("no caps inside the core-fault windows")
 	}
-	if cap := rt.CoreCap(650, 8, 16, 5); cap != 2 {
-		t.Errorf("throttled core composed cap %d, want 2", cap)
+	if cap := chip.LevelCap(0); cap != mcore.Gated {
+		t.Errorf("failed core composed cap %d, want Gated", cap)
 	}
-	if !rt.ConstrainsCores(650) || rt.ConstrainsCores(750) {
-		t.Error("ConstrainsCores window gating wrong")
+	if cap, want := chip.LevelCap(chip.NumCores()-1), top/2; cap != want {
+		t.Errorf("throttled core composed cap %d, want %d", cap, want)
 	}
-	if !rt.PowerPathActive(720) || rt.PowerPathActive(800) {
-		t.Error("PowerPathActive window gating wrong")
+	rt.At(750)
+	if rt.CapCores(chip, true) || chip.LevelCap(0) != top {
+		t.Error("caps survive the core-fault windows")
 	}
 }
 
@@ -321,9 +364,10 @@ func TestScheduleSharedAcrossRuns(t *testing.T) {
 			defer wg.Done()
 			rt := s.Runtime()
 			for m := 600.0; m < 700; m++ {
-				op := rt.Sense(m, power.Operating{VLoad: 12, ILoad: 5, PLoad: 60})
-				sums[g] += rt.IrradianceScale(m) + op.PLoad
-				if rt.SolverErr(m) != nil {
+				rt.At(m)
+				op := rt.Sense(power.Operating{VLoad: 12, ILoad: 5, PLoad: 60})
+				sums[g] += rt.IrradianceScale() + op.PLoad
+				if rt.SolverErr() != nil {
 					sums[g]++
 				}
 			}

@@ -81,11 +81,10 @@ func fires(inj Injector, seed int64, minute float64) bool {
 	return hash01(seed, int64(math.Floor(minute))) < inj.I
 }
 
-// sense is a sensor fault's transform of a load-rail reading at the
-// minute, keeping its per-run state in a. Other kinds pass op through.
-//
-// unit: minute=min
-func sense(a *armedInjector, minute float64, op power.Operating) power.Operating {
+// sense is a sensor fault's transform of a load-rail reading under the
+// sample of the last Runtime.At, keeping its per-run state in a. Other
+// kinds pass op through.
+func sense(a *armedInjector, op power.Operating) power.Operating {
 	out := op
 	switch a.Kind {
 	case KindSensorStuck:
@@ -97,11 +96,10 @@ func sense(a *armedInjector, minute float64, op power.Operating) power.Operating
 		out.ILoad = (1-a.I)*op.ILoad + a.I*f.ILoad
 		out.PLoad = out.VLoad * out.ILoad
 	case KindSensorBias:
-		bias := 1 + a.I*a.W.frac(minute)
-		out.ILoad *= bias
+		out.ILoad *= a.bias
 		out.PLoad = out.VLoad * out.ILoad
 	case KindSensorDrop:
-		if fires(a.Injector, a.seed, minute) {
+		if a.drop {
 			out = power.Operating{VPanel: op.VPanel, IPanel: op.IPanel}
 		}
 	}

@@ -112,10 +112,12 @@ func TestKindsCoversFactory(t *testing.T) {
 		}
 		seen[k] = true
 		rt := NewSchedule(0, Injector{Kind: k, W: Window{0, 10}, I: 1}).Runtime()
-		rt.Sense(1, power.Operating{VLoad: 1, ILoad: 1, PLoad: 1}) // sensor-stuck freezes this
-		stuck, eff := rt.Converter(5)
-		if rt.IrradianceScale(5) == 1 && rt.GeneratorScale(5) == 1 && rt.Sense(5, op) == op &&
-			!stuck && eff == 1 && !rt.ConstrainsCores(5) && rt.SolverErr(5) == nil {
+		rt.At(1)
+		rt.Sense(power.Operating{VLoad: 1, ILoad: 1, PLoad: 1}) // sensor-stuck freezes this
+		rt.At(5)
+		stuck, eff := rt.Converter()
+		if rt.IrradianceScale() == 1 && rt.GeneratorScale() == 1 && rt.Sense(op) == op &&
+			!stuck && eff == 1 && !rt.cores && rt.SolverErr() == nil {
 			t.Errorf("kind %q has no effect at full intensity", k)
 		}
 	}

@@ -18,15 +18,36 @@ import (
 )
 
 // Device is a component with ordered power states (0 = off/lowest) that
-// trades power for service. Utility is the device's performance
-// contribution in system-comparable units (the caller chooses weights).
+// trades power for service. At samples the device's workload at a
+// simulation minute; PowerAt and UtilityAt read that sample and write no
+// state. Utility is the device's performance contribution in
+// system-comparable units (the caller chooses weights).
 type Device interface {
 	Name() string
 	NumStates() int
 	State() int
 	SetState(s int) error
-	Power(minute float64) float64
-	Utility(minute float64) float64
+	At(minute float64)
+	PowerAt(s int) float64
+	UtilityAt(s int) float64
+}
+
+// demand is a device's service demand sampled once per instant: Demand
+// at the minute of the last At, unlimited when Demand is nil. A device
+// serves nothing before its first At.
+type demand struct {
+	Demand func(minute float64) float64 // demanded service rate
+	now    float64
+}
+
+// At samples the demand at a simulation minute.
+//
+// unit: minute=min
+func (d *demand) At(minute float64) {
+	d.now = math.Inf(1)
+	if d.Demand != nil {
+		d.now = d.Demand(minute)
+	}
 }
 
 // clampState validates a state index.
@@ -63,43 +84,42 @@ func (c *CoreDevice) SetState(s int) error {
 	return c.Chip.SetLevel(c.Core, s-1)
 }
 
-// Power samples the chip at minute and returns the core's draw.
-func (c *CoreDevice) Power(minute float64) float64 {
-	c.Chip.At(minute)
-	return c.Chip.CorePower(c.Core)
-}
+// At samples the chip at a simulation minute (mcore.Chip.At).
+//
+// unit: minute=min
+func (c *CoreDevice) At(minute float64) { c.Chip.At(minute) }
 
-// Utility samples the chip at minute and returns weighted GIPS.
-func (c *CoreDevice) Utility(minute float64) float64 {
-	c.Chip.At(minute)
-	return c.Weight * c.Chip.CoreThroughput(c.Core)
-}
+// PowerAt returns the core's draw in state s.
+func (c *CoreDevice) PowerAt(s int) float64 { return c.Chip.PowerAt(c.Core, s-1) }
+
+// UtilityAt returns the core's weighted GIPS in state s.
+func (c *CoreDevice) UtilityAt(s int) float64 { return c.Weight * c.Chip.ThroughputAt(c.Core, s-1) }
 
 // Disk is a DRPM multi-speed disk (Gurumurthi et al., the paper's [17]):
 // state 0 is spun down; higher states are RPM steps. Spindle power grows
 // ≈ RPM^2.8; served bandwidth is the smaller of the platter rate (∝ RPM)
-// and the workload's demanded IO rate.
+// and the workload's demanded IO rate (Demand, in MB/s).
 type Disk struct {
-	RPMs     []float64                    // e.g. 0, 5400, 7200, 10000, 12000, 15000
-	IdleW    float64                      // electronics floor while spinning
-	SpinCoef float64                      // W at the highest RPM (spindle share)
-	MBperRPM float64                      // bandwidth per RPM (MB/s per 1000 RPM)
-	Demand   func(minute float64) float64 // demanded MB/s
-	Weight   float64                      // utility per served MB/s
+	RPMs     []float64 // e.g. 0, 5400, 7200, 10000, 12000, 15000
+	IdleW    float64   // electronics floor while spinning
+	SpinCoef float64   // W at the highest RPM (spindle share)
+	MBperRPM float64   // bandwidth per RPM (MB/s per 1000 RPM)
+	Weight   float64   // utility per served MB/s
+	demand
 
 	state int
 }
 
 // NewDisk returns a 5-speed DRPM disk modeled on the paper's server-class
 // reference: 4-15 W across 5400-15000 RPM, ~60 MB/s at full speed.
-func NewDisk(weight float64, demand func(float64) float64) *Disk {
+func NewDisk(weight float64, fn func(float64) float64) *Disk {
 	return &Disk{
 		RPMs:     []float64{0, 5400, 7200, 10000, 12000, 15000},
 		IdleW:    2.5,
 		SpinCoef: 11.5,
 		MBperRPM: 4.0, // MB/s per 1000 RPM
-		Demand:   demand,
 		Weight:   weight,
+		demand:   demand{Demand: fn},
 	}
 }
 
@@ -121,9 +141,9 @@ func (d *Disk) SetState(s int) error {
 	return nil
 }
 
-// Power returns the spindle + electronics draw.
-func (d *Disk) Power(float64) float64 {
-	rpm := d.RPMs[d.state]
+// PowerAt returns the spindle + electronics draw in state s.
+func (d *Disk) PowerAt(s int) float64 {
+	rpm := d.RPMs[s]
 	if rpm <= 0 {
 		return 0
 	}
@@ -131,37 +151,34 @@ func (d *Disk) Power(float64) float64 {
 	return d.IdleW + d.SpinCoef*math.Pow(rpm/top, 2.8)
 }
 
-// Utility returns weighted served bandwidth: capability capped by demand.
-func (d *Disk) Utility(minute float64) float64 {
-	rpm := d.RPMs[d.state]
+// UtilityAt returns weighted served bandwidth in state s: capability
+// capped by demand.
+func (d *Disk) UtilityAt(s int) float64 {
+	rpm := d.RPMs[s]
 	if rpm <= 0 {
 		return 0
 	}
-	capability := d.MBperRPM * rpm / 1000
-	demand := capability
-	if d.Demand != nil {
-		demand = d.Demand(minute)
-	}
-	return d.Weight * math.Min(capability, demand)
+	return d.Weight * math.Min(d.MBperRPM*rpm/1000, d.now)
 }
 
 // Memory is a DRAM subsystem with power-down, self-refresh and active
-// states; bandwidth scales with how many ranks stay active.
+// states; bandwidth scales with how many ranks stay active, served up to
+// the demanded rate (Demand, in GB/s).
 type Memory struct {
 	// States: 0 self-refresh (no service), 1..N = that many active ranks.
 	Ranks    int
-	WPerRank float64                      // active power per rank
-	BaseW    float64                      // controller + refresh floor when any rank is active
-	GBps     float64                      // bandwidth per rank
-	Demand   func(minute float64) float64 // demanded GB/s
+	WPerRank float64 // active power per rank
+	BaseW    float64 // controller + refresh floor when any rank is active
+	GBps     float64 // bandwidth per rank
 	Weight   float64
+	demand
 
 	state int
 }
 
 // NewMemory returns a 4-rank DDR-class subsystem.
-func NewMemory(weight float64, demand func(float64) float64) *Memory {
-	return &Memory{Ranks: 4, WPerRank: 2.2, BaseW: 1.5, GBps: 3.2, Demand: demand, Weight: weight}
+func NewMemory(weight float64, fn func(float64) float64) *Memory {
+	return &Memory{Ranks: 4, WPerRank: 2.2, BaseW: 1.5, GBps: 3.2, Weight: weight, demand: demand{Demand: fn}}
 }
 
 // Name identifies the memory.
@@ -182,44 +199,40 @@ func (m *Memory) SetState(s int) error {
 	return nil
 }
 
-// Power returns the DRAM draw.
-func (m *Memory) Power(float64) float64 {
-	if m.state == 0 {
+// PowerAt returns the DRAM draw in state s.
+func (m *Memory) PowerAt(s int) float64 {
+	if s == 0 {
 		return 0.3 // self-refresh
 	}
-	return m.BaseW + float64(m.state)*m.WPerRank
+	return m.BaseW + float64(s)*m.WPerRank
 }
 
-// Utility returns weighted served bandwidth.
-func (m *Memory) Utility(minute float64) float64 {
-	if m.state == 0 {
+// UtilityAt returns weighted served bandwidth in state s.
+func (m *Memory) UtilityAt(s int) float64 {
+	if s == 0 {
 		return 0
 	}
-	capability := float64(m.state) * m.GBps
-	demand := capability
-	if m.Demand != nil {
-		demand = m.Demand(minute)
-	}
-	return m.Weight * math.Min(capability, demand)
+	return m.Weight * math.Min(float64(s)*m.GBps, m.now)
 }
 
-// NIC is a network interface with link-speed states (down, 100M, 1G, 10G).
+// NIC is a network interface with link-speed states (down, 100M, 1G,
+// 10G) serving up to the demanded traffic (Demand, in Gb/s).
 type NIC struct {
 	SpeedsGbps []float64
 	WPerState  []float64
-	Demand     func(minute float64) float64 // demanded Gb/s
 	Weight     float64
+	demand
 
 	state int
 }
 
 // NewNIC returns a three-speed server NIC.
-func NewNIC(weight float64, demand func(float64) float64) *NIC {
+func NewNIC(weight float64, fn func(float64) float64) *NIC {
 	return &NIC{
 		SpeedsGbps: []float64{0, 0.1, 1, 10},
 		WPerState:  []float64{0, 1.0, 2.2, 6.5},
-		Demand:     demand,
 		Weight:     weight,
+		demand:     demand{Demand: fn},
 	}
 }
 
@@ -241,18 +254,14 @@ func (n *NIC) SetState(s int) error {
 	return nil
 }
 
-// Power returns the PHY + MAC draw.
-func (n *NIC) Power(float64) float64 { return n.WPerState[n.state] }
+// PowerAt returns the PHY + MAC draw in state s.
+func (n *NIC) PowerAt(s int) float64 { return n.WPerState[s] }
 
-// Utility returns weighted served traffic.
-func (n *NIC) Utility(minute float64) float64 {
-	capability := n.SpeedsGbps[n.state]
+// UtilityAt returns weighted served traffic in state s.
+func (n *NIC) UtilityAt(s int) float64 {
+	capability := n.SpeedsGbps[s]
 	if capability <= 0 {
 		return 0
 	}
-	demand := capability
-	if n.Demand != nil {
-		demand = n.Demand(minute)
-	}
-	return n.Weight * math.Min(capability, demand)
+	return n.Weight * math.Min(capability, n.now)
 }

@@ -31,6 +31,7 @@ func testSystem(t *testing.T) *System {
 		NewMemory(0.2, func(min float64) float64 { return 6 + 4*math.Sin(min/25) }),
 		NewNIC(0.3, func(min float64) float64 { return 0.5 + 0.4*math.Sin(min/15) }),
 	)
+	sys.At(0)
 	return sys
 }
 
@@ -46,7 +47,7 @@ func TestDeviceStateBounds(t *testing.T) {
 		if err := d.SetState(0); err != nil {
 			t.Errorf("%s: %v", d.Name(), err)
 		}
-		if d.Power(0) < 0 || d.Utility(0) < 0 {
+		if d.PowerAt(0) < 0 || d.UtilityAt(0) < 0 {
 			t.Errorf("%s: negative power/utility at state 0", d.Name())
 		}
 	}
@@ -57,23 +58,35 @@ func TestDevicePowerMonotone(t *testing.T) {
 	for _, d := range sys.Devices {
 		prev := -1.0
 		for s := 0; s < d.NumStates(); s++ {
-			if err := d.SetState(s); err != nil {
-				t.Fatal(err)
-			}
-			p := d.Power(0)
+			p := d.PowerAt(s)
 			if p < prev-1e-9 {
 				t.Errorf("%s: power fell from state %d to %d", d.Name(), s-1, s)
 			}
 			prev = p
 		}
-		d.SetState(0)
+	}
+}
+
+func TestProbesWriteNoState(t *testing.T) {
+	// A raise probes every device's next state and then moves one device
+	// one step: the chip sees at most that one level change.
+	sys := testSystem(t)
+	chip := sys.Devices[0].(*CoreDevice).Chip
+	for i := 0; i < 40; i++ {
+		before := chip.Transitions()
+		if !sys.Raise() {
+			break
+		}
+		if moved := chip.Transitions() - before; moved > 1 {
+			t.Fatalf("raise %d moved the chip %d times", i, moved)
+		}
 	}
 }
 
 func TestRaiseLowerRoundTrip(t *testing.T) {
 	sys := testSystem(t)
 	raises := 0
-	for sys.Raise(0) {
+	for sys.Raise() {
 		raises++
 		if raises > 1000 {
 			t.Fatal("Raise never saturates")
@@ -82,15 +95,15 @@ func TestRaiseLowerRoundTrip(t *testing.T) {
 	if raises == 0 {
 		t.Fatal("no raises from the floor")
 	}
-	maxP := sys.Power(0)
+	maxP := sys.Power()
 	lowers := 0
-	for sys.Lower(0) {
+	for sys.Lower() {
 		lowers++
 		if lowers > 1000 {
 			t.Fatal("Lower never saturates")
 		}
 	}
-	if got := sys.Power(0); got >= maxP || got > 1 {
+	if got := sys.Power(); got >= maxP || got > 1 {
 		t.Errorf("after full Lower, power = %v", got)
 	}
 	if raises != lowers {
@@ -101,7 +114,7 @@ func TestRaiseLowerRoundTrip(t *testing.T) {
 func TestFillBudgetRespectsBudget(t *testing.T) {
 	sys := testSystem(t)
 	for _, budget := range []float64{15, 40, 80, 140, 400} {
-		p := sys.FillBudget(0, budget)
+		p := sys.FillBudget(budget)
 		if p > budget+1e-9 {
 			t.Errorf("budget %v: filled to %v", budget, p)
 		}
@@ -114,14 +127,14 @@ func TestGlobalTPRPrefersCheapUtility(t *testing.T) {
 	// top; verify the allocator beats a cores-only fill at a tight budget.
 	sys := testSystem(t)
 	budget := 50.0
-	sys.FillBudget(0, budget)
-	mixed := sys.Utility(0)
+	sys.FillBudget(budget)
+	mixed := sys.Utility()
 
 	// Cores-only fill of the same budget.
 	sysCores := testSystem(t)
 	coreOnly := &System{Devices: sysCores.Devices[:8]}
-	coreOnly.FillBudget(0, budget)
-	coresU := coreOnly.Utility(0)
+	coreOnly.FillBudget(budget)
+	coresU := coreOnly.Utility()
 	if mixed <= coresU {
 		t.Errorf("global fill %v not above cores-only %v", mixed, coresU)
 	}

@@ -10,59 +10,63 @@ import (
 // throughput-power-ratio allocator moves whichever device state-step buys
 // the most utility per watt (when the budget grows) or costs the least
 // (when it shrinks) — the Figure 10 table generalized across component
-// types.
+// types. At samples every device; the reads and moves below use that
+// sample.
 type System struct {
 	Devices []Device
 }
 
+// At samples every device's workload at a simulation minute.
+//
+// unit: minute=min
+func (s *System) At(minute float64) {
+	for _, d := range s.Devices {
+		d.At(minute)
+	}
+}
+
 // Power returns the total draw.
-func (s *System) Power(minute float64) float64 {
+func (s *System) Power() float64 {
 	sum := 0.0
 	for _, d := range s.Devices {
-		sum += d.Power(minute)
+		sum += d.PowerAt(d.State())
 	}
 	return sum
 }
 
 // Utility returns the total weighted service.
-func (s *System) Utility(minute float64) float64 {
+func (s *System) Utility() float64 {
 	sum := 0.0
 	for _, d := range s.Devices {
-		sum += d.Utility(minute)
+		sum += d.UtilityAt(d.State())
 	}
 	return sum
 }
 
-// probe evaluates the utility/power delta of moving device d by dir (±1).
-func probe(d Device, minute float64, dir int) (dU, dP float64, ok bool) {
+// probe evaluates the utility/power delta of moving device d by dir (±1)
+// without moving it.
+func probe(d Device, dir int) (dU, dP float64, ok bool) {
 	s := d.State()
 	next := s + dir
 	if next < 0 || next >= d.NumStates() {
 		return 0, 0, false
 	}
-	u0, p0 := d.Utility(minute), d.Power(minute)
-	if err := d.SetState(next); err != nil {
-		return 0, 0, false
-	}
-	dU = d.Utility(minute) - u0
-	dP = d.Power(minute) - p0
-	_ = d.SetState(s) // restoring the state we just read
-	return dU, dP, true
+	return d.UtilityAt(next) - d.UtilityAt(s), d.PowerAt(next) - d.PowerAt(s), true
 }
 
 // Raise moves the best utility-per-watt device one state up; false when
 // every device is at its top state.
-func (s *System) Raise(minute float64) bool {
-	return s.RaiseWithin(minute, math.Inf(1))
+func (s *System) Raise() bool {
+	return s.RaiseWithin(math.Inf(1))
 }
 
 // RaiseWithin is Raise constrained to steps whose power increase fits in
 // the given headroom, so a budget fill can keep taking small steps after a
 // large one stopped fitting.
-func (s *System) RaiseWithin(minute, headroom float64) bool {
+func (s *System) RaiseWithin(headroom float64) bool {
 	best, bestTPR := -1, math.Inf(-1)
 	for i, d := range s.Devices {
-		dU, dP, ok := probe(d, minute, +1)
+		dU, dP, ok := probe(d, +1)
 		if !ok || dP > headroom {
 			continue
 		}
@@ -88,10 +92,10 @@ func (s *System) RaiseWithin(minute, headroom float64) bool {
 
 // Lower moves the least-costly device one state down; false when every
 // device is already at its bottom state.
-func (s *System) Lower(minute float64) bool {
+func (s *System) Lower() bool {
 	best, bestCost := -1, math.Inf(1)
 	for i, d := range s.Devices {
-		dU, dP, ok := probe(d, minute, -1)
+		dU, dP, ok := probe(d, -1)
 		if !ok {
 			continue
 		}
@@ -119,22 +123,22 @@ func (s *System) Lower(minute float64) bool {
 // FillBudget adapts the system until its power is as close under the
 // budget as the device granularity allows: sheds while over, raises while
 // the next step still fits. Returns the resulting power.
-func (s *System) FillBudget(minute, budget float64) float64 {
+func (s *System) FillBudget(budget float64) float64 {
 	guard := 0
-	for s.Power(minute) > budget && guard < 4096 {
-		if !s.Lower(minute) {
+	for s.Power() > budget && guard < 4096 {
+		if !s.Lower() {
 			break
 		}
 		guard++
 	}
 	for guard < 4096 {
-		headroom := budget - s.Power(minute)
-		if headroom <= 0 || !s.RaiseWithin(minute, headroom) {
+		headroom := budget - s.Power()
+		if headroom <= 0 || !s.RaiseWithin(headroom) {
 			break
 		}
 		guard++
 	}
-	return s.Power(minute)
+	return s.Power()
 }
 
 // DayResult summarizes a full-system day run.
@@ -165,21 +169,23 @@ func RunDay(day *sim.SolarDay, s *System, trackPeriodMin, stepMin, eta float64) 
 	for t0 := start; t0 < end; t0 += trackPeriodMin {
 		t1 := math.Min(t0+trackPeriodMin, end)
 		budget := eta * day.MPPAt(t0)
-		s.FillBudget(t0, budget*0.95) // one tracking margin
+		s.At(t0)
+		s.FillBudget(budget * 0.95) // one tracking margin
 		for t := t0; t < t1-1e-9; t += stepMin {
 			dt := math.Min(stepMin, t1-t)
 			b := eta * day.MPPAt(t)
-			p := s.Power(t)
+			s.At(t)
+			p := s.Power()
 			for p > b {
-				if !s.Lower(t) {
+				if !s.Lower() {
 					break
 				}
-				p = s.Power(t)
+				p = s.Power()
 			}
 			if p > 0 && p <= b {
 				res.SolarWh += p * dt / 60
 				res.SolarMin += dt
-				res.ServiceUnits += s.Utility(t) * dt * 60
+				res.ServiceUnits += s.Utility() * dt * 60
 			} else {
 				res.UtilityWh += p * dt / 60
 			}

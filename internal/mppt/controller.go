@@ -44,11 +44,11 @@ type Config struct {
 	// SensorSeed seeds the noise stream (0 picks a fixed default).
 	SensorSeed int64
 	// SenseFault, when non-nil, transforms every sensor reading after the
-	// benign noise — the fault-injection hook (internal/fault) for
-	// stuck-at, bias-drift and dropout sensor faults. The controller only
-	// ever sees the transformed reading; the physical operating point is
-	// untouched.
-	SenseFault func(minute float64, op power.Operating) power.Operating
+	// benign noise — the fault-injection hook (fault.Runtime.Sense, which
+	// reads the schedule's sample at the session's minute) for stuck-at,
+	// bias-drift and dropout sensor faults. The controller only ever sees
+	// the transformed reading; the physical operating point is untouched.
+	SenseFault func(op power.Operating) power.Operating
 	// RecordTrajectory retains the per-action (k, VLoad, PLoad) path of
 	// every tracking session in Result.Trajectory — the transient the
 	// flowchart of Figure 9 walks, made observable for analysis and tests.
@@ -149,9 +149,7 @@ func (r *Result) Solar() bool { return !r.Overload && r.RaisedTo > 0 }
 // operate samples the sensors for the chip's current demand, applying the
 // configured measurement noise — the controller only ever sees what its
 // I/V sensors report.
-//
-// unit: minute=min
-func (c *Controller) operate(env pv.Env, minute float64) power.Operating {
+func (c *Controller) operate(env pv.Env) power.Operating {
 	op := c.Circuit.OperateAtDemand(env, c.Chip.Power())
 	if c.noise != nil {
 		e := c.Cfg.SensorError
@@ -160,7 +158,7 @@ func (c *Controller) operate(env pv.Env, minute float64) power.Operating {
 		op.PLoad = op.VLoad * op.ILoad
 	}
 	if c.Cfg.SenseFault != nil {
-		op = c.Cfg.SenseFault(minute, op)
+		op = c.Cfg.SenseFault(op)
 	}
 	if c.traj != nil {
 		*c.traj = append(*c.traj, TrajectoryPoint{K: c.Circuit.Conv.K, VLoad: op.VLoad, PLoad: op.PLoad})
@@ -175,8 +173,8 @@ func (c *Controller) operate(env pv.Env, minute float64) power.Operating {
 // power stops improving, and finally sheds MarginSteps of load as the
 // protective power margin. When Config.Observer is set, the settled
 // session is reported as one obs.TrackEvent. The session samples the
-// chip at minute (mcore.Chip.At); minute also reaches Config.SenseFault
-// and stamps the events.
+// chip at minute (mcore.Chip.At); minute also stamps the events. A
+// Config.SenseFault hook must already be sampled at minute.
 //
 // unit: minute=min
 func (c *Controller) Track(env pv.Env, minute float64) Result {
@@ -196,7 +194,8 @@ func (c *Controller) Track(env pv.Env, minute float64) Result {
 	return res
 }
 
-// track is the Figure 9 session body behind Track.
+// track is the Figure 9 session body behind Track; minute stamps the
+// margin-shed events.
 //
 // unit: minute=min
 func (c *Controller) track(env pv.Env, minute float64) Result {
@@ -217,7 +216,7 @@ func (c *Controller) track(env pv.Env, minute float64) Result {
 		conv.SetRatio(c.lastGoodK)
 	}
 
-	op, overload := c.restoreRail(env, minute, &steps)
+	op, overload := c.restoreRail(env, &steps)
 	if overload {
 		return Result{Overload: true, Steps: steps, Trajectory: traj}
 	}
@@ -226,8 +225,8 @@ func (c *Controller) track(env pv.Env, minute float64) Result {
 	// established a load to measure against; afterwards the rail must be
 	// re-matched at the chosen ratio.
 	if c.Cfg.ScanPoints > 1 && c.Chip.Power() > 0 {
-		c.scanRatio(env, minute, &steps)
-		op, overload = c.restoreRail(env, minute, &steps)
+		c.scanRatio(env, &steps)
+		op, overload = c.restoreRail(env, &steps)
 		if overload {
 			return Result{Overload: true, Steps: steps, Trajectory: traj}
 		}
@@ -240,7 +239,7 @@ func (c *Controller) track(env pv.Env, minute float64) Result {
 		// Step 2: perturb the transfer ratio and watch the output current.
 		moved := c.Circuit.Conv.Step(+1)
 		steps++
-		probe := c.operate(env, minute)
+		probe := c.operate(env)
 		wrongDir := !moved || probe.ILoad <= prev.ILoad
 		if wrongDir {
 			// Wrong direction (or railed): net −Δk as in Figure 9.
@@ -249,7 +248,7 @@ func (c *Controller) track(env pv.Env, minute float64) Result {
 		}
 
 		// Step 3: load-match the rail back to nominal.
-		op, overload = c.restoreRail(env, minute, &steps)
+		op, overload = c.restoreRail(env, &steps)
 		if overload {
 			return Result{Overload: true, Steps: steps, Trajectory: traj}
 		}
@@ -283,7 +282,7 @@ func (c *Controller) track(env pv.Env, minute float64) Result {
 				DemandW: c.Chip.Power()})
 		}
 	}
-	op = c.operate(env, minute)
+	op = c.operate(env)
 
 	res := Result{Op: op, Steps: steps, RaisedTo: c.Chip.Power(), Trajectory: traj}
 	if res.Solar() {
@@ -295,16 +294,14 @@ func (c *Controller) track(env pv.Env, minute float64) Result {
 // scanRatio sweeps the converter range at the present load and parks the
 // ratio at the best-producing point — the global-scan prefix enabled by
 // Config.ScanPoints.
-//
-// unit: minute=min
-func (c *Controller) scanRatio(env pv.Env, minute float64, steps *int) {
+func (c *Controller) scanRatio(env pv.Env, steps *int) {
 	conv := c.Circuit.Conv
 	bestK, bestP := conv.K, -1.0
 	for i := 0; i < c.Cfg.ScanPoints; i++ {
 		k := conv.KMin + (conv.KMax-conv.KMin)*float64(i)/float64(c.Cfg.ScanPoints-1)
 		conv.SetRatio(k)
 		*steps++
-		if p := c.operate(env, minute).PLoad; p > bestP {
+		if p := c.operate(env).PLoad; p > bestP {
 			bestK, bestP = k, p
 		}
 	}
@@ -326,16 +323,14 @@ func (c *Controller) scanRatio(env pv.Env, minute float64, steps *int) {
 //     problem (VLoad = Vpv/k cannot reach nominal when k is too large), so
 //     the controller walks k down before shedding the last core. Only a
 //     railed converter with everything gated is a true overload.
-//
-// unit: minute=min
-func (c *Controller) restoreRail(env pv.Env, minute float64, steps *int) (power.Operating, bool) {
+func (c *Controller) restoreRail(env pv.Env, steps *int) (power.Operating, bool) {
 	vNom := c.Circuit.VNominal
 	hi := vNom * (1 + c.Cfg.VTolerance)
 	lo := vNom * (1 - c.Cfg.VTolerance)
 
 	lastDir, flips, zeroProbes := 0, 0, 0
 	for *steps < c.Cfg.MaxSteps {
-		op := c.operate(env, minute)
+		op := c.operate(env)
 		demand := c.Chip.Power()
 
 		var dir int
@@ -365,7 +360,7 @@ func (c *Controller) restoreRail(env pv.Env, minute float64, steps *int) (power.
 				if dir < 0 {
 					c.Alloc.Lower(c.Chip)
 					*steps++
-					op = c.operate(env, minute)
+					op = c.operate(env)
 				}
 				return op, false
 			}
@@ -395,7 +390,7 @@ func (c *Controller) restoreRail(env pv.Env, minute float64, steps *int) (power.
 			// rail: the panel cannot carry even one core.
 			c.Alloc.Lower(c.Chip)
 			*steps++
-			return c.operate(env, minute), true
+			return c.operate(env), true
 		}
 		if !c.Alloc.Lower(c.Chip) {
 			// Nothing left to shed and the rail still sags.
@@ -407,7 +402,7 @@ func (c *Controller) restoreRail(env pv.Env, minute float64, steps *int) (power.
 		}
 		*steps++
 	}
-	return c.operate(env, minute), false
+	return c.operate(env), false
 }
 
 // minimalDemand returns the power of the lightest non-empty configuration:

@@ -76,17 +76,19 @@ func TestStuckSensorRecoversAfterWindow(t *testing.T) {
 	// closes tracking must return to within tolerance of a clean
 	// controller driven over the same cadence.
 	env := pv.Env{Irradiance: 850, CellTemp: 30}
-	finalFrac := func(ctrl *Controller) float64 {
+	finalFrac := func(ctrl *Controller, rt *fault.Runtime) float64 {
 		for m := 0.0; m < 200; m += 10 {
+			rt.At(m)
 			ctrl.Track(env, m) // faulted or not, must not panic
 		}
+		rt.At(200)
 		return ctrl.Track(env, 200).RaisedTo / ctrl.Circuit.AvailableMax(env)
 	}
 
-	clean := finalFrac(rig(t, "HM2", sched.OptTPR{}, Config{}))
+	clean := finalFrac(rig(t, "HM2", sched.OptTPR{}, Config{}), nil)
 	rt := fault.NewSchedule(1,
 		fault.Injector{Kind: fault.KindSensorStuck, W: fault.Window{T0: 40, T1: 120}, I: 1}).Runtime()
-	faulted := finalFrac(rig(t, "HM2", sched.OptTPR{}, Config{SenseFault: rt.Sense}))
+	faulted := finalFrac(rig(t, "HM2", sched.OptTPR{}, Config{SenseFault: rt.Sense}), rt)
 	if faulted < clean-0.10 {
 		t.Errorf("post-recovery tracked fraction %.2f, clean %.2f: outside tolerance", faulted, clean)
 	}
@@ -110,6 +112,7 @@ func TestSensorDropoutTripsWatchdogWithinN(t *testing.T) {
 			wd.ObserveFallback(m)
 			continue
 		}
+		rt.At(m)
 		res := ctrl.Track(env, m)
 		wd.Observe(fault.PeriodStats{
 			Minute: m, Overload: res.Overload,
@@ -139,6 +142,7 @@ func TestSensorDropoutTripsWatchdogWithinN(t *testing.T) {
 	// Post-recovery utilization within tolerance of a clean controller.
 	clean := rig(t, "HM2", sched.OptTPR{}, Config{})
 	cleanFrac := clean.Track(env, 300).RaisedTo / clean.Circuit.AvailableMax(env)
+	rt.At(300)
 	got := ctrl.Track(env, 300).RaisedTo / ctrl.Circuit.AvailableMax(env)
 	if got < cleanFrac-0.10 {
 		t.Errorf("post-recovery tracked fraction %.2f, clean %.2f: outside tolerance", got, cleanFrac)

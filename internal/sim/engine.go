@@ -11,6 +11,7 @@ import (
 	"solarcore/internal/mppt"
 	"solarcore/internal/obs"
 	"solarcore/internal/power"
+	"solarcore/internal/pv"
 	"solarcore/internal/sched"
 	"solarcore/internal/thermal"
 	"solarcore/internal/workload"
@@ -181,25 +182,42 @@ func (r *dayRun) start() {
 }
 
 // at moves the run to minute t: it samples the chip's workload there
-// (mcore.Chip.At) and pushes the armed fault schedule's state into the
-// chip and circuit. It is the one place a run changes its minute; every
-// chip read and move until the next at uses this sample.
+// (mcore.Chip.At) and, under an armed fault schedule, samples the
+// schedule, emits the window edges crossed and pushes the fault state
+// into the chip and circuit. It is the one place a run changes its
+// minute; every chip read and move, and every fault query, until the
+// next at uses this sample.
 //
 // unit: t=min
 func (r *dayRun) at(t float64) {
 	r.chip.At(t)
-	if r.fx != nil {
-		r.fx.applyAt(t, r.chip)
+	if fx := r.fx; fx != nil {
+		fx.at(t)
+		fx.edgeEvents(t)
+		fx.apply(r.chip)
 	}
 }
 
-// budgetAt returns the post-conversion power available at minute t,
-// routed through the fault runtime when a schedule is armed.
+// envAt returns the panel environment at minute t, the run's current
+// sample; under an armed fault schedule it carries the sampled
+// irradiance faults.
+//
+// unit: t=min
+func (r *dayRun) envAt(t float64) pv.Env {
+	if r.fx != nil {
+		return r.fx.env
+	}
+	return r.day.EnvAt(t)
+}
+
+// budgetAt returns the post-conversion power available at minute t, the
+// run's current sample, routed through the fault runtime when a schedule
+// is armed.
 //
 // unit: t=min, return=W
 func (r *dayRun) budgetAt(t float64) float64 {
 	if r.fx != nil {
-		return r.fx.budgetAt(t)
+		return r.fx.budget()
 	}
 	return r.eta * r.day.MPPAt(t)
 }
@@ -255,7 +273,11 @@ func (r *dayRun) fixedPeriod(t0, t1, budgetW float64) {
 func (r *dayRun) end() {
 	res := r.res
 	if r.fx != nil {
-		res.Faults = r.fx.finish(r.day.EndMinute())
+		// Sampling the end minute counts a window that opens after the
+		// last sample as injected, with its begin and end at the end.
+		end := r.day.EndMinute()
+		r.at(end)
+		res.Faults = r.fx.finish(end)
 	}
 	res.SolarWh = r.meter.EnergyWh(power.Solar)
 	res.UtilityWh = r.meter.EnergyWh(power.Utility)
@@ -322,12 +344,6 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 
 	r.start()
 	o := cfg.Observer
-	// envAt routes through the fault runtime when a schedule is armed;
-	// otherwise it is the clean day profile.
-	envAt := cfg.Day.EnvAt
-	if fx != nil {
-		envAt = fx.envAt
-	}
 	top := chip.NumLevels() - 1
 	// The protective power margin is sized from the observed load ripple
 	// (Section 6.1: high-EPI workloads generate large power ripples, so
@@ -354,7 +370,7 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 			// the controller is left alone until the hold elapses. The
 			// thermal governor is not advanced: fallback runs well
 			// below the clean budget, so throttling cannot engage.
-			r.fixedPeriod(t0, t1, fault.Derate*fx.budgetAt(t0))
+			r.fixedPeriod(t0, t1, fault.Derate*fx.budget())
 			fx.observeFallback(t0)
 			prevDemand = 0
 			continue
@@ -363,7 +379,7 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 		var solverErr error
 		var minLoadW float64 // unit: W
 		if fx != nil {
-			solverErr = fx.rt.SolverErr(t0)
+			solverErr = fx.rt.SolverErr()
 			// The watchdog judges the period against the period-start
 			// sample; the sub-samples below move the chip on.
 			minLoadW = chip.MinPower()
@@ -376,7 +392,7 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 			fx.report.SolverFaults++
 			track = mppt.Result{Overload: true}
 		} else {
-			track = ctrl.Track(envAt(t0), t0)
+			track = ctrl.Track(r.envAt(t0), t0)
 		}
 		onSolar := track.Solar()
 		trackBudget := r.budgetAt(t0)
@@ -393,7 +409,7 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 			budget := r.budgetAt(t)
 			if cfg.EventTracking && trackBudget > 0 &&
 				math.Abs(budget-trackBudget) > 0.15*trackBudget {
-				track = ctrl.Track(envAt(t), t)
+				track = ctrl.Track(r.envAt(t), t)
 				onSolar = track.Solar()
 				trackBudget = budget
 				prevDemand = 0
@@ -442,7 +458,7 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 					}
 				}
 			}
-			if fx != nil && onSolar && demand > 0 && fx.rt.PowerPathActive(t) {
+			if fx != nil && onSolar && demand > 0 && fx.rt.PowerPathActive() {
 				// Brownout guard: an injected power-path fault can leave
 				// the settled rail sagging even under the budget; shed
 				// within this sub-sample rather than ride the sag.
@@ -559,17 +575,19 @@ func RunBattery(cfg Config, eff float64) (*DayResult, error) {
 	// power-path faults (clouds, string cuts); core faults constrain the
 	// chip. Sensor, converter and solver faults have no battery analogue.
 	r.fx = newFaultCtx(&cfg, nil, 1)
-	harvestAt := cfg.Day.MPPAt
-	if r.fx != nil {
-		harvestAt = r.fx.mppAt
-	}
 
 	start, end := cfg.Day.StartMinute(), cfg.Day.EndMinute()
 	// The battery is optimally charged by its own tracker (Section 5): the
-	// whole day's MPP energy is banked up front.
+	// whole day's MPP energy is banked up front. A fault schedule is only
+	// sampled here: no edge events, no caps.
 	for t := start; t < end-1e-9; t += cfg.StepMin {
 		dt := math.Min(cfg.StepMin, end-t)
-		bat.Harvest(harvestAt(t), dt)
+		mpp := cfg.Day.MPPAt(t)
+		if r.fx != nil {
+			r.fx.at(t)
+			mpp = r.fx.mpp()
+		}
+		bat.Harvest(mpp, dt)
 	}
 	for t := start; t < end-1e-9; t += cfg.StepMin {
 		if err := cfg.canceled(); err != nil {

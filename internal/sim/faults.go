@@ -69,9 +69,10 @@ func (g *faultGen) ResistiveOperating(env pv.Env, r float64) (v, i float64) {
 
 // faultCtx is one run's fault-injection state: the armed schedule
 // runtime, the MPPT supervision watchdog, the fault-aware generator
-// wrapper installed into the circuit, and the report the result carries.
-// A nil *faultCtx is the fault-free run; every engine touch point is
-// gated on it, so a disarmed schedule takes the exact clean code path.
+// wrapper installed into the circuit, the panel's faulted sample at the
+// run's current minute, and the report the result carries. A nil
+// *faultCtx is the fault-free run; every engine touch point is gated on
+// it, so a disarmed schedule takes the exact clean code path.
 type faultCtx struct {
 	rt  *fault.Runtime
 	wd  *fault.Watchdog
@@ -84,6 +85,11 @@ type faultCtx struct {
 	baseEff float64 // unit: ratio
 	eta     float64 // unit: ratio
 	o       obs.Observer
+
+	// env is the panel environment with the irradiance faults applied and
+	// clean the fault-free MPP, both at the minute of the last at.
+	env   pv.Env
+	clean float64 // unit: W
 
 	report FaultReport
 	capped bool // level caps currently installed on the chip
@@ -116,59 +122,57 @@ func newFaultCtx(cfg *Config, circuit *power.Circuit, eta float64) *faultCtx {
 	return fx
 }
 
-// envAt returns the panel environment with active irradiance faults
-// applied (cloud transients).
+// at samples the schedule at minute t (fault.Runtime.At) and derives the
+// faulted panel there: the environment under the cloud bursts and the
+// generator's string-disconnect scale. It emits no event and installs
+// nothing on the chip or converter.
 //
 // unit: t=min
-func (fx *faultCtx) envAt(t float64) pv.Env {
-	env := fx.day.EnvAt(t)
-	env.Irradiance *= fx.rt.IrradianceScale(t)
-	return env
+func (fx *faultCtx) at(t float64) {
+	fx.rt.At(t)
+	fx.env = fx.day.EnvAt(t)
+	fx.env.Irradiance *= fx.rt.IrradianceScale()
+	fx.clean = fx.day.MPPAt(t)
+	fx.gen.scale = fx.rt.GeneratorScale()
 }
 
-// mppAt returns the panel-side maximum available power under the active
+// mpp returns the panel-side maximum available power under the sampled
 // power-path faults; the precomputed clean profile when none is active.
 //
-// unit: t=min, return=W
-func (fx *faultCtx) mppAt(t float64) float64 {
-	if !fx.rt.PowerPathActive(t) {
-		return fx.day.MPPAt(t)
+// unit: return=W
+func (fx *faultCtx) mpp() float64 {
+	if !fx.rt.PowerPathActive() {
+		return fx.clean
 	}
-	fx.gen.scale = fx.rt.GeneratorScale(t)
-	return fx.gen.MPP(fx.envAt(t)).P
+	return fx.gen.MPP(fx.env).P
 }
 
-// budgetAt returns the post-conversion power budget under the active
+// budget returns the post-conversion power budget under the sampled
 // power-path faults (converter derates included).
 //
-// unit: t=min, return=W
-func (fx *faultCtx) budgetAt(t float64) float64 {
-	_, effScale := fx.rt.Converter(t)
-	return fx.eta * effScale * fx.mppAt(t)
+// unit: return=W
+func (fx *faultCtx) budget() float64 {
+	_, effScale := fx.rt.Converter()
+	return fx.eta * effScale * fx.mpp()
 }
 
-// applyAt pushes the schedule's state at minute t into the substrate:
-// generator scale, converter lock/derate, per-core level caps — and
-// emits window begin/end events for injectors crossing their edges.
-//
-// unit: t=min
-func (fx *faultCtx) applyAt(t float64, chip *mcore.Chip) {
-	fx.edgeEvents(t)
-	fx.gen.scale = fx.rt.GeneratorScale(t)
+// apply pushes the sampled converter lock/derate and per-core level caps
+// into the circuit and chip.
+func (fx *faultCtx) apply(chip *mcore.Chip) {
 	if fx.conv != nil {
-		stuck, effScale := fx.rt.Converter(t)
+		stuck, effScale := fx.rt.Converter()
 		fx.conv.Locked = stuck
 		fx.conv.Efficiency = fx.baseEff * effScale
 	}
-	fx.capped = fx.rt.CapCores(t, chip, fx.capped)
+	fx.capped = fx.rt.CapCores(chip, fx.capped)
 }
 
 // edgeEvents emits one FaultEvent per injector crossing a window edge
-// since the previous sample.
+// between the previous sample and minute t, the current one.
 //
 // unit: t=min
 func (fx *faultCtx) edgeEvents(t float64) {
-	closed, opened := fx.rt.Edges(t)
+	closed, opened := fx.rt.Edges()
 	for _, inj := range closed {
 		obs.Fault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind,
 			Intensity: inj.I, Phase: obs.FaultEnd})
@@ -187,9 +191,8 @@ func (fx *faultCtx) edgeEvents(t float64) {
 //
 // unit: t=min, demand=W, return=W
 func (fx *faultCtx) brownout(t float64, circuit *power.Circuit, chip *mcore.Chip, alloc sched.Allocator, demand float64) float64 {
-	env := fx.envAt(t)
 	for demand > 0 {
-		op := circuit.OperateAtDemand(env, demand)
+		op := circuit.OperateAtDemand(fx.env, demand)
 		if op.VLoad >= 0.9*circuit.VNominal {
 			break
 		}
@@ -261,13 +264,13 @@ func watchdogReason(from, to fault.Mode) string {
 	return ""
 }
 
-// finish closes any still-open fault windows with end events and folds
-// the watchdog counters into the final report.
+// finish closes the fault windows still open at the end minute with end
+// events and folds the watchdog counters into the final report. The
+// caller has moved the run to end.
 //
 // unit: end=min
 func (fx *faultCtx) finish(end float64) FaultReport {
-	fx.edgeEvents(end) // windows already closed before end emit here
-	for _, inj := range fx.rt.Active(end) {
+	for _, inj := range fx.rt.Close() {
 		obs.Fault(fx.o, obs.FaultEvent{Minute: end, Kind: inj.Kind,
 			Intensity: inj.I, Phase: obs.FaultEnd})
 	}
