@@ -269,12 +269,17 @@ func (s *Server) release() { <-s.sem }
 
 // timeout resolves the effective run deadline: the server default, or
 // a client-requested timeout in milliseconds clamped to 2×RunTimeout.
+// The clamp compares milliseconds before converting, since a huge
+// request would overflow time.Duration.
 func (s *Server) timeout(requestedMs int) time.Duration {
-	d := s.cfg.RunTimeout
-	if requestedMs > 0 {
-		d = min(time.Duration(requestedMs)*time.Millisecond, 2*s.cfg.RunTimeout)
+	limit := 2 * s.cfg.RunTimeout
+	switch {
+	case requestedMs <= 0:
+		return s.cfg.RunTimeout
+	case int64(requestedMs) > int64(limit/time.Millisecond):
+		return limit
 	}
-	return d
+	return time.Duration(requestedMs) * time.Millisecond
 }
 
 // Result serves one validated spec through the cache, the coalescer and

@@ -412,6 +412,29 @@ func TestRunDeadlineMapsTo504(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutClampsToTwiceRunTimeout sends timeout_ms values whose
+// conversion to time.Duration overflows; each must clamp to 2×RunTimeout
+// and serve, not start with an already-passed deadline.
+func TestHugeTimeoutClampsToTwiceRunTimeout(t *testing.T) {
+	const runTimeout = time.Second
+	s, ts := newTestServer(t, Config{RunTimeout: runTimeout})
+	s.runSpec = func(ctx context.Context, spec solarcore.RunSpec, _ obs.Observer) (*solarcore.DayResult, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if dl, ok := ctx.Deadline(); !ok || time.Until(dl) > 2*runTimeout {
+			return nil, fmt.Errorf("deadline %v past the clamp", dl)
+		}
+		return fakeResult(fmt.Sprintf("day-%d", spec.Day)), nil
+	}
+	for day, ms := range []int64{9223372036855, 1 << 62} {
+		body := fmt.Sprintf(`{"day":%d,"step_min":8,"timeout_ms":%d}`, day, ms)
+		if resp, data := postJSON(t, ts, "/v1/run", body); resp.StatusCode != http.StatusOK {
+			t.Errorf("timeout_ms=%d: status = %d, want 200; body: %s", ms, resp.StatusCode, data)
+		}
+	}
+}
+
 // TestCacheEvictionOrderThroughServer drives a 2-entry result cache with
 // three distinct specs: the oldest untouched spec must be the one evicted
 // and re-simulated, while the recently-read one replays from cache.
