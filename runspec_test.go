@@ -196,3 +196,50 @@ func TestRunSpecRunHonorsCancellation(t *testing.T) {
 		t.Fatalf("Run with canceled ctx = %v, want context.Canceled", err)
 	}
 }
+
+// FuzzRunSpec holds any JSON-decoded spec, a wire input (the solard
+// request body), to the identity contract: Normalized is idempotent,
+// Canonical is the canonical string of the normalization, Validate
+// agrees on the spec and its normalization, and a valid spec builds a
+// Runner without panicking. Seeds are the engine golden runs and the
+// specs scripts/check.sh posts to solard.
+func FuzzRunSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"site":"AZ","season":"Apr","mix":"M2","policy":"MPPT&Opt","step_min":2}`,
+		`{"site":"AZ","season":"Apr","mix":"M2","policy":"MPPT&IC","step_min":2}`,
+		`{"site":"AZ","season":"Apr","mix":"M2","policy":"MPPT&RR","step_min":2}`,
+		`{"site":"AZ","season":"Apr","mix":"M2","step_min":2,"fixed_w":75}`,
+		`{"site":"AZ","season":"Apr","mix":"M2","step_min":2,"battery_eff":0.92}`,
+		`{"site":"AZ","season":"Apr","mix":"M2","step_min":2,"faults":"sensor-drop:t0=600,t1=720,i=1"}`,
+		`{"site":"AZ","season":"Apr","mix":"M2","step_min":2,"faults":"sensor-stuck:t0=600,t1=720,i=1"}`,
+		`{"site":"AZ","season":"Apr","mix":"M2","step_min":2,"faults":"cloud:t0=560,t1=640,i=0.7;string-cut:t0=620,t1=700,i=0.5;conv-stuck:t0=680,t1=740,i=1;conv-derate:t0=700,t1=780,i=0.3;core-fail:t0=750,t1=820,i=0.5;solver:t0=800,t1=860,i=1"}`,
+		`{"site":"AZ","season":"Apr","mix":"M2","step_min":2,"fixed_w":75,"faults":"cloud:t0=600,t1=700,i=0.8;core-throttle:t0=650,t1=750,i=1"}`,
+		`{"step_min":8,"day":1}`,
+		`{"site":"AZ","season":"Jul","mix":"HM2","step_min":8,"day":9}`,
+		`{"faults":"sensor-drop:t0=600,t1=720,i=nan"}`,
+		`{"policy":"MPPT&Opt","fixed_w":50,"panels":-1,"day":-3}`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		var s solarcore.RunSpec
+		if json.Unmarshal([]byte(body), &s) != nil {
+			return
+		}
+		n := s.Normalized()
+		if nn := n.Normalized(); nn != n {
+			t.Fatalf("Normalized is not idempotent: %+v -> %+v", n, nn)
+		}
+		if c, cn := s.Canonical(), n.Canonical(); c != cn {
+			t.Fatalf("Canonical %q differs from its normalization's %q", c, cn)
+		}
+		err, errN := s.Validate(), n.Validate()
+		if (err == nil) != (errN == nil) {
+			t.Fatalf("Validate disagrees on %+v (%v) and its normalization (%v)", s, err, errN)
+		}
+		if err == nil {
+			_, _ = s.Runner() // must not panic; engine-level errors may surface
+		}
+	})
+}

@@ -30,7 +30,8 @@
 #                    fault and watchdog events to its -trace, and the
 #                    same spec with a NaN intensity must be rejected
 #   fuzz smoke     — a few seconds of coverage-guided fuzzing on the
-#                    JSONL event decoder and the fault-spec grammar
+#                    JSONL event decoder, the fault-spec grammar, the
+#                    store record codec and the RunSpec identity
 #   serving smoke  — boot a real solard on an ephemeral port, probe
 #                    /healthz and /v1/run over HTTP, then drive a short
 #                    solarload run, watch a whole run over GET
@@ -117,6 +118,9 @@ go test -run '^$' -fuzz 'FuzzParseSpec' -fuzztime 5s ./internal/fault
 
 echo '== fuzz: store record codec (smoke)'
 go test -run '^$' -fuzz 'FuzzStoreRecord' -fuzztime 5s ./internal/store
+
+echo '== fuzz: RunSpec normalization, identity and validation (smoke)'
+go test -run '^$' -fuzz 'FuzzRunSpec' -fuzztime 5s .
 
 echo '== chaos harness (silent-corruption + partition-hedging + mid-stream-partition invariants)'
 go test -race -run 'TestNeverSilentCorruption|TestPartitionHedgingBoundsTailLatency|TestMidStreamPartitionResumesGapless' ./internal/chaos
