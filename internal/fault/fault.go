@@ -17,8 +17,9 @@
 // regardless of call order, goroutine interleaving or wall-clock — the
 // repo-wide seeded-randomness convention (DESIGN.md §9).
 //
-// The engine (internal/sim) consults a per-run Runtime at every tracking
-// period and sub-sample; when no injector carries a positive intensity
+// The engine (internal/sim) samples a per-run Runtime once per instant
+// with Runtime.At at every tracking period and sub-sample, and every
+// query reads that sample; when no injector carries a positive intensity
 // the Runtime reports Armed() == false and the engine takes the exact
 // code path of a fault-free run, making the zero-intensity schedule
 // provably byte-identical to no schedule at all (TestFaultNoOpInvariant
