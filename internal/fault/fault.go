@@ -158,8 +158,11 @@ func (s *Schedule) String() string {
 // matching the single-goroutine hook discipline of the engine.
 type Runtime struct {
 	armed []armedInjector
+	now   sample // taken by the last At
+}
 
-	// The sample taken by the last At.
+// sample is the schedule at one instant, as Runtime.At derives it.
+type sample struct {
 	minute    float64 // unit: min
 	irr, gen  float64 // irradiance and generator-current scales, unit: ratio
 	eff       float64 // converter efficiency scale, unit: ratio
@@ -167,6 +170,18 @@ type Runtime struct {
 	powerPath bool    // an irradiance, generator or converter fault is active
 	cores     bool    // a core fault is active
 	solver    bool    // a solver fault fires
+}
+
+// noFault is the sample of an instant no fault touches: what a nil
+// Runtime, or one not yet moved by At, reports.
+var noFault = sample{irr: 1, gen: 1, eff: 1}
+
+// sampled returns the sample of the last At.
+func (rt *Runtime) sampled() sample {
+	if rt == nil {
+		return noFault
+	}
+	return rt.now
 }
 
 // armedInjector is one armed injector with its per-run state.
@@ -192,7 +207,7 @@ func (s *Schedule) Runtime() *Runtime {
 	if seed == 0 {
 		seed = 0xFA017 // "fault": fixed default, mirroring mppt's 0x5eed
 	}
-	rt := &Runtime{armed: make([]armedInjector, 0, len(s.Injectors)), irr: 1, gen: 1, eff: 1}
+	rt := &Runtime{armed: make([]armedInjector, 0, len(s.Injectors)), now: noFault}
 	for i, inj := range s.Injectors {
 		if !armed(inj) {
 			continue
@@ -223,9 +238,8 @@ func (rt *Runtime) At(minute float64) {
 	if rt == nil {
 		return
 	}
-	rt.minute = minute
-	rt.irr, rt.gen, rt.eff = 1, 1, 1
-	rt.stuck, rt.powerPath, rt.cores, rt.solver = false, false, false, false
+	now := noFault
+	now.minute = minute
 	for i := range rt.armed {
 		a := &rt.armed[i]
 		if a.live = a.W.Contains(minute); !a.live {
@@ -233,17 +247,17 @@ func (rt *Runtime) At(minute float64) {
 		}
 		switch a.Kind {
 		case KindCloud:
-			rt.irr *= cloudScale(a.Injector, a.seed, minute)
+			now.irr *= cloudScale(a.Injector, a.seed, minute)
 		case KindStringCut:
-			rt.gen *= mathx.Clamp(1-a.I, 0, 1)
+			now.gen *= mathx.Clamp(1-a.I, 0, 1)
 		case KindConvStuck:
-			rt.stuck = true
+			now.stuck = true
 		case KindConvDerate:
-			rt.eff *= mathx.Clamp(1-a.I, 0, 1)
+			now.eff *= mathx.Clamp(1-a.I, 0, 1)
 		case KindCoreFail, KindCoreThrottle:
-			rt.cores = true
+			now.cores = true
 		case KindSolver:
-			rt.solver = rt.solver || fires(a.Injector, a.seed, minute)
+			now.solver = now.solver || fires(a.Injector, a.seed, minute)
 		case KindSensorBias:
 			a.bias = 1 + a.I*a.W.frac(minute)
 		case KindSensorDrop:
@@ -251,9 +265,10 @@ func (rt *Runtime) At(minute float64) {
 		}
 		switch a.Kind {
 		case KindCloud, KindStringCut, KindConvStuck, KindConvDerate:
-			rt.powerPath = true
+			now.powerPath = true
 		}
 	}
+	rt.now = now
 }
 
 // Edges reports the window edges crossed between the previous call and
@@ -305,7 +320,7 @@ func (rt *Runtime) Close() []Injector {
 // constrains nothing, so calling CapCores on nil with capped set lifts
 // every cap: the end-of-run restore.
 func (rt *Runtime) CapCores(chip *mcore.Chip, capped bool) bool {
-	constrained := rt != nil && rt.cores
+	constrained := rt.sampled().cores
 	if !constrained && !capped {
 		return false
 	}
@@ -325,29 +340,19 @@ func (rt *Runtime) CapCores(chip *mcore.Chip, capped bool) bool {
 // PowerPathActive reports whether any injector perturbs the power path
 // (irradiance, generator or converter) at the sampled minute. When
 // false, the engine may use its precomputed clean MPP profile unchanged.
-func (rt *Runtime) PowerPathActive() bool { return rt != nil && rt.powerPath }
+func (rt *Runtime) PowerPathActive() bool { return rt.sampled().powerPath }
 
 // IrradianceScale is the composed factor in [0,1] the sampled cloud
 // bursts apply to the plane-of-array irradiance.
 //
 // unit: return=ratio
-func (rt *Runtime) IrradianceScale() float64 {
-	if rt == nil {
-		return 1
-	}
-	return rt.irr
-}
+func (rt *Runtime) IrradianceScale() float64 { return rt.sampled().irr }
 
 // GeneratorScale is the composed factor in [0,1] the sampled string
 // disconnects apply to the generator output current.
 //
 // unit: return=ratio
-func (rt *Runtime) GeneratorScale() float64 {
-	if rt == nil {
-		return 1
-	}
-	return rt.gen
-}
+func (rt *Runtime) GeneratorScale() float64 { return rt.sampled().gen }
 
 // Converter reports the sampled converter faults: whether the transfer
 // ratio is stuck (stuck wins over free) and the composed efficiency
@@ -355,10 +360,8 @@ func (rt *Runtime) GeneratorScale() float64 {
 //
 // unit: effScale=ratio
 func (rt *Runtime) Converter() (stuck bool, effScale float64) {
-	if rt == nil {
-		return false, 1
-	}
-	return rt.stuck, rt.eff
+	now := rt.sampled()
+	return now.stuck, now.eff
 }
 
 // Sense runs a sensor reading at the load rail through every sampled
@@ -378,10 +381,10 @@ func (rt *Runtime) Sense(op power.Operating) power.Operating {
 // SolverErr returns the typed error (errors.Is ErrSolverFault) when a
 // sampled solver fault fires, or nil.
 func (rt *Runtime) SolverErr() error {
-	if rt == nil || !rt.solver {
-		return nil
+	if now := rt.sampled(); now.solver {
+		return SolverError(now.minute)
 	}
-	return SolverError(rt.minute)
+	return nil
 }
 
 // hash01 returns a deterministic pseudo-random value in [0,1) from a

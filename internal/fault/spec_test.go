@@ -117,7 +117,7 @@ func TestKindsCoversFactory(t *testing.T) {
 		rt.At(5)
 		stuck, eff := rt.Converter()
 		if rt.IrradianceScale() == 1 && rt.GeneratorScale() == 1 && rt.Sense(op) == op &&
-			!stuck && eff == 1 && !rt.cores && rt.SolverErr() == nil {
+			!stuck && eff == 1 && !rt.now.cores && rt.SolverErr() == nil {
 			t.Errorf("kind %q has no effect at full intensity", k)
 		}
 	}
