@@ -20,7 +20,7 @@ import (
 // Device is a component with ordered power states (0 = off/lowest) that
 // trades power for service. At samples the device's workload at a
 // simulation minute; PowerAt and UtilityAt read that sample and write no
-// state. Utility is the device's performance contribution in
+// state. Utility is the device's performance contribution in a state, in
 // system-comparable units (the caller chooses weights).
 type Device interface {
 	Name() string
