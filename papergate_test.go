@@ -1,6 +1,9 @@
 package solarcore_test
 
 import (
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"solarcore/internal/exp"
@@ -38,4 +41,81 @@ func TestPaperGate(t *testing.T) {
 			t.Errorf("paper gate failed: %s (headlines: %+v)", c.name, h)
 		}
 	}
+}
+
+// TestPaperNumbers pins the numbers EXPERIMENTS.md prints, not just their
+// direction: it runs the full-resolution grid the way cmd/experiments
+// does and requires every row of the doc's headline table to carry, in
+// its measured column, exactly the value this grid prints. The expected
+// values are read from the doc, so a change that moves a printed number
+// must edit the doc in the same commit.
+func TestPaperNumbers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the full-resolution grid is too slow under the race detector")
+	}
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := headlineTable(t, string(doc))
+
+	l := exp.NewLab(exp.Options{})
+	l.Prefetch()
+	h := exp.Headlines(l)
+	f21 := exp.Figure21(l)
+	signed := func(v float64) string { return fmt.Sprintf("%+.1f %%", v*100) }
+	got := map[string]string{
+		"average green-energy utilization": fmt.Sprintf("%.1f %%", h.AvgUtilization*100),
+		"MPPT&Opt vs MPPT&RR (PTP)":        signed(h.OptOverRR),
+		"MPPT&Opt vs MPPT&IC (PTP)":        signed(h.OptOverIC),
+		"MPPT&Opt vs best fixed budget":    signed(h.OptOverBestFixed),
+		"best fixed budget / SolarCore":    fmt.Sprintf("%.2f", h.BestFixedRatio),
+		"MPPT&Opt vs Battery-U (PTP)":      signed(h.OptVsBatteryU),
+		"Figure 21 normalized-PTP averages (IC / RR / Opt / Battery-U)": fmt.Sprintf("%.2f / %.2f / %.2f / %.2f",
+			f21.Average("MPPT&IC"), f21.Average("MPPT&RR"), f21.Average("MPPT&Opt"), f21.Average("Battery-U")),
+	}
+	for claim, measured := range table {
+		want, ok := got[claim]
+		if !ok {
+			t.Errorf("EXPERIMENTS.md headline row %q has no computed counterpart", claim)
+			continue
+		}
+		if measured != want {
+			t.Errorf("%s: EXPERIMENTS.md prints %q, the full grid gives %q", claim, measured, want)
+		}
+	}
+	for claim := range got {
+		if _, ok := table[claim]; !ok {
+			t.Errorf("EXPERIMENTS.md headline table lacks the row %q", claim)
+		}
+	}
+}
+
+// headlineTable returns the claim → measured cells of the table under
+// the "## Headlines" heading of EXPERIMENTS.md.
+func headlineTable(t *testing.T, doc string) map[string]string {
+	t.Helper()
+	_, section, ok := strings.Cut(doc, "\n## Headlines")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no Headlines section")
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(section, "\n")[1:] {
+		if len(rows) > 0 && !strings.HasPrefix(line, "|") {
+			break // the table ends at its first non-row line
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if len(cells) != 4 {
+			continue
+		}
+		claim, measured := strings.TrimSpace(cells[0]), strings.TrimSpace(cells[2])
+		if claim == "claim" || strings.HasPrefix(claim, "---") {
+			continue
+		}
+		rows[claim] = measured
+	}
+	if len(rows) == 0 {
+		t.Fatal("EXPERIMENTS.md Headlines section holds no table rows")
+	}
+	return rows
 }
