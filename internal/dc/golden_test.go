@@ -37,7 +37,7 @@ func TestClusterGolden(t *testing.T) {
 	}{
 		{"RunDay/clean", func(t *testing.T) any {
 			return RunDay(faultTestDay(t), testCluster(t, 4, 25, 0), 2, nil)
-		}, "8f0e1fba0950ca6ff15aa492ad5ef3d03031e499b5e94aaa7584613577f28ea4"},
+		}, "f697c7c6a831a7cccd9fb1d8d787ef2109bfb050a8aa0beb799e534104bb01d7"},
 		{"RunDay/cloud+core-fail/cap60", func(t *testing.T) any {
 			s, err := fault.ParseSpec("cloud:t0=600,t1=700,i=0.7;core-fail:t0=650,t1=760,i=0.5")
 			if err != nil {
@@ -48,7 +48,7 @@ func TestClusterGolden(t *testing.T) {
 				t.Errorf("fault windows = %d, solar %v Wh: want 2 windows on a solar day", res.FaultWindows, res.SolarWh)
 			}
 			return res
-		}, "d7343ca100228d58afd6f218140b9d1c1585f58d5daa5f86b9726299518bdc1c"},
+		}, "8a2534adbda4a0574b6f25ba7fb2c1274aaa0216361e45d7876a4e2e62d78323"},
 		{"RunDay/string-cut+conv-derate+core-throttle", func(t *testing.T) any {
 			s, err := fault.ParseSpec("string-cut:t0=580,t1=680,i=0.5;conv-derate:t0=640,t1=720,i=0.3;" +
 				"core-throttle:t0=700,t1=800,i=0.6")
@@ -60,17 +60,17 @@ func TestClusterGolden(t *testing.T) {
 				t.Errorf("fault windows = %d, solar %v Wh: want 3 windows on a solar day", res.FaultWindows, res.SolarWh)
 			}
 			return res
-		}, "81880fd9f41993e084fc8deb8f0b48a2a64b5ef2ebc592806e74cc6bbe36e970"},
+		}, "190e1b15f1284938835c89076681f044d21d6daf243fb79f5efee9738bb316ca"},
 		{"FillBudget/midday", func(t *testing.T) any {
 			c := testCluster(t, 4, 25, 0)
 			c.At(720)
 			return snap(c, c.FillBudget(300))
-		}, "efa6a91a2a5a38b4266aa85a5599364f9ca642e28c7aa81e1633150592e4aec1"},
+		}, "90ae2fc940949b3da3d7b2ff4220e9bdc7714e14f6f895d553250808fe4c4e08"},
 		{"FillBudgetFairShare/midday", func(t *testing.T) any {
 			c := testCluster(t, 4, 25, 0)
 			c.At(720)
 			return snap(c, c.FillBudgetFairShare(300))
-		}, "e3bf97e08d06ff32492f4b2157924030d7e11c4132f1405e50f3fc2d0281ebdd"},
+		}, "5b43f9b9adde90280de7e86e749e37fca16b3f1146a2672bc494ac87035d3de8"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

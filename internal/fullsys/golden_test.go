@@ -24,7 +24,7 @@ func TestFullSystemGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const pinned = "9bae4dc8e873641a3c21cb259bc1b633a94ccfa4a26877f45d9a0bc4952c4e73"
+	const pinned = "51f0a85f1ead4645165bab1878fa6263e8dbfd2e9557c1ccffe6e9f4190ba0c5"
 	sum := sha256.Sum256(js)
 	if got := hex.EncodeToString(sum[:]); got != pinned {
 		t.Errorf("hash %s, pinned %s", got, pinned)

@@ -92,13 +92,16 @@ func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 }
 
 // NewtonBisect finds a root of f in [lo, hi] using Newton's method with the
-// analytic derivative df, falling back to bisection whenever a Newton step
-// leaves the bracket or stalls. It keeps the bracketing invariant, so it is
-// as robust as Bisect but converges quadratically near the root.
-// Non-finite bounds, a NaN tolerance, or a NaN objective value fail with
-// ErrNonFinite (a NaN derivative only forces a bisection fallback step).
-func NewtonBisect(f, df func(float64) float64, lo, hi, tol float64) (float64, error) {
-	flo, fhi := f(lo), f(hi)
+// analytic derivative, falling back to bisection whenever a Newton step
+// leaves the bracket or stalls. fdf returns f(x) and f'(x) together, so a
+// caller whose two share a costly term (an exponential) computes it once.
+// It keeps the bracketing invariant, so it is as robust as Bisect but
+// converges quadratically near the root. Non-finite bounds, a NaN
+// tolerance, or a NaN objective value fail with ErrNonFinite (a NaN
+// derivative only forces a bisection fallback step).
+func NewtonBisect(fdf func(float64) (f, df float64), lo, hi, tol float64) (float64, error) {
+	flo, _ := fdf(lo)
+	fhi, _ := fdf(hi)
 	if err := checkBracket(lo, hi, tol, flo, fhi); err != nil {
 		return 0, err
 	}
@@ -114,7 +117,7 @@ func NewtonBisect(f, df func(float64) float64, lo, hi, tol float64) (float64, er
 	x := 0.5 * (lo + hi)
 	dxold := hi - lo
 	for i := 0; i < 200; i++ {
-		fx := f(x)
+		fx, d := fdf(x)
 		if math.IsNaN(fx) {
 			return 0, ErrNonFinite
 		}
@@ -130,7 +133,6 @@ func NewtonBisect(f, df func(float64) float64, lo, hi, tol float64) (float64, er
 		if hi-lo < tol {
 			return 0.5 * (lo + hi), nil
 		}
-		d := df(x)
 		next := x - fx/d
 		// Bisect when the Newton step leaves the bracket or is converging
 		// slower than halving would (Numerical Recipes' rtsafe guard);

@@ -33,9 +33,8 @@ func TestBisectNoBracket(t *testing.T) {
 }
 
 func TestNewtonBisectCubic(t *testing.T) {
-	f := func(x float64) float64 { return x*x*x - 8 }
-	df := func(x float64) float64 { return 3 * x * x }
-	x, err := NewtonBisect(f, df, 0, 10, 1e-12)
+	fdf := func(x float64) (float64, float64) { return x*x*x - 8, 3 * x * x }
+	x, err := NewtonBisect(fdf, 0, 10, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +49,16 @@ func TestNewtonBisectMatchesBisect(t *testing.T) {
 		k := 0.1 + float64(a)/64 // growth rate
 		c := 1 + float64(b)      // offset
 		f := func(x float64) float64 { return math.Exp(k*x) - c }
-		df := func(x float64) float64 { return k * math.Exp(k*x) }
+		fdf := func(x float64) (float64, float64) {
+			e := math.Exp(k * x)
+			return e - c, k * e
+		}
 		want := math.Log(c) / k
 		if want > 100 {
 			return true // outside bracket, skip
 		}
 		x1, err1 := Bisect(f, -1, 101, 1e-10)
-		x2, err2 := NewtonBisect(f, df, -1, 101, 1e-10)
+		x2, err2 := NewtonBisect(fdf, -1, 101, 1e-10)
 		return err1 == nil && err2 == nil &&
 			math.Abs(x1-want) < 1e-6 && math.Abs(x2-want) < 1e-6
 	}
@@ -169,27 +171,26 @@ func TestBisectNonFinite(t *testing.T) {
 }
 
 func TestNewtonBisectNonFinite(t *testing.T) {
-	lin := func(x float64) float64 { return x }
-	dlin := func(float64) float64 { return 1 }
-	if _, err := NewtonBisect(lin, dlin, math.NaN(), 1, 1e-9); err != ErrNonFinite {
+	lin := func(x float64) (float64, float64) { return x, 1 }
+	if _, err := NewtonBisect(lin, math.NaN(), 1, 1e-9); err != ErrNonFinite {
 		t.Errorf("NaN lo: err = %v, want ErrNonFinite", err)
 	}
-	if _, err := NewtonBisect(lin, dlin, -1, math.Inf(1), 1e-9); err != ErrNonFinite {
+	if _, err := NewtonBisect(lin, -1, math.Inf(1), 1e-9); err != ErrNonFinite {
 		t.Errorf("Inf hi: err = %v, want ErrNonFinite", err)
 	}
-	nanMid := func(x float64) float64 {
+	nanMid := func(x float64) (float64, float64) {
 		if x == -1 || x == 1 {
-			return x
+			return x, 1
 		}
-		return math.NaN()
+		return math.NaN(), 1
 	}
-	if _, err := NewtonBisect(nanMid, dlin, -1, 1, 1e-9); err != ErrNonFinite {
+	if _, err := NewtonBisect(nanMid, -1, 1, 1e-9); err != ErrNonFinite {
 		t.Errorf("NaN objective: err = %v, want ErrNonFinite", err)
 	}
 	// A NaN derivative must not error or stall: it forces the bisection
 	// fallback and the root is still found.
-	nanDeriv := func(float64) float64 { return math.NaN() }
-	x, err := NewtonBisect(func(x float64) float64 { return 2*x - 3 }, nanDeriv, 0, 10, 1e-12)
+	nanDeriv := func(x float64) (float64, float64) { return 2*x - 3, math.NaN() }
+	x, err := NewtonBisect(nanDeriv, 0, 10, 1e-12)
 	if err != nil || math.Abs(x-1.5) > 1e-9 {
 		t.Errorf("NaN derivative: x = %v, err = %v, want 1.5, nil", x, err)
 	}

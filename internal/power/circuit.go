@@ -68,8 +68,7 @@ func (c *Circuit) Operate(env pv.Env, rLoad float64) Operating {
 		return Operating{VPanel: voc, VLoad: voc / c.Conv.K}
 	}
 	rPanel := c.Conv.K * c.Conv.K * rLoad * c.Conv.Efficiency
-	vp := pv.OperatingVoltageResistive(c.Gen, env, rPanel)
-	ip := c.Gen.Current(env, vp)
+	vp, ip := c.Gen.ResistiveOperating(env, rPanel)
 	vl := c.Conv.LoadVoltage(vp)
 	il := c.Conv.LoadCurrent(ip)
 	return Operating{VPanel: vp, IPanel: ip, VLoad: vl, ILoad: il, PLoad: vl * il}

@@ -93,10 +93,11 @@ func (m *Module) Current(env Env, v float64) float64 {
 		return i
 	}
 
-	f := func(i float64) float64 { return iph - i0*math.Expm1((v+i*rs)/vt) - i }
-	df := func(i float64) float64 { return -i0*math.Exp((v+i*rs)/vt)*rs/vt - 1 }
-	lo, hi := -iph-1, iph+1
-	i, err := mathx.NewtonBisect(f, df, lo, hi, 1e-12)
+	fdf := func(i float64) (float64, float64) {
+		e := math.Expm1((v + i*rs) / vt)
+		return iph - i0*e - i, -i0*(e+1)*rs/vt - 1
+	}
+	i, err := mathx.NewtonBisect(fdf, -iph-1, iph+1, 1e-12)
 	if err != nil {
 		// f is strictly decreasing; a failed bracket means v is far beyond
 		// Voc where the module cannot source current.
@@ -166,9 +167,11 @@ func (m *Module) ResistiveOperating(env Env, r float64) (v, i float64) {
 	i0 := m.saturationCurrent(env)
 	vt := m.P.thermalVoltage(env.CellTemp)
 	c := (1 + m.P.SeriesR/r) / vt
-	h := func(v float64) float64 { return iph - i0*math.Expm1(v*c) - v/r }
-	dh := func(v float64) float64 { return -i0*math.Exp(v*c)*c - 1/r }
-	v, err := mathx.NewtonBisect(h, dh, 0, voc, voc*1e-10)
+	hdh := func(v float64) (float64, float64) {
+		e := math.Expm1(v * c)
+		return iph - i0*e - v/r, -i0*(e+1)*c - 1/r
+	}
+	v, err := mathx.NewtonBisect(hdh, 0, voc, voc*1e-10)
 	if err != nil {
 		// h(0) = Iph > 0 and h(Voc) < 0, so a bracket failure can only mean
 		// a degenerate panel; behave as a dark module.
@@ -185,13 +188,33 @@ type MPP struct {
 	P float64 // MPP power, W
 }
 
-// MPP returns the maximum power point under env via golden-section search on
-// the unimodal P-V curve over [0, Voc].
+// MPP returns the maximum power point under env. In current space the
+// single-diode curve inverts in closed form (VoltageAt), so the power
+// P(I) = I·V(I) with V(I) = NsVt·ln((Iph − I + I0)/I0) − I·Rs is explicit
+// and strictly concave on [0, Iph]: V is decreasing and concave. Its one
+// stationary point is the root of
+//
+//	dP/dI = NsVt·ln(u/I0) − 2·I·Rs − I·NsVt/u,  u = Iph − I + I0,
+//
+// which is positive at 0 and negative at Iph, with the analytic slope
+// d²P/dI² = −2·(NsVt/u + Rs) − I·NsVt/u². One guarded Newton solve finds
+// it; no nested Current solve is needed.
 func (m *Module) MPP(env Env) MPP {
-	voc := m.OpenCircuitVoltage(env)
-	if voc <= 0 {
+	iph := m.photocurrent(env)
+	if iph <= 0 {
 		return MPP{}
 	}
-	v, p := mathx.GoldenMax(func(v float64) float64 { return m.Power(env, v) }, 0, voc, voc*1e-7)
-	return MPP{V: v, I: p / v, P: p}
+	i0 := m.saturationCurrent(env)
+	a := m.P.thermalVoltage(env.CellTemp)
+	rs := m.P.SeriesR
+	fdf := func(i float64) (float64, float64) {
+		u := iph - i + i0
+		return a*math.Log(u/i0) - 2*i*rs - i*a/u, -2*(a/u+rs) - i*a/(u*u)
+	}
+	i, err := mathx.NewtonBisect(fdf, 0, iph, iph*1e-12)
+	if err != nil {
+		return MPP{}
+	}
+	v := a*math.Log((iph-i+i0)/i0) - i*rs
+	return MPP{V: v, I: i, P: v * i}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"solarcore/internal/mathx"
 )
 
 func bp() *Module { return NewModule(BP3180N()) }
@@ -169,4 +171,45 @@ func TestCellTemperatureNOCT(t *testing.T) {
 	if got := p.CellTemperature(20, 800); math.Abs(got-p.NOCT) > 1e-9 {
 		t.Errorf("CellTemperature(20,800) = %v, want NOCT %v", got, p.NOCT)
 	}
+}
+
+// goldenMPP is the golden-section search MPP solved before: the
+// maximum of V·I(V) over [0, Voc], each probe a nested Current solve.
+// It is the oracle the closed-form Newton solve is held to.
+func goldenMPP(m *Module, env Env) MPP {
+	voc := m.OpenCircuitVoltage(env)
+	if voc <= 0 {
+		return MPP{}
+	}
+	v, p := mathx.GoldenMax(func(v float64) float64 { return m.Power(env, v) }, 0, voc, voc*1e-7)
+	return MPP{V: v, I: p / v, P: p}
+}
+
+// TestMPPMatchesGoldenSection holds the Newton MPP to the golden-section
+// oracle over the operating envelope: G 5–1200 W/m² × T −10–75 °C, 240 ×
+// 35 points. Both find the maximum of one curve, so their powers must
+// agree to |ΔP|/P ≤ 1e-11, and the voltages to the oracle's search
+// tolerance.
+func TestMPPMatchesGoldenSection(t *testing.T) {
+	m := bp()
+	worst := 0.0
+	for gi := 0; gi < 240; gi++ {
+		g := 5 + float64(gi)*(1200-5)/239
+		for ti := 0; ti < 35; ti++ {
+			env := Env{Irradiance: g, CellTemp: -10 + float64(ti)*85/34}
+			got, want := m.MPP(env), goldenMPP(m, env)
+			rel := math.Abs(got.P-want.P) / want.P
+			worst = math.Max(worst, rel)
+			if rel > 1e-11 {
+				t.Fatalf("%+v: Newton P=%.15g, golden P=%.15g (|ΔP|/P = %.3g > 1e-11)", env, got.P, want.P, rel)
+			}
+			if voc := m.OpenCircuitVoltage(env); math.Abs(got.V-want.V) > voc*1e-6 {
+				t.Fatalf("%+v: Newton V=%.9g, golden V=%.9g", env, got.V, want.V)
+			}
+			if !mathx.ApproxEq(got.P, got.V*got.I, 1e-12) {
+				t.Fatalf("%+v: P=%v is not V·I=%v", env, got.P, got.V*got.I)
+			}
+		}
+	}
+	t.Logf("worst |ΔP|/P = %.3g", worst)
 }

@@ -63,15 +63,12 @@ func (m *TwoDiodeModule) rawCurrent(env Env, v float64) (float64, bool) {
 	vt := m.P.thermalVoltage(env.CellTemp)
 	rs := m.P.SeriesR
 
-	f := func(i float64) float64 {
+	fdf := func(i float64) (float64, float64) {
 		vd := v + i*rs
-		return iph - i01*math.Expm1(vd/vt) - i02*math.Expm1(vd/(2*vt)) - i
+		e1, e2 := math.Expm1(vd/vt), math.Expm1(vd/(2*vt))
+		return iph - i01*e1 - i02*e2 - i, -i01*(e1+1)*rs/vt - i02*(e2+1)*rs/(2*vt) - 1
 	}
-	df := func(i float64) float64 {
-		vd := v + i*rs
-		return -i01*math.Exp(vd/vt)*rs/vt - i02*math.Exp(vd/(2*vt))*rs/(2*vt) - 1
-	}
-	i, err := mathx.NewtonBisect(f, df, -iph-1, iph+1, 1e-12)
+	i, err := mathx.NewtonBisect(fdf, -iph-1, iph+1, 1e-12)
 	if err != nil {
 		return 0, false
 	}

@@ -21,7 +21,7 @@ import (
 // event byte bumps it, and TestEngineGolden pins it to the hash table.
 // RunSpec.Canonical carries it, so a store, ring or stream tail keyed on
 // a spec hash never replays another engine's bytes as current.
-const EngineVersion = 1
+const EngineVersion = 2
 
 // Config describes one day run. Zero-valued fields take the paper's
 // defaults: 10-minute tracking periods, 1-minute sub-sampling, 12 V rail,

@@ -74,6 +74,7 @@ func goldenBank(t *testing.T, cfg Config) any {
 // the existing ones re-pins the current version's entry.
 var engineTables = map[int]string{
 	1: "a3c637b21e66936aa00573ff97698ac495751853d1cd18111747652607f62d33",
+	2: "538ebb01c1cf7618dca3a5ba944511351ba34632cac316fa5807939106bf31db",
 }
 
 // TestEngineGolden pins every runner's output bytes: a refactor of the
@@ -82,53 +83,53 @@ var engineTables = map[int]string{
 func TestEngineGolden(t *testing.T) {
 	rows := []goldenRow{
 		{name: "MPPT&Opt", run: goldenMPPT("MPPT&Opt"),
-			result: "7464557ff3f78f184a4382f58024dab416d9fad81e355bbf4d6bb695ff215bc0",
-			jsnl:   "ac85d6c7ede145419f0ad45ed199c534204b1c8812038282f7cdb225b41a0c52"},
+			result: "18e441376db58a6cf97dcbf8e30f4331d696aa83199c4a703d3642a538782654",
+			jsnl:   "19609f69f00077c2a6f070e4312594df7ec892a0bdb0074c87b3190e0de25b41"},
 		{name: "MPPT&IC", run: goldenMPPT("MPPT&IC"),
-			result: "31afbf1398cef5f4ed7b32c55a303177e5d9f7ed547c929eb1f74da7827f6e03",
-			jsnl:   "45f990bb00ae083b664fb72f30f3db3cb8eb35b5ce56fd42fac4bb6ba33e9060"},
+			result: "97af1e5741a028720427138594f1ea91b63c92b843e72564e905789ad4e16042",
+			jsnl:   "97505336c95f72af1ab9d806945850c86ebec281dc5f2403ba56c12c5ee9bbeb"},
 		{name: "MPPT&RR", run: goldenMPPT("MPPT&RR"),
-			result: "39027b1d4aee06dd64c0c2c57e6988e26ce367709b5cc6a12a345f4d4504b87a",
-			jsnl:   "b824d6c1a29783ab776906498f77e25f0efae53cc6ab7f96febae407d08eda37"},
+			result: "8b226d21e080c24b539cba36453adf193a7a98b0f0910049714796d32f1e5a1f",
+			jsnl:   "1045bc076116148e34aa37ed39b196b787ac8ee838cad71f6bf2f110fa6f0c0f"},
 		{name: "Fixed75", run: goldenFixed,
-			result: "cc80d7fea0b3a200eb28b1d56f73ccb5ece393172afb736dbb089f80ba596fce",
-			jsnl:   "5e8759c1c40d2abf56f1b4dd4747932b9570b612b9e09e8861627d4615414e17"},
+			result: "b83768d814617e75c592ebf602fb8e0fe8801787b26f291e0c5e9fd66a78eef0",
+			jsnl:   "231cf4afd1622c441b072976dbd05b656cef7a84b3867a21015631ad22c1039f"},
 		{name: "Battery", run: goldenBattery,
-			result: "0292e4124d0afa63c03c98e4469c54f99c8833a1f242f5e2b992054b6d9cab22",
-			jsnl:   "0dcb58221d8e4a32319252e836c7c6230f620787ce5f3dd95e14f8551c7c7867"},
+			result: "08812c18cd4a4267a0a74789d9ad95283bdf9e70684bb8978c98ae777240bb73",
+			jsnl:   "2d6950eb08c96ab580dc2542eca796315bad4544cdaab5b86b33a700b7b8c7fb"},
 		{name: "Bank150", run: goldenBank,
-			result: "7cb0ec4f2f8384aa359d778e1c29a809594afcbf63be686f9586a640b3767b41",
-			jsnl:   "03b75cc672fd8c88c420246d51807d6836e1caa5fe648b8743c1c9461f288609"},
+			result: "975b26a219f39d8eb9cc96d5371e1e9fa94f4d19cc2951af45c9fb9743e096d5",
+			jsnl:   "22d4d9a921b9e484c5dc22835bba5fe2e1754a357e678ca95a298c76b129f10b"},
 		{name: "Opt/sensor-drop", run: goldenMPPT("MPPT&Opt"),
 			faults:    "sensor-drop:t0=600,t1=720,i=1",
 			exercises: func(r *DayResult) bool { return r.Faults.FallbackPeriods > 0 },
-			result:    "3b67837a068e48ca5e49d191d53235332b886dd36e56b03596fad1d8a2c6058e",
-			jsnl:      "536a6ba20ddb5748a509410c52cb184cd6dd478f4c3e47e0607cd3d5528f37ac"},
+			result:    "c5ce8d1a6ca27a1c0977ba3133b987cc825db37cc4b512cc1d531b270bf5ea5c",
+			jsnl:      "710f55fe55987c75210588f7e660ad84fd8072c83df5a2af2f1ed398977b4bea"},
 		{name: "Opt/mixed", run: goldenMPPT("MPPT&Opt"),
 			faults: "cloud:t0=560,t1=640,i=0.7;string-cut:t0=620,t1=700,i=0.5;" +
 				"conv-stuck:t0=680,t1=740,i=1;conv-derate:t0=700,t1=780,i=0.3;" +
 				"core-fail:t0=750,t1=820,i=0.5;solver:t0=800,t1=860,i=1",
 			exercises: func(r *DayResult) bool { return r.Faults.Injected == 6 && r.Faults.SolverFaults > 0 },
-			result:    "fe5d8160afb1ac809a05a547a5c021e5c0481d601f4cbb3a1ae4aa98504a6fbf",
-			jsnl:      "30cc78b689e8bcf6ae133f12974765ac41c3594579721f9ac2adf94ab8d3e3c5"},
+			result:    "7e67c40e732634519a9cb8f29e8fd2b5e2803f72228d7d006d3c6cc51f96bf42",
+			jsnl:      "48a63661231022d533a399573cf7d418912b9ccdefa9874d9aaaf6a302538226"},
 		{name: "Opt/sensor-stuck", run: goldenMPPT("MPPT&Opt"),
 			faults:    "sensor-stuck:t0=600,t1=720,i=1",
 			exercises: func(r *DayResult) bool { return r.Faults.WatchdogTrips == 3 },
-			result:    "8be0cb1070b9fd64d09302119d1537905a73fcb51bfb7e2198b212f7b493deee",
-			jsnl:      "1f9623b7f4eb20c7f3eb372dd4d2a53340ac3d7d632aff2e8ee83a7053ce121e"},
+			result:    "beeae3dde342cadb751d70c2508f1475ab710b93b08ca228522219f5677c14fc",
+			jsnl:      "dff54457f3a49210f1cda96cfb428d7829769880836c438039929c0123a5224f"},
 		{name: "Opt/sensor-bias", run: goldenMPPT("MPPT&Opt"),
 			faults:    "sensor-bias:t0=600,t1=720,i=0.5",
 			exercises: func(r *DayResult) bool { return r.Faults.WatchdogTrips == 1 },
-			result:    "32467ba9d351ea74ded4416908c0e10cc1be20fb864e3281e7657996487d686d",
-			jsnl:      "2e902867087bc8ebc16764a79fba47d69aa2b50ab24656d49852ac5093e59ef5"},
+			result:    "ac3beced4ed6fffb612773749a864822de15ce0bf89703989b5ed961dca8ab9c",
+			jsnl:      "922dd9ba611086a5de9fcc77dcf9502db60b3f7ea8649d3c97f259e4a1d0cbf8"},
 		{name: "Fixed75/cloud+throttle", run: goldenFixed,
 			faults: "cloud:t0=600,t1=700,i=0.8;core-throttle:t0=650,t1=750,i=1",
-			result: "39809a08b556fb1f2e9f959a369f7794f37d0a4dafd50f39844de93897155b77",
-			jsnl:   "d6cf8e7cfef42e381f3b30acb623f4a5ee9e01848223f572f6ef0e8c15a862ab"},
+			result: "e3d3504a4480e3bf1d19f553559e4fc9fbd45815d6c5fadad42d70592f022f5e",
+			jsnl:   "d12ac5b50b672297b1ac4cd50cc4e50066398843d71c3c899e5303b491bf4341"},
 		{name: "Battery/cloud", run: goldenBattery,
 			faults: "cloud:t0=600,t1=700,i=0.8",
-			result: "7f4e0ea5f8ce4b44abaebaa36a727a94f8ee72c3ece7e385607ae107eb00a284",
-			jsnl:   "03fe1389f9f574e30d33a88813cfadcfd3eab4f58fd717b190959bbacee5f9ee"},
+			result: "f092a177b9a5aaa545f78e19873b10e4efc5b1248afca328cf15954895e0eb15",
+			jsnl:   "b5b7185f8979fbf34ba6101f30dfa7c43bd6f179724e45daee13fc01184a794b"},
 		{name: "Opt/thermal+event+dvfs", run: goldenMPPT("MPPT&Opt"),
 			tweak: func(c *Config) {
 				tc := thermalDefault()
@@ -138,8 +139,8 @@ func TestEngineGolden(t *testing.T) {
 				c.DVFSTransitionUs = 50
 			},
 			exercises: func(r *DayResult) bool { return r.PeakTempC > 0 },
-			result:    "852b154fab0b4f4b98a218388525d810f9f0df14f4972ef8d0f69776ac4f3fee",
-			jsnl:      "f39ec0ec4899ede15b27ced42b56f94fa217993f1b5d09199bcd3bc5411136ec"},
+			result:    "3e56ce12aa809ee9a63a0e5ebb282c9e46776084ac7752ab543361c61f95a262",
+			jsnl:      "aac520cbd01f5ffc86d8d8eeece6ee5704a40db742b34ec038beb31d462f6fc6"},
 	}
 	table := sha256.New()
 	clean := map[string]bool{}

@@ -111,16 +111,32 @@ func NewInstance(b Benchmark, core int) Instance {
 	return Instance{Bench: b, OffsetMin: b.PhasePeriodMin * 0.37 * float64(core)}
 }
 
+// The sines and cosines of Demand's constant phase shifts (0.7, 1.9 and
+// 2.1 rad), so a shifted sinusoid is a rotation: sin(x+φ) = sin x·cos φ +
+// cos x·sin φ.
+const (
+	sin07, cos07 = 0.644217687237691, 0.7648421872844885
+	sin19, cos19 = 0.9463000876874145, -0.32328956686350335
+	sin21, cos21 = 0.8632093666488737, -0.5048461045998576
+)
+
 // Demand returns the instantaneous IPC and effective capacitance at the
 // given simulation minute: the base values modulated by two incommensurate
-// sinusoids scaled by the benchmark's phase amplitude.
+// sinusoids scaled by the benchmark's phase amplitude,
+//
+//	swingI = A·(0.6·sin(w1·t) + 0.4·sin(w2·t + 2.1))
+//	swingC = A·(0.7·sin(w1·t + 0.7) + 0.3·sin(w2·t + 1.9))
+//
+// with one math.Sincos per angle and the phase shifts as rotations.
 func (in Instance) Demand(minute float64) (ipc, ceffNF float64) {
 	b := in.Bench
 	t := minute + in.OffsetMin
 	w1 := 2 * math.Pi / b.PhasePeriodMin
 	w2 := 2 * math.Pi / (b.PhasePeriodMin * 0.373)
-	swingI := b.PhaseAmp * (0.6*math.Sin(w1*t) + 0.4*math.Sin(w2*t+2.1))
-	swingC := b.PhaseAmp * (0.7*math.Sin(w1*t+0.7) + 0.3*math.Sin(w2*t+1.9))
+	s1, c1 := math.Sincos(w1 * t)
+	s2, c2 := math.Sincos(w2 * t)
+	swingI := b.PhaseAmp * (0.6*s1 + 0.4*(s2*cos21+c2*sin21))
+	swingC := b.PhaseAmp * (0.7*(s1*cos07+c1*sin07) + 0.3*(s2*cos19+c2*sin19))
 	ipc = b.BaseIPC * clampFactor(1+swingI)
 	ceffNF = b.BaseCeffNF * clampFactor(1+swingC)
 	return ipc, ceffNF
