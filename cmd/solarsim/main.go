@@ -238,7 +238,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if res.ThrottleEvents > 0 {
 		pf(stdout, "thermal      : %d throttle events, peak %.1f °C\n", res.ThrottleEvents, res.PeakTempC)
 	}
-	if f := res.Faults; f.Injected > 0 {
+	// An armed schedule always reports, so a window no sample saw open
+	// reads "0 windows" rather than vanishing from the output.
+	if f := res.Faults; faultSched.Armed() {
 		pf(stdout, "faults       : %d windows, %d brownout sheds, %d watchdog trips, %d fallback periods, %d solver faults, %.0f min to recover\n",
 			f.Injected, f.BrownoutSheds, f.WatchdogTrips, f.FallbackPeriods, f.SolverFaults, f.RecoveryMin)
 	}

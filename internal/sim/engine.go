@@ -273,11 +273,9 @@ func (r *dayRun) fixedPeriod(t0, t1, budgetW float64) {
 func (r *dayRun) end() {
 	res := r.res
 	if r.fx != nil {
-		// Sampling the end minute counts a window that opens after the
-		// last sample as injected, with its begin and end at the end.
-		end := r.day.EndMinute()
-		r.at(end)
-		res.Faults = r.fx.finish(end)
+		// The end minute is not sampled: only a window some sample saw
+		// open counts as injected and gets an end event.
+		res.Faults = r.fx.finish(r.day.EndMinute())
 	}
 	res.SolarWh = r.meter.EnergyWh(power.Solar)
 	res.UtilityWh = r.meter.EnergyWh(power.Utility)

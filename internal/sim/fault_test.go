@@ -236,3 +236,54 @@ func TestFaultTraceValidatesAndCarriesEvents(t *testing.T) {
 		t.Errorf("run_end fault counters wrong: %+v", last.RunEnd)
 	}
 }
+
+// TestFaultWindowAfterLastSample pins the end of the day: a window that
+// opens after the last sample was never seen open, so neither tracking
+// nor fixed runs count it or emit its edges, while a window the last
+// sample saw open counts and ends at the day's end minute. AZ/Apr at
+// 8-minute sub-samples ticks last at minute 1048 and ends at 1050.
+func TestFaultWindowAfterLastSample(t *testing.T) {
+	for _, runner := range []string{"MPPT&Opt", "Fixed"} {
+		for _, tc := range []struct {
+			spec     string
+			injected int
+		}{
+			{"cloud:t0=1049.99,t1=1110,i=1", 0},
+			{"cloud:t0=1048,t1=1110,i=1", 1},
+		} {
+			cfg := cfgFor(t, atmos.AZ, atmos.Apr, "M2")
+			cfg.StepMin = 8
+			s, err := fault.ParseSpec(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = s
+			rec := &recorder{}
+			cfg.Observer = rec
+			var res *DayResult
+			if runner == "Fixed" {
+				res, err = RunFixed(cfg, 75)
+			} else {
+				res, err = RunMPPT(cfg, sched.OptTPR{})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			end := cfg.Day.EndMinute()
+			if last := rec.ticks[len(rec.ticks)-1].Minute; last != 1048 || end != 1050 {
+				t.Fatalf("%s: last tick %v, end %v; the case needs 1048 and 1050", runner, last, end)
+			}
+			if res.Faults.Injected != tc.injected || len(rec.faults) != 2*tc.injected {
+				t.Errorf("%s %s: %d injected, %d fault events; want %d and %d",
+					runner, tc.spec, res.Faults.Injected, len(rec.faults), tc.injected, 2*tc.injected)
+				continue
+			}
+			if tc.injected == 1 {
+				begin, stop := rec.faults[0], rec.faults[1]
+				if begin.Phase != obs.FaultBegin || begin.Minute != 1048 || stop.Phase != obs.FaultEnd || stop.Minute != end {
+					t.Errorf("%s %s: edges %+v, %+v; want begin at 1048, end at %v", runner, tc.spec, begin, stop, end)
+				}
+			}
+		}
+	}
+}

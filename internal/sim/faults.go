@@ -264,9 +264,9 @@ func watchdogReason(from, to fault.Mode) string {
 	return ""
 }
 
-// finish closes the fault windows still open at the end minute with end
-// events and folds the watchdog counters into the final report. The
-// caller has moved the run to end.
+// finish closes the fault windows open at the last sample with end
+// events stamped at the day's end minute and folds the watchdog counters
+// into the final report.
 //
 // unit: end=min
 func (fx *faultCtx) finish(end float64) FaultReport {

@@ -27,8 +27,10 @@
 #                    error instead of a panic
 #   solarsim faults— a total sensor dropout must exit 0, report
 #                    fallback periods on its `faults :` line and write
-#                    fault and watchdog events to its -trace, and the
-#                    same spec with a NaN intensity must be rejected
+#                    fault and watchdog events to its -trace, the same
+#                    spec with a NaN intensity must be rejected, and a
+#                    window opening after the day's last sample must
+#                    report `0 windows`
 #   fuzz smoke     — a few seconds of coverage-guided fuzzing on the
 #                    JSONL event decoder, the fault-spec grammar, the
 #                    store record codec and the RunSpec identity
@@ -93,7 +95,7 @@ if grep -q '^panic:' "$expdir/negday.txt"; then
 fi
 rm -rf "$expdir"
 
-echo '== solarsim -faults (sensor dropout falls back and traces fault/watchdog events; a NaN intensity is rejected)'
+echo '== solarsim -faults (sensor dropout falls back and traces fault/watchdog events; a NaN intensity is rejected; a late window counts 0)'
 simdir="$(mktemp -d)"
 go build -o "$simdir/solarsim" ./cmd/solarsim
 "$simdir/solarsim" -faults 'sensor-drop:t0=600,t1=720,i=1' -trace "$simdir/drop.jsonl" > "$simdir/drop.txt" \
@@ -108,6 +110,12 @@ fallback="$(sed -n 's/^faults *:.* \([0-9][0-9]*\) fallback periods.*/\1/p' "$si
 if "$simdir/solarsim" -faults 'sensor-drop:t0=600,t1=720,i=nan' > "$simdir/nan.txt" 2>&1; then
     echo 'solarsim accepted a NaN fault intensity'; exit 1
 fi
+# AZ/Apr at 8-minute sub-samples ticks last at minute 1048 and ends at
+# 1050: a window opening in between is never sampled, so it must not count.
+"$simdir/solarsim" -season Apr -step 8 -faults 'cloud:t0=1049.99,t1=1110,i=1' > "$simdir/late.txt" \
+    || { echo 'solarsim with a late fault window failed'; cat "$simdir/late.txt"; exit 1; }
+grep -q '^faults *: 0 windows,' "$simdir/late.txt" \
+    || { echo 'solarsim counted a fault window no sample saw open'; cat "$simdir/late.txt"; exit 1; }
 rm -rf "$simdir"
 
 echo '== fuzz: obs JSONL decoder (smoke)'
