@@ -15,7 +15,9 @@ import (
 
 // SolarDay is a meteorological trace bound to a concrete PV array, with the
 // array's maximum power point precomputed at every sample so that many
-// policy runs over the same day share the expensive MPP solves.
+// policy runs over the same day share the expensive MPP solves. The day
+// reads each sample's minute and irradiance from Trace, so the trace must
+// not change once bound.
 type SolarDay struct {
 	Trace  *atmos.Trace
 	Gen    pv.Generator
@@ -24,10 +26,11 @@ type SolarDay struct {
 	samples []daySample
 }
 
+// daySample is what the day derives for one trace sample: the cell
+// temperature and the array's maximum power there.
 type daySample struct {
-	minute float64
-	env    pv.Env
-	mppW   float64
+	cellTemp float64 // unit: °C
+	mppW     float64 // unit: W
 }
 
 // NewSolarDay binds a trace to a series×parallel array of the given module
@@ -52,16 +55,16 @@ func NewSolarDayGen(tr *atmos.Trace, gen pv.Generator, params pv.ModuleParams) (
 			Irradiance: s.Irradiance,
 			CellTemp:   params.CellTemperature(s.AmbientC, s.Irradiance),
 		}
-		d.samples[i] = daySample{minute: s.Minute, env: env, mppW: gen.MPP(env).P}
+		d.samples[i] = daySample{cellTemp: env.CellTemp, mppW: gen.MPP(env).P}
 	}
 	return d, nil
 }
 
 // StartMinute returns the first covered minute of the day.
-func (d *SolarDay) StartMinute() float64 { return d.samples[0].minute }
+func (d *SolarDay) StartMinute() float64 { return d.Trace.Samples[0].Minute }
 
 // EndMinute returns the last covered minute of the day.
-func (d *SolarDay) EndMinute() float64 { return d.samples[len(d.samples)-1].minute }
+func (d *SolarDay) EndMinute() float64 { return d.Trace.Samples[len(d.samples)-1].Minute }
 
 // DaytimeMinutes returns the covered daytime span.
 func (d *SolarDay) DaytimeMinutes() float64 { return d.EndMinute() - d.StartMinute() }
@@ -70,14 +73,14 @@ func (d *SolarDay) DaytimeMinutes() float64 { return d.EndMinute() - d.StartMinu
 // fraction toward the next sample.
 func (d *SolarDay) locate(minute float64) (int, float64) {
 	n := len(d.samples)
-	if minute <= d.samples[0].minute {
+	start := d.StartMinute()
+	if minute <= start {
 		return 0, 0
 	}
-	if minute >= d.samples[n-1].minute {
+	if minute >= d.EndMinute() {
 		return n - 2, 1
 	}
-	step := d.Trace.StepMin
-	pos := (minute - d.samples[0].minute) / step
+	pos := (minute - start) / d.Trace.StepMin
 	i := int(pos)
 	if i >= n-1 {
 		i = n - 2
@@ -88,10 +91,11 @@ func (d *SolarDay) locate(minute float64) (int, float64) {
 // EnvAt returns the interpolated panel environment at the given minute.
 func (d *SolarDay) EnvAt(minute float64) pv.Env {
 	i, frac := d.locate(minute)
-	a, b := d.samples[i].env, d.samples[i+1].env
+	ga, gb := d.Trace.Samples[i].Irradiance, d.Trace.Samples[i+1].Irradiance
+	ta, tb := d.samples[i].cellTemp, d.samples[i+1].cellTemp
 	return pv.Env{
-		Irradiance: a.Irradiance + (b.Irradiance-a.Irradiance)*frac,
-		CellTemp:   a.CellTemp + (b.CellTemp-a.CellTemp)*frac,
+		Irradiance: ga + (gb-ga)*frac,
+		CellTemp:   ta + (tb-ta)*frac,
 	}
 }
 
@@ -109,7 +113,7 @@ func (d *SolarDay) MPPEnergyWh() float64 {
 	wh := 0.0
 	for i := 1; i < len(d.samples); i++ {
 		a, b := d.samples[i-1], d.samples[i]
-		wh += 0.5 * (a.mppW + b.mppW) * (b.minute - a.minute) / 60
+		wh += 0.5 * (a.mppW + b.mppW) * (d.Trace.Samples[i].Minute - d.Trace.Samples[i-1].Minute) / 60
 	}
 	return wh
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // dayCacheCap bounds the process-wide day cache (DESIGN.md §4): a day
-// retains about 35 KB, and 16 hold one exp.Lab's site × season grid.
+// retains about 25 KB, and 16 hold one exp.Lab's site × season grid.
 const dayCacheCap = 16
 
 // dayKey names a day: the weather of (site, season, day index) bound to
