@@ -11,9 +11,10 @@
 // helper is a no-op on a nil Observer, so the disabled path is free: a
 // nil Observer in sim.Config builds no event at all. The no-op observer
 // (Nop) costs one dynamic call and one allocation (the boxed payload)
-// per event — benchmarked at under 5 % of a RunMPPT day
-// (BenchmarkRunMPPTNopObserver vs BenchmarkRunMPPT at the repository
-// root).
+// per event: on a 2-CPU Xeon host (go1.24) the root
+// BenchmarkRunMPPTNopObserver read a 2.48 ms median day with 1,703
+// allocations, against 2.23 ms and 392 for BenchmarkRunMPPT, about 11 %
+// more.
 //
 // Event semantics follow the paper's control structure: one RunStartEvent
 // and one RunEndEvent bracket a day; each 10-minute tracking period opens
@@ -233,7 +234,8 @@ type RunEndEvent struct {
 
 // Nop is the no-op Observer: On returns immediately. Attaching it
 // (rather than nil) exercises the full emit path; the root benchmark
-// BenchmarkRunMPPTNopObserver holds its overhead under 5 %.
+// BenchmarkRunMPPTNopObserver measures its overhead (about 11 % of a
+// day, see the package doc).
 type Nop struct{}
 
 // On implements Observer.
