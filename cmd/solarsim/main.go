@@ -240,7 +240,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// An armed schedule always reports, so a window no sample saw open
 	// reads "0 windows" rather than vanishing from the output.
-	if f := res.Faults; faultSched.Armed() {
+	if faultSched.Armed() {
+		f := res.Faults
 		pf(stdout, "faults       : %d windows, %d brownout sheds, %d watchdog trips, %d fallback periods, %d solver faults, %.0f min to recover\n",
 			f.Injected, f.BrownoutSheds, f.WatchdogTrips, f.FallbackPeriods, f.SolverFaults, f.RecoveryMin)
 	}

@@ -64,7 +64,7 @@ func NewSolarDayGen(tr *atmos.Trace, gen pv.Generator, params pv.ModuleParams) (
 func (d *SolarDay) StartMinute() float64 { return d.Trace.Samples[0].Minute }
 
 // EndMinute returns the last covered minute of the day.
-func (d *SolarDay) EndMinute() float64 { return d.Trace.Samples[len(d.samples)-1].Minute }
+func (d *SolarDay) EndMinute() float64 { return d.Trace.Samples[len(d.Trace.Samples)-1].Minute }
 
 // DaytimeMinutes returns the covered daytime span.
 func (d *SolarDay) DaytimeMinutes() float64 { return d.EndMinute() - d.StartMinute() }
