@@ -130,30 +130,33 @@ func (l *Lab) Day(site atmos.Site, season atmos.Season) *sim.SolarDay {
 }
 
 // cell serves the lab's run of mix on the site's season day, in the mode
-// set selects, as a solarcore.RunSpec cached under its Hash. It records
-// the hit/miss and — on a miss — the simulation wall time.
+// set selects, as a solarcore.RunSpec cached under its Hash; concurrent
+// callers share one run. The run records a miss and its wall time, every
+// other caller a hit.
 func (l *Lab) cell(site atmos.Site, season atmos.Season, mix workload.Mix, set func(*solarcore.RunSpec)) *sim.DayResult {
 	spec := solarcore.RunSpec{Site: site.Code, Season: season.String(), Mix: mix.Name,
 		Day: l.Opts.Day, StepMin: l.Opts.stepMin(), Faults: l.Opts.Faults}
 	set(&spec)
-	key := spec.Hash()
-	if r, ok := l.runs.Get(key); ok {
+	r, disp, err := l.runs.Do(spec.Hash(), nil, func() (*sim.DayResult, error) {
+		l.reg.Add(MetricLabMisses, 1)
+		start := time.Now()
+		l.Day(site, season) // counts the build when this cell finds its day cold
+		runner, err := spec.Runner()
+		if err != nil {
+			return nil, err
+		}
+		r, err := runner.Run()
+		if err == nil {
+			l.reg.Observe(MetricLabCellMs, time.Since(start).Seconds()*1000)
+		}
+		return r, err
+	})
+	if disp != lru.Led {
 		l.reg.Add(MetricLabHits, 1)
-		return r
-	}
-	l.reg.Add(MetricLabMisses, 1)
-	start := time.Now()
-	l.Day(site, season) // counts the build when this cell finds its day cold
-	runner, err := spec.Runner()
-	var r *sim.DayResult
-	if err == nil {
-		r, err = runner.Run()
 	}
 	if err != nil {
 		panic(fmt.Sprintf("exp: %s: %v", spec.Canonical(), err))
 	}
-	l.reg.Observe(MetricLabCellMs, time.Since(start).Seconds()*1000)
-	l.runs.Put(key, r)
 	return r
 }
 

@@ -3,9 +3,11 @@ package exp
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"solarcore/internal/atmos"
+	"solarcore/internal/sim"
 )
 
 // labMetricsRuns counts TestLabMetrics runs in this process. The day
@@ -40,6 +42,50 @@ func TestLabMetrics(t *testing.T) {
 	}
 	if h.Sum <= 0 {
 		t.Errorf("cell wall time sum = %v, want positive", h.Sum)
+	}
+}
+
+// labSingleFlightRuns does for TestLabCellSingleFlight what
+// labMetricsRuns does for TestLabMetrics.
+var labSingleFlightRuns int
+
+// TestLabCellSingleFlight starts 8 callers of one cold cell at once: they
+// must share one run, so the lab records one miss with one wall-time
+// sample and 7 hits. The day is cold too, so the run is long enough for
+// every caller to arrive while it is in progress.
+func TestLabCellSingleFlight(t *testing.T) {
+	lab := NewLab(Options{Quick: true, Day: 300 + labSingleFlightRuns})
+	labSingleFlightRuns++
+	mix := lab.Opts.Mixes()[0]
+	const callers = 8
+	start := make(chan struct{})
+	results := make([]*sim.DayResult, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			results[i] = lab.MPPT(atmos.NC, atmos.Oct, mix, "MPPT&RR")
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, r := range results {
+		if r == nil || r != results[0] {
+			t.Errorf("caller %d got result %p, caller 0 got %p", i, r, results[0])
+			break
+		}
+	}
+	snap := lab.Metrics()
+	if h := snap.Histograms[MetricLabCellMs]; h.Count != 1 {
+		t.Errorf("%s count = %d, want 1 run", MetricLabCellMs, h.Count)
+	}
+	if got := snap.Counters[MetricLabMisses]; got != 1 {
+		t.Errorf("misses = %v, want 1", got)
+	}
+	if got := snap.Counters[MetricLabHits]; got != callers-1 {
+		t.Errorf("hits = %v, want %d", got, callers-1)
 	}
 }
 

@@ -2,52 +2,44 @@ package lint
 
 import (
 	"path/filepath"
-	"sync"
 	"sync/atomic"
+
+	"solarcore/internal/lru"
 )
 
 // The module load — parsing and type-checking every package, plus the
-// standard library from GOROOT source — dominates a solarvet run. One
-// test process used to pay it once per lint.Run call (the root gate,
-// fixture helpers, benchmarks); the cache below pins it to once per
-// module root per process. Loaded modules are immutable after
-// LoadModule returns, so sharing the *Module (and every *types.Info
-// inside it) across concurrent Runs is safe. solarvet never rewrites
-// sources, so a cached module never goes stale within one process; a
-// caller that edits a module must load it from a new root.
+// standard library from GOROOT source — dominates a solarvet run, so the
+// cache below pays it once per module root per process. Loaded modules
+// are immutable after LoadModule returns, so sharing the *Module (and
+// every *types.Info inside it) across concurrent Runs is safe. solarvet
+// never rewrites sources, so a cached module never goes stale within one
+// process; a caller that edits a module must load it from a new root.
+
+// moduleCacheCap bounds the module cache. The process that loads the
+// most roots is `go test ./internal/lint`: at most the module plus its 21
+// testdata fixture directories, 22 in all. 32 leaves room for new
+// fixtures, and a root evicted past it only costs a reload.
+const moduleCacheCap = 32
 
 var (
-	moduleCacheMu sync.Mutex
-	moduleCache   = map[string]*moduleCacheEntry{}
+	moduleCache = lru.New[string, *Module](moduleCacheCap)
 
 	// moduleLoads counts full LoadModule executions, so tests can pin
 	// the single-load behavior.
 	moduleLoads atomic.Int64
 )
 
-type moduleCacheEntry struct {
-	once sync.Once
-	mod  *Module
-	err  error
-}
-
 // LoadModuleCached returns the loaded module for root, performing the
 // expensive parse + type-check at most once per root per process.
-// Concurrent callers for the same root share one load.
+// Concurrent callers for the same root share one load; a failed load is
+// not cached.
 func LoadModuleCached(root string) (*Module, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
 	}
-	moduleCacheMu.Lock()
-	e, ok := moduleCache[abs]
-	if !ok {
-		e = &moduleCacheEntry{}
-		moduleCache[abs] = e
-	}
-	moduleCacheMu.Unlock()
-	e.once.Do(func() { e.mod, e.err = LoadModule(abs) })
-	return e.mod, e.err
+	mod, _, err := moduleCache.Do(abs, nil, func() (*Module, error) { return LoadModule(abs) })
+	return mod, err
 }
 
 // ModuleLoads returns how many full (uncached) module loads have run in

@@ -31,7 +31,8 @@ import (
 //                with an identical signature;
 //   - callback:  a function value passed to a function outside the
 //                module (stdlib, whose body solarvet never sees) is
-//                assumed to be invoked by it.
+//                assumed to be invoked by it, and so is one passed to
+//                a generic module function (see edgeTo).
 //
 // Calls that resolve to non-module functions are kept on the caller as
 // ExtCalls — detcheck's nondeterminism sources (time.Now, the global
@@ -451,15 +452,18 @@ func (b *cgBuilder) resolveCall(caller *CGNode, call *ast.CallExpr) {
 
 // edgeTo links caller to a resolved concrete callee: a static edge for
 // module functions, an ExtCall otherwise. Function values passed as
-// arguments to a non-module callee become callback edges.
+// arguments to a non-module or generic callee become callback edges.
 func (b *cgBuilder) edgeTo(caller *CGNode, call *ast.CallExpr, callee *types.Func) {
 	if to := b.g.byObj[callee]; to != nil {
 		caller.Calls = append(caller.Calls, CGEdge{To: to, Pos: call.Lparen, Kind: EdgeStatic})
-		return
+		if sig := callee.Type().(*types.Signature); sig.TypeParams().Len()+sig.RecvTypeParams().Len() == 0 {
+			return
+		}
+	} else {
+		caller.Ext = append(caller.Ext, ExtCall{Fn: callee, Pos: call.Lparen})
 	}
-	caller.Ext = append(caller.Ext, ExtCall{Fn: callee, Pos: call.Lparen})
-	// The callee's body is invisible; assume it may invoke any function
-	// value it receives.
+	// The body is invisible, or calls through type-parameter signatures
+	// no value matches; assume it may invoke any function value it gets.
 	for _, arg := range call.Args {
 		b.callbackEdge(caller, ast.Unparen(arg))
 	}

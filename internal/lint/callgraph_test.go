@@ -42,8 +42,9 @@ func edgeKind(from, to *CGNode) EdgeKind {
 }
 
 // TestCallGraphEdges pins the edge kinds BuildCallGraph resolves:
-// static calls, go/defer thunks, CHA interface dispatch, and dynamic
-// function-value calls matched by signature.
+// static calls, go/defer thunks, CHA interface dispatch, dynamic
+// function-value calls matched by signature, and callbacks into a
+// generic callee.
 func TestCallGraphEdges(t *testing.T) {
 	g := loadCGFixture(t)
 	main := mustNode(t, g, "cg.example.Main")
@@ -56,6 +57,8 @@ func TestCallGraphEdges(t *testing.T) {
 	squareArea := mustNode(t, g, "(cg.example.Square).Area")
 	circleArea := mustNode(t, g, "(*cg.example.Circle).Area")
 	lit := mustNode(t, g, "cg.example.Main$1")
+	memo := mustNode(t, g, "cg.example.Memo")
+	memoLit := mustNode(t, g, "cg.example.Main$2")
 
 	cases := []struct {
 		from, to *CGNode
@@ -70,6 +73,8 @@ func TestCallGraphEdges(t *testing.T) {
 		{measure, circleArea, EdgeInterface},
 		{apply, helper, EdgeDynamic},
 		{apply, lit, EdgeDynamic},
+		{main, memo, EdgeStatic},
+		{main, memoLit, EdgeCallback}, // passed to a generic callee
 	}
 	for _, c := range cases {
 		if got := edgeKind(c.from, c.to); got != c.kind {

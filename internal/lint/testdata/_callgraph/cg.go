@@ -1,7 +1,7 @@
 // Package cg is the shared call-graph fixture: one small module
 // exercising every edge kind BuildCallGraph resolves — static calls,
 // methods, interface dispatch, go/defer statements, function values,
-// closures passed to higher-order functions, and an unreachable
+// closures passed to higher-order and generic functions, and an unreachable
 // island. callgraph_test.go asserts the resulting shape.
 package cg
 
@@ -29,6 +29,7 @@ func Main() float64 {
 	f := Helper // address-taken: dynamic calls of this signature may hit Helper
 	total += Apply(f)
 	total += Apply(func(x float64) float64 { return x + 1 })
+	total += Memo(func() float64 { return 4 })
 	return total
 }
 
@@ -47,6 +48,9 @@ func Measure(s Shape) float64 { return s.Area() }
 // Apply calls a function value: a dynamic edge to every address-taken
 // function or literal with a matching signature.
 func Apply(f func(float64) float64) float64 { return f(2) }
+
+// Memo calls fill through a type-parameter signature: a callback edge.
+func Memo[V any](fill func() V) V { return fill() }
 
 // Helper is only ever called through a function value.
 func Helper(x float64) float64 { return x * 2 }

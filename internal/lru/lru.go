@@ -1,13 +1,18 @@
-// Package lru is a bounded, concurrency-safe least-recently-used cache.
+// Package lru is a bounded, concurrency-safe least-recently-used cache
+// with the repository's one compute-once-per-key memo, Do.
 //
 // It exists because hot paths must not grow without limit: the HTTP
 // result cache of internal/serve, the grid-cell cache of internal/exp's
-// Lab and the process-wide day cache of internal/sim. The implementation is a
-// hand-rolled doubly-linked list over a map — stdlib-only, no interface
-// boxing — and every operation is O(1) under one mutex.
+// Lab, the process-wide day cache of internal/sim and solarvet's module
+// cache, which all fill through Do. The implementation is a hand-rolled
+// doubly-linked list over a map — stdlib-only, no interface boxing — and
+// every operation is O(1) under one mutex.
 package lru
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
 
 // node is one cache entry threaded on the recency list.
 type node[K comparable, V any] struct {
@@ -26,6 +31,15 @@ type Cache[K comparable, V any] struct {
 	tail      *node[K, V] // least recently used
 	evictions uint64
 	onEvict   func(K, V)
+	flights   map[K]*flight[V] // fills in progress, by key
+}
+
+// flight is one fill in progress, shared by every caller of its key that
+// arrives before it lands.
+type flight[V any] struct {
+	done chan struct{} // closed once val and err are final
+	val  V
+	err  error
 }
 
 // New builds a cache holding at most capacity entries. It panics on a
@@ -54,6 +68,7 @@ func NewWithEvict[K comparable, V any](capacity int, onEvict func(K, V)) *Cache[
 		capacity: capacity,
 		m:        make(map[K]*node[K, V], hint),
 		onEvict:  onEvict,
+		flights:  map[K]*flight[V]{},
 	}
 }
 
@@ -84,6 +99,14 @@ func (c *Cache[K, V]) pushFront(n *node[K, V]) {
 	}
 }
 
+// touch promotes n to most recently used.
+func (c *Cache[K, V]) touch(n *node[K, V]) {
+	if c.head != n {
+		c.unlink(n)
+		c.pushFront(n)
+	}
+}
+
 // Get returns the value stored under key and promotes it to most
 // recently used.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
@@ -94,10 +117,7 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	if c.head != n {
-		c.unlink(n)
-		c.pushFront(n)
-	}
+	c.touch(n)
 	return n.val, true
 }
 
@@ -109,10 +129,7 @@ func (c *Cache[K, V]) Put(key K, val V) {
 	defer c.mu.Unlock()
 	if n, ok := c.m[key]; ok {
 		n.val = val
-		if c.head != n {
-			c.unlink(n)
-			c.pushFront(n)
-		}
+		c.touch(n)
 		return
 	}
 	n := &node[K, V]{key: key, val: val}
@@ -127,6 +144,73 @@ func (c *Cache[K, V]) Put(key K, val V) {
 			c.onEvict(lru.key, lru.val)
 		}
 	}
+}
+
+// Disposition says how Do produced its value.
+type Disposition uint8
+
+// Do's dispositions.
+const (
+	Hit    Disposition = iota // the value was cached
+	Led                       // this call ran the fill
+	Joined                    // this call shared a fill another caller ran
+)
+
+// The errors Do gives a joined caller whose done closed first, or whose
+// fill panicked.
+var (
+	ErrAbandoned = errors.New("lru: caller left before the shared fill finished")
+	ErrPanicked  = errors.New("lru: shared fill panicked")
+)
+
+// Do returns the value cached under key, or computes it with fill. A
+// call that misses while a fill for key is running joins it instead of
+// running its own, so fill runs once per key at a time and every joined
+// caller gets its outcome. Only an outcome with a nil error is stored.
+//
+// A joined caller stops waiting when done closes and returns
+// ErrAbandoned; the fill carries on for the others and for the cache. A
+// nil done waits for the fill. If fill panics, its joined callers get
+// ErrPanicked, nothing is stored, the key has no fill in progress
+// afterwards, and the panic goes on in the caller that ran fill.
+func (c *Cache[K, V]) Do(key K, done <-chan struct{}, fill func() (V, error)) (v V, d Disposition, err error) {
+	c.mu.Lock()
+	if n, ok := c.m[key]; ok {
+		c.touch(n)
+		v = n.val
+		c.mu.Unlock()
+		return v, Hit, nil
+	}
+	f, joined := c.flights[key]
+	if !joined {
+		// err stays ErrPanicked unless fill returns.
+		f = &flight[V]{done: make(chan struct{}), err: ErrPanicked}
+		c.flights[key] = f
+	}
+	c.mu.Unlock()
+	if joined {
+		select {
+		case <-f.done:
+			return f.val, Joined, f.err
+		case <-done:
+			return v, Joined, ErrAbandoned
+		}
+	}
+	defer c.land(key, f)
+	f.val, f.err = fill()
+	return f.val, Led, f.err
+}
+
+// land ends f's flight: it stores a successful value before it drops
+// the flight, so no caller can miss both, then wakes the joined callers.
+func (c *Cache[K, V]) land(key K, f *flight[V]) {
+	if f.err == nil {
+		c.Put(key, f.val)
+	}
+	c.mu.Lock()
+	delete(c.flights, key)
+	c.mu.Unlock()
+	close(f.done)
 }
 
 // Remove deletes the entry stored under key, reporting whether it was

@@ -3,12 +3,10 @@
 // three properties a simulation endpoint needs under heavy traffic
 // (DESIGN.md §12):
 //
-//   - request coalescing — concurrent identical requests (same
-//     solarcore.RunSpec.Hash) share one simulation via a singleflight
-//     group, so a thundering herd costs one run;
-//   - result caching — completed runs park their marshaled DayResult in
-//     a bounded LRU (internal/lru), so repeats are O(1) replays that are
-//     byte-identical to the first response;
+//   - result caching and request coalescing — completed runs park their
+//     marshaled DayResult in a bounded LRU keyed by RunSpec.Hash, so a
+//     repeat is an O(1) byte-identical replay, and its memo
+//     (lru.Cache.Do) makes a thundering herd cost one run;
 //   - backpressure — simulations run on a bounded worker pool with a
 //     bounded wait queue; beyond that the server sheds load immediately
 //     with 429 + Retry-After instead of queueing unboundedly.
@@ -154,8 +152,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	reg   *obs.Registry
-	cache *lru.Cache[string, []byte]
-	group flightGroup
+	cache *lru.Cache[string, []byte] // result bytes; its memo coalesces fills
 
 	sem      chan struct{} // worker-slot semaphore, capacity MaxInflight
 	queued   atomic.Int64  // requests blocked waiting for a slot
@@ -186,7 +183,6 @@ func New(cfg Config) *Server {
 	s.cache = lru.NewWithEvict[string, []byte](cfg.CacheEntries, func(string, []byte) {
 		s.reg.Add(MetricEvictions, 1)
 	})
-	s.group.init()
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.runSpec = func(ctx context.Context, spec solarcore.RunSpec, o obs.Observer) (*solarcore.DayResult, error) {
 		if o == nil {
@@ -295,31 +291,30 @@ func (s *Server) Result(ctx context.Context, spec solarcore.RunSpec, timeoutMs i
 
 // result is Result plus the streaming lead path: a non-nil observer
 // marks the caller as a stream feeder that needs the run's events, not
-// just its bytes — so the cache and durable-store replay shortcuts are
-// skipped (they have no events to give) and the simulation always runs,
-// with o attached, on the same singleflight key as /v1/run. A feeder
-// that loses the flight race joins a leader without its observer; the
-// disposition obs.CacheCoalesced tells it to retry (stream.go).
+// just its bytes. The feeder drops the cached bytes first (stream.go),
+// and its fill skips the durable-store replay (which has no events to
+// give), so the simulation runs with o attached on the same memo key as
+// /v1/run. A feeder that hits or joins a leader without its observer
+// gets no events and retries.
 func (s *Server) result(ctx context.Context, spec solarcore.RunSpec, timeoutMs int, o obs.Observer) ([]byte, string, error) {
 	key := spec.Hash()
-	if o == nil {
-		if body, ok := s.cache.Get(key); ok {
-			s.reg.Add(MetricCacheHits, 1)
-			return body, obs.CacheHit, nil
-		}
+	if body, ok := s.cache.Get(key); ok {
+		s.reg.Add(MetricCacheHits, 1)
+		return body, obs.CacheHit, nil
 	}
+	// Counted before the memo, so a caller that joins a running fill is
+	// visible while it waits.
 	s.reg.Add(MetricCacheMisses, 1)
-	fromStore := false // leader-only; read after Do when shared is false
-	body, shared, err := s.group.Do(ctx, key, func() ([]byte, error) {
+	fromStore := false // leader-only; read after the memo when this call led
+	body, disp, err := s.cache.Do(key, ctx.Done(), func() ([]byte, error) {
 		if s.draining.Load() {
 			return nil, ErrDraining
 		}
 		// Durable layer: a verified disk record replays byte-identically
-		// without burning a worker slot. Coalesced followers share the
-		// read like they would share a simulation.
+		// without burning a worker slot. Joined callers share the read
+		// like they would share a simulation.
 		if o == nil && s.cfg.Store != nil {
 			if b, ok := s.cfg.Store.Get(key); ok {
-				s.cache.Put(key, b)
 				fromStore = true
 				return b, nil
 			}
@@ -343,7 +338,6 @@ func (s *Server) result(ctx context.Context, spec solarcore.RunSpec, timeoutMs i
 		if err != nil {
 			return nil, fmt.Errorf("serve: marshal result: %w", err)
 		}
-		s.cache.Put(key, out)
 		if s.cfg.Store != nil {
 			// Best effort: a full or read-only disk must not fail the
 			// request; the store counts store_put_errors_total itself.
@@ -353,10 +347,13 @@ func (s *Server) result(ctx context.Context, spec solarcore.RunSpec, timeoutMs i
 	})
 	src := obs.CacheMiss
 	switch {
-	case shared:
+	case disp == lru.Joined:
 		s.reg.Add(MetricCoalesced, 1)
 		src = obs.CacheCoalesced
-	case fromStore:
+		if errors.Is(err, lru.ErrAbandoned) {
+			err = fmt.Errorf("serve: coalesced wait: %w", ctx.Err())
+		}
+	case disp == lru.Hit || fromStore:
 		// A durable-layer replay is a hit from the client's point of
 		// view: byte-identical bytes, no simulation ran.
 		src = obs.CacheHit

@@ -47,7 +47,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // feed when this watcher is first of its topic generation: an open topic
 // already being fed is joined as-is (N watchers, one simulation); a
 // completed run with a durable event tail replays it; otherwise a fresh
-// simulation is started on the shared singleflight. Subscribing before
+// simulation is started through the result memo. Subscribing before
 // the feed starts guarantees the cursor sees every event from `after`.
 func (s *Server) openStream(spec solarcore.RunSpec, timeoutMs int, after uint64) *stream.Sub {
 	key := spec.Hash()
@@ -75,14 +75,16 @@ func (s *Server) feedTopic(topic *stream.Topic, spec solarcore.RunSpec, timeoutM
 	pub := stream.NewPublisher(topic)
 	var err error
 	for attempt := 1; ; attempt++ {
+		// Lead a fresh run: cached bytes, or a /v1/run fill joined
+		// without this publisher, carry no events for the topic.
+		s.cache.Remove(topic.Key())
 		var src string
 		_, src, err = s.result(s.baseCtx, spec, timeoutMs, pub)
-		if err != nil || src != obs.CacheCoalesced {
+		if err != nil || src == obs.CacheMiss {
 			break
 		}
-		// Joined a /v1/run flight whose leader carries no publisher: its
-		// events never reached this topic. The flight is gone by the time
-		// Do returns, so a retry almost always leads; bound it regardless.
+		// A /v1/run refilled the key after Remove and has landed by
+		// now, so a retry almost always leads; bound it regardless.
 		if attempt == 4 {
 			err = fmt.Errorf("stream: lost the run leadership race %d times for %s", attempt, topic.Key())
 			break

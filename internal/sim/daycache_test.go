@@ -13,7 +13,7 @@ import (
 // newDayCache builds an empty cache of the process-wide one's shape, so
 // tests never depend on what other tests left in the shared instance.
 func newDayCache() *dayCache {
-	return &dayCache{entries: lru.New[dayKey, *dayEntry](dayCacheCap)}
+	return &dayCache{entries: lru.New[dayKey, *SolarDay](dayCacheCap)}
 }
 
 // TestDayCacheSingleFlight checks concurrent callers of one key share a
