@@ -91,39 +91,42 @@ func TestTemporaryByStatus(t *testing.T) {
 	}
 }
 
+// decodeErrorCases are hostile and degenerate error responses with the
+// decoding each must produce; TestDecodeErrorEdgeCases checks them and
+// FuzzDecodeError seeds from them.
+var decodeErrorCases = []struct {
+	name      string
+	status    int
+	header    http.Header
+	body      string
+	wantCode  string
+	wantMsg   string
+	wantRetry time.Duration
+}{
+	{"empty body", 503, nil, "", "http_503", "", 0},
+	{"malformed envelope", 500, nil, `{"error":{`, "http_500", `{"error":{`, 0},
+	{"non-JSON 5xx", 502, nil, "<html>Bad Gateway</html>", "http_502", "<html>Bad Gateway</html>", 0},
+	{"envelope without code", 500, nil, `{"error":{"message":"m"}}`, "http_500", `{"error":{"message":"m"}}`, 0},
+	{"wrong-type retry field", 429, nil, `{"error":{"code":"overloaded","retry_after_ms":"soon"}}`,
+		"http_429", `{"error":{"code":"overloaded","retry_after_ms":"soon"}}`, 0},
+	{"negative retry", 429, nil, `{"error":{"code":"overloaded","retry_after_ms":-5000}}`,
+		"overloaded", "", 0},
+	{"overflowing retry", 429, nil,
+		// 2^63/1e6 ≈ 9.22e12 ms is where Duration math would wrap; send more.
+		`{"error":{"code":"overloaded","retry_after_ms":9300000000000}}`,
+		"overloaded", "", 24 * time.Hour},
+	{"capped retry", 429, nil,
+		`{"error":{"code":"overloaded","retry_after_ms":` + strconv.Itoa(2*24*60*60*1000) + `}}`,
+		"overloaded", "", 24 * time.Hour},
+	{"huge Retry-After header", 503, http.Header{"Retry-After": []string{"99999999999999999"}},
+		"", "", "", 24 * time.Hour},
+}
+
 // TestDecodeErrorEdgeCases covers the decoder against hostile and
 // degenerate bodies: it must always produce a usable *APIError and a
 // bounded, non-negative retry hint.
 func TestDecodeErrorEdgeCases(t *testing.T) {
-	day := 24 * 60 * 60 * 1000 // ms
-	cases := []struct {
-		name      string
-		status    int
-		header    http.Header
-		body      string
-		wantCode  string
-		wantMsg   string
-		wantRetry time.Duration
-	}{
-		{"empty body", 503, nil, "", "http_503", "", 0},
-		{"malformed envelope", 500, nil, `{"error":{`, "http_500", `{"error":{`, 0},
-		{"non-JSON 5xx", 502, nil, "<html>Bad Gateway</html>", "http_502", "<html>Bad Gateway</html>", 0},
-		{"envelope without code", 500, nil, `{"error":{"message":"m"}}`, "http_500", `{"error":{"message":"m"}}`, 0},
-		{"wrong-type retry field", 429, nil, `{"error":{"code":"overloaded","retry_after_ms":"soon"}}`,
-			"http_429", `{"error":{"code":"overloaded","retry_after_ms":"soon"}}`, 0},
-		{"negative retry", 429, nil, `{"error":{"code":"overloaded","retry_after_ms":-5000}}`,
-			"overloaded", "", 0},
-		{"overflowing retry", 429, nil,
-			// 2^63/1e6 ≈ 9.22e12 ms is where Duration math would wrap; send more.
-			`{"error":{"code":"overloaded","retry_after_ms":9300000000000}}`,
-			"overloaded", "", 24 * time.Hour},
-		{"capped retry", 429, nil,
-			`{"error":{"code":"overloaded","retry_after_ms":` + strconv.Itoa(2*day) + `}}`,
-			"overloaded", "", 24 * time.Hour},
-		{"huge Retry-After header", 503, http.Header{"Retry-After": []string{"99999999999999999"}},
-			"", "", "", 24 * time.Hour},
-	}
-	for _, c := range cases {
+	for _, c := range decodeErrorCases {
 		e := DecodeError(c.status, c.header, []byte(c.body))
 		if e.Status != c.status {
 			t.Errorf("%s: Status = %d", c.name, e.Status)
@@ -141,6 +144,30 @@ func TestDecodeErrorEdgeCases(t *testing.T) {
 			t.Errorf("%s: negative RetryAfter %v", c.name, e.RetryAfter)
 		}
 	}
+}
+
+// FuzzDecodeError holds the error decoder, which solargate runs on every
+// non-2xx backend body, to four properties for any status, Retry-After
+// header and body: no input panics, the retry hint lies in [0, 24 h],
+// the status is echoed, and the code is never empty.
+func FuzzDecodeError(f *testing.F) {
+	for _, c := range decodeErrorCases {
+		f.Add(c.status, c.header.Get("Retry-After"), []byte(c.body))
+	}
+	f.Add(429, "3", []byte(`{"error":{"code":"","retry_after_ms":1}}`))
+	f.Add(0, "-1", []byte(`{"error":{"code":"x","retry_after_ms":9223372036854775807}}`))
+	f.Fuzz(func(t *testing.T, status int, retryAfter string, body []byte) {
+		e := DecodeError(status, http.Header{"Retry-After": []string{retryAfter}}, body)
+		if e.RetryAfter < 0 || e.RetryAfter > maxRetryAfter {
+			t.Fatalf("RetryAfter = %v, outside [0, %v]", e.RetryAfter, maxRetryAfter)
+		}
+		if e.Status != status {
+			t.Fatalf("Status = %d, want %d", e.Status, status)
+		}
+		if e.Code == "" {
+			t.Fatal("empty Code")
+		}
+	})
 }
 
 func TestBodySumRoundTrip(t *testing.T) {

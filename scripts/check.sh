@@ -33,7 +33,8 @@
 #                    report `0 windows`
 #   fuzz smoke     — a few seconds of coverage-guided fuzzing on the
 #                    JSONL event decoder, the fault-spec grammar, the
-#                    store record codec and the RunSpec identity
+#                    store record codec, the RunSpec identity and the
+#                    client's error-envelope decoder
 #   serving smoke  — boot a real solard on an ephemeral port, probe
 #                    /healthz and /v1/run over HTTP, then drive a short
 #                    solarload run, watch a whole run over GET
@@ -129,6 +130,9 @@ go test -run '^$' -fuzz 'FuzzStoreRecord' -fuzztime 5s ./internal/store
 
 echo '== fuzz: RunSpec normalization, identity and validation (smoke)'
 go test -run '^$' -fuzz 'FuzzRunSpec' -fuzztime 5s .
+
+echo '== fuzz: client error-envelope decoder (smoke)'
+go test -run '^$' -fuzz 'FuzzDecodeError' -fuzztime 5s ./client
 
 echo '== chaos harness (silent-corruption + partition-hedging + mid-stream-partition invariants)'
 go test -race -run 'TestNeverSilentCorruption|TestPartitionHedgingBoundsTailLatency|TestMidStreamPartitionResumesGapless' ./internal/chaos
