@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -351,5 +352,27 @@ func TestContextCancellationAborts(t *testing.T) {
 	var apiErr *APIError
 	if errors.As(err, &apiErr) {
 		t.Errorf("cancellation decoded as APIError: %v", err)
+	}
+}
+
+// TestStreamJoinsDataLines pins the SSE data rule: a frame's data lines
+// join with "\n" (the spec's rule, which edge.WriteEvent's one field per
+// line relies on), and a frame at or before the resume cursor is dropped.
+func TestStreamJoinsDataLines(t *testing.T) {
+	wire := "id: 1\nevent: tick\ndata: {\"v\":1,\"type\":\"tick\",\ndata: \"tick\":{\"minute\":361}}\n\n" +
+		"id: 1\nevent: tick\ndata: {\"v\":1,\"type\":\"tick\",\"tick\":{\"minute\":362}}\n\n"
+	st := NewStreamReader(strings.NewReader(wire), false)
+	ev, err := st.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "{\"v\":1,\"type\":\"tick\",\n\"tick\":{\"minute\":361}}"; string(ev.Data) != want {
+		t.Errorf("Data = %q, want %q", ev.Data, want)
+	}
+	if ev.ID != 1 || ev.Event == nil || ev.Event.Tick == nil || ev.Event.Tick.Minute != 361 {
+		t.Errorf("decoded %+v", ev)
+	}
+	if ev, err := st.Next(); err != io.EOF {
+		t.Errorf("replayed id 1: got %+v, %v; want it dropped and io.EOF", ev, err)
 	}
 }

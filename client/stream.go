@@ -154,7 +154,15 @@ func (s *Stream) next() (StreamEvent, error) {
 			if !have {
 				continue // stray blank between frames
 			}
-			return s.dispatch(id, name, data)
+			if id > 0 && id <= s.lastID {
+				// A frame at or before the resume cursor — an upstream
+				// replaying from earlier than asked — is dropped, so ids
+				// come out strictly increasing.
+				id, name, data, have = 0, "", data[:0], false
+				continue
+			}
+			// The SSE spec strips the last data line's newline.
+			return s.dispatch(id, name, bytes.TrimSuffix(data, []byte("\n")))
 		case line[0] == ':':
 			// Keep-alive comment: not part of any frame.
 			if s.hb {
@@ -173,9 +181,9 @@ func (s *Stream) next() (StreamEvent, error) {
 			case "event":
 				name, have = string(value), true
 			case "data":
-				// The wire is one JSONL line per frame; concatenation per
-				// the SSE spec would only arise from a foreign server.
-				data = append(data, value...)
+				// The SSE spec joins a frame's data lines with "\n"; the
+				// servers send one JSONL line per frame.
+				data = append(append(data, value...), '\n')
 				have = true
 			default:
 				// Unknown SSE fields are ignored (forward compatibility).

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -91,7 +92,7 @@ func ReadMIDC(r io.Reader, site Site, season Season) (*Trace, error) {
 	tr.StepMin = tr.Samples[1].Minute - tr.Samples[0].Minute
 	for i := 1; i < len(tr.Samples); i++ {
 		gap := tr.Samples[i].Minute - tr.Samples[i-1].Minute
-		if gap <= 0 || mathxAbs(gap-tr.StepMin) > 1e-6 {
+		if gap <= 0 || math.Abs(gap-tr.StepMin) > 1e-6 {
 			return nil, fmt.Errorf("atmos: MIDC samples not uniformly spaced at row %d", i+1)
 		}
 	}

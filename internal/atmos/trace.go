@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"solarcore/internal/mathx"
@@ -152,17 +153,10 @@ func ReadCSV(r io.Reader, site Site, season Season) (*Trace, error) {
 		tr.StepMin = tr.Samples[1].Minute - tr.Samples[0].Minute
 		for i := 1; i < len(tr.Samples); i++ {
 			gap := tr.Samples[i].Minute - tr.Samples[i-1].Minute
-			if gap <= 0 || mathxAbs(gap-tr.StepMin) > 1e-6 {
+			if gap <= 0 || math.Abs(gap-tr.StepMin) > 1e-6 {
 				return nil, fmt.Errorf("atmos: non-uniform sampling at row %d", i+1)
 			}
 		}
 	}
 	return tr, nil
-}
-
-func mathxAbs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

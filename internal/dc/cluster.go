@@ -202,16 +202,6 @@ func (c *Cluster) bestRaise() (ni, core int, dP float64, ok bool) {
 	return ni, core, dP, ni >= 0
 }
 
-// Raise gives one DVFS step of power to the best core in the cluster;
-// false when saturated (or every remaining step violates a cap).
-func (c *Cluster) Raise() bool {
-	ni, core, _, ok := c.bestRaise()
-	if !ok {
-		return false
-	}
-	return c.Nodes[ni].Chip.StepUp(core)
-}
-
 // Lower reclaims one DVFS step from the cluster-wide worst core, crediting
 // the node overhead when the step parks the node.
 func (c *Cluster) Lower() bool {

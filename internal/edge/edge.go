@@ -111,13 +111,26 @@ func WriteDraining(w http.ResponseWriter, msg string) {
 
 // WriteEvent writes one Server-Sent Events frame. A zero id writes no
 // id line (gap and error frames), so a watcher's resume cursor stays on
-// the last real event. Both servers frame every SSE event through it.
+// the last real event. Each line of data goes out as its own data field,
+// which an SSE reader joins back with "\n"; a JSONL payload is one line.
+// Both servers frame every SSE event through it.
 func WriteEvent(w io.Writer, id uint64, event string, data []byte) error {
 	var buf bytes.Buffer
 	if id > 0 {
 		fmt.Fprintf(&buf, "id: %d\n", id)
 	}
-	fmt.Fprintf(&buf, "event: %s\ndata: %s\n\n", event, data)
+	fmt.Fprintf(&buf, "event: %s\n", event)
+	for {
+		line, rest, more := bytes.Cut(data, []byte("\n"))
+		buf.WriteString("data: ")
+		buf.Write(line)
+		buf.WriteByte('\n')
+		if !more {
+			break
+		}
+		data = rest
+	}
+	buf.WriteByte('\n')
 	_, err := w.Write(buf.Bytes())
 	return err
 }

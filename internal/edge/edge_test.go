@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -118,6 +119,28 @@ func TestSweepKeepsRequestOrderUnderOutOfOrderCompletion(t *testing.T) {
 	for i, item := range items {
 		if item.Hash != runs[i].Hash() || string(item.Result) != string(body(i)) || item.Error != "" {
 			t.Errorf("items[%d] = %+v, want day %d's result in place", i, item, i)
+		}
+	}
+}
+
+// TestWriteEventFraming pins the SSE frame bytes: the id line only for a
+// positive id, and one data field per line of data.
+func TestWriteEventFraming(t *testing.T) {
+	for _, c := range []struct {
+		id   uint64
+		data string
+		want string
+	}{
+		{7, `{"v":1}`, "id: 7\nevent: tick\ndata: {\"v\":1}\n\n"},
+		{0, `{"v":1}`, "event: tick\ndata: {\"v\":1}\n\n"},
+		{0, "{\"v\":1,\n\"t\":2}\n", "event: tick\ndata: {\"v\":1,\ndata: \"t\":2}\ndata: \n\n"},
+	} {
+		var buf bytes.Buffer
+		if err := WriteEvent(&buf, c.id, "tick", []byte(c.data)); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != c.want {
+			t.Errorf("WriteEvent(%d, %q) = %q, want %q", c.id, c.data, buf.String(), c.want)
 		}
 	}
 }

@@ -172,8 +172,10 @@ func TestRobustnessAcrossWeatherDays(t *testing.T) {
 	if len(r.Days) != 3 {
 		t.Fatalf("days = %d", len(r.Days))
 	}
-	if !r.Stable() {
-		t.Errorf("policy ordering unstable across weather days: %+v", r)
+	for i := range r.Days {
+		if r.OptOverRR[i] <= 0 || r.OptOverIC[i] <= 0 {
+			t.Errorf("policy ordering unstable on day %d: %+v", i, r)
+		}
 	}
 	for i, u := range r.Utilization {
 		if u < 0.75 || u > 0.95 {
@@ -182,9 +184,6 @@ func TestRobustnessAcrossWeatherDays(t *testing.T) {
 	}
 	if !strings.Contains(r.Render(), "mean") {
 		t.Error("render missing summary row")
-	}
-	if (RobustnessResult{}).Stable() {
-		t.Error("empty result should not be stable")
 	}
 }
 

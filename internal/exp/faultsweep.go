@@ -70,16 +70,6 @@ func FaultSweep(opts Options, kind string) (FaultSweepResult, error) {
 	return res, nil
 }
 
-// Retention returns the worst-case over clean utilization ratio for a
-// policy: row at the highest intensity over the intensity-zero row.
-func (r FaultSweepResult) Retention(policy string) float64 {
-	pi := indexOf(r.Policies, policy)
-	if pi < 0 || len(r.Util) == 0 || r.Util[0][pi] <= 0 {
-		return 0
-	}
-	return r.Util[len(r.Util)-1][pi] / r.Util[0][pi]
-}
-
 // Render draws one row per intensity.
 func (r FaultSweepResult) Render() string {
 	headers := append([]string{"intensity"}, r.Policies...)

@@ -28,8 +28,13 @@ func TestFaultSweepSensorDropout(t *testing.T) {
 		t.Error("total dropout never tripped the watchdog")
 	}
 	// Graceful, not catastrophic: the faulted MPPT&Opt day keeps a
-	// substantial share of its clean utilization.
-	if ret := res.Retention("MPPT&Opt"); ret <= 0.5 || ret > 1.001 {
+	// substantial share of its clean utilization (highest-intensity row
+	// over the intensity-zero row).
+	pi := indexOf(res.Policies, "MPPT&Opt")
+	if pi < 0 {
+		t.Fatalf("no MPPT&Opt column in %v", res.Policies)
+	}
+	if ret := res.Util[last][pi] / res.Util[0][pi]; ret <= 0.5 || ret > 1.001 {
 		t.Errorf("MPPT&Opt retention %.3f, want in (0.5, 1]", ret)
 	}
 	out := res.Render()

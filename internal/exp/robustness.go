@@ -58,13 +58,3 @@ func (r RobustnessResult) Render() string {
 func spread(xs []float64) string {
 	return fmt.Sprintf("%s (%s..%s)", pct(mathx.Mean(xs)), pct(mathx.Min(xs)), pct(mathx.Max(xs)))
 }
-
-// Stable reports whether the policy ordering held on every evaluated day.
-func (r RobustnessResult) Stable() bool {
-	for i := range r.Days {
-		if r.OptOverRR[i] <= 0 || r.OptOverIC[i] <= 0 {
-			return false
-		}
-	}
-	return len(r.Days) > 0
-}

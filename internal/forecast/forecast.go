@@ -8,7 +8,6 @@
 package forecast
 
 import (
-	"fmt"
 	"math"
 
 	"solarcore/internal/mathx"
@@ -151,12 +150,6 @@ type Skill struct {
 	RMSE       float64 // root mean squared error, W
 	Bias       float64 // mean signed error (prediction − truth), W
 	Samples    int
-}
-
-// String formats the skill line.
-func (s Skill) String() string {
-	return fmt.Sprintf("%-12s MAE %6.2f W  RMSE %6.2f W  bias %+6.2f W (n=%d)",
-		s.Forecaster, s.MAE, s.RMSE, s.Bias, s.Samples)
 }
 
 // Evaluate replays a series of (minute, watts) samples through the

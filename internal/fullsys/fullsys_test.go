@@ -74,7 +74,7 @@ func TestProbesWriteNoState(t *testing.T) {
 	chip := sys.Devices[0].(*CoreDevice).Chip
 	for i := 0; i < 40; i++ {
 		before := chip.Transitions()
-		if !sys.Raise() {
+		if !sys.RaiseWithin(math.Inf(1)) {
 			break
 		}
 		if moved := chip.Transitions() - before; moved > 1 {
@@ -86,7 +86,7 @@ func TestProbesWriteNoState(t *testing.T) {
 func TestRaiseLowerRoundTrip(t *testing.T) {
 	sys := testSystem(t)
 	raises := 0
-	for sys.Raise() {
+	for sys.RaiseWithin(math.Inf(1)) {
 		raises++
 		if raises > 1000 {
 			t.Fatal("Raise never saturates")

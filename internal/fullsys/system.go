@@ -54,15 +54,10 @@ func probe(d Device, dir int) (dU, dP float64, ok bool) {
 	return d.UtilityAt(next) - d.UtilityAt(s), d.PowerAt(next) - d.PowerAt(s), true
 }
 
-// Raise moves the best utility-per-watt device one state up; false when
-// every device is at its top state.
-func (s *System) Raise() bool {
-	return s.RaiseWithin(math.Inf(1))
-}
-
-// RaiseWithin is Raise constrained to steps whose power increase fits in
-// the given headroom, so a budget fill can keep taking small steps after a
-// large one stopped fitting.
+// RaiseWithin moves the best utility-per-watt device whose next state's
+// power increase fits in the given headroom one state up, so a budget fill
+// can keep taking small steps after a large one stopped fitting; false
+// when no step fits.
 func (s *System) RaiseWithin(headroom float64) bool {
 	best, bestTPR := -1, math.Inf(-1)
 	for i, d := range s.Devices {

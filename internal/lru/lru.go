@@ -24,14 +24,13 @@ type node[K comparable, V any] struct {
 // Cache is a fixed-capacity LRU map. The zero value is not usable; build
 // one with New or NewWithEvict. All methods are safe for concurrent use.
 type Cache[K comparable, V any] struct {
-	mu        sync.Mutex
-	capacity  int
-	m         map[K]*node[K, V]
-	head      *node[K, V] // most recently used
-	tail      *node[K, V] // least recently used
-	evictions uint64
-	onEvict   func(K, V)
-	flights   map[K]*flight[V] // fills in progress, by key
+	mu       sync.Mutex
+	capacity int
+	m        map[K]*node[K, V]
+	head     *node[K, V] // most recently used
+	tail     *node[K, V] // least recently used
+	onEvict  func(K, V)
+	flights  map[K]*flight[V] // fills in progress, by key
 }
 
 // flight is one fill in progress, shared by every caller of its key that
@@ -139,7 +138,6 @@ func (c *Cache[K, V]) Put(key K, val V) {
 		lru := c.tail
 		c.unlink(lru)
 		delete(c.m, lru.key)
-		c.evictions++
 		if c.onEvict != nil {
 			c.onEvict(lru.key, lru.val)
 		}
@@ -253,14 +251,6 @@ func (c *Cache[K, V]) Len() int {
 
 // Cap returns the fixed capacity.
 func (c *Cache[K, V]) Cap() int { return c.capacity }
-
-// Evictions returns the number of entries displaced by capacity pressure
-// over the cache's lifetime.
-func (c *Cache[K, V]) Evictions() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}
 
 // Keys returns the keys from most to least recently used — an O(n)
 // diagnostic for tests and eviction-order assertions.

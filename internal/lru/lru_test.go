@@ -7,7 +7,8 @@ import (
 )
 
 func TestEvictionOrderIsLeastRecentlyUsed(t *testing.T) {
-	c := New[string, int](2)
+	var evicted []string
+	c := NewWithEvict[string, int](2, func(k string, _ int) { evicted = append(evicted, k) })
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("c", 3) // evicts a: oldest, never touched again
@@ -19,8 +20,8 @@ func TestEvictionOrderIsLeastRecentlyUsed(t *testing.T) {
 			t.Errorf("Get(%q) = %d, %t; want %d, true", k, v, ok, want)
 		}
 	}
-	if got := c.Evictions(); got != 1 {
-		t.Errorf("Evictions() = %d, want 1", got)
+	if len(evicted) != 1 || evicted[0] != "a" {
+		t.Errorf("evicted %v, want [a]", evicted)
 	}
 }
 
@@ -41,12 +42,13 @@ func TestGetPromotesAgainstEviction(t *testing.T) {
 }
 
 func TestPutOverwritePromotesWithoutEvicting(t *testing.T) {
-	c := New[string, int](2)
+	var evicted []string
+	c := NewWithEvict[string, int](2, func(k string, _ int) { evicted = append(evicted, k) })
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("a", 10) // overwrite: promote, no eviction
-	if got := c.Evictions(); got != 0 {
-		t.Fatalf("overwrite evicted: Evictions() = %d, want 0", got)
+	if len(evicted) != 0 {
+		t.Fatalf("overwrite evicted %v", evicted)
 	}
 	if v, _ := c.Get("a"); v != 10 {
 		t.Errorf("overwritten value = %d, want 10", v)
@@ -120,12 +122,12 @@ func TestRemoveDeletesWithoutEvicting(t *testing.T) {
 	if c.Len() != 2 {
 		t.Errorf("Len() = %d after Remove, want 2", c.Len())
 	}
-	if len(evicted) != 0 || c.Evictions() != 0 {
-		t.Errorf("Remove ran the eviction machinery: hook %v, counter %d", evicted, c.Evictions())
+	if len(evicted) != 0 {
+		t.Errorf("Remove ran the eviction hook: %v", evicted)
 	}
 	// The freed slot is real capacity again: two more puts, no eviction.
 	c.Put("d", 4)
-	if c.Evictions() != 0 {
+	if len(evicted) != 0 {
 		t.Error("Put after Remove evicted despite free capacity")
 	}
 }

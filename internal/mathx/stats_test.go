@@ -45,35 +45,6 @@ func TestGeoMeanLEMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("StdDev const = %v, want 0", got)
-	}
-	got := StdDev([]float64{1, 3})
-	if math.Abs(got-1) > 1e-12 {
-		t.Errorf("StdDev = %v, want 1", got)
-	}
-	if got := StdDev([]float64{5}); got != 0 {
-		t.Errorf("StdDev single = %v, want 0", got)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	// Input must not be reordered.
-	if xs[0] != 4 {
-		t.Error("Quantile mutated its input")
-	}
-}
-
 func TestMinMaxSum(t *testing.T) {
 	xs := []float64{3, -1, 7}
 	if Min(xs) != -1 {

@@ -51,7 +51,6 @@ type BatterySystem struct {
 	Eff float64
 
 	storedWh float64
-	drawnWh  float64
 }
 
 // NewBatterySystem builds a battery baseline with the given total
@@ -79,17 +78,12 @@ func (b *BatterySystem) Draw(p, dMin float64) float64 {
 	needWh := p * dMin / 60
 	if needWh <= b.storedWh {
 		b.storedWh -= needWh
-		b.drawnWh += needWh
 		return dMin
 	}
 	got := b.storedWh / p * 60
-	b.drawnWh += b.storedWh
 	b.storedWh = 0
 	return got
 }
 
 // StoredWh returns the remaining buffered energy.
 func (b *BatterySystem) StoredWh() float64 { return b.storedWh }
-
-// DrawnWh returns the energy delivered to the load so far.
-func (b *BatterySystem) DrawnWh() float64 { return b.drawnWh }

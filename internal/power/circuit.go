@@ -56,18 +56,16 @@ func (c *Circuit) LoadResistance(pWatts float64) float64 {
 
 // Operate returns the settled operating point for a load resistance rLoad
 // at the rail, under the given environment and the converter's current
-// ratio.
+// ratio. The generator's ResistiveOperating settles the open-load and
+// dark cases; an open load stays +Inf on the panel side rather than
+// k²·Inf·η, which is NaN when a derated converter has η = 0.
 //
 // unit: rLoad=Ω
 func (c *Circuit) Operate(env pv.Env, rLoad float64) Operating {
-	voc := c.Gen.OpenCircuitVoltage(env)
-	if voc <= 0 {
-		return Operating{}
+	rPanel := rLoad
+	if !math.IsInf(rLoad, 1) {
+		rPanel = c.Conv.K * c.Conv.K * rLoad * c.Conv.Efficiency
 	}
-	if math.IsInf(rLoad, 1) {
-		return Operating{VPanel: voc, VLoad: voc / c.Conv.K}
-	}
-	rPanel := c.Conv.K * c.Conv.K * rLoad * c.Conv.Efficiency
 	vp, ip := c.Gen.ResistiveOperating(env, rPanel)
 	vl := c.Conv.LoadVoltage(vp)
 	il := c.Conv.LoadCurrent(ip)

@@ -36,6 +36,12 @@ func TestOperateOpenCircuit(t *testing.T) {
 	if got := c.LoadResistance(0); !math.IsInf(got, 1) {
 		t.Errorf("zero demand resistance = %v, want +Inf", got)
 	}
+	// A fully derated converter (η = 0) must not turn the open load's
+	// panel-side resistance k²·Inf·η into NaN.
+	c.Conv.Efficiency = 0
+	if op := c.Operate(pv.STC, math.Inf(1)); op.VPanel != voc || op.PLoad != 0 {
+		t.Errorf("open circuit at η = 0: %+v, want VPanel %v and no load power", op, voc)
+	}
 }
 
 func TestOperateDarkness(t *testing.T) {

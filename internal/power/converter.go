@@ -101,15 +101,3 @@ func (c *Converter) SetRatio(k float64) {
 	}
 	c.K = k
 }
-
-// Reading is one I/V sensor sample at the load rail (the feedback input of
-// the SolarCore controller in Figure 8).
-type Reading struct {
-	V float64 // volts
-	I float64 // amperes
-}
-
-// Power returns the sensed power V·I.
-//
-// unit: W
-func (r Reading) Power() float64 { return r.V * r.I }

@@ -1,7 +1,5 @@
 package power
 
-import "fmt"
-
 // Source identifies which supply feeds the processor rail.
 type Source int
 
@@ -10,18 +8,6 @@ const (
 	Solar Source = iota
 	Utility
 )
-
-// String names the source.
-func (s Source) String() string {
-	switch s {
-	case Solar:
-		return "solar"
-	case Utility:
-		return "utility"
-	default:
-		return fmt.Sprintf("Source(%d)", int(s))
-	}
-}
 
 // TransferSwitch is the automatic transfer switch (ATS) of Figure 8: it
 // seamlessly selects between the solar panel and the grid backup and counts
@@ -58,30 +44,12 @@ func (t *TransferSwitch) Switches() int { return t.switches }
 // run. Durations are in minutes, power in watts, energy reported in Wh.
 type EnergyMeter struct {
 	wh [2]float64
-	// minutes on each source
-	min [2]float64
 }
 
 // Add charges p watts for dMin minutes to the given source.
 func (m *EnergyMeter) Add(s Source, p, dMin float64) {
 	m.wh[s] += p * dMin / 60
-	m.min[s] += dMin
 }
 
 // EnergyWh returns the energy drawn from the source in watt-hours.
 func (m *EnergyMeter) EnergyWh(s Source) float64 { return m.wh[s] }
-
-// Minutes returns the time spent on the source.
-func (m *EnergyMeter) Minutes(s Source) float64 { return m.min[s] }
-
-// TotalWh returns all energy drawn.
-func (m *EnergyMeter) TotalWh() float64 { return m.wh[Solar] + m.wh[Utility] }
-
-// SolarShare returns the fraction of energy drawn from the panel.
-func (m *EnergyMeter) SolarShare() float64 {
-	tot := m.TotalWh()
-	if tot == 0 {
-		return 0
-	}
-	return m.wh[Solar] / tot
-}

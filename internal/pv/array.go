@@ -18,14 +18,13 @@ type Generator interface {
 	//
 	// unit: V
 	OpenCircuitVoltage(env Env) float64
-	// ShortCircuitCurrent returns Isc (A) under env.
-	//
-	// unit: A
-	ShortCircuitCurrent(env Env) float64
 	// MPP returns the maximum power point under env.
 	MPP(env Env) MPP
 	// ResistiveOperating returns the terminal voltage and current where the
-	// I-V curve intersects a resistive load line I = V/R.
+	// I-V curve intersects a resistive load line I = V/R. An open load
+	// (r = +Inf) sits at (Voc, 0) with Voc exactly OpenCircuitVoltage, and
+	// a dark generator (Voc = 0) returns (0, 0) for every r, so callers
+	// need no guards of their own.
 	//
 	// unit: r=Ω, v=V, i=A
 	ResistiveOperating(env Env, r float64) (v, i float64)

@@ -30,17 +30,36 @@ func TestResistiveOperatingOnCurve(t *testing.T) {
 }
 
 func TestResistiveOperatingEdges(t *testing.T) {
-	m := bp()
-	if v, i := m.ResistiveOperating(Env{0, 25}, 10); v != 0 || i != 0 {
-		t.Errorf("dark: %v, %v", v, i)
+	// Every generator settles the edge loads itself (power.Circuit.Operate
+	// relies on it): dark is (0, 0) at any load, an open load sits at
+	// exactly (Voc, 0), and a short at (0, Isc).
+	type generator interface {
+		Generator
+		ShortCircuitCurrent(env Env) float64
 	}
-	v, i := m.ResistiveOperating(STC, math.Inf(1))
-	if i != 0 || math.Abs(v-m.OpenCircuitVoltage(STC)) > 1e-9 {
-		t.Errorf("open: %v, %v", v, i)
-	}
-	v, i = m.ResistiveOperating(STC, 0)
-	if v != 0 || math.Abs(i-m.ShortCircuitCurrent(STC)) > 1e-6 {
-		t.Errorf("short: %v, %v", v, i)
+	dark := Env{Irradiance: 0, CellTemp: 25}
+	for _, c := range []struct {
+		name string
+		gen  generator
+	}{
+		{"Module", bp()},
+		{"Array", NewArray(BP3180N(), 3, 2)},
+		{"ShadedString", NewShadedString(BP3180N(), []float64{1, 0.3, 1})},
+		{"TwoDiodeModule", NewTwoDiodeModule(BP3180N())},
+	} {
+		for _, r := range []float64{0, 10, math.Inf(1)} {
+			if v, i := c.gen.ResistiveOperating(dark, r); v != 0 || i != 0 {
+				t.Errorf("%s dark, r=%v: (%v, %v), want (0, 0)", c.name, r, v, i)
+			}
+		}
+		voc := c.gen.OpenCircuitVoltage(STC)
+		if v, i := c.gen.ResistiveOperating(STC, math.Inf(1)); v != voc || i != 0 {
+			t.Errorf("%s open: (%v, %v), want (%v, 0)", c.name, v, i, voc)
+		}
+		v, i := c.gen.ResistiveOperating(STC, 0)
+		if v != 0 || math.Abs(i-c.gen.ShortCircuitCurrent(STC)) > 1e-6 {
+			t.Errorf("%s short: (%v, %v), want (0, %v)", c.name, v, i, c.gen.ShortCircuitCurrent(STC))
+		}
 	}
 }
 

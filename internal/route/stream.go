@@ -115,10 +115,10 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, req client
 
 // pumpStream relays one upstream connection's frames until it ends:
 // heartbeat comments pass through as comments, event frames byte-for-
-// byte with their ids, each flushed immediately. Frames at or below the
-// resume cursor are dropped — a conservative upstream that replays from
-// earlier than asked must not produce duplicates downstream. Returns nil
-// on clean upstream EOF.
+// byte with their ids, each flushed immediately. The stream was opened at
+// the resume cursor and drops frames at or below it itself, so a
+// conservative upstream that replays from earlier than asked produces no
+// duplicates downstream. Returns nil on clean upstream EOF.
 func (rt *Router) pumpStream(w http.ResponseWriter, rc *http.ResponseController, st *client.Stream, lastID *uint64) error {
 	for {
 		ev, err := st.Next()
@@ -127,9 +127,6 @@ func (rt *Router) pumpStream(w http.ResponseWriter, rc *http.ResponseController,
 				return nil
 			}
 			return err
-		}
-		if ev.ID > 0 && ev.ID <= *lastID {
-			continue
 		}
 		var werr error
 		if ev.Type == client.TypeHeartbeat {

@@ -158,16 +158,6 @@ var policies = []struct {
 	{"MPPT&Opt", func() Allocator { return OptTPR{} }},
 }
 
-// Allocators returns fresh instances of the three MPPT load-adaptation
-// policies of Table 6 in the paper's order.
-func Allocators() []Allocator {
-	out := make([]Allocator, len(policies))
-	for i, p := range policies {
-		out[i] = p.make()
-	}
-	return out
-}
-
 // Names lists the Table 6 policy names in the paper's order.
 func Names() []string {
 	out := make([]string, len(policies))

@@ -138,17 +138,18 @@ func TestIndividualCoreConcentrates(t *testing.T) {
 }
 
 func TestAllocatorsRegistry(t *testing.T) {
-	as := Allocators()
-	if len(as) != 3 {
-		t.Fatalf("%d allocators, want 3", len(as))
+	names := Names()
+	if len(names) != 3 {
+		t.Fatalf("%d policies, want 3", len(names))
 	}
 	want := []string{"MPPT&IC", "MPPT&RR", "MPPT&Opt"}
-	for i, a := range as {
-		if a.Name() != want[i] {
-			t.Errorf("allocator %d = %s, want %s", i, a.Name(), want[i])
+	for i, name := range names {
+		if name != want[i] {
+			t.Errorf("policy %d = %s, want %s", i, name, want[i])
 		}
-		if byName, ok := ByName(a.Name()); !ok || byName.Name() != a.Name() {
-			t.Errorf("ByName(%s) failed", a.Name())
+		a, ok := ByName(name)
+		if !ok || a.Name() != name {
+			t.Fatalf("ByName(%s) failed", name)
 		}
 		a.Reset() // must not panic
 	}

@@ -211,7 +211,8 @@ func TestPolicyOrderingOnOneDay(t *testing.T) {
 	// ordering: Opt ≥ RR ≥ IC in performance-time product.
 	cfg := cfgFor(t, atmos.AZ, atmos.Apr, "ML2")
 	ptp := map[string]float64{}
-	for _, alloc := range sched.Allocators() {
+	for _, name := range sched.Names() {
+		alloc, _ := sched.ByName(name)
 		res, err := RunMPPT(cfg, alloc)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"solarcore/internal/fault"
 	"solarcore/internal/mcore"
 	"solarcore/internal/obs"
@@ -40,13 +42,6 @@ func (g *faultGen) OpenCircuitVoltage(env pv.Env) float64 {
 	return g.inner.OpenCircuitVoltage(env)
 }
 
-// ShortCircuitCurrent implements pv.Generator.
-//
-// unit: A
-func (g *faultGen) ShortCircuitCurrent(env pv.Env) float64 {
-	return g.scale * g.inner.ShortCircuitCurrent(env)
-}
-
 // MPP implements pv.Generator: voltages hold, current and power scale.
 func (g *faultGen) MPP(env pv.Env) pv.MPP {
 	m := g.inner.MPP(env)
@@ -56,10 +51,14 @@ func (g *faultGen) MPP(env pv.Env) pv.MPP {
 // ResistiveOperating implements pv.Generator. Scaling the I-V curve by s
 // maps the load line I = V/R onto the unscaled curve's line I = V/(R·s),
 // so the intersection voltage is the inner solve at R·s with the current
-// scaled back.
+// scaled back. An open load draws no current, so it sits at the inner
+// Voc whatever the scale (voltages hold).
 //
 // unit: r=Ω, v=V, i=A
 func (g *faultGen) ResistiveOperating(env pv.Env, r float64) (v, i float64) {
+	if math.IsInf(r, 1) {
+		return g.inner.ResistiveOperating(env, r)
+	}
 	if g.scale <= 0 {
 		return 0, 0 // a fully disconnected array holds no load voltage
 	}

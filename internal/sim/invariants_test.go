@@ -18,7 +18,7 @@ func TestDayRunInvariants(t *testing.T) {
 		site := atmos.Sites[int(siteRaw)%len(atmos.Sites)]
 		season := atmos.Seasons[int(seasonRaw)%len(atmos.Seasons)]
 		mix := workload.Mixes[int(mixRaw)%len(workload.Mixes)]
-		alloc := sched.Allocators()[int(policyRaw)%3]
+		alloc, _ := sched.ByName(sched.Names()[int(policyRaw)%3])
 
 		tr := atmos.Generate(site, season, atmos.GenConfig{Day: int(dayRaw % 4)})
 		day, err := NewSolarDay(tr, pv.BP3180N(), 1, 1)

@@ -352,9 +352,6 @@ func (s *Store) WarmStart() (records, quarantined int, ms float64) {
 	return s.warmRecords, s.warmQuarantined, s.warmMs
 }
 
-// Dir returns the record directory.
-func (s *Store) Dir() string { return s.cfg.Dir }
-
 // setGaugesLocked mirrors the index into the two gauges (single Set
 // site per name).
 func (s *Store) setGaugesLocked() {

@@ -34,7 +34,8 @@
 #   fuzz smoke     — a few seconds of coverage-guided fuzzing on the
 #                    JSONL event decoder, the fault-spec grammar, the
 #                    store record codec, the RunSpec identity and the
-#                    client's error-envelope decoder
+#                    client's error-envelope decoder, SSE frame parser
+#                    and sweep-request decoder
 #   serving smoke  — boot a real solard on an ephemeral port, probe
 #                    /healthz and /v1/run over HTTP, then drive a short
 #                    solarload run, watch a whole run over GET
@@ -133,6 +134,12 @@ go test -run '^$' -fuzz 'FuzzRunSpec' -fuzztime 5s .
 
 echo '== fuzz: client error-envelope decoder (smoke)'
 go test -run '^$' -fuzz 'FuzzDecodeError' -fuzztime 5s ./client
+
+echo '== fuzz: client SSE frame parser (smoke)'
+go test -run '^$' -fuzz '^FuzzStreamFrames$' -fuzztime 5s ./client
+
+echo '== fuzz: client sweep-request decoder (smoke)'
+go test -run '^$' -fuzz '^FuzzReadSweepRequest$' -fuzztime 5s ./client
 
 echo '== chaos harness (silent-corruption + partition-hedging + mid-stream-partition invariants)'
 go test -race -run 'TestNeverSilentCorruption|TestPartitionHedgingBoundsTailLatency|TestMidStreamPartitionResumesGapless' ./internal/chaos
