@@ -35,7 +35,8 @@ const (
 type Config struct {
 	// MarginSteps is how many DVFS steps of load the controller sheds after
 	// reaching the inflection point, leaving the protective power margin of
-	// Section 4.3 (default 1).
+	// Section 4.3 (zero sheds none, negative counts as zero; sim.Config
+	// defaults it to 2).
 	MarginSteps int
 	// MaxSteps bounds the total tuning actions per tracking invocation
 	// (default 512) — the paper observes <5 ms of tracking per 10-minute
