@@ -3,9 +3,12 @@ package client_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"solarcore/client"
@@ -27,11 +30,72 @@ func frame(t testing.TB, id uint64, ev obs.Event) []byte {
 	return buf.Bytes()
 }
 
+// drain reads wire to its end and returns the events other than
+// heartbeats, the resume cursor and the error that ended the stream.
+func drain(wire []byte, heartbeats bool) (evs []client.StreamEvent, lastID uint64, err error) {
+	st := client.NewStreamReader(bytes.NewReader(wire), heartbeats)
+	for {
+		ev, err := st.Next()
+		if err != nil {
+			return evs, st.LastEventID(), err
+		}
+		if ev.Type != client.TypeHeartbeat {
+			evs = append(evs, ev)
+		}
+	}
+}
+
+// sameFrames reports where reading wire with heartbeats differs from
+// reading it without, apart from the heartbeats themselves.
+func sameFrames(t *testing.T, wire []byte) {
+	t.Helper()
+	plain, plainID, plainErr := drain(wire, false)
+	hb, hbID, hbErr := drain(wire, true)
+	if fmt.Sprint(plainErr) != fmt.Sprint(hbErr) || plainID != hbID || !reflect.DeepEqual(plain, hb) {
+		t.Fatalf("heartbeats change the stream %q:\nwithout: %+v, cursor %d, %v\nwith:    %+v, cursor %d, %v",
+			wire, plain, plainID, plainErr, hb, hbID, hbErr)
+	}
+}
+
+// TestStreamCommentInsideFrame pins the SSE comment rule: a comment line
+// inside a frame is ignored, so a relay that surfaces heartbeats keeps
+// the frame's id and event, and only comments between frames become
+// heartbeats.
+func TestStreamCommentInsideFrame(t *testing.T) {
+	tick := `{"v":1,"type":"tick","tick":{"minute":361}}`
+	inside := []byte("id: 5\nevent: tick\n: hb\ndata: " + tick + "\n\n")
+	sameFrames(t, inside)
+	evs, lastID, err := drain(inside, true)
+	if err != io.EOF || len(evs) != 1 || evs[0].ID != 5 || evs[0].Type != obs.TypeTick || lastID != 5 {
+		t.Fatalf("comment inside a frame: %+v, cursor %d, %v; want the tick with id 5", evs, lastID, err)
+	}
+	for _, wire := range []string{
+		": hb\nid: 5\ndata: " + tick + "\n: hb\n\n: hb\n\n",
+		"id: 5\n: hb\n: hb\nevent: tick\ndata: " + tick + "\n\n",
+		"id: 5\nevent: tick\ndata: " + tick + "\n: hb\n",
+	} {
+		sameFrames(t, []byte(wire))
+	}
+	st := client.NewStreamReader(strings.NewReader(": hb\n\nid: 5\ndata: "+tick+"\n\n: hb\n"), true)
+	var types []string
+	for {
+		ev, err := st.Next()
+		if err != nil {
+			break
+		}
+		types = append(types, ev.Type)
+	}
+	if want := []string{client.TypeHeartbeat, obs.TypeTick, client.TypeHeartbeat}; !reflect.DeepEqual(types, want) {
+		t.Errorf("comments between frames gave %v, want %v", types, want)
+	}
+}
+
 // FuzzStreamFrames holds the SSE parser, which solargate runs on every
-// relayed backend frame, to three properties for any byte stream: no
+// relayed backend frame, to four properties for any byte stream: no
 // input panics, ids come out strictly increasing until the stream ends
-// (cleanly or with an error), and every decoded frame re-encodes through
-// edge.WriteEvent to bytes that decode to the same event.
+// (cleanly or with an error), every decoded frame re-encodes through
+// edge.WriteEvent to bytes that decode to the same event, and surfacing
+// heartbeats changes nothing but the heartbeats.
 func FuzzStreamFrames(f *testing.F) {
 	start := frame(f, 1, obs.Event{Type: obs.TypeRunStart, RunStart: &obs.RunStartEvent{Runner: "MPPT", Policy: "MPPT&Opt", Mix: "HM2"}})
 	tick := frame(f, 2, obs.Event{Type: obs.TypeTick, Tick: &obs.TickEvent{Minute: 361, BudgetW: 40, DemandW: 35, OnSolar: true}})
@@ -44,7 +108,9 @@ func FuzzStreamFrames(f *testing.F) {
 	f.Add(append(append([]byte(nil), start...), "event: error\ndata: {\"error\":{\"code\":\"internal\"}}\n\n"...), false)
 	f.Add(clean[:len(clean)/2], false)
 	f.Add([]byte("id: 18446744073709551615\nid: x\n\n"), false)
+	f.Add(append([]byte("id: 5\nevent: tick\n: hb\n"), tick[bytes.Index(tick, []byte("data:")):]...), true)
 	f.Fuzz(func(t *testing.T, wire []byte, heartbeats bool) {
+		sameFrames(t, wire)
 		st := client.NewStreamReader(bytes.NewReader(wire), heartbeats)
 		var last uint64
 		for {

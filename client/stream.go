@@ -39,9 +39,10 @@ type StreamRequest struct {
 	// LastEventID resumes the stream strictly after this sequence number;
 	// zero streams from the first event.
 	LastEventID uint64
-	// Heartbeats surfaces server keep-alive comments as TypeHeartbeat
-	// events instead of skipping them silently. Relays (solargate) set
-	// this so idle upstream streams keep their own clients alive.
+	// Heartbeats surfaces server keep-alive comments between frames as
+	// TypeHeartbeat events instead of skipping them silently; a comment
+	// inside a frame is ignored either way. Relays (solargate) set this
+	// so idle upstream streams keep their own clients alive.
 	Heartbeats bool
 }
 
@@ -164,8 +165,10 @@ func (s *Stream) next() (StreamEvent, error) {
 			// The SSE spec strips the last data line's newline.
 			return s.dispatch(id, name, bytes.TrimSuffix(data, []byte("\n")))
 		case line[0] == ':':
-			// Keep-alive comment: not part of any frame.
-			if s.hb {
+			// A comment is not part of any frame. Between frames it is
+			// the server's keep-alive; inside one it is ignored, as the
+			// SSE spec says, so the fields read so far are kept.
+			if s.hb && !have {
 				return StreamEvent{Type: TypeHeartbeat}, nil
 			}
 		default:

@@ -3,8 +3,9 @@
 //
 // It exists because hot paths must not grow without limit: the HTTP
 // result cache of internal/serve, the grid-cell cache of internal/exp's
-// Lab, the process-wide day cache of internal/sim and solarvet's module
-// cache, which all fill through Do. The implementation is a hand-rolled
+// Lab, the process-wide day cache of internal/sim, the demand tables of
+// internal/workload and solarvet's module cache, which all fill through
+// Do. The implementation is a hand-rolled
 // doubly-linked list over a map — stdlib-only, no interface boxing — and
 // every operation is O(1) under one mutex.
 package lru

@@ -9,7 +9,9 @@ import "fmt"
 type Activity interface {
 	// Demand returns the activity seen at a simulation minute. It must
 	// be pure in minute: the chip samples it once per Chip.At and reuses
-	// that sample for every read until the next one.
+	// that sample for every read until the next one, and
+	// workload.Instance serves the whole minutes of the day window from
+	// a table sampled once per process.
 	//
 	// unit: minute=min, ipc=instr, ceffNF=F
 	Demand(minute float64) (ipc, ceffNF float64)

@@ -21,7 +21,9 @@
 #                    itself already ran inside go test, this step
 #                    preserves the machine-readable evidence
 #   go test -race  — the packages that exercise goroutines or share
-#                    state across steps
+#                    state across steps, among them the process-wide
+#                    memos (internal/lru, the day cache in internal/sim,
+#                    the demand tables in internal/workload)
 #   experiments    — cmd/experiments -quick must exit 0 and write its 13
 #                    CSVs, and -day -1 must exit non-zero with a one-line
 #                    error instead of a panic
@@ -73,8 +75,8 @@ echo '== solarvet -json report (artifacts/solarvet-report.json)'
 mkdir -p artifacts
 go run ./cmd/solarvet -json > artifacts/solarvet-report.json
 
-echo '== go test -race (root, exp, sim, dc, obs, fault, lint, lru, serve, route, edge, par, client, store, stream, chaos, solarfleet, solargate)'
-go test -race . ./internal/exp ./internal/sim ./internal/dc ./internal/obs \
+echo '== go test -race (root, exp, sim, workload, dc, obs, fault, lint, lru, serve, route, edge, par, client, store, stream, chaos, solarfleet, solargate)'
+go test -race . ./internal/exp ./internal/sim ./internal/workload ./internal/dc ./internal/obs \
     ./internal/fault ./internal/lint ./internal/lru ./internal/serve \
     ./internal/route ./internal/edge ./internal/par ./client ./internal/store \
     ./internal/stream ./internal/chaos ./cmd/solarfleet ./cmd/solargate
