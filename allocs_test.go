@@ -24,12 +24,12 @@ func TestRunAllocationBudget(t *testing.T) {
 		race bool // the bound also holds under the race detector
 		run  func() error
 	}{
-		{"Runner.Run/nil-observer", 91, true, runOnce(benchRunner(t))},
-		{"RunSpec.Run/zero-spec", 97, true, func() error {
+		{"Runner.Run/nil-observer", 92, true, runOnce(benchRunner(t))},
+		{"RunSpec.Run/zero-spec", 98, true, func() error {
 			_, err := solarcore.RunSpec{}.Run(context.Background())
 			return err
 		}},
-		{"Runner.Run/JSONLSink", 2651, false,
+		{"Runner.Run/JSONLSink", 2652, false,
 			runOnce(benchRunner(t, solarcore.WithObserver(solarcore.NewJSONLSink(io.Discard))))},
 	}
 	for _, tc := range cases {

@@ -229,8 +229,8 @@ func BenchmarkRunMPPT(b *testing.B) {
 // BenchmarkRunMPPTNopObserver runs the same day with the no-op observer
 // attached, exercising the full hook path (run/track/alloc/tick events
 // are built and dispatched, then discarded). On a 2-CPU host (go1.24.0)
-// five interleaved runs measured 1.06–1.35 ms against 0.94–1.11 ms for
-// BenchmarkRunMPPT, a median of about 12% over it.
+// five interleaved runs measured 1.13–1.30 ms against 0.92–1.20 ms for
+// BenchmarkRunMPPT, a median of about 10% over it.
 func BenchmarkRunMPPTNopObserver(b *testing.B) {
 	r := benchRunner(b, solarcore.WithObserver(solarcore.NopObserver()))
 	b.ResetTimer()
@@ -280,8 +280,8 @@ func BenchmarkRunMPPTStreamPublisher(b *testing.B) {
 // (connected, never reading). An idle or blocked watcher must cost the
 // simulation nothing beyond one wakeup signal, and must never stall a
 // tick (the drop-oldest slow-consumer policy absorbs the lag). On a
-// 2-CPU host (go1.24.0) five interleaved runs put it between −6% and
-// +10% of BenchmarkRunMPPTStreamPublisher, median +2%: within the
+// 2-CPU host (go1.24.0) five interleaved runs put it between −20% and
+// +15% of BenchmarkRunMPPTStreamPublisher, median −4%: within the
 // run-to-run spread of that path.
 func BenchmarkRunMPPTStreamSubscriber(b *testing.B) {
 	hub := stream.NewHub(stream.Config{})

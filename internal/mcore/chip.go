@@ -177,6 +177,9 @@ func (c *Chip) SetActivity(core int, a Activity) error {
 	return nil
 }
 
+// Activity returns the program behaviour a core executes.
+func (c *Chip) Activity(core int) Activity { return c.cores[core].act }
+
 // StepUp raises a core one operating point (ungating it to the lowest point
 // first) and reports whether anything changed. A core at its level cap —
 // including a failed core capped at Gated — refuses to move.

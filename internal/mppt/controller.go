@@ -171,13 +171,13 @@ func (c *Controller) operate(env pv.Env) power.Operating {
 // tuning direction) and Step 3 (load-match back to nominal) until output
 // power stops improving, and finally sheds MarginSteps of load as the
 // protective power margin. When Config.Observer is set, the settled
-// session is reported as one obs.TrackEvent. The caller samples: the
-// chip must already hold its sample at minute (mcore.Chip.At), and a
-// Config.SenseFault hook must already be sampled there too; minute only
-// stamps the events.
+// session is reported as one obs.TrackEvent. The session samples the
+// chip at minute (mcore.Chip.At); minute also stamps the events. A
+// Config.SenseFault hook must already be sampled at minute.
 //
 // unit: minute=min
 func (c *Controller) Track(env pv.Env, minute float64) Result {
+	c.Chip.At(minute)
 	res := c.track(env, minute)
 	if o := c.Cfg.Observer; o != nil {
 		obs.Track(o, obs.TrackEvent{

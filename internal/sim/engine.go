@@ -80,7 +80,7 @@ type Config struct {
 	// sub-sample, and fault/watchdog events on faulted runs (see package
 	// obs). A nil observer costs nothing; the no-op observer's overhead,
 	// measured by the root benchmark BenchmarkRunMPPTNopObserver, is
-	// about 12 % of a day.
+	// about 10 % of a day.
 	Observer obs.Observer
 }
 

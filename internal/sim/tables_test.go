@@ -3,57 +3,62 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"sync"
 	"testing"
 
 	"solarcore/internal/atmos"
+	"solarcore/internal/mcore"
 	"solarcore/internal/sched"
+	"solarcore/internal/workload"
 )
 
+// chipRecorder is the MPPT&Opt allocator that remembers the chip its run
+// moves.
+type chipRecorder struct {
+	sched.OptTPR
+	chip *mcore.Chip
+}
+
+func (a *chipRecorder) Raise(chip *mcore.Chip) bool {
+	a.chip = chip
+	return a.OptTPR.Raise(chip)
+}
+
+func (a *chipRecorder) Lower(chip *mcore.Chip) bool {
+	a.chip = chip
+	return a.OptTPR.Lower(chip)
+}
+
 // TestConcurrentRunsShareDemandTables runs one mix on one cached day
-// twice at once and twice in turn: the concurrent runs resolve the same
-// per-process demand table for each core (workload.NewInstance) and both
-// pairs give the same result bytes.
+// twice at once and twice in turn. Every run's chip holds, core for
+// core, the same workload.Instance, demand table included (an Instance
+// compares its table by address), and the concurrent runs give the
+// serial runs' result bytes.
 func TestConcurrentRunsShareDemandTables(t *testing.T) {
 	day, _, err := CachedDay(atmos.NC, atmos.Oct, 11, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := mix(t, "L2")
-	run := func() ([]byte, error) {
-		res, err := RunMPPT(Config{Day: day, Mix: m}, sched.OptTPR{})
+	run := func() ([]byte, *mcore.Chip, error) {
+		alloc := new(chipRecorder)
+		res, err := RunMPPT(Config{Day: day, Mix: m}, alloc)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return json.Marshal(res)
-	}
-	// tables returns the address of each core's demand table.
-	tables := func() ([]uintptr, error) {
-		ins, err := m.Instances()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]uintptr, len(ins))
-		for i, in := range ins {
-			out[i] = reflect.ValueOf(in).FieldByName("tab").Pointer()
-		}
-		return out, nil
+		out, err := json.Marshal(res)
+		return out, alloc.chip, err
 	}
 
-	var concurrent [2][]byte
-	var tabs [2][]uintptr
+	var out [4][]byte
+	var chips [4]*mcore.Chip
 	var wg sync.WaitGroup
-	for i := range concurrent {
+	for i := range 2 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var err error
-			if tabs[i], err = tables(); err != nil {
-				t.Error(err)
-				return
-			}
-			if concurrent[i], err = run(); err != nil {
+			if out[i], chips[i], err = run(); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -62,18 +67,34 @@ func TestConcurrentRunsShareDemandTables(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	for core, p := range tabs[0] {
-		if p == 0 || tabs[1][core] != p {
-			t.Errorf("core %d: concurrent runs resolved tables %#x and %#x, want one shared table", core, p, tabs[1][core])
-		}
-	}
-	for i := range concurrent {
-		serial, err := run()
-		if err != nil {
+	for i := 2; i < 4; i++ {
+		if out[i], chips[i], err = run(); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(concurrent[i], serial) {
+	}
+
+	for i := range 2 {
+		if !bytes.Equal(out[i], out[2+i]) {
 			t.Errorf("concurrent run %d differs from serial run %d", i, i)
+		}
+	}
+	for i, chip := range chips {
+		if chip == nil {
+			t.Fatalf("run %d never moved its chip", i)
+		}
+	}
+	for core := range chips[0].NumCores() {
+		in, ok := chips[0].Activity(core).(workload.Instance)
+		if !ok {
+			t.Fatalf("core %d runs %T, want a workload.Instance", core, chips[0].Activity(core))
+		}
+		if in == (workload.Instance{Bench: in.Bench, OffsetMin: in.OffsetMin}) {
+			t.Errorf("core %d: the run's instance has no demand table", core)
+		}
+		for i := 1; i < len(chips); i++ {
+			if got := chips[i].Activity(core); got != in {
+				t.Errorf("core %d: run %d reads another instance or table than run 0", core, i)
+			}
 		}
 	}
 }

@@ -60,18 +60,17 @@ func (m Mix) Instances() ([]Instance, error) {
 }
 
 // Apply assigns the mix's programs to the chip's cores. The chip must have
-// exactly as many cores as the mix has programs. After an unknown program
-// the chip may hold the programs before it.
+// exactly as many cores as the mix has programs.
 func (m Mix) Apply(chip *mcore.Chip) error {
-	if chip.NumCores() != len(m.Programs) {
-		return fmt.Errorf("workload: mix %s has %d programs, chip has %d cores", m.Name, len(m.Programs), chip.NumCores())
+	ins, err := m.Instances()
+	if err != nil {
+		return err
 	}
-	for i, name := range m.Programs {
-		b, err := ByName(name)
-		if err != nil {
-			return fmt.Errorf("workload: mix %s: %w", m.Name, err)
-		}
-		if err := chip.SetActivity(i, NewInstance(b, i)); err != nil {
+	if chip.NumCores() != len(ins) {
+		return fmt.Errorf("workload: mix %s has %d programs, chip has %d cores", m.Name, len(ins), chip.NumCores())
+	}
+	for i, in := range ins {
+		if err := chip.SetActivity(i, in); err != nil {
 			return err
 		}
 	}
