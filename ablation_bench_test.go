@@ -78,7 +78,9 @@ func BenchmarkConventionalTrackerStep(b *testing.B) {
 	po.Reset()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		po.Step(circuit, pv.STC, 2.0)
+		// One decision per control period, on that period's sample.
+		cv := gen.At(pv.STC)
+		po.Step(circuit, &cv, 2.0)
 	}
 }
 
@@ -177,7 +179,8 @@ func BenchmarkPerturbMath(b *testing.B) {
 			k = 1
 		}
 		r := k * k * 2.0 * 0.96
-		v, _ := m.ResistiveOperating(env, r)
+		cv := m.At(env)
+		v, _ := cv.ResistiveOperating(r)
 		if math.IsNaN(v) {
 			b.Fatal("NaN")
 		}

@@ -31,7 +31,8 @@ func main() {
 	if *g > 0 {
 		m := solarcore.NewModule(solarcore.BP3180N())
 		env := solarcore.Env{Irradiance: *g, CellTemp: *t}
-		mpp := m.MPP(env)
+		cv := m.At(env)
+		mpp := cv.MPP()
 		if *csv {
 			fmt.Println("voltage_v,current_a,power_w")
 			for _, p := range solarcore.IVCurve(m, env, *samples) {
@@ -40,8 +41,8 @@ func main() {
 			return
 		}
 		fmt.Printf("BP3180N at G=%.0f W/m², T=%.0f °C\n", *g, *t)
-		fmt.Printf("  Voc  = %.2f V\n", m.OpenCircuitVoltage(env))
-		fmt.Printf("  Isc  = %.2f A\n", m.ShortCircuitCurrent(env))
+		fmt.Printf("  Voc  = %.2f V\n", cv.OpenCircuitVoltage())
+		fmt.Printf("  Isc  = %.2f A\n", cv.ShortCircuitCurrent())
 		fmt.Printf("  MPP  = %.2f V × %.2f A = %.1f W\n", mpp.V, mpp.I, mpp.P)
 		return
 	}

@@ -69,7 +69,8 @@ func ExampleNewBank() {
 // leaves out: a few percent at standard conditions.
 func ExampleModuleParams() {
 	p := solarcore.BP3180N()
-	one := pv.NewModule(p).MPP(pv.STC).P
+	single := pv.NewModule(p).At(pv.STC)
+	one := single.MPP().P
 	two := pv.NewTwoDiodeModule(p).MPP(pv.STC).P
 	loss := (one - two) / one
 	fmt.Println(loss > 0, loss < 0.06)

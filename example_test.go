@@ -10,7 +10,8 @@ import (
 // The BP3180N module at standard test conditions hits its 180 W nameplate.
 func ExampleNewModule() {
 	m := solarcore.NewModule(solarcore.BP3180N())
-	mpp := m.MPP(pv.STC)
+	stc := m.At(pv.STC)
+	mpp := stc.MPP()
 	fmt.Printf("Pmax = %.0f W at %.1f V\n", mpp.P, mpp.V)
 	// Output: Pmax = 181 W at 35.9 V
 }

@@ -53,10 +53,11 @@ func main() {
 		circuit := power.NewCircuit(s)
 		circuit.Conv.SetRatio(circuit.Conv.KMax) // start near the decoy
 		alg.Reset()
+		cv := s.At(env)
 		for i := 0; i < 600; i++ {
-			alg.Step(circuit, env, rLoad)
+			alg.Step(circuit, &cv, rLoad)
 		}
-		return circuit.Operate(env, rLoad).PLoad
+		return circuit.Operate(&cv, rLoad).PLoad
 	}
 
 	fmt.Println("\nboth trackers start parked near the high-voltage (decoy) peak:")

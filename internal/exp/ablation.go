@@ -185,7 +185,8 @@ type TrackerComparisonResult struct {
 // the same panel and weather.
 func TrackerComparison(l *Lab) TrackerComparisonResult {
 	gen := pv.NewModule(pv.BP3180N())
-	mpp := gen.MPP(pv.STC)
+	stc := gen.At(pv.STC)
+	mpp := stc.MPP()
 	rLoad := (mpp.V / mpp.I) / (4 * 0.96)
 	sched9 := tracker.Ramp(950, 350, 240, 30)
 

@@ -202,10 +202,47 @@ var MPPTPolicies = []string{"MPPT&IC", "MPPT&RR", "MPPT&Opt"}
 // BatteryEffs lists the Section 6.4 battery comparison brackets.
 var BatteryEffs = []float64{power.BatteryUpperEff, power.BatteryLowerEff}
 
-// Prefetch computes the full MPPT policy grid (site × season × mix ×
-// policy) in parallel so that subsequent figure calls hit the cache.
+// Prefetch computes every cell the paper's figures read in parallel: the
+// MPPT policy grid (site × season × mix × policy), the Fixed-Power
+// budgets of Figures 15-17 and the battery brackets of Figure 21, so
+// that subsequent figure calls hit the cache.
 func (l *Lab) Prefetch() {
 	_ = l.PrefetchContext(context.Background())
+}
+
+// prefetchCell is one grid cell Prefetch schedules: an MPPT policy run,
+// or a Fixed-Power or battery run when fixedW or eff is set.
+type prefetchCell struct {
+	site   atmos.Site
+	season atmos.Season
+	mix    workload.Mix
+	policy string
+	fixedW float64 // unit: W
+	eff    float64 // unit: ratio
+}
+
+// run computes (or recalls) the cell.
+func (c prefetchCell) run(l *Lab) {
+	switch {
+	case c.fixedW > 0:
+		l.Fixed(c.site, c.season, c.mix, c.fixedW)
+	case c.eff > 0:
+		l.Battery(c.site, c.season, c.mix, c.eff)
+	default:
+		l.MPPT(c.site, c.season, c.mix, c.policy)
+	}
+}
+
+// String names the cell in a prefetch error.
+func (c prefetchCell) String() string {
+	mode := c.policy
+	switch {
+	case c.fixedW > 0:
+		mode = fmt.Sprintf("Fixed-Power(%gW)", c.fixedW)
+	case c.eff > 0:
+		mode = fmt.Sprintf("Battery(%g)", c.eff)
+	}
+	return fmt.Sprintf("%s/%s/%s/%s", c.site.Code, c.season, c.mix.Name, mode)
 }
 
 // PrefetchContext is Prefetch under a cancellation context: when ctx is
@@ -213,15 +250,10 @@ func (l *Lab) Prefetch() {
 // complete and stay cached) and the wrapped context error is returned. A
 // cell that panics (a broken policy, a pathological day) is contained in
 // its worker and surfaces as an error naming the cell; the rest of the
-// grid still completes and stays cached.
+// grid still completes and stays cached. The MPPT cells, the costliest,
+// are scheduled first.
 func (l *Lab) PrefetchContext(ctx context.Context) error {
-	type job struct {
-		site   atmos.Site
-		season atmos.Season
-		mix    workload.Mix
-		policy string
-	}
-	var jobs []job
+	var mppt, rest []prefetchCell
 	for _, site := range atmos.Sites {
 		for _, season := range atmos.Seasons {
 			if err := ctx.Err(); err != nil {
@@ -229,11 +261,18 @@ func (l *Lab) PrefetchContext(ctx context.Context) error {
 			}
 			for _, mix := range l.Opts.Mixes() {
 				for _, p := range MPPTPolicies {
-					jobs = append(jobs, job{site, season, mix, p})
+					mppt = append(mppt, prefetchCell{site: site, season: season, mix: mix, policy: p})
+				}
+				for _, w := range FixedBudgets {
+					rest = append(rest, prefetchCell{site: site, season: season, mix: mix, fixedW: w})
+				}
+				for _, e := range BatteryEffs {
+					rest = append(rest, prefetchCell{site: site, season: season, mix: mix, eff: e})
 				}
 			}
 		}
 	}
+	jobs := append(mppt, rest...)
 	var mu sync.Mutex
 	var errs []error
 	fed := par.Each(ctx, len(jobs), runtime.GOMAXPROCS(0), func(i int) {
@@ -241,12 +280,11 @@ func (l *Lab) PrefetchContext(ctx context.Context) error {
 		defer func() {
 			if r := recover(); r != nil {
 				mu.Lock()
-				errs = append(errs, fmt.Errorf("exp: prefetch cell %s/%s/%s/%s: %v",
-					j.site.Code, j.season, j.mix.Name, j.policy, r))
+				errs = append(errs, fmt.Errorf("exp: prefetch cell %s: %v", j, r))
 				mu.Unlock()
 			}
 		}()
-		l.MPPT(j.site, j.season, j.mix, j.policy)
+		j.run(l)
 	})
 	if fed < len(jobs) {
 		errs = append(errs, ctx.Err())

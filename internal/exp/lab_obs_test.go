@@ -105,8 +105,9 @@ func TestPrefetchContextCanceled(t *testing.T) {
 	}
 }
 
-// TestPrefetchContextCompletes checks the context-free wrapper still
-// fills the grid.
+// TestPrefetchContextCompletes checks the context-free wrapper fills the
+// whole grid the paper's figures read: every MPPT policy, Fixed-Power
+// budget and battery bracket of every site, season and mix.
 func TestPrefetchContextCompletes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick-grid prefetch")
@@ -116,11 +117,24 @@ func TestPrefetchContextCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := lab.Metrics()
-	want := float64(len(atmos.Sites) * len(atmos.Seasons) * len(lab.Opts.Mixes()) * len(MPPTPolicies))
+	modes := len(MPPTPolicies) + len(FixedBudgets) + len(BatteryEffs)
+	want := float64(len(atmos.Sites) * len(atmos.Seasons) * len(lab.Opts.Mixes()) * modes)
 	if got := snap.Counters[MetricLabMisses]; got != want {
 		t.Errorf("prefetch misses = %v, want %v", got, want)
 	}
 	if snap.Counters[MetricLabHits] != 0 {
 		t.Errorf("prefetch should never hit its own cache, got %v hits", snap.Counters[MetricLabHits])
+	}
+}
+
+// TestHeadlinesAfterPrefetchRunsNothing: after Prefetch, the headline
+// figures (18, 21 and 17) read only cached cells, so no cell is left to
+// run serially after the parallel sweep.
+func TestHeadlinesAfterPrefetchRunsNothing(t *testing.T) {
+	lab := quickLab(t)
+	before := lab.Metrics().Counters[MetricLabMisses]
+	Headlines(lab)
+	if got := lab.Metrics().Counters[MetricLabMisses]; got != before {
+		t.Errorf("Headlines after Prefetch ran %v cells", got-before)
 	}
 }

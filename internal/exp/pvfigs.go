@@ -25,7 +25,8 @@ type Figure1Point struct {
 // reports energy utilization at the paper's four irradiance levels.
 func Figure1() Figure1Result {
 	m := pv.NewModule(pv.BP3180N())
-	mpp := m.MPP(pv.STC)
+	stc := m.At(pv.STC)
+	mpp := stc.MPP()
 	r := mpp.V / mpp.I
 	res := Figure1Result{MatchedAtG: pv.GRef}
 	for _, g := range []float64{1000, 800, 600, 400} {
@@ -74,7 +75,8 @@ func Figure6(samples int) CurveFamily {
 		env := pv.Env{Irradiance: g, CellTemp: 25}
 		fam.Labels = append(fam.Labels, fmt.Sprintf("G=%.0f", g))
 		fam.Curves = append(fam.Curves, sweep(m, env, samples))
-		fam.MPPs = append(fam.MPPs, m.MPP(env))
+		cv := m.At(env)
+		fam.MPPs = append(fam.MPPs, cv.MPP())
 	}
 	return fam
 }
@@ -88,7 +90,8 @@ func Figure7(samples int) CurveFamily {
 		env := pv.Env{Irradiance: 1000, CellTemp: tc}
 		fam.Labels = append(fam.Labels, fmt.Sprintf("T=%.0f", tc))
 		fam.Curves = append(fam.Curves, sweep(m, env, samples))
-		fam.MPPs = append(fam.MPPs, m.MPP(env))
+		cv := m.At(env)
+		fam.MPPs = append(fam.MPPs, cv.MPP())
 	}
 	return fam
 }

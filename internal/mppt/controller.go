@@ -145,11 +145,13 @@ type TrajectoryPoint struct {
 // false, the ATS should select the utility for this period.
 func (r *Result) Solar() bool { return !r.Overload && r.RaisedTo > 0 }
 
-// operate samples the sensors for the chip's current demand, applying the
-// configured measurement noise — the controller only ever sees what its
-// I/V sensors report.
-func (c *Controller) operate(env pv.Env) power.Operating {
-	op := c.Circuit.OperateAtDemand(env, c.Chip.Power())
+// operate samples the sensors for the chip's current demand on the
+// session's curve, applying the configured measurement noise — the
+// controller only ever sees what its I/V sensors report. A (k, demand)
+// pair the session solved before is answered by the curve's memo; the
+// noise, the SenseFault hook and the trajectory still see every reading.
+func (c *Controller) operate(cv *pv.Curve) power.Operating {
+	op := c.Circuit.OperateAtDemand(cv, c.Chip.Power())
 	if c.noise != nil {
 		e := c.Cfg.SensorError
 		op.VLoad *= 1 + e*(2*c.noise.Float64()-1)
@@ -170,15 +172,26 @@ func (c *Controller) operate(env pv.Env) power.Operating {
 // loop alternates Step 2 (perturb k, observe output current to pick the
 // tuning direction) and Step 3 (load-match back to nominal) until output
 // power stops improving, and finally sheds MarginSteps of load as the
-// protective power margin. When Config.Observer is set, the settled
+// protective power margin. The session runs on the circuit generator's
+// curve under env (TrackCurve). When Config.Observer is set, the settled
 // session is reported as one obs.TrackEvent. The session samples the
 // chip at minute (mcore.Chip.At); minute also stamps the events. A
 // Config.SenseFault hook must already be sampled at minute.
 //
 // unit: minute=min
 func (c *Controller) Track(env pv.Env, minute float64) Result {
+	return c.TrackCurve(c.Circuit.Gen.At(env), minute)
+}
+
+// TrackCurve is Track on a panel curve the caller sampled, such as the
+// engine's under a fault schedule's string-disconnect scale. The session
+// owns its copy of cv: the panel is fixed for the session, so the curve's
+// memo answers every (k, demand) pair the session revisits.
+//
+// unit: minute=min
+func (c *Controller) TrackCurve(cv pv.Curve, minute float64) Result {
 	c.Chip.At(minute)
-	res := c.track(env, minute)
+	res := c.track(&cv, minute)
 	if o := c.Cfg.Observer; o != nil {
 		obs.Track(o, obs.TrackEvent{
 			Minute:   minute,
@@ -197,7 +210,7 @@ func (c *Controller) Track(env pv.Env, minute float64) Result {
 // margin-shed events.
 //
 // unit: minute=min
-func (c *Controller) track(env pv.Env, minute float64) Result {
+func (c *Controller) track(cv *pv.Curve, minute float64) Result {
 	steps := 0
 	budgetLeft := func() bool { return steps < c.Cfg.MaxSteps }
 
@@ -215,7 +228,7 @@ func (c *Controller) track(env pv.Env, minute float64) Result {
 		conv.SetRatio(c.lastGoodK)
 	}
 
-	op, overload := c.restoreRail(env, &steps)
+	op, overload := c.restoreRail(cv, &steps)
 	if overload {
 		return Result{Overload: true, Steps: steps, Trajectory: traj}
 	}
@@ -224,8 +237,8 @@ func (c *Controller) track(env pv.Env, minute float64) Result {
 	// established a load to measure against; afterwards the rail must be
 	// re-matched at the chosen ratio.
 	if c.Cfg.ScanPoints > 1 && c.Chip.Power() > 0 {
-		c.scanRatio(env, &steps)
-		op, overload = c.restoreRail(env, &steps)
+		c.scanRatio(cv, &steps)
+		op, overload = c.restoreRail(cv, &steps)
 		if overload {
 			return Result{Overload: true, Steps: steps, Trajectory: traj}
 		}
@@ -238,7 +251,7 @@ func (c *Controller) track(env pv.Env, minute float64) Result {
 		// Step 2: perturb the transfer ratio and watch the output current.
 		moved := c.Circuit.Conv.Step(+1)
 		steps++
-		probe := c.operate(env)
+		probe := c.operate(cv)
 		wrongDir := !moved || probe.ILoad <= prev.ILoad
 		if wrongDir {
 			// Wrong direction (or railed): net −Δk as in Figure 9.
@@ -247,7 +260,7 @@ func (c *Controller) track(env pv.Env, minute float64) Result {
 		}
 
 		// Step 3: load-match the rail back to nominal.
-		op, overload = c.restoreRail(env, &steps)
+		op, overload = c.restoreRail(cv, &steps)
 		if overload {
 			return Result{Overload: true, Steps: steps, Trajectory: traj}
 		}
@@ -281,7 +294,7 @@ func (c *Controller) track(env pv.Env, minute float64) Result {
 				DemandW: c.Chip.Power()})
 		}
 	}
-	op = c.operate(env)
+	op = c.operate(cv)
 
 	res := Result{Op: op, Steps: steps, RaisedTo: c.Chip.Power(), Trajectory: traj}
 	if res.Solar() {
@@ -293,14 +306,14 @@ func (c *Controller) track(env pv.Env, minute float64) Result {
 // scanRatio sweeps the converter range at the present load and parks the
 // ratio at the best-producing point — the global-scan prefix enabled by
 // Config.ScanPoints.
-func (c *Controller) scanRatio(env pv.Env, steps *int) {
+func (c *Controller) scanRatio(cv *pv.Curve, steps *int) {
 	conv := c.Circuit.Conv
 	bestK, bestP := conv.K, -1.0
 	for i := 0; i < c.Cfg.ScanPoints; i++ {
 		k := conv.KMin + (conv.KMax-conv.KMin)*float64(i)/float64(c.Cfg.ScanPoints-1)
 		conv.SetRatio(k)
 		*steps++
-		if p := c.operate(env).PLoad; p > bestP {
+		if p := c.operate(cv).PLoad; p > bestP {
 			bestK, bestP = k, p
 		}
 	}
@@ -322,14 +335,14 @@ func (c *Controller) scanRatio(env pv.Env, steps *int) {
 //     problem (VLoad = Vpv/k cannot reach nominal when k is too large), so
 //     the controller walks k down before shedding the last core. Only a
 //     railed converter with everything gated is a true overload.
-func (c *Controller) restoreRail(env pv.Env, steps *int) (power.Operating, bool) {
+func (c *Controller) restoreRail(cv *pv.Curve, steps *int) (power.Operating, bool) {
 	vNom := c.Circuit.VNominal
 	hi := vNom * (1 + vTolerance)
 	lo := vNom * (1 - vTolerance)
 
 	lastDir, flips, zeroProbes := 0, 0, 0
 	for *steps < c.Cfg.MaxSteps {
-		op := c.operate(env)
+		op := c.operate(cv)
 		demand := c.Chip.Power()
 
 		var dir int
@@ -359,7 +372,7 @@ func (c *Controller) restoreRail(env pv.Env, steps *int) (power.Operating, bool)
 				if dir < 0 {
 					c.Alloc.Lower(c.Chip)
 					*steps++
-					op = c.operate(env)
+					op = c.operate(cv)
 				}
 				return op, false
 			}
@@ -389,7 +402,7 @@ func (c *Controller) restoreRail(env pv.Env, steps *int) (power.Operating, bool)
 			// rail: the panel cannot carry even one core.
 			c.Alloc.Lower(c.Chip)
 			*steps++
-			return c.operate(env), true
+			return c.operate(cv), true
 		}
 		if !c.Alloc.Lower(c.Chip) {
 			// Nothing left to shed and the rail still sags.
@@ -401,7 +414,7 @@ func (c *Controller) restoreRail(env pv.Env, steps *int) (power.Operating, bool)
 		}
 		*steps++
 	}
-	return c.operate(env), false
+	return c.operate(cv), false
 }
 
 // minimalDemand returns the power of the lightest non-empty configuration:

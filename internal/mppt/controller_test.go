@@ -58,7 +58,7 @@ func TestTrackReachesNearMPP(t *testing.T) {
 		if res.Overload {
 			t.Fatalf("env %+v: unexpected overload", env)
 		}
-		avail := ctrl.Circuit.AvailableMax(env)
+		avail := ctrl.Circuit.AvailableMax(curve(ctrl.Circuit, env))
 		if res.Op.PLoad < 0.88*avail {
 			t.Errorf("env %+v: tracked %.1f W of %.1f W available (%.0f%%)",
 				env, res.Op.PLoad, avail, 100*res.Op.PLoad/avail)
@@ -89,7 +89,7 @@ func TestTrackAllAllocators(t *testing.T) {
 		if res.Overload {
 			t.Fatalf("%s: unexpected overload", alloc.Name())
 		}
-		avail := ctrl.Circuit.AvailableMax(env)
+		avail := ctrl.Circuit.AvailableMax(curve(ctrl.Circuit, env))
 		if res.Op.PLoad < 0.80*avail {
 			t.Errorf("%s: tracked only %.0f%% of available", alloc.Name(), 100*res.Op.PLoad/avail)
 		}
@@ -127,7 +127,7 @@ func TestTrackRecoversAfterDarkPeriod(t *testing.T) {
 	if res.Overload {
 		t.Fatal("controller failed to recover after dark period")
 	}
-	if avail := ctrl.Circuit.AvailableMax(bright); res.Op.PLoad < 0.8*avail {
+	if avail := ctrl.Circuit.AvailableMax(curve(ctrl.Circuit, bright)); res.Op.PLoad < 0.8*avail {
 		t.Errorf("post-recovery power %.1f W of %.1f W", res.Op.PLoad, avail)
 	}
 }
@@ -143,7 +143,7 @@ func TestTrackFollowsChangingIrradiance(t *testing.T) {
 		if res.Overload {
 			t.Fatalf("step %d (G=%v): overload", i, g)
 		}
-		avail := ctrl.Circuit.AvailableMax(env)
+		avail := ctrl.Circuit.AvailableMax(curve(ctrl.Circuit, env))
 		if res.Op.PLoad < 0.72*avail || res.Op.PLoad > avail*1.001 {
 			t.Errorf("step %d (G=%v): power %.1f W vs avail %.1f W", i, g, res.Op.PLoad, avail)
 		}
@@ -187,7 +187,7 @@ func TestTrackPropertyNeverExceedsAvailable(t *testing.T) {
 		if res.Overload {
 			return true
 		}
-		avail := ctrl.Circuit.AvailableMax(env)
+		avail := ctrl.Circuit.AvailableMax(curve(ctrl.Circuit, env))
 		return res.Op.PLoad >= 0 && res.Op.PLoad <= avail*1.005
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {

@@ -22,7 +22,7 @@ func TestTrackingSurvivesSensorNoise(t *testing.T) {
 			if !res.Solar() {
 				t.Fatalf("noise %v: tracking lost solar operation", noise)
 			}
-			frac := res.RaisedTo / ctrl.Circuit.AvailableMax(env)
+			frac := res.RaisedTo / ctrl.Circuit.AvailableMax(curve(ctrl.Circuit, env))
 			if frac < worst {
 				worst = frac
 			}
@@ -82,7 +82,7 @@ func TestStuckSensorRecoversAfterWindow(t *testing.T) {
 			ctrl.Track(env, m) // faulted or not, must not panic
 		}
 		rt.At(200)
-		return ctrl.Track(env, 200).RaisedTo / ctrl.Circuit.AvailableMax(env)
+		return ctrl.Track(env, 200).RaisedTo / ctrl.Circuit.AvailableMax(curve(ctrl.Circuit, env))
 	}
 
 	clean := finalFrac(rig(t, "HM2", sched.OptTPR{}, Config{}), nil)
@@ -118,7 +118,7 @@ func TestSensorDropoutTripsWatchdogWithinN(t *testing.T) {
 			Minute: m, Overload: res.Overload,
 			Steps: res.Steps, MaxSteps: ctrl.Cfg.MaxSteps,
 			RaisedToW: res.RaisedTo, SensedW: res.Op.PLoad,
-			BudgetW:  ctrl.Circuit.AvailableMax(env),
+			BudgetW:  ctrl.Circuit.AvailableMax(curve(ctrl.Circuit, env)),
 			MinLoadW: ctrl.Chip.MinPower(),
 		})
 		if tripped < 0 && wd.Mode() == fault.ModeFallback {
@@ -141,9 +141,9 @@ func TestSensorDropoutTripsWatchdogWithinN(t *testing.T) {
 
 	// Post-recovery utilization within tolerance of a clean controller.
 	clean := rig(t, "HM2", sched.OptTPR{}, Config{})
-	cleanFrac := clean.Track(env, 300).RaisedTo / clean.Circuit.AvailableMax(env)
+	cleanFrac := clean.Track(env, 300).RaisedTo / clean.Circuit.AvailableMax(curve(clean.Circuit, env))
 	rt.At(300)
-	got := ctrl.Track(env, 300).RaisedTo / ctrl.Circuit.AvailableMax(env)
+	got := ctrl.Track(env, 300).RaisedTo / ctrl.Circuit.AvailableMax(curve(ctrl.Circuit, env))
 	if got < cleanFrac-0.10 {
 		t.Errorf("post-recovery tracked fraction %.2f, clean %.2f: outside tolerance", got, cleanFrac)
 	}

@@ -70,7 +70,7 @@ func TestScanPointsSeedsNearMPP(t *testing.T) {
 	if !res.Solar() {
 		t.Fatal("scan-assisted session failed to track")
 	}
-	avail := ctrl.Circuit.AvailableMax(env)
+	avail := ctrl.Circuit.AvailableMax(curve(ctrl.Circuit, env))
 	if res.Op.PLoad < 0.85*avail {
 		t.Errorf("scan-assisted power %.1f W of %.1f W", res.Op.PLoad, avail)
 	}

@@ -11,10 +11,10 @@
 // helper is a no-op on a nil Observer, so the disabled path is free: a
 // nil Observer in sim.Config builds no event at all. The no-op observer
 // (Nop) costs one dynamic call and one allocation (the boxed payload)
-// per event: on a 2-CPU Xeon host (go1.24) the root
-// BenchmarkRunMPPTNopObserver read a 2.48 ms median day with 1,703
-// allocations, against 2.23 ms and 392 for BenchmarkRunMPPT, about 11 %
-// more.
+// per event: on a 2-CPU Xeon host (go1.24) five interleaved runs of the
+// root BenchmarkRunMPPTNopObserver read 0.62–0.76 ms a day with 1,403
+// allocations, against 0.55–0.64 ms and 92 for BenchmarkRunMPPT, a
+// median of 17 % more.
 //
 // Event semantics follow the paper's control structure: one RunStartEvent
 // and one RunEndEvent bracket a day; each 10-minute tracking period opens
@@ -234,7 +234,7 @@ type RunEndEvent struct {
 
 // Nop is the no-op Observer: On returns immediately. Attaching it
 // (rather than nil) exercises the full emit path; the root benchmark
-// BenchmarkRunMPPTNopObserver measures its overhead (about 11 % of a
+// BenchmarkRunMPPTNopObserver measures its overhead (about 17 % of a
 // day, see the package doc).
 type Nop struct{}
 

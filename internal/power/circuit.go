@@ -55,46 +55,48 @@ func (c *Circuit) LoadResistance(pWatts float64) float64 {
 }
 
 // Operate returns the settled operating point for a load resistance rLoad
-// at the rail, under the given environment and the converter's current
-// ratio. The generator's ResistiveOperating settles the open-load and
-// dark cases; an open load stays +Inf on the panel side rather than
-// k²·Inf·η, which is NaN when a derated converter has η = 0.
+// at the rail on the panel curve cv, at the converter's current ratio.
+// The curve's ResistiveOperating settles the open-load and dark cases
+// and answers a panel-side resistance it solved before from its memo; an
+// open load stays +Inf on the panel side rather than k²·Inf·η, which is
+// NaN when a derated converter has η = 0.
 //
 // unit: rLoad=Ω
-func (c *Circuit) Operate(env pv.Env, rLoad float64) Operating {
+func (c *Circuit) Operate(cv *pv.Curve, rLoad float64) Operating {
 	rPanel := rLoad
 	if !math.IsInf(rLoad, 1) {
 		rPanel = c.Conv.K * c.Conv.K * rLoad * c.Conv.Efficiency
 	}
-	vp, ip := c.Gen.ResistiveOperating(env, rPanel)
+	vp, ip := cv.ResistiveOperating(rPanel)
 	vl := c.Conv.LoadVoltage(vp)
 	il := c.Conv.LoadCurrent(ip)
 	return Operating{VPanel: vp, IPanel: ip, VLoad: vl, ILoad: il, PLoad: vl * il}
 }
 
-// OperateAtDemand returns the operating point for a chip demanding pWatts
-// at the nominal rail.
+// OperateAtDemand returns the operating point on the panel curve cv for
+// a chip demanding pWatts at the nominal rail.
 //
 // unit: pWatts=W
-func (c *Circuit) OperateAtDemand(env pv.Env, pWatts float64) Operating {
-	return c.Operate(env, c.LoadResistance(pWatts))
+func (c *Circuit) OperateAtDemand(cv *pv.Curve, pWatts float64) Operating {
+	return c.Operate(cv, c.LoadResistance(pWatts))
 }
 
 // AvailableMax returns the maximum power the circuit can deliver to the
-// load under env: the panel MPP derated by converter efficiency.
+// load from the panel curve cv: its MPP derated by converter efficiency.
 //
 // unit: W
-func (c *Circuit) AvailableMax(env pv.Env) float64 {
-	return c.Gen.MPP(env).P * c.Conv.Efficiency
+func (c *Circuit) AvailableMax(cv *pv.Curve) float64 {
+	return cv.MPP().P * c.Conv.Efficiency
 }
 
 // MatchedRatio returns the converter ratio that would place the panel at
-// its MPP voltage while holding the rail at nominal — useful as an initial
-// k and in tests; the tracker itself discovers this point by perturbation.
+// the MPP voltage of cv while holding the rail at nominal — useful as an
+// initial k and in tests; the tracker itself discovers this point by
+// perturbation.
 //
 // unit: ratio
-func (c *Circuit) MatchedRatio(env pv.Env) float64 {
-	mpp := c.Gen.MPP(env)
+func (c *Circuit) MatchedRatio(cv *pv.Curve) float64 {
+	mpp := cv.MPP()
 	if mpp.V <= 0 {
 		return c.Conv.K
 	}

@@ -13,7 +13,7 @@ func testCircuit() *Circuit {
 
 func TestOperatePowerConservation(t *testing.T) {
 	c := testCircuit()
-	op := c.Operate(pv.STC, 2.0)
+	op := c.Operate(curve(c, pv.STC), 2.0)
 	panelP := op.VPanel * op.IPanel
 	if math.Abs(op.PLoad-panelP*c.Conv.Efficiency) > 1e-6 {
 		t.Errorf("load power %v, want %v·η", op.PLoad, panelP)
@@ -25,11 +25,11 @@ func TestOperatePowerConservation(t *testing.T) {
 
 func TestOperateOpenCircuit(t *testing.T) {
 	c := testCircuit()
-	op := c.Operate(pv.STC, math.Inf(1))
+	op := c.Operate(curve(c, pv.STC), math.Inf(1))
 	if op.PLoad != 0 || op.ILoad != 0 {
 		t.Errorf("open circuit should deliver nothing: %+v", op)
 	}
-	voc := c.Gen.OpenCircuitVoltage(pv.STC)
+	voc := curve(c, pv.STC).OpenCircuitVoltage()
 	if math.Abs(op.VPanel-voc) > 1e-9 {
 		t.Errorf("open-circuit panel voltage %v, want Voc %v", op.VPanel, voc)
 	}
@@ -39,14 +39,14 @@ func TestOperateOpenCircuit(t *testing.T) {
 	// A fully derated converter (η = 0) must not turn the open load's
 	// panel-side resistance k²·Inf·η into NaN.
 	c.Conv.Efficiency = 0
-	if op := c.Operate(pv.STC, math.Inf(1)); op.VPanel != voc || op.PLoad != 0 {
+	if op := c.Operate(curve(c, pv.STC), math.Inf(1)); op.VPanel != voc || op.PLoad != 0 {
 		t.Errorf("open circuit at η = 0: %+v, want VPanel %v and no load power", op, voc)
 	}
 }
 
 func TestOperateDarkness(t *testing.T) {
 	c := testCircuit()
-	op := c.Operate(pv.Env{Irradiance: 0, CellTemp: 25}, 2.0)
+	op := c.Operate(curve(c, pv.Env{Irradiance: 0, CellTemp: 25}), 2.0)
 	if op.PLoad != 0 {
 		t.Errorf("dark panel delivered %v W", op.PLoad)
 	}
@@ -58,7 +58,7 @@ func TestTable1RaisingLoadLowersVoltage(t *testing.T) {
 	c := testCircuit()
 	prevV := math.Inf(1)
 	for _, r := range []float64{20, 10, 5, 2, 1} {
-		op := c.Operate(pv.STC, r)
+		op := c.Operate(curve(c, pv.STC), r)
 		if op.VLoad >= prevV {
 			t.Errorf("R=%v: VLoad %v did not fall (prev %v)", r, op.VLoad, prevV)
 		}
@@ -70,13 +70,13 @@ func TestTable1PowerPeaksAtMPP(t *testing.T) {
 	// Sweeping the load from light to heavy moves the operating point from
 	// the right of the MPP to its left; delivered power rises then falls.
 	c := testCircuit()
-	mppP := c.AvailableMax(pv.STC)
+	mppP := c.AvailableMax(curve(c, pv.STC))
 	best := 0.0
 	rising := true
 	prevP := 0.0
 	changes := 0
 	for r := 40.0; r >= 0.25; r *= 0.93 {
-		op := c.Operate(pv.STC, r)
+		op := c.Operate(curve(c, pv.STC), r)
 		if op.PLoad > best {
 			best = op.PLoad
 		}
@@ -102,9 +102,9 @@ func TestRaisingKMovesPanelVoltageUp(t *testing.T) {
 	// operating voltage upward.
 	c := testCircuit()
 	c.Conv.SetRatio(2.5)
-	v1 := c.Operate(pv.STC, 2.0).VPanel
+	v1 := c.Operate(curve(c, pv.STC), 2.0).VPanel
 	c.Conv.SetRatio(3.5)
-	v2 := c.Operate(pv.STC, 2.0).VPanel
+	v2 := c.Operate(curve(c, pv.STC), 2.0).VPanel
 	if v2 <= v1 {
 		t.Errorf("VPanel did not rise with k: %v → %v", v1, v2)
 	}
@@ -114,18 +114,18 @@ func TestDirectionProbeSignMatchesMPPSide(t *testing.T) {
 	// Left of the MPP a k increase raises output current; right of the MPP
 	// it lowers it — exactly the decision rule of tracking Step 2.
 	c := testCircuit()
-	mpp := c.Gen.MPP(pv.STC)
+	mpp := curve(c, pv.STC).MPP()
 
 	probe := func(r float64) (side string, delta float64) {
 		c.Conv.SetRatio(3.0)
-		op0 := c.Operate(pv.STC, r)
+		op0 := c.Operate(curve(c, pv.STC), r)
 		if op0.VPanel < mpp.V {
 			side = "left"
 		} else {
 			side = "right"
 		}
 		c.Conv.Step(+5)
-		op1 := c.Operate(pv.STC, r)
+		op1 := c.Operate(curve(c, pv.STC), r)
 		c.Conv.Step(-5)
 		return side, op1.ILoad - op0.ILoad
 	}
@@ -145,9 +145,9 @@ func TestOperateAtDemandNominalRail(t *testing.T) {
 	// deliverable power at nominal rail, the rail should sit near nominal.
 	c := testCircuit()
 	env := pv.STC
-	c.Conv.SetRatio(c.MatchedRatio(env))
-	demand := c.AvailableMax(env)
-	op := c.OperateAtDemand(env, demand)
+	c.Conv.SetRatio(c.MatchedRatio(curve(c, env)))
+	demand := c.AvailableMax(curve(c, env))
+	op := c.OperateAtDemand(curve(c, env), demand)
 	if math.Abs(op.VLoad-c.VNominal) > 0.06*c.VNominal {
 		t.Errorf("rail at %v V, want ≈ %v V", op.VLoad, c.VNominal)
 	}
@@ -159,7 +159,13 @@ func TestOperateAtDemandNominalRail(t *testing.T) {
 func TestMatchedRatioDark(t *testing.T) {
 	c := testCircuit()
 	c.Conv.SetRatio(2.2)
-	if got := c.MatchedRatio(pv.Env{Irradiance: 0, CellTemp: 25}); got != 2.2 {
+	if got := c.MatchedRatio(curve(c, pv.Env{Irradiance: 0, CellTemp: 25})); got != 2.2 {
 		t.Errorf("dark MatchedRatio = %v, want current k", got)
 	}
+}
+
+// curve samples the circuit's generator under env.
+func curve(c *Circuit, env pv.Env) *pv.Curve {
+	cv := c.Gen.At(env)
+	return &cv
 }

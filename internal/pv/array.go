@@ -1,33 +1,15 @@
 package pv
 
-// Generator is the common read interface of PV modules and arrays: anything
-// with an I-V characteristic and a maximum power point. The SolarCore
-// controller and the operating-point solver are written against this
-// interface, so a single module, a series string, or a full array can power
-// the load interchangeably.
+// Generator is the common read interface of PV modules and arrays:
+// anything with an I-V characteristic. The SolarCore controller and the
+// operating-point solver are written against the sampled Curve, so a
+// single module, a series string, or a full array can power the load
+// interchangeably.
 type Generator interface {
-	// Current returns output current (A) at terminal voltage v (V) under env.
-	//
-	// unit: v=V, return=A
-	Current(env Env, v float64) float64
-	// Power returns output power (W) at terminal voltage v under env.
-	//
-	// unit: v=V, return=W
-	Power(env Env, v float64) float64
-	// OpenCircuitVoltage returns Voc (V) under env.
-	//
-	// unit: V
-	OpenCircuitVoltage(env Env) float64
-	// MPP returns the maximum power point under env.
-	MPP(env Env) MPP
-	// ResistiveOperating returns the terminal voltage and current where the
-	// I-V curve intersects a resistive load line I = V/R. An open load
-	// (r = +Inf) sits at (Voc, 0) with Voc exactly OpenCircuitVoltage, and
-	// a dark generator (Voc = 0) returns (0, 0) for every r, so callers
-	// need no guards of their own.
-	//
-	// unit: r=Ω, v=V, i=A
-	ResistiveOperating(env Env, r float64) (v, i float64)
+	// At returns the characteristic under env. The curve is a value the
+	// caller owns; At keeps no state, so concurrent callers may share one
+	// generator.
+	At(env Env) Curve
 }
 
 var (
@@ -56,55 +38,17 @@ func NewArray(p ModuleParams, series, parallel int) *Array {
 	return &Array{Module: NewModule(p), Series: series, Parallel: parallel}
 }
 
-// Current returns the array output current at terminal voltage v under env.
-//
-// unit: v=V, return=A
-func (a *Array) Current(env Env, v float64) float64 {
-	return float64(a.Parallel) * a.Module.Current(env, v/float64(a.Series))
+// At samples the array's curve under env: the module's, with voltages
+// scaled by Series and currents by Parallel.
+func (a *Array) At(env Env) Curve {
+	c := a.Module.At(env)
+	c.series, c.parallel = float64(a.Series), float64(a.Parallel)
+	return c
 }
 
-// Power returns the array output power at terminal voltage v under env.
-//
-// unit: v=V, return=W
-func (a *Array) Power(env Env, v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	return v * a.Current(env, v)
-}
-
-// OpenCircuitVoltage returns the array Voc under env.
-//
-// unit: V
-func (a *Array) OpenCircuitVoltage(env Env) float64 {
-	return float64(a.Series) * a.Module.OpenCircuitVoltage(env)
-}
-
-// ShortCircuitCurrent returns the array Isc under env.
-//
-// unit: A
-func (a *Array) ShortCircuitCurrent(env Env) float64 {
-	return float64(a.Parallel) * a.Module.ShortCircuitCurrent(env)
-}
-
-// ResistiveOperating returns the array-level resistive operating point. A
-// load R at the array terminals presents each module with the resistance
-// R·Parallel/Series (the string divides voltage, the bank divides current).
-//
-// unit: r=Ω, v=V, i=A
-func (a *Array) ResistiveOperating(env Env, r float64) (v, i float64) {
-	rm := r * float64(a.Parallel) / float64(a.Series)
-	mv, mi := a.Module.ResistiveOperating(env, rm)
-	return mv * float64(a.Series), mi * float64(a.Parallel)
-}
-
-// MPP returns the array maximum power point under env, scaled from the
-// module MPP (exact under the uniform-irradiance assumption).
+// MPP returns the array maximum power point under env, for a caller that
+// reads one value per environment: At(env).MPP().
 func (a *Array) MPP(env Env) MPP {
-	m := a.Module.MPP(env)
-	return MPP{
-		V: m.V * float64(a.Series),
-		I: m.I * float64(a.Parallel),
-		P: m.P * float64(a.Series) * float64(a.Parallel),
-	}
+	c := a.At(env)
+	return c.MPP()
 }

@@ -9,8 +9,8 @@ import (
 func TestArrayScaling(t *testing.T) {
 	m := bp()
 	a := NewArray(BP3180N(), 2, 3)
-	mm := m.MPP(STC)
-	am := a.MPP(STC)
+	mm := at(m, STC).MPP()
+	am := at(a, STC).MPP()
 	if math.Abs(am.V-2*mm.V) > 1e-6 {
 		t.Errorf("array Vmpp = %v, want %v", am.V, 2*mm.V)
 	}
@@ -20,10 +20,10 @@ func TestArrayScaling(t *testing.T) {
 	if math.Abs(am.P-6*mm.P) > 1e-6 {
 		t.Errorf("array Pmax = %v, want %v", am.P, 6*mm.P)
 	}
-	if got, want := a.OpenCircuitVoltage(STC), 2*m.OpenCircuitVoltage(STC); math.Abs(got-want) > 1e-9 {
+	if got, want := at(a, STC).OpenCircuitVoltage(), 2*at(m, STC).OpenCircuitVoltage(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("array Voc = %v, want %v", got, want)
 	}
-	if got, want := a.ShortCircuitCurrent(STC), 3*m.ShortCircuitCurrent(STC); math.Abs(got-want) > 1e-9 {
+	if got, want := at(a, STC).ShortCircuitCurrent(), 3*at(m, STC).ShortCircuitCurrent(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("array Isc = %v, want %v", got, want)
 	}
 }
@@ -40,11 +40,11 @@ func TestArrayMPPConsistentWithSweep(t *testing.T) {
 	a := NewArray(BP3180N(), 1, 2)
 	prop := func(gRaw uint8) bool {
 		env := Env{Irradiance: 200 + float64(gRaw)*3, CellTemp: 30}
-		mpp := a.MPP(env)
-		voc := a.OpenCircuitVoltage(env)
+		mpp := at(a, env).MPP()
+		voc := at(a, env).OpenCircuitVoltage()
 		for i := 0; i <= 64; i++ {
 			v := voc * float64(i) / 64
-			if a.Power(env, v) > mpp.P*(1+1e-9) {
+			if at(a, env).Power(v) > mpp.P*(1+1e-9) {
 				return false
 			}
 		}
@@ -86,7 +86,7 @@ func TestFixedLoadUtilizationDrops(t *testing.T) {
 	// Figure 1: a resistor matched at 1000 W/m² loses more than half the
 	// available energy at 400 W/m².
 	m := bp()
-	mpp := m.MPP(STC)
+	mpp := at(m, STC).MPP()
 	r := mpp.V / mpp.I // matched load at STC
 	if u := UtilizationAtFixedLoad(m, STC, r); u < 0.97 {
 		t.Errorf("matched-load utilization at STC = %.3f, want ≈ 1", u)
@@ -104,7 +104,7 @@ func TestOperatingVoltageResistive(t *testing.T) {
 	m := bp()
 	r := 10.0
 	v := OperatingVoltageResistive(m, STC, r)
-	i := m.Current(STC, v)
+	i := at(m, STC).Current(v)
 	if math.Abs(i-v/r) > 1e-3 {
 		t.Errorf("load line mismatch: I=%.4f, V/R=%.4f", i, v/r)
 	}

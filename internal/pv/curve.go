@@ -1,5 +1,293 @@
 package pv
 
+import (
+	"math"
+
+	"solarcore/internal/mathx"
+)
+
+// Curve is a generator's I-V characteristic at one instant: what
+// Generator.At derives once from an Env, so that every query of that
+// instant reuses it. For a Module or an Array it holds one module's
+// photocurrent Iph, saturation current I0, thermal voltage Ns·n·kT/q and
+// open-circuit voltage, and the array's series and parallel counts;
+// ShadedString and TwoDiodeModule have no closed single-diode form and
+// keep their own solvers behind the same methods.
+//
+// A curve also carries an output-current scale (ScaleCurrent, 1 from At)
+// and remembers the last load lines ResistiveOperating solved on it, so
+// it is a value for one goroutine: copy it, do not share a pointer to it.
+type Curve struct {
+	iph, i0, vt, voc float64 // one module's Iph (A), I0 (A), Ns·n·kT/q (V), Voc (V)
+	rs               float64 // series resistance, unit: Ω
+	series, parallel float64 // array interconnection counts
+
+	// own solves the curve at env when the generator has no closed
+	// single-diode form; nil for Module and Array.
+	own solver
+	env Env
+
+	scale float64 // output-current scale, unit: ratio
+	memo  loadMemo
+}
+
+// solver is the env-taking method set of a generator that solves its own
+// characteristic: ShadedString and TwoDiodeModule.
+type solver interface {
+	Current(env Env, v float64) float64
+	OpenCircuitVoltage(env Env) float64
+	MPP(env Env) MPP
+	ResistiveOperating(env Env, r float64) (v, i float64)
+}
+
+// memoSize bounds the load lines a curve remembers. A tracking session
+// revisits a handful of recent (k, demand) pairs (the direction probe
+// and its reversal, a raise/lower flip-flop), so a short ring of the
+// latest solves catches the repeats.
+const memoSize = 8
+
+// loadMemo is a fixed ring of solved load lines keyed by the exact bits
+// of the load resistance: a hit returns the stored point, which equals
+// a fresh solve bit for bit because the solve is a pure function of the
+// curve and r.
+type loadMemo struct {
+	r       [memoSize]uint64 // math.Float64bits of the load resistance
+	v, i    [memoSize]float64
+	n, next int // filled entries, next slot to overwrite
+}
+
+// get returns the point stored for the load resistance bits r.
+func (m *loadMemo) get(r uint64) (v, i float64, ok bool) {
+	for k := 0; k < m.n; k++ {
+		if m.r[k] == r {
+			return m.v[k], m.i[k], true
+		}
+	}
+	return 0, 0, false
+}
+
+// put stores a solved point, overwriting the oldest once the ring is full.
+func (m *loadMemo) put(r uint64, v, i float64) {
+	m.r[m.next], m.v[m.next], m.i[m.next] = r, v, i
+	m.next = (m.next + 1) % memoSize
+	if m.n < memoSize {
+		m.n++
+	}
+}
+
+// ScaleCurrent multiplies the curve's output current by s, holding its
+// voltages: the electrical effect of taking a fraction of the parallel
+// strings off the bus. It forgets the load lines solved before.
+//
+// unit: s=ratio
+func (c *Curve) ScaleCurrent(s float64) {
+	c.scale *= s
+	c.memo = loadMemo{}
+}
+
+// OpenCircuitVoltage returns Voc, which no current scale moves.
+//
+// unit: V
+func (c *Curve) OpenCircuitVoltage() float64 {
+	if c.own != nil {
+		return c.own.OpenCircuitVoltage(c.env)
+	}
+	return c.series * c.voc
+}
+
+// Current returns the output current at terminal voltage v, clamped to 0
+// at and above Voc (the blocking diode of a direct-coupled system).
+//
+// unit: v=V, return=A
+func (c *Curve) Current(v float64) float64 {
+	return c.scale * c.current(v)
+}
+
+// ShortCircuitCurrent returns Isc (terminal voltage zero).
+//
+// unit: A
+func (c *Curve) ShortCircuitCurrent() float64 { return c.Current(0) }
+
+// Power returns the output power V·I(V) at terminal voltage v.
+//
+// unit: v=V, return=W
+func (c *Curve) Power(v float64) float64 {
+	if v <= 0 {
+		return 0
+	}
+	return c.scale * (v * c.current(v))
+}
+
+// MPP returns the maximum power point: voltages hold under the current
+// scale, current and power scale.
+func (c *Curve) MPP() MPP {
+	m := c.mpp()
+	return MPP{V: m.V, I: c.scale * m.I, P: c.scale * m.P}
+}
+
+// ResistiveOperating returns the terminal voltage and current where the
+// curve intersects a resistive load line I = V/R. An open load
+// (r = +Inf) sits at (Voc, 0) with Voc exactly OpenCircuitVoltage, and a
+// dark curve (Voc = 0) returns (0, 0) for every r, so callers need no
+// guards of their own. Scaling the current by s maps the load line onto
+// the unscaled curve's line I = V/(R·s), so the solve runs at R·s and
+// scales the current back; a fully disconnected curve (s = 0) holds no
+// load voltage. A load resistance solved before on this curve returns
+// the stored point.
+//
+// unit: r=Ω, v=V, i=A
+func (c *Curve) ResistiveOperating(r float64) (v, i float64) {
+	key := math.Float64bits(r)
+	if v, i, ok := c.memo.get(key); ok {
+		return v, i
+	}
+	switch {
+	case math.IsInf(r, 1):
+		v, i = c.resistive(r)
+	case c.scale <= 0:
+		v, i = 0, 0
+	default:
+		v, i = c.resistive(r * c.scale)
+		i *= c.scale
+	}
+	c.memo.put(key, v, i)
+	return v, i
+}
+
+// current is the unscaled output current at terminal voltage v.
+//
+// unit: v=V, return=A
+func (c *Curve) current(v float64) float64 {
+	if c.own != nil {
+		return c.own.Current(c.env, v)
+	}
+	return c.parallel * c.moduleCurrent(v/c.series)
+}
+
+// mpp is the unscaled maximum power point. The array's is the module's
+// scaled up, exact under uniform irradiance.
+func (c *Curve) mpp() MPP {
+	if c.own != nil {
+		return c.own.MPP(c.env)
+	}
+	m := c.moduleMPP()
+	return MPP{V: m.V * c.series, I: m.I * c.parallel, P: m.P * c.series * c.parallel}
+}
+
+// resistive is the unscaled load-line solve. A load R at the array
+// terminals presents each module with R·Parallel/Series (the string
+// divides voltage, the bank divides current).
+//
+// unit: r=Ω, v=V, i=A
+func (c *Curve) resistive(r float64) (v, i float64) {
+	if c.own != nil {
+		return c.own.ResistiveOperating(c.env, r)
+	}
+	mv, mi := c.moduleResistive(r * c.parallel / c.series)
+	return mv * c.series, mi * c.parallel
+}
+
+// moduleCurrent solves one module's implicit single-diode equation
+//
+//	I = Iph − I0·(exp((V + I·Rs)/(Ns·n·kT/q)) − 1)
+//
+// at terminal voltage v, clamped to 0 where the module cannot source
+// current.
+//
+// unit: v=V, return=A
+func (c *Curve) moduleCurrent(v float64) float64 {
+	iph, i0, vt, rs := c.iph, c.i0, c.vt, c.rs
+	if iph <= 0 {
+		return 0
+	}
+	if rs == 0 {
+		i := iph - i0*math.Expm1(v/vt)
+		if i < 0 {
+			return 0
+		}
+		return i
+	}
+	fdf := func(i float64) (float64, float64) {
+		e := math.Expm1((v + i*rs) / vt)
+		return iph - i0*e - i, -i0*(e+1)*rs/vt - 1
+	}
+	i, err := mathx.NewtonBisect(fdf, -iph-1, iph+1, 1e-12)
+	if err != nil {
+		// f is strictly decreasing; a failed bracket means v is far beyond
+		// Voc where the module cannot source current.
+		return 0
+	}
+	if i < 0 {
+		return 0
+	}
+	return i
+}
+
+// moduleResistive returns one module's operating point on a resistance
+// r. Substituting I = V/r into the single-diode equation collapses the
+// nested solve into one scalar root find,
+//
+//	h(V) = Iph − I0·(exp(V·(1 + Rs/r)/NsVt) − 1) − V/r = 0,
+//
+// which is strictly decreasing and bracketed by [0, Voc], so the guarded
+// Newton converges in a handful of iterations. This is the hot path of
+// the circuit simulation.
+//
+// unit: r=Ω, v=V, i=A
+func (c *Curve) moduleResistive(r float64) (v, i float64) {
+	voc := c.voc
+	if voc <= 0 {
+		return 0, 0
+	}
+	if math.IsInf(r, 1) {
+		return voc, 0
+	}
+	if r <= 0 {
+		return 0, c.moduleCurrent(0)
+	}
+	iph, i0 := c.iph, c.i0
+	k := (1 + c.rs/r) / c.vt
+	hdh := func(v float64) (float64, float64) {
+		e := math.Expm1(v * k)
+		return iph - i0*e - v/r, -i0*(e+1)*k - 1/r
+	}
+	v, err := mathx.NewtonBisect(hdh, 0, voc, voc*1e-10)
+	if err != nil {
+		// h(0) = Iph > 0 and h(Voc) < 0, so a bracket failure can only mean
+		// a degenerate panel; behave as a dark module.
+		return 0, 0
+	}
+	return v, v / r
+}
+
+// moduleMPP returns one module's maximum power point. In current space
+// the single-diode curve inverts in closed form, so the power
+// P(I) = I·V(I) with V(I) = NsVt·ln((Iph − I + I0)/I0) − I·Rs is
+// explicit and strictly concave on [0, Iph]: V is decreasing and
+// concave. Its one stationary point is the root of
+//
+//	dP/dI = NsVt·ln(u/I0) − 2·I·Rs − I·NsVt/u,  u = Iph − I + I0,
+//
+// which is positive at 0 and negative at Iph, with the analytic slope
+// d²P/dI² = −2·(NsVt/u + Rs) − I·NsVt/u². One guarded Newton solve finds
+// it; no nested Current solve is needed.
+func (c *Curve) moduleMPP() MPP {
+	iph, i0, a, rs := c.iph, c.i0, c.vt, c.rs
+	if iph <= 0 {
+		return MPP{}
+	}
+	fdf := func(i float64) (float64, float64) {
+		u := iph - i + i0
+		return a*math.Log(u/i0) - 2*i*rs - i*a/u, -2*(a/u+rs) - i*a/(u*u)
+	}
+	i, err := mathx.NewtonBisect(fdf, 0, iph, iph*1e-12)
+	if err != nil {
+		return MPP{}
+	}
+	v := a*math.Log((iph-i+i0)/i0) - i*rs
+	return MPP{V: v, I: i, P: v * i}
+}
+
 // IVPoint is one sample of an I-V sweep: terminal voltage, output current,
 // and the resulting power.
 type IVPoint struct {
@@ -15,12 +303,13 @@ func IVCurve(g Generator, env Env, n int) []IVPoint {
 	if n < 2 {
 		n = 2
 	}
-	voc := g.OpenCircuitVoltage(env)
+	c := g.At(env)
+	voc := c.OpenCircuitVoltage()
 	pts := make([]IVPoint, n)
 	for i := range pts {
 		v := voc * float64(i) / float64(n-1)
-		c := g.Current(env, v)
-		pts[i] = IVPoint{V: v, I: c, P: v * c}
+		cur := c.Current(v)
+		pts[i] = IVPoint{V: v, I: cur, P: v * cur}
 	}
 	return pts
 }
@@ -30,18 +319,15 @@ func IVCurve(g Generator, env Env, n int) []IVPoint {
 // Figure 1, which motivates MPP tracking: a load matched at one irradiance
 // loses over half the energy at another.
 //
-// The operating point is the intersection of the generator I-V curve with
-// the load line I = V/R, found by bisection on f(V) = I_gen(V) − V/R, which
-// is strictly decreasing over [0, Voc].
-//
 // unit: r=Ω, return=ratio
 func UtilizationAtFixedLoad(g Generator, env Env, r float64) float64 {
-	mpp := g.MPP(env)
+	c := g.At(env)
+	mpp := c.MPP()
 	if mpp.P <= 0 || r <= 0 {
 		return 0
 	}
-	v := OperatingVoltageResistive(g, env, r)
-	return g.Power(env, v) / mpp.P
+	v, _ := c.ResistiveOperating(r)
+	return c.Power(v) / mpp.P
 }
 
 // OperatingVoltageResistive returns the terminal voltage at which the
@@ -52,6 +338,7 @@ func OperatingVoltageResistive(g Generator, env Env, r float64) float64 {
 	if r <= 0 {
 		return 0
 	}
-	v, _ := g.ResistiveOperating(env, r)
+	c := g.At(env)
+	v, _ := c.ResistiveOperating(r)
 	return v
 }

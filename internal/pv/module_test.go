@@ -12,18 +12,18 @@ func bp() *Module { return NewModule(BP3180N()) }
 
 func TestSTCCalibration(t *testing.T) {
 	m := bp()
-	mpp := m.MPP(STC)
+	mpp := at(m, STC).MPP()
 	if mpp.P < 172 || mpp.P > 188 {
 		t.Errorf("Pmax at STC = %.1f W, want ≈ 180 W", mpp.P)
 	}
 	if mpp.V < 32 || mpp.V > 40 {
 		t.Errorf("Vmpp at STC = %.1f V, want ≈ 35-37 V", mpp.V)
 	}
-	voc := m.OpenCircuitVoltage(STC)
+	voc := at(m, STC).OpenCircuitVoltage()
 	if math.Abs(voc-m.P.VocRef) > 0.05 {
 		t.Errorf("Voc at STC = %.2f V, want %.2f V", voc, m.P.VocRef)
 	}
-	isc := m.ShortCircuitCurrent(STC)
+	isc := at(m, STC).ShortCircuitCurrent()
 	if math.Abs(isc-m.P.IscRef) > 0.1 {
 		t.Errorf("Isc at STC = %.2f A, want ≈ %.2f A", isc, m.P.IscRef)
 	}
@@ -32,11 +32,11 @@ func TestSTCCalibration(t *testing.T) {
 func TestCurrentMonotoneInVoltage(t *testing.T) {
 	m := bp()
 	for _, env := range []Env{STC, {800, 40}, {400, 10}, {600, 60}} {
-		voc := m.OpenCircuitVoltage(env)
+		voc := at(m, env).OpenCircuitVoltage()
 		prev := math.Inf(1)
 		for i := 0; i <= 50; i++ {
 			v := voc * float64(i) / 50
-			c := m.Current(env, v)
+			c := at(m, env).Current(v)
 			if c > prev+1e-9 {
 				t.Fatalf("env %+v: current not non-increasing at V=%.2f (%.4f > %.4f)", env, v, c, prev)
 			}
@@ -47,11 +47,11 @@ func TestCurrentMonotoneInVoltage(t *testing.T) {
 
 func TestCurrentZeroBeyondVoc(t *testing.T) {
 	m := bp()
-	voc := m.OpenCircuitVoltage(STC)
-	if c := m.Current(STC, voc); math.Abs(c) > 1e-6 {
+	voc := at(m, STC).OpenCircuitVoltage()
+	if c := at(m, STC).Current(voc); math.Abs(c) > 1e-6 {
 		t.Errorf("Current(Voc) = %v, want ~0", c)
 	}
-	if c := m.Current(STC, voc+5); c != 0 {
+	if c := at(m, STC).Current(voc + 5); c != 0 {
 		t.Errorf("Current(Voc+5) = %v, want 0 (blocking diode)", c)
 	}
 }
@@ -59,13 +59,13 @@ func TestCurrentZeroBeyondVoc(t *testing.T) {
 func TestDarknessProducesNothing(t *testing.T) {
 	m := bp()
 	dark := Env{Irradiance: 0, CellTemp: 25}
-	if m.OpenCircuitVoltage(dark) != 0 {
+	if at(m, dark).OpenCircuitVoltage() != 0 {
 		t.Error("Voc in darkness should be 0")
 	}
-	if m.Current(dark, 10) != 0 {
+	if at(m, dark).Current(10) != 0 {
 		t.Error("current in darkness should be 0")
 	}
-	if got := m.MPP(dark); got.P != 0 {
+	if got := at(m, dark).MPP(); got.P != 0 {
 		t.Errorf("MPP in darkness = %+v, want zero", got)
 	}
 }
@@ -75,15 +75,15 @@ func TestIrradianceScalesPower(t *testing.T) {
 	m := bp()
 	prev := 0.0
 	for _, g := range []float64{200, 400, 600, 800, 1000} {
-		p := m.MPP(Env{Irradiance: g, CellTemp: 25}).P
+		p := at(m, Env{Irradiance: g, CellTemp: 25}).MPP().P
 		if p <= prev {
 			t.Errorf("Pmax(%v W/m²) = %.1f, not increasing", g, p)
 		}
 		prev = p
 	}
 	// Pmax is close to (slightly sublinear in) proportional scaling.
-	half := m.MPP(Env{Irradiance: 500, CellTemp: 25}).P
-	full := m.MPP(STC).P
+	half := at(m, Env{Irradiance: 500, CellTemp: 25}).MPP().P
+	full := at(m, STC).MPP().P
 	if ratio := half / full; ratio < 0.42 || ratio > 0.53 {
 		t.Errorf("Pmax(500)/Pmax(1000) = %.3f, want roughly 0.42-0.53", ratio)
 	}
@@ -97,9 +97,9 @@ func TestTemperatureDegradesPower(t *testing.T) {
 	prevIsc := 0.0
 	for _, tc := range []float64{0, 25, 50, 75} {
 		env := Env{Irradiance: 1000, CellTemp: tc}
-		mpp := m.MPP(env)
-		voc := m.OpenCircuitVoltage(env)
-		isc := m.ShortCircuitCurrent(env)
+		mpp := at(m, env).MPP()
+		voc := at(m, env).OpenCircuitVoltage()
+		isc := at(m, env).ShortCircuitCurrent()
 		if mpp.P >= prevP {
 			t.Errorf("Pmax(T=%v) = %.1f, not decreasing", tc, mpp.P)
 		}
@@ -124,10 +124,10 @@ func TestMPPBeatsEveryOtherVoltage(t *testing.T) {
 			Irradiance: 100 + float64(gRaw)*4, // 100..1120 W/m²
 			CellTemp:   float64(tRaw % 76),    // 0..75 °C
 		}
-		mpp := m.MPP(env)
-		voc := m.OpenCircuitVoltage(env)
+		mpp := at(m, env).MPP()
+		voc := at(m, env).OpenCircuitVoltage()
 		v := voc * float64(vRaw) / 255
-		return m.Power(env, v) <= mpp.P*(1+1e-9)
+		return at(m, env).Power(v) <= mpp.P*(1+1e-9)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -139,13 +139,13 @@ func TestPowerUnimodalOnGrid(t *testing.T) {
 	// discrete slope on a coarse grid.
 	m := bp()
 	for _, env := range []Env{STC, {700, 45}, {300, 15}} {
-		voc := m.OpenCircuitVoltage(env)
+		voc := at(m, env).OpenCircuitVoltage()
 		changes := 0
 		prevSlope := 1.0
 		prevP := 0.0
 		for i := 1; i <= 200; i++ {
 			v := voc * float64(i) / 200
-			p := m.Power(env, v)
+			p := at(m, env).Power(v)
 			slope := p - prevP
 			if slope*prevSlope < 0 {
 				changes++
@@ -177,11 +177,11 @@ func TestCellTemperatureNOCT(t *testing.T) {
 // maximum of V·I(V) over [0, Voc], each probe a nested Current solve.
 // It is the oracle the closed-form Newton solve is held to.
 func goldenMPP(m *Module, env Env) MPP {
-	voc := m.OpenCircuitVoltage(env)
+	voc := at(m, env).OpenCircuitVoltage()
 	if voc <= 0 {
 		return MPP{}
 	}
-	v, p := mathx.GoldenMax(func(v float64) float64 { return m.Power(env, v) }, 0, voc, voc*1e-7)
+	v, p := mathx.GoldenMax(func(v float64) float64 { return at(m, env).Power(v) }, 0, voc, voc*1e-7)
 	return MPP{V: v, I: p / v, P: p}
 }
 
@@ -197,13 +197,13 @@ func TestMPPMatchesGoldenSection(t *testing.T) {
 		g := 5 + float64(gi)*(1200-5)/239
 		for ti := 0; ti < 35; ti++ {
 			env := Env{Irradiance: g, CellTemp: -10 + float64(ti)*85/34}
-			got, want := m.MPP(env), goldenMPP(m, env)
+			got, want := at(m, env).MPP(), goldenMPP(m, env)
 			rel := math.Abs(got.P-want.P) / want.P
 			worst = math.Max(worst, rel)
 			if rel > 1e-11 {
 				t.Fatalf("%+v: Newton P=%.15g, golden P=%.15g (|ΔP|/P = %.3g > 1e-11)", env, got.P, want.P, rel)
 			}
-			if voc := m.OpenCircuitVoltage(env); math.Abs(got.V-want.V) > voc*1e-6 {
+			if voc := at(m, env).OpenCircuitVoltage(); math.Abs(got.V-want.V) > voc*1e-6 {
 				t.Fatalf("%+v: Newton V=%.9g, golden V=%.9g", env, got.V, want.V)
 			}
 			if !mathx.ApproxEq(got.P, got.V*got.I, 1e-12) {

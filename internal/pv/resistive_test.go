@@ -13,7 +13,7 @@ func TestResistiveOperatingOnCurve(t *testing.T) {
 	prop := func(rRaw, gRaw uint8) bool {
 		r := 0.5 + float64(rRaw)/4 // 0.5..64 Ω
 		env := Env{Irradiance: 150 + 4*float64(gRaw), CellTemp: 30}
-		v, i := m.ResistiveOperating(env, r)
+		v, i := at(m, env).ResistiveOperating(r)
 		if v < 0 || i < 0 {
 			return false
 		}
@@ -22,7 +22,7 @@ func TestResistiveOperatingOnCurve(t *testing.T) {
 			return false
 		}
 		// On the I-V curve (cross-check against the implicit solver).
-		return math.Abs(m.Current(env, v)-i) < 1e-6
+		return math.Abs(at(m, env).Current(v)-i) < 1e-6
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -33,14 +33,10 @@ func TestResistiveOperatingEdges(t *testing.T) {
 	// Every generator settles the edge loads itself (power.Circuit.Operate
 	// relies on it): dark is (0, 0) at any load, an open load sits at
 	// exactly (Voc, 0), and a short at (0, Isc).
-	type generator interface {
-		Generator
-		ShortCircuitCurrent(env Env) float64
-	}
 	dark := Env{Irradiance: 0, CellTemp: 25}
 	for _, c := range []struct {
 		name string
-		gen  generator
+		gen  Generator
 	}{
 		{"Module", bp()},
 		{"Array", NewArray(BP3180N(), 3, 2)},
@@ -48,17 +44,17 @@ func TestResistiveOperatingEdges(t *testing.T) {
 		{"TwoDiodeModule", NewTwoDiodeModule(BP3180N())},
 	} {
 		for _, r := range []float64{0, 10, math.Inf(1)} {
-			if v, i := c.gen.ResistiveOperating(dark, r); v != 0 || i != 0 {
+			if v, i := at(c.gen, dark).ResistiveOperating(r); v != 0 || i != 0 {
 				t.Errorf("%s dark, r=%v: (%v, %v), want (0, 0)", c.name, r, v, i)
 			}
 		}
-		voc := c.gen.OpenCircuitVoltage(STC)
-		if v, i := c.gen.ResistiveOperating(STC, math.Inf(1)); v != voc || i != 0 {
+		voc := at(c.gen, STC).OpenCircuitVoltage()
+		if v, i := at(c.gen, STC).ResistiveOperating(math.Inf(1)); v != voc || i != 0 {
 			t.Errorf("%s open: (%v, %v), want (%v, 0)", c.name, v, i, voc)
 		}
-		v, i := c.gen.ResistiveOperating(STC, 0)
-		if v != 0 || math.Abs(i-c.gen.ShortCircuitCurrent(STC)) > 1e-6 {
-			t.Errorf("%s short: (%v, %v), want (0, %v)", c.name, v, i, c.gen.ShortCircuitCurrent(STC))
+		v, i := at(c.gen, STC).ResistiveOperating(0)
+		if v != 0 || math.Abs(i-at(c.gen, STC).ShortCircuitCurrent()) > 1e-6 {
+			t.Errorf("%s short: (%v, %v), want (0, %v)", c.name, v, i, at(c.gen, STC).ShortCircuitCurrent())
 		}
 	}
 }
@@ -68,8 +64,8 @@ func TestArrayResistiveOperating(t *testing.T) {
 	// module, voltage and current both doubled).
 	a := NewArray(BP3180N(), 2, 2)
 	m := a.Module
-	vm, im := m.ResistiveOperating(STC, 7)
-	va, ia := a.ResistiveOperating(STC, 7)
+	vm, im := at(m, STC).ResistiveOperating(7)
+	va, ia := at(a, STC).ResistiveOperating(7)
 	if math.Abs(va-2*vm) > 1e-6 || math.Abs(ia-2*im) > 1e-6 {
 		t.Errorf("array op (%v,%v), want (%v,%v)", va, ia, 2*vm, 2*im)
 	}
@@ -79,11 +75,13 @@ func TestArrayResistiveOperating(t *testing.T) {
 	}
 }
 
+// BenchmarkResistiveOperating samples a fresh curve per solve, so the
+// load-line memo never answers.
 func BenchmarkResistiveOperating(b *testing.B) {
 	m := bp()
 	env := Env{Irradiance: 700, CellTemp: 40}
 	for i := 0; i < b.N; i++ {
-		m.ResistiveOperating(env, 3.5)
+		at(m, env).ResistiveOperating(3.5)
 	}
 }
 
@@ -91,6 +89,6 @@ func BenchmarkMPP(b *testing.B) {
 	m := bp()
 	env := Env{Irradiance: 700, CellTemp: 40}
 	for i := 0; i < b.N; i++ {
-		m.MPP(env)
+		at(m, env).MPP()
 	}
 }

@@ -24,6 +24,10 @@ type ShadedString struct {
 
 var _ Generator = (*ShadedString)(nil)
 
+// At returns the string's curve under env, solved by the string's own
+// bypass-aware methods.
+func (s *ShadedString) At(env Env) Curve { return Curve{own: s, env: env, scale: 1} }
+
 // NewShadedString builds a string of len(scales) modules of the given
 // parameters with the per-module irradiance scales.
 func NewShadedString(p ModuleParams, scales []float64) *ShadedString {
@@ -82,7 +86,8 @@ func (s *ShadedString) stringVoltage(env Env, i float64) float64 {
 func (s *ShadedString) maxCurrent(env Env) float64 {
 	imax := 0.0
 	for m := range s.Scales {
-		if isc := s.Module.ShortCircuitCurrent(s.moduleEnv(env, m)); isc > imax {
+		c := s.Module.At(s.moduleEnv(env, m))
+		if isc := c.ShortCircuitCurrent(); isc > imax {
 			imax = isc
 		}
 	}
@@ -96,7 +101,8 @@ func (s *ShadedString) maxCurrent(env Env) float64 {
 func (s *ShadedString) OpenCircuitVoltage(env Env) float64 {
 	sum := 0.0
 	for m := range s.Scales {
-		sum += s.Module.OpenCircuitVoltage(s.moduleEnv(env, m))
+		c := s.Module.At(s.moduleEnv(env, m))
+		sum += c.OpenCircuitVoltage()
 	}
 	return sum
 }

@@ -12,10 +12,10 @@ func TestUniformStringMatchesScaledModules(t *testing.T) {
 	s := NewShadedString(BP3180N(), []float64{1, 1, 1})
 	m := s.Module
 	env := Env{Irradiance: 800, CellTemp: 30}
-	if got, want := s.OpenCircuitVoltage(env), 3*m.OpenCircuitVoltage(env); math.Abs(got-want) > 1e-6 {
+	if got, want := s.OpenCircuitVoltage(env), 3*at(m, env).OpenCircuitVoltage(); math.Abs(got-want) > 1e-6 {
 		t.Errorf("string Voc = %v, want %v", got, want)
 	}
-	sm, mm := s.MPP(env), m.MPP(env)
+	sm, mm := s.MPP(env), at(m, env).MPP()
 	if math.Abs(sm.P-3*mm.P)/mm.P > 0.01 {
 		t.Errorf("string Pmax = %v, want ≈ %v", sm.P, 3*mm.P)
 	}
@@ -131,7 +131,7 @@ func TestVoltageAtInverse(t *testing.T) {
 		if !ok {
 			return i > 5.0 // only very high currents may fail at STC
 		}
-		return math.Abs(m.Current(STC, v)-i) < 1e-6
+		return math.Abs(at(m, STC).Current(v)-i) < 1e-6
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

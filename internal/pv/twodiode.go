@@ -27,6 +27,10 @@ func NewTwoDiodeModule(p ModuleParams) *TwoDiodeModule {
 	return &TwoDiodeModule{Module: NewModule(p), I02Frac: 1000}
 }
 
+// At returns the two-diode curve under env, solved by the module's own
+// methods.
+func (m *TwoDiodeModule) At(env Env) Curve { return Curve{own: m, env: env, scale: 1} }
+
 // i02 returns the recombination diode's saturation current under env.
 //
 // unit: A
@@ -85,7 +89,8 @@ func (m *TwoDiodeModule) OpenCircuitVoltage(env Env) float64 {
 	}
 	// The single-diode Voc upper-bounds the two-diode one (the extra diode
 	// only sinks current); solve the unclamped curve's zero crossing.
-	hi := m.Module.OpenCircuitVoltage(env)
+	sd := m.Module.At(env)
+	hi := sd.OpenCircuitVoltage()
 	v, err := mathx.Bisect(func(v float64) float64 {
 		i, _ := m.rawCurrent(env, v)
 		return i

@@ -11,7 +11,7 @@ func TestTwoDiodeCloseToSingleAtSTC(t *testing.T) {
 	// percent.
 	one := NewModule(BP3180N())
 	two := NewTwoDiodeModule(BP3180N())
-	p1, p2 := one.MPP(STC).P, two.MPP(STC).P
+	p1, p2 := at(one, STC).MPP().P, two.MPP(STC).P
 	if p2 >= p1 {
 		t.Errorf("second diode should only sink current: %v vs %v", p2, p1)
 	}
@@ -25,7 +25,7 @@ func TestTwoDiodeMattersMoreAtLowLight(t *testing.T) {
 	two := NewTwoDiodeModule(BP3180N())
 	rel := func(g float64) float64 {
 		env := Env{Irradiance: g, CellTemp: 25}
-		p1, p2 := one.MPP(env).P, two.MPP(env).P
+		p1, p2 := at(one, env).MPP().P, two.MPP(env).P
 		return (p1 - p2) / p1
 	}
 	if rel(100) <= rel(1000) {
@@ -36,7 +36,7 @@ func TestTwoDiodeMattersMoreAtLowLight(t *testing.T) {
 func TestTwoDiodeGeneratorContract(t *testing.T) {
 	m := NewTwoDiodeModule(BP3180N())
 	voc := m.OpenCircuitVoltage(STC)
-	if voc <= 0 || voc >= m.Module.OpenCircuitVoltage(STC)+1e-9 {
+	if voc <= 0 || voc >= at(m.Module, STC).OpenCircuitVoltage()+1e-9 {
 		t.Errorf("two-diode Voc = %v, want below single-diode Voc", voc)
 	}
 	if c := m.Current(STC, voc); math.Abs(c) > 1e-3 {
@@ -80,8 +80,8 @@ func TestPowerTemperatureCoefficient(t *testing.T) {
 	// Pmax per °C (BP3180N datasheet: −0.5 %/K). Measure the model's
 	// coefficient over the 25→50 °C span of Figure 7.
 	m := bp()
-	p25 := m.MPP(Env{Irradiance: 1000, CellTemp: 25}).P
-	p50 := m.MPP(Env{Irradiance: 1000, CellTemp: 50}).P
+	p25 := at(m, Env{Irradiance: 1000, CellTemp: 25}).MPP().P
+	p50 := at(m, Env{Irradiance: 1000, CellTemp: 50}).MPP().P
 	coeff := (p25 - p50) / 25 / p25
 	if coeff < 0.0030 || coeff > 0.0060 {
 		t.Errorf("power temperature coefficient %.4f/K, datasheet says ≈ 0.005/K", coeff)

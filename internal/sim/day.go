@@ -55,7 +55,8 @@ func NewSolarDayGen(tr *atmos.Trace, gen pv.Generator, params pv.ModuleParams) (
 			Irradiance: s.Irradiance,
 			CellTemp:   params.CellTemperature(s.AmbientC, s.Irradiance),
 		}
-		d.samples[i] = daySample{cellTemp: env.CellTemp, mppW: gen.MPP(env).P}
+		c := gen.At(env)
+		d.samples[i] = daySample{cellTemp: env.CellTemp, mppW: c.MPP().P}
 	}
 	return d, nil
 }

@@ -42,7 +42,8 @@ func TestMPPAtMatchesDirectSolve(t *testing.T) {
 	d := testDay(t, atmos.AZ, atmos.Apr)
 	for _, m := range []float64{500, 720, 900} {
 		env := d.EnvAt(m)
-		want := d.Gen.MPP(env).P
+		c := d.Gen.At(env)
+		want := c.MPP().P
 		got := d.MPPAt(m)
 		// Interpolated vs direct: within a few percent on a 1-min grid.
 		if want > 1 && math.Abs(got-want)/want > 0.08 {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"testing"
 
@@ -10,7 +9,6 @@ import (
 	"solarcore/internal/fault"
 	"solarcore/internal/obs"
 	"solarcore/internal/power"
-	"solarcore/internal/pv"
 	"solarcore/internal/sched"
 )
 
@@ -286,24 +284,6 @@ func TestFaultWindowAfterLastSample(t *testing.T) {
 					t.Errorf("%s %s: edges %+v, %+v; want begin at 1048, end at %v", runner, tc.spec, begin, stop, end)
 				}
 			}
-		}
-	}
-}
-
-// TestFaultGenEdgeLoads holds the string-cut wrapper to the
-// pv.Generator edge contract power.Circuit.Operate relies on: an open
-// load sits at the inner Voc at any scale, even a fully cut array, and a
-// dark panel gives (0, 0).
-func TestFaultGenEdgeLoads(t *testing.T) {
-	inner := pv.NewModule(pv.BP3180N())
-	voc := inner.OpenCircuitVoltage(pv.STC)
-	for _, scale := range []float64{0, 0.5, 1} {
-		g := &faultGen{inner: inner, scale: scale}
-		if v, i := g.ResistiveOperating(pv.STC, math.Inf(1)); v != voc || i != 0 {
-			t.Errorf("scale %v, open load: (%v, %v), want (%v, 0)", scale, v, i, voc)
-		}
-		if v, i := g.ResistiveOperating(pv.Env{Irradiance: 0, CellTemp: 25}, 10); v != 0 || i != 0 {
-			t.Errorf("scale %v, dark: (%v, %v), want (0, 0)", scale, v, i)
 		}
 	}
 }

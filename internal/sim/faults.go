@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math"
-
 	"solarcore/internal/fault"
 	"solarcore/internal/mcore"
 	"solarcore/internal/obs"
@@ -11,72 +9,15 @@ import (
 	"solarcore/internal/sched"
 )
 
-// faultGen wraps the day's PV generator with a mutable output-current
-// scale — the electrical effect of a string disconnect (a fraction of the
-// parallel strings off the bus: currents scale, voltages hold). The
-// engine refreshes scale from the fault runtime at every sample; 1 is
-// fully transparent.
-type faultGen struct {
-	inner pv.Generator
-	scale float64 // output-current scale, unit: ratio
-}
-
-// Current implements pv.Generator.
-//
-// unit: v=V, return=A
-func (g *faultGen) Current(env pv.Env, v float64) float64 {
-	return g.scale * g.inner.Current(env, v)
-}
-
-// Power implements pv.Generator.
-//
-// unit: v=V, return=W
-func (g *faultGen) Power(env pv.Env, v float64) float64 {
-	return g.scale * g.inner.Power(env, v)
-}
-
-// OpenCircuitVoltage implements pv.Generator.
-//
-// unit: V
-func (g *faultGen) OpenCircuitVoltage(env pv.Env) float64 {
-	return g.inner.OpenCircuitVoltage(env)
-}
-
-// MPP implements pv.Generator: voltages hold, current and power scale.
-func (g *faultGen) MPP(env pv.Env) pv.MPP {
-	m := g.inner.MPP(env)
-	return pv.MPP{V: m.V, I: g.scale * m.I, P: g.scale * m.P}
-}
-
-// ResistiveOperating implements pv.Generator. Scaling the I-V curve by s
-// maps the load line I = V/R onto the unscaled curve's line I = V/(R·s),
-// so the intersection voltage is the inner solve at R·s with the current
-// scaled back. An open load draws no current, so it sits at the inner
-// Voc whatever the scale (voltages hold).
-//
-// unit: r=Ω, v=V, i=A
-func (g *faultGen) ResistiveOperating(env pv.Env, r float64) (v, i float64) {
-	if math.IsInf(r, 1) {
-		return g.inner.ResistiveOperating(env, r)
-	}
-	if g.scale <= 0 {
-		return 0, 0 // a fully disconnected array holds no load voltage
-	}
-	v, i = g.inner.ResistiveOperating(env, r*g.scale)
-	return v, g.scale * i
-}
-
 // faultCtx is one run's fault-injection state: the armed schedule
-// runtime, the MPPT supervision watchdog, the fault-aware generator
-// wrapper installed into the circuit, the panel's faulted sample at the
-// run's current minute, and the report the result carries. A nil
+// runtime, the MPPT supervision watchdog, the panel's faulted sample at
+// the run's current minute, and the report the result carries. A nil
 // *faultCtx is the fault-free run; every engine touch point is gated on
 // it, so a disarmed schedule takes the exact clean code path.
 type faultCtx struct {
 	rt  *fault.Runtime
 	wd  *fault.Watchdog
 	day *SolarDay
-	gen *faultGen
 	// conv is the live circuit converter (nil for runners without one);
 	// baseEff is its clean efficiency, eta the clean conversion factor
 	// used for budget math.
@@ -85,9 +26,10 @@ type faultCtx struct {
 	eta     float64 // unit: ratio
 	o       obs.Observer
 
-	// env is the panel environment with the irradiance faults applied and
-	// clean the fault-free MPP, both at the minute of the last at.
-	env   pv.Env
+	// curve is the panel at the minute of the last at, under the cloud
+	// bursts and the string-disconnect current scale; clean is the
+	// fault-free MPP there.
+	curve pv.Curve
 	clean float64 // unit: W
 
 	report FaultReport
@@ -95,9 +37,8 @@ type faultCtx struct {
 }
 
 // newFaultCtx builds the per-run fault state, or nil when cfg carries no
-// armed schedule. When circuit is non-nil its generator is replaced with
-// the fault-aware wrapper and its converter becomes the fault target;
-// eta is the clean conversion efficiency for budget computation.
+// armed schedule. When circuit is non-nil its converter becomes the fault
+// target; eta is the clean conversion efficiency for budget computation.
 //
 // unit: eta=ratio
 func newFaultCtx(cfg *Config, circuit *power.Circuit, eta float64) *faultCtx {
@@ -109,30 +50,29 @@ func newFaultCtx(cfg *Config, circuit *power.Circuit, eta float64) *faultCtx {
 		rt:  rt,
 		wd:  &fault.Watchdog{},
 		day: cfg.Day,
-		gen: &faultGen{inner: cfg.Day.Gen, scale: 1},
 		eta: eta,
 		o:   cfg.Observer,
 	}
 	if circuit != nil {
-		circuit.Gen = fx.gen
 		fx.conv = circuit.Conv
 		fx.baseEff = circuit.Conv.Efficiency
 	}
 	return fx
 }
 
-// at samples the schedule at minute t (fault.Runtime.At) and derives the
-// faulted panel there: the environment under the cloud bursts and the
-// generator's string-disconnect scale. It emits no event and installs
-// nothing on the chip or converter.
+// at samples the schedule at minute t (fault.Runtime.At) and the faulted
+// panel curve there: the environment under the cloud bursts, the current
+// under the string disconnects. It emits no event and installs nothing
+// on the chip or converter.
 //
 // unit: t=min
 func (fx *faultCtx) at(t float64) {
 	fx.rt.At(t)
-	fx.env = fx.day.EnvAt(t)
-	fx.env.Irradiance *= fx.rt.IrradianceScale()
+	env := fx.day.EnvAt(t)
+	env.Irradiance *= fx.rt.IrradianceScale()
+	fx.curve = fx.day.Gen.At(env)
+	fx.curve.ScaleCurrent(fx.rt.GeneratorScale())
 	fx.clean = fx.day.MPPAt(t)
-	fx.gen.scale = fx.rt.GeneratorScale()
 }
 
 // mpp returns the panel-side maximum available power under the sampled
@@ -143,7 +83,7 @@ func (fx *faultCtx) mpp() float64 {
 	if !fx.rt.PowerPathActive() {
 		return fx.clean
 	}
-	return fx.gen.MPP(fx.env).P
+	return fx.curve.MPP().P
 }
 
 // budget returns the post-conversion power budget under the sampled
@@ -191,7 +131,7 @@ func (fx *faultCtx) edgeEvents(t float64) {
 // unit: t=min, demand=W, return=W
 func (fx *faultCtx) brownout(t float64, circuit *power.Circuit, chip *mcore.Chip, alloc sched.Allocator, demand float64) float64 {
 	for demand > 0 {
-		op := circuit.OperateAtDemand(fx.env, demand)
+		op := circuit.OperateAtDemand(&fx.curve, demand)
 		if op.VLoad >= 0.9*circuit.VNominal {
 			break
 		}

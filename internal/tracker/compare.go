@@ -68,18 +68,19 @@ func Ramp(g0, g1, durationMin, cellTemp float64) Schedule {
 
 // Evaluate runs an algorithm against a generator and a fixed load
 // resistance over the schedule, stepping once per control period of
-// periodMin minutes for durationMin minutes.
+// periodMin minutes for durationMin minutes. Each period samples the
+// generator's curve once; the step and the sample both read it.
 func Evaluate(alg Algorithm, gen pv.Generator, rLoad float64, sched Schedule, durationMin, periodMin float64) Evaluation {
 	circuit := power.NewCircuit(gen)
 	alg.Reset()
 	ev := Evaluation{Algorithm: alg.Name()}
 	for t := 0.0; t < durationMin; t += periodMin {
-		env := sched(t)
-		alg.Step(circuit, env, rLoad)
-		op := circuit.Operate(env, rLoad)
+		cv := gen.At(sched(t))
+		alg.Step(circuit, &cv, rLoad)
+		op := circuit.Operate(&cv, rLoad)
 		ev.Samples = append(ev.Samples, Sample{
 			Minute:    t,
-			Available: circuit.AvailableMax(env),
+			Available: circuit.AvailableMax(&cv),
 			Delivered: op.PLoad,
 			VLoad:     op.VLoad,
 		})

@@ -31,7 +31,7 @@ func (g *GlobalScan) Reset() {
 }
 
 // Step either performs the periodic global sweep or one local P&O move.
-func (g *GlobalScan) Step(c *power.Circuit, env pv.Env, rLoad float64) {
+func (g *GlobalScan) Step(c *power.Circuit, cv *pv.Curve, rLoad float64) {
 	period := g.RescanPeriod
 	if period <= 0 {
 		period = 60
@@ -41,22 +41,22 @@ func (g *GlobalScan) Step(c *power.Circuit, env pv.Env, rLoad float64) {
 		points = 24
 	}
 	if g.steps%period == 0 {
-		g.sweep(c, env, rLoad, points)
+		g.sweep(c, cv, rLoad, points)
 		g.local.Reset()
 	} else {
-		g.local.Step(c, env, rLoad)
+		g.local.Step(c, cv, rLoad)
 	}
 	g.steps++
 }
 
 // sweep probes the full ratio range and parks the converter at the best
 // ratio found.
-func (g *GlobalScan) sweep(c *power.Circuit, env pv.Env, rLoad float64, points int) {
+func (g *GlobalScan) sweep(c *power.Circuit, cv *pv.Curve, rLoad float64, points int) {
 	bestK, bestP := c.Conv.K, -1.0
 	for i := 0; i < points; i++ {
 		k := c.Conv.KMin + (c.Conv.KMax-c.Conv.KMin)*float64(i)/float64(points-1)
 		c.Conv.SetRatio(k)
-		if p := c.Operate(env, rLoad).PLoad; p > bestP {
+		if p := c.Operate(cv, rLoad).PLoad; p > bestP {
 			bestK, bestP = k, p
 		}
 	}

@@ -47,9 +47,9 @@ func TestPerturbObserveTrapsOnDecoy(t *testing.T) {
 	po := &PerturbObserve{}
 	po.Reset()
 	for i := 0; i < 600; i++ {
-		po.Step(circuit, pv.STC, r)
+		po.Step(circuit, at(circuit.Gen, pv.STC), r)
 	}
-	settled := circuit.Operate(pv.STC, r).PLoad
+	settled := circuit.Operate(at(circuit.Gen, pv.STC), r).PLoad
 	if settled > 0.9*global.P*circuit.Conv.Efficiency {
 		t.Skipf("P&O escaped the decoy on this geometry (settled %.1f W)", settled)
 	}
@@ -67,9 +67,9 @@ func TestGlobalScanEscapesDecoy(t *testing.T) {
 	gs := &GlobalScan{RescanPeriod: 40, ScanPoints: 32}
 	gs.Reset()
 	for i := 0; i < 600; i++ {
-		gs.Step(circuit, pv.STC, r)
+		gs.Step(circuit, at(circuit.Gen, pv.STC), r)
 	}
-	settled := circuit.Operate(pv.STC, r).PLoad
+	settled := circuit.Operate(at(circuit.Gen, pv.STC), r).PLoad
 	want := 0.9 * global.P * circuit.Conv.Efficiency
 	if settled < want {
 		t.Errorf("GlobalScan settled at %.1f W, want ≥ %.1f W (global peak)", settled, want)

@@ -19,11 +19,11 @@ import (
 )
 
 // Algorithm is a converter-side MPPT policy. Step observes the present
-// operating point through the circuit's sensors and may adjust the
-// converter ratio; it is invoked once per control period.
+// operating point on the panel curve cv through the circuit's sensors and
+// may adjust the converter ratio; it is invoked once per control period.
 type Algorithm interface {
 	Name() string
-	Step(c *power.Circuit, env pv.Env, rLoad float64)
+	Step(c *power.Circuit, cv *pv.Curve, rLoad float64)
 	Reset()
 }
 
@@ -42,8 +42,8 @@ func (*PerturbObserve) Name() string { return "P&O" }
 func (p *PerturbObserve) Reset() { *p = PerturbObserve{} }
 
 // Step perturbs the transfer ratio once.
-func (p *PerturbObserve) Step(c *power.Circuit, env pv.Env, rLoad float64) {
-	op := c.Operate(env, rLoad)
+func (p *PerturbObserve) Step(c *power.Circuit, cv *pv.Curve, rLoad float64) {
+	op := c.Operate(cv, rLoad)
 	if !p.started {
 		p.started = true
 		p.dir = 1
@@ -81,12 +81,12 @@ func (*IncCond) Name() string { return "IncCond" }
 func (ic *IncCond) Reset() { *ic = IncCond{Tol: ic.Tol} }
 
 // Step compares incremental and instantaneous conductance and nudges k.
-func (ic *IncCond) Step(c *power.Circuit, env pv.Env, rLoad float64) {
+func (ic *IncCond) Step(c *power.Circuit, cv *pv.Curve, rLoad float64) {
 	tol := ic.Tol
 	if tol <= 0 {
 		tol = 0.25
 	}
-	op := c.Operate(env, rLoad)
+	op := c.Operate(cv, rLoad)
 	v, i := op.VPanel, op.IPanel
 	if !ic.started || v <= 0 {
 		ic.started = true
@@ -141,7 +141,7 @@ func (f *FractionalVoc) Reset() { f.steps, f.target = 0, 0 }
 
 // Step refreshes the Voc sample when due and servos the panel voltage
 // toward the stored target.
-func (f *FractionalVoc) Step(c *power.Circuit, env pv.Env, rLoad float64) {
+func (f *FractionalVoc) Step(c *power.Circuit, cv *pv.Curve, rLoad float64) {
 	k := f.K
 	if k <= 0 {
 		k = 0.76
@@ -152,13 +152,13 @@ func (f *FractionalVoc) Step(c *power.Circuit, env pv.Env, rLoad float64) {
 	}
 	if f.steps%period == 0 {
 		// Momentarily open the load: Voc appears at the panel terminals.
-		f.target = k * c.Gen.OpenCircuitVoltage(env)
+		f.target = k * cv.OpenCircuitVoltage()
 	}
 	f.steps++
 	if f.target <= 0 {
 		return
 	}
-	op := c.Operate(env, rLoad)
+	op := c.Operate(cv, rLoad)
 	switch {
 	case op.VPanel < f.target*0.995:
 		c.Conv.Step(1)

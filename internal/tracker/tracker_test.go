@@ -13,7 +13,7 @@ func bpGen() pv.Generator { return pv.NewModule(pv.BP3180N()) }
 // matchedLoad returns a load resistance that lets the converter reach the
 // MPP somewhere inside its k range at STC.
 func matchedLoad(g pv.Generator) float64 {
-	mpp := g.MPP(pv.STC)
+	mpp := at(g, pv.STC).MPP()
 	// Pick R so the matched k = sqrt(Rmpp/(R·η)) sits near the middle of
 	// the range: with Rmpp = Vmpp/Impp ≈ 7 Ω and k≈2, R ≈ 7/(4·0.96) ≈ 1.8.
 	rmpp := mpp.V / mpp.I
@@ -75,7 +75,7 @@ func TestPerturbObserveBouncesOffRails(t *testing.T) {
 	po := &PerturbObserve{}
 	po.Reset()
 	for i := 0; i < 50; i++ {
-		po.Step(circuit, pv.STC, 2)
+		po.Step(circuit, at(circuit.Gen, pv.STC), 2)
 	}
 	if circuit.Conv.K >= circuit.Conv.KMax {
 		t.Error("P&O stayed pinned at KMax")
@@ -91,12 +91,12 @@ func TestIncCondDeadband(t *testing.T) {
 	circuit := power.NewCircuit(gen)
 	ic.Reset()
 	for i := 0; i < 600; i++ {
-		ic.Step(circuit, pv.STC, r)
+		ic.Step(circuit, at(circuit.Gen, pv.STC), r)
 	}
 	kSettled := circuit.Conv.K
 	moves := 0
 	for i := 0; i < 50; i++ {
-		ic.Step(circuit, pv.STC, r)
+		ic.Step(circuit, at(circuit.Gen, pv.STC), r)
 		if circuit.Conv.K != kSettled {
 			moves++
 			kSettled = circuit.Conv.K
@@ -115,10 +115,10 @@ func TestFractionalVocTargetsFraction(t *testing.T) {
 	fv.Reset()
 	var op power.Operating
 	for i := 0; i < 800; i++ {
-		fv.Step(circuit, pv.STC, r)
-		op = circuit.Operate(pv.STC, r)
+		fv.Step(circuit, at(circuit.Gen, pv.STC), r)
+		op = circuit.Operate(at(circuit.Gen, pv.STC), r)
 	}
-	want := 0.76 * gen.OpenCircuitVoltage(pv.STC)
+	want := 0.76 * at(gen, pv.STC).OpenCircuitVoltage()
 	if math.Abs(op.VPanel-want)/want > 0.03 {
 		t.Errorf("FracVoc settled at %.2f V, want ≈ %.2f V", op.VPanel, want)
 	}
@@ -142,4 +142,10 @@ func TestRampClamps(t *testing.T) {
 	if g := s(5).Irradiance; g != 150 {
 		t.Errorf("midpoint = %v", g)
 	}
+}
+
+// at samples g under env.
+func at(g pv.Generator, env pv.Env) *pv.Curve {
+	cv := g.At(env)
+	return &cv
 }

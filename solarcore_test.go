@@ -63,7 +63,8 @@ func TestPoliciesList(t *testing.T) {
 
 func TestPanelFacade(t *testing.T) {
 	m := solarcore.NewModule(solarcore.BP3180N())
-	mpp := m.MPP(pv.STC)
+	stc := m.At(pv.STC)
+	mpp := stc.MPP()
 	if mpp.P < 170 || mpp.P > 190 {
 		t.Errorf("facade module Pmax = %.1f", mpp.P)
 	}
