@@ -33,7 +33,8 @@ func (a ConstantActivity) Demand(minute float64) (ipc, ceffNF float64) { return 
 const Gated = -1
 
 // core is one core's state: its operating point, its level cap, the
-// activity it runs and that activity's sample at the chip's minute.
+// activity it runs, that activity's sample at the chip's minute, and
+// the DeltaUp those give.
 type core struct {
 	level int
 	// cap bounds the reachable operating point: top (the default) is
@@ -44,6 +45,18 @@ type core struct {
 	// ipc and ceffNF are act's Demand at the chip's minute.
 	ipc    float64 // unit: instr
 	ceffNF float64 // unit: F
+	// up is DeltaUp at the current level, cap and sample, valid while
+	// upFresh: every write of one of them clears upFresh, so a planner
+	// that steps one core re-derives only that core's delta.
+	up      delta
+	upFresh bool
+}
+
+// delta is one core's DeltaUp.
+type delta struct {
+	dT float64 // unit: GIPS
+	dP float64 // unit: W
+	ok bool
 }
 
 // Chip is the simulated multi-core processor: per-core DVFS level and
@@ -90,6 +103,7 @@ func (c *Chip) At(minute float64) {
 	for i := range c.cores {
 		k := &c.cores[i]
 		k.ipc, k.ceffNF = k.act.Demand(minute)
+		k.upFresh = false
 	}
 }
 
@@ -124,6 +138,7 @@ func (c *Chip) SetLevel(core, level int) error {
 		c.transitions++
 	}
 	k.level = level
+	k.upFresh = false
 	return nil
 }
 
@@ -145,6 +160,7 @@ func (c *Chip) SetLevelCap(core, cap int) error {
 	}
 	k := &c.cores[core]
 	k.cap = cap
+	k.upFresh = false
 	if k.level > cap {
 		k.level = cap
 		c.transitions++
@@ -174,6 +190,7 @@ func (c *Chip) SetActivity(core int, a Activity) error {
 	k := &c.cores[core]
 	k.act = a
 	k.ipc, k.ceffNF = a.Demand(c.minute)
+	k.upFresh = false
 	return nil
 }
 
@@ -189,6 +206,7 @@ func (c *Chip) StepUp(core int) bool {
 		return false
 	}
 	k.level++ // Gated+1 is the lowest point
+	k.upFresh = false
 	c.transitions++
 	return true
 }
@@ -201,6 +219,7 @@ func (c *Chip) StepDown(core int) bool {
 		return false
 	}
 	k.level-- // 0−1 is Gated
+	k.upFresh = false
 	c.transitions++
 	return true
 }
@@ -283,17 +302,31 @@ func (c *Chip) MinPower() float64 {
 }
 
 // DeltaUp returns the throughput and power increases of raising a core one
-// operating point. ok is false when the core is already at the top.
+// operating point. ok is false when the core is already at the top. The
+// chip keeps each core's answer until that core's level, cap or sample
+// changes, so repeated probes of unmoved cores cost a load.
 //
 // unit: dT=GIPS, dP=W
 func (c *Chip) DeltaUp(core int) (dT, dP float64, ok bool) {
+	k := &c.cores[core]
+	if !k.upFresh {
+		k.up = c.deltaUp(core)
+		k.upFresh = true
+	}
+	return k.up.dT, k.up.dP, k.up.ok
+}
+
+// deltaUp derives DeltaUp from the core's level and sample.
+func (c *Chip) deltaUp(core int) delta {
 	lvl := c.cores[core].level
 	if lvl == len(c.cfg.Points)-1 {
-		return 0, 0, false
+		return delta{}
 	}
-	dT = c.ThroughputAt(core, lvl+1) - c.ThroughputAt(core, lvl)
-	dP = c.PowerAt(core, lvl+1) - c.PowerAt(core, lvl)
-	return dT, dP, true
+	return delta{
+		dT: c.ThroughputAt(core, lvl+1) - c.ThroughputAt(core, lvl),
+		dP: c.PowerAt(core, lvl+1) - c.PowerAt(core, lvl),
+		ok: true,
+	}
 }
 
 // DeltaDown returns the throughput and power decreases (as positive

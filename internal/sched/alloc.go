@@ -182,7 +182,8 @@ func ByName(name string) (Allocator, bool) {
 // while the chip's total power stays within the budget. This is the
 // Fixed-Power baseline's "linear programming optimization with a fixed
 // power budget" (Table 6) in its exact greedy form, against the chip's
-// current sample (mcore.Chip.At).
+// current sample (mcore.Chip.At). A greedy step moves one core, so only
+// that core's DeltaUp is derived again; the chip keeps the others.
 //
 // It returns the planned chip power.
 func PlanBudget(chip *mcore.Chip, budget float64) float64 {
