@@ -48,7 +48,7 @@ func TestClusterGolden(t *testing.T) {
 				t.Errorf("fault windows = %d, solar %v Wh: want 2 windows on a solar day", res.FaultWindows, res.SolarWh)
 			}
 			return res
-		}, "8a2534adbda4a0574b6f25ba7fb2c1274aaa0216361e45d7876a4e2e62d78323"},
+		}, "f400f5e62465fb80bae1fcf2a9a88fe93ce2b57a1fe0d80678c8b07bfb3a05f3"},
 		{"RunDay/string-cut+conv-derate+core-throttle", func(t *testing.T) any {
 			s, err := fault.ParseSpec("string-cut:t0=580,t1=680,i=0.5;conv-derate:t0=640,t1=720,i=0.3;" +
 				"core-throttle:t0=700,t1=800,i=0.6")
@@ -60,7 +60,7 @@ func TestClusterGolden(t *testing.T) {
 				t.Errorf("fault windows = %d, solar %v Wh: want 3 windows on a solar day", res.FaultWindows, res.SolarWh)
 			}
 			return res
-		}, "190e1b15f1284938835c89076681f044d21d6daf243fb79f5efee9738bb316ca"},
+		}, "5777c4c7d4e9b2a903867cb77f04237e9b9263a5cea32ae9125d765feb2af703"},
 		{"FillBudget/midday", func(t *testing.T) any {
 			c := testCluster(t, 4, 25, 0)
 			c.At(720)

@@ -59,12 +59,20 @@ const (
 	holdPeriods = 3
 	// recoverPeriods consecutive healthy probes return to Tracking.
 	recoverPeriods = 2
-	// errTolerance is the relative budget-vs-settled-load mismatch
+	// errTolerance is the relative budget-vs-delivered-load mismatch
 	// beyond which a period counts unhealthy; clean runs sit well inside
-	// it even with the protective margin shed.
+	// it even with the protective margin shed, once the budget is above
+	// thinBudgetLoads minimal loads.
 	//
 	// unit: ratio
 	errTolerance = 0.5
+	// thinBudgetLoads is the budget, in minimal chip loads, below which
+	// the tracking gap is not judged: the protective margin (two DVFS
+	// steps by default) and one discrete load step can leave a clean
+	// session that far under a thin budget, or with every core gated.
+	//
+	// unit: ratio
+	thinBudgetLoads = 4
 	// senseTolerance is the relative sensed-vs-actual load mismatch
 	// beyond which a period counts unhealthy; the configured benign
 	// sensor noise stays in single digits.
@@ -94,15 +102,17 @@ type PeriodStats struct {
 	// Steps and MaxSteps are the tuning actions consumed and the
 	// session cap; hitting the cap is the non-convergence signal.
 	Steps, MaxSteps int
-	// RaisedToW is the chip demand the session settled at.
-	//
-	// unit: W
-	RaisedToW float64
-	// SensedW is the load power the controller's sensors report —
-	// diverges from RaisedToW under sensor faults.
+	// SensedW is the load power the controller's sensors report.
 	//
 	// unit: W
 	SensedW float64
+	// LoadW is the load power the circuit really delivers at the settled
+	// operating point: the reading before sensor noise and sensor
+	// faults, which SensedW is judged against. It differs from the chip's
+	// demand at nominal when the rail settles off nominal, as at dawn.
+	//
+	// unit: W
+	LoadW float64
 	// BudgetW is the clean post-conversion available power.
 	//
 	// unit: W
@@ -119,7 +129,10 @@ type PeriodStats struct {
 // Healthy applies the watchdog's health predicate to one period. The
 // conditions are chosen so a fault-free run never looks unhealthy:
 // dawn/dusk overloads (budget under twice the minimal load) and the
-// protective-margin tracking gap stay healthy.
+// protective-margin tracking gap stay healthy, and both the tracking gap
+// and the sensors are judged against the load power the circuit really
+// delivers (LoadW), which exceeds the demand at nominal when the rail
+// settles high, as at dawn.
 func Healthy(st PeriodStats) bool {
 	if st.SolverFault {
 		return false
@@ -132,14 +145,14 @@ func Healthy(st PeriodStats) bool {
 		// budget it is dawn/dusk physics.
 		return st.BudgetW < 2*st.MinLoadW
 	}
-	if st.BudgetW > 0 && st.BudgetW >= 2*st.MinLoadW {
-		if math.Abs(st.BudgetW-st.RaisedToW)/st.BudgetW > errTolerance {
+	if st.BudgetW > 0 && st.BudgetW >= thinBudgetLoads*st.MinLoadW {
+		if math.Abs(st.BudgetW-st.LoadW)/st.BudgetW > errTolerance {
 			return false // settled nowhere near the available power
 		}
 	}
-	if ref := math.Max(st.RaisedToW, st.SensedW); ref > 0 {
-		if math.Abs(st.RaisedToW-st.SensedW)/ref > senseTolerance {
-			return false // the sensors and the chip disagree wildly
+	if ref := math.Max(st.LoadW, st.SensedW); ref > 0 {
+		if math.Abs(st.LoadW-st.SensedW)/ref > senseTolerance {
+			return false // the sensors and the load disagree wildly
 		}
 	}
 	return true

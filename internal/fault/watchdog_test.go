@@ -12,13 +12,13 @@ import (
 func healthyStats(minute float64) PeriodStats {
 	return PeriodStats{
 		Minute: minute, Steps: 40, MaxSteps: 512,
-		RaisedToW: 90, SensedW: 88, BudgetW: 100, MinLoadW: 10,
+		SensedW: 88, LoadW: 90, BudgetW: 100, MinLoadW: 10,
 	}
 }
 
 func sickStats(minute float64) PeriodStats {
 	st := healthyStats(minute)
-	st.SensedW = 0 // sensors dead: wild sensed-vs-raised divergence
+	st.SensedW = 0 // sensors dead: wild sensed-vs-load divergence
 	return st
 }
 
@@ -53,17 +53,17 @@ func TestHealthyPredicateCleanEdgeCases(t *testing.T) {
 	}
 	// Protective-margin tracking gap stays healthy.
 	if !Healthy(PeriodStats{Minute: 0, Steps: 30, MaxSteps: 512,
-		RaisedToW: 70, SensedW: 69, BudgetW: 100, MinLoadW: 10}) {
+		SensedW: 69, LoadW: 70, BudgetW: 100, MinLoadW: 10}) {
 		t.Error("margin-sized tracking gap judged unhealthy")
 	}
 	// Non-convergence: effort cap exhausted.
 	if Healthy(PeriodStats{Minute: 0, Steps: 512, MaxSteps: 512,
-		RaisedToW: 90, SensedW: 88, BudgetW: 100, MinLoadW: 10}) {
+		SensedW: 88, LoadW: 90, BudgetW: 100, MinLoadW: 10}) {
 		t.Error("step-cap exhaustion judged healthy")
 	}
 	// Solver fault is always unhealthy.
 	if Healthy(PeriodStats{Minute: 0, SolverFault: true, MaxSteps: 512,
-		RaisedToW: 90, SensedW: 88, BudgetW: 100, MinLoadW: 10}) {
+		SensedW: 88, LoadW: 90, BudgetW: 100, MinLoadW: 10}) {
 		t.Error("solver fault judged healthy")
 	}
 }

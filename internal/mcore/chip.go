@@ -302,7 +302,8 @@ func (c *Chip) MinPower() float64 {
 }
 
 // DeltaUp returns the throughput and power increases of raising a core one
-// operating point. ok is false when the core is already at the top. The
+// operating point. ok is false when the core is at its level cap, as
+// StepUp would refuse: the top level, or lower under a fault cap. The
 // chip keeps each core's answer until that core's level, cap or sample
 // changes, so repeated probes of unmoved cores cost a load.
 //
@@ -316,10 +317,10 @@ func (c *Chip) DeltaUp(core int) (dT, dP float64, ok bool) {
 	return k.up.dT, k.up.dP, k.up.ok
 }
 
-// deltaUp derives DeltaUp from the core's level and sample.
+// deltaUp derives DeltaUp from the core's level, cap and sample.
 func (c *Chip) deltaUp(core int) delta {
 	lvl := c.cores[core].level
-	if lvl == len(c.cfg.Points)-1 {
+	if lvl >= c.cores[core].cap {
 		return delta{}
 	}
 	return delta{

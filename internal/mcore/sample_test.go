@@ -135,7 +135,8 @@ func checkSample(t *testing.T, chip *mcore.Chip, cfg mcore.Config, of func(int) 
 		}
 
 		dT, dP, ok := chip.DeltaUp(i)
-		wantOK := lvl < len(cfg.Points)-1
+		wantOK := lvl < chip.LevelCap(i) // StepUp stops at the cap
+
 		if ok != wantOK {
 			t.Errorf("minute %v core %d: DeltaUp ok = %v", m, i, ok)
 		}

@@ -117,7 +117,8 @@ func TestSensorDropoutTripsWatchdogWithinN(t *testing.T) {
 		wd.Observe(fault.PeriodStats{
 			Minute: m, Overload: res.Overload,
 			Steps: res.Steps, MaxSteps: ctrl.Cfg.MaxSteps,
-			RaisedToW: res.RaisedTo, SensedW: res.Op.PLoad,
+			SensedW:  res.Op.PLoad,
+			LoadW:    ctrl.Circuit.OperateAtDemand(curve(ctrl.Circuit, env), res.RaisedTo).PLoad,
 			BudgetW:  ctrl.Circuit.AvailableMax(curve(ctrl.Circuit, env)),
 			MinLoadW: ctrl.Chip.MinPower(),
 		})

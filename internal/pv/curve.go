@@ -224,19 +224,22 @@ func (c *Curve) moduleCurrent(v float64) float64 {
 }
 
 // moduleResistive returns one module's operating point on a resistance
-// r. Substituting I = V/r into the single-diode equation collapses the
-// nested solve into one scalar root find,
+// r in closed form. Substituting V = I·r into the single-diode equation
+// gives
 //
-//	h(V) = Iph − I0·(exp(V·(1 + Rs/r)/NsVt) − 1) − V/r = 0,
+//	I = A − I0·exp(a·I),  a = (r + Rs)/NsVt,  A = Iph + I0,
 //
-// which is strictly decreasing and bracketed by [0, Voc], so the guarded
-// Newton converges in a handful of iterations. This is the hot path of
-// the circuit simulation.
+// whose solution is I = A − W(a·I0·e^{aA})/a, with W the Lambert W
+// function (Jain & Kapoor 2004, Sol. Energy Mater. Sol. Cells 81:269).
+// W is found in the log domain, w + ln w = L with L = ln(a·I0) + a·A, so
+// e^{aA} is never formed, and the current is read as
+// I = (ln w − ln(a·I0))/a: near open load I ≪ A, where A − w/a would
+// cancel. This is the hot path of the circuit simulation.
 //
 // unit: r=Ω, v=V, i=A
 func (c *Curve) moduleResistive(r float64) (v, i float64) {
 	voc := c.voc
-	if voc <= 0 {
+	if voc <= 0 || math.IsNaN(r) {
 		return 0, 0
 	}
 	if math.IsInf(r, 1) {
@@ -245,20 +248,48 @@ func (c *Curve) moduleResistive(r float64) (v, i float64) {
 	if r <= 0 {
 		return 0, c.moduleCurrent(0)
 	}
-	iph, i0 := c.iph, c.i0
-	k := (1 + c.rs/r) / c.vt
-	hdh := func(v float64) (float64, float64) {
-		e := math.Expm1(v * k)
-		return iph - i0*e - v/r, -i0*(e+1)*k - 1/r
-	}
-	v, err := mathx.NewtonBisect(hdh, 0, voc, voc*1e-10)
-	if err != nil {
-		// h(0) = Iph > 0 and h(Voc) < 0, so a bracket failure can only mean
-		// a degenerate panel; behave as a dark module.
-		return 0, 0
-	}
+	a := (r + c.rs) / c.vt
+	lnAI0 := math.Log(a * c.i0)
+	i = (logLambertW(lnAI0+a*(c.iph+c.i0)) - lnAI0) / a
+	v = i * r
 	return v, v / r
 }
+
+// logLambertW returns ln w for the w > 0 with w + ln w = L, that is
+// ln W(e^L), by Halley's method on f(w) = w + ln w − L from
+// w₀ = L − ln L + ln L/L (the asymptotic series) when L > 1 and from
+// e^L/(1 + e^L) (W(x) ≈ x − x² for small x) otherwise. Each iteration
+// takes one log; the last one's ln w, moved by the final step, is the
+// answer, so no log of the converged w is taken.
+func logLambertW(L float64) float64 {
+	var w float64
+	if L > 1 {
+		ll := math.Log(L)
+		w = L - ll + ll/L
+	} else {
+		x := math.Exp(L)
+		if x == 0 {
+			return L // w < 1e-300 leaves ln w = L − w equal to L
+		}
+		w = x / (1 + x)
+	}
+	for k := 0; ; k++ {
+		lw := math.Log(w)
+		f := w + lw - L
+		// Halley: dw = f/(f' − f·f''/(2f')), f' = 1 + 1/w, f'' = −1/w².
+		fp := 1 + 1/w
+		dw := f / (fp + f/(2*w*w*fp))
+		if math.Abs(dw) <= 1e-10*w || k == maxHalley {
+			return lw - dw/w // ln(w − dw) to first order, exact to (dw/w)²/2
+		}
+		w -= dw
+	}
+}
+
+// maxHalley bounds logLambertW's iterations. The start is within a few
+// percent of the root for every L, and Halley's method converges
+// cubically, so the bound is never reached on a finite L.
+const maxHalley = 16
 
 // moduleMPP returns one module's maximum power point. In current space
 // the single-diode curve inverts in closed form, so the power

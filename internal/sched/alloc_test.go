@@ -197,6 +197,60 @@ func TestPlanBudgetZero(t *testing.T) {
 	}
 }
 
+// TestCappedCoreIsNotACandidate: a core at its fault cap offers no
+// raise, so OptTPR raises the best core that can move and PlanBudget
+// spends its budget on the others instead of charging the capped core's
+// step without moving it. The capped core is the one a raise would pick
+// first, failed or held at level 1.
+func TestCappedCoreIsNotACandidate(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		level int // the capped core's level, at its cap
+	}{{"failed", mcore.Gated}, {"capped at 1", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			chip := hm2Chip(t)
+			chip.SetAllLevels(tc.level)
+			best, bestTPR := -1, 0.0
+			for i := 0; i < chip.NumCores(); i++ {
+				if tpr := chip.TPRUp(i); tpr > bestTPR {
+					best, bestTPR = i, tpr
+				}
+			}
+			if err := chip.SetLevelCap(best, tc.level); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := chip.DeltaUp(best); ok || chip.TPRUp(best) != 0 {
+				t.Errorf("DeltaUp/TPRUp offer a raise of core %d at its cap", best)
+			}
+			before := chip.Power()
+			if !(OptTPR{}).Raise(chip) {
+				t.Fatalf("Raise refused with seven cores free: %v", chip.Levels())
+			}
+			if chip.Level(best) != tc.level || chip.Power() <= before {
+				t.Errorf("Raise moved nothing useful: levels %v", chip.Levels())
+			}
+
+			const budget = 60
+			planned := PlanBudget(chip, budget)
+			if got := chip.Power(); planned > budget || planned-got > 1e-9 || got-planned > 1e-9 {
+				t.Errorf("planned %v W for a %v W budget, chip draws %v W", planned, budget, got)
+			}
+			if chip.Level(best) > tc.level {
+				t.Errorf("core %d at level %d above its cap %d", best, chip.Level(best), tc.level)
+			}
+			raised := 0
+			for i := 0; i < chip.NumCores(); i++ {
+				if chip.Level(i) != mcore.Gated {
+					raised++
+				}
+			}
+			if raised == 0 {
+				t.Errorf("PlanBudget left every core gated: %v", chip.Levels())
+			}
+		})
+	}
+}
+
 func TestPlanBudgetBeatsNaiveUniform(t *testing.T) {
 	// Under a tight budget the greedy TPR plan should achieve at least the
 	// throughput of the best uniform-level assignment that fits.

@@ -21,7 +21,7 @@ import (
 // event byte bumps it, and TestEngineGolden pins it to the hash table.
 // RunSpec.Canonical carries it, so a store, ring or stream tail keyed on
 // a spec hash never replays another engine's bytes as current.
-const EngineVersion = 2
+const EngineVersion = 3
 
 // Config describes one day run. Zero-valued fields take the paper's
 // defaults: 10-minute tracking periods, 1-minute sub-sampling, 12 V rail,
@@ -378,6 +378,7 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 		var track mppt.Result
 		var solverErr error
 		var minLoadW float64 // unit: W
+		var loadW float64    // the settled point's delivered load power, unit: W
 		if fx != nil {
 			solverErr = fx.rt.SolverErr()
 			// The watchdog judges the period against the period-start
@@ -393,6 +394,9 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 			track = mppt.Result{Overload: true}
 		} else {
 			track = ctrl.TrackCurve(r.curveAt(t0), t0)
+			if fx != nil {
+				loadW = fx.loadW(circuit, track)
+			}
 		}
 		onSolar := track.Solar()
 		trackBudget := r.budgetAt(t0)
@@ -415,6 +419,9 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 			if cfg.EventTracking && trackBudget > 0 &&
 				math.Abs(budget-trackBudget) > 0.15*trackBudget {
 				track = ctrl.TrackCurve(r.curveAt(t), t)
+				if fx != nil {
+					loadW = fx.loadW(circuit, track)
+				}
 				onSolar = track.Solar()
 				trackBudget = budget
 				prevDemand = 0
@@ -501,7 +508,7 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 			fx.observe(fault.PeriodStats{
 				Minute: t0, Overload: track.Overload,
 				Steps: track.Steps, MaxSteps: ctrl.Cfg.MaxSteps,
-				RaisedToW: track.RaisedTo, SensedW: track.Op.PLoad,
+				SensedW: track.Op.PLoad, LoadW: loadW,
 				BudgetW: trackBudget, MinLoadW: minLoadW,
 				SolverFault: solverErr != nil,
 			}, fault.Derate*trackBudget)
@@ -584,14 +591,19 @@ func RunBattery(cfg Config, eff float64) (*DayResult, error) {
 
 	start, end := cfg.Day.StartMinute(), cfg.Day.EndMinute()
 	// The battery is optimally charged by its own tracker (Section 5): the
-	// whole day's MPP energy is banked up front. A fault schedule is only
-	// sampled here: no edge events, no caps.
+	// whole day's MPP energy is banked up front. The harvest loop is the
+	// one that samples a fault schedule at every minute of the day, so it
+	// takes the window edges: a window that opens after the bank empties
+	// still cuts the harvest and is counted, and every fault event
+	// precedes the draw loop's ticks.
+	fx := r.fx
 	for t := start; t < end-1e-9; t += cfg.StepMin {
 		dt := math.Min(cfg.StepMin, end-t)
 		mpp := cfg.Day.MPPAt(t)
-		if r.fx != nil {
-			r.fx.at(t)
-			mpp = r.fx.mpp()
+		if fx != nil {
+			fx.at(t)
+			fx.edgeEvents(t)
+			mpp = fx.mpp()
 		}
 		bat.Harvest(mpp, dt)
 	}
@@ -600,7 +612,12 @@ func RunBattery(cfg Config, eff float64) (*DayResult, error) {
 			return nil, err
 		}
 		dt := math.Min(cfg.StepMin, end-t)
-		r.at(t)
+		chip.At(t)
+		if fx != nil {
+			// Only the core caps act on the draw; the edges are taken.
+			fx.rt.At(t)
+			fx.apply(chip)
+		}
 		demand := chip.Power()
 		got := bat.Draw(demand, dt)
 		// The battery supplies on demand while charged, so the available

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -238,19 +239,28 @@ func TestFaultTraceValidatesAndCarriesEvents(t *testing.T) {
 }
 
 // TestFaultWindowAfterLastSample pins the end of the day: a window that
-// opens after the last sample was never seen open, so neither tracking
-// nor fixed runs count it or emit its edges, while a window the last
-// sample saw open counts and ends at the day's end minute. AZ/Apr at
-// 8-minute sub-samples ticks last at minute 1048 and ends at 1050.
+// opens after the last sample was never seen open, so no runner counts
+// it or emits its edges, while a window the last sample saw open counts
+// and ends at the day's end minute. AZ/Apr at 8-minute sub-samples ends
+// at 1050; the tracking and fixed runners sample periods from 1040, so
+// their last sample is 1048, and the battery samples one grid from 450,
+// so its last is 1042. The battery's bank empties hours before that, so
+// its draw loop never reaches the window: its harvest loop, which
+// samples the whole day, must count it.
 func TestFaultWindowAfterLastSample(t *testing.T) {
-	for _, runner := range []string{"MPPT&Opt", "Fixed"} {
+	for _, rn := range []struct {
+		runner string
+		last   float64 // the last sampled minute, unit: min
+	}{{"MPPT&Opt", 1048}, {"Fixed", 1048}, {"Battery", 1042}} {
 		for _, tc := range []struct {
 			spec     string
 			injected int
 		}{
 			{"cloud:t0=1049.99,t1=1110,i=1", 0},
-			{"cloud:t0=1048,t1=1110,i=1", 1},
+			{fmt.Sprintf("cloud:t0=%g,t1=1110,i=1", rn.last+0.5), 0},
+			{fmt.Sprintf("cloud:t0=%g,t1=1110,i=1", rn.last), 1},
 		} {
+			runner := rn.runner
 			cfg := cfgFor(t, atmos.AZ, atmos.Apr, "M2")
 			cfg.StepMin = 8
 			s, err := fault.ParseSpec(tc.spec)
@@ -261,17 +271,28 @@ func TestFaultWindowAfterLastSample(t *testing.T) {
 			rec := &recorder{}
 			cfg.Observer = rec
 			var res *DayResult
-			if runner == "Fixed" {
+			switch runner {
+			case "Fixed":
 				res, err = RunFixed(cfg, 75)
-			} else {
+			case "Battery":
+				res, err = RunBattery(cfg, power.BatteryUpperEff)
+			default:
 				res, err = RunMPPT(cfg, sched.OptTPR{})
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			end := cfg.Day.EndMinute()
-			if last := rec.ticks[len(rec.ticks)-1].Minute; last != 1048 || end != 1050 {
-				t.Fatalf("%s: last tick %v, end %v; the case needs 1048 and 1050", runner, last, end)
+			last := rec.ticks[len(rec.ticks)-1].Minute
+			if runner == "Battery" {
+				if last >= rn.last {
+					t.Fatalf("battery ticks last at %v; the case needs a bank empty before %v", last, rn.last)
+				}
+			} else if last != rn.last {
+				t.Fatalf("%s: last tick %v; the case needs %v", runner, last, rn.last)
+			}
+			if end != 1050 {
+				t.Fatalf("day ends at %v; the case needs 1050", end)
 			}
 			if res.Faults.Injected != tc.injected || len(rec.faults) != 2*tc.injected {
 				t.Errorf("%s %s: %d injected, %d fault events; want %d and %d",
@@ -280,8 +301,8 @@ func TestFaultWindowAfterLastSample(t *testing.T) {
 			}
 			if tc.injected == 1 {
 				begin, stop := rec.faults[0], rec.faults[1]
-				if begin.Phase != obs.FaultBegin || begin.Minute != 1048 || stop.Phase != obs.FaultEnd || stop.Minute != end {
-					t.Errorf("%s %s: edges %+v, %+v; want begin at 1048, end at %v", runner, tc.spec, begin, stop, end)
+				if begin.Phase != obs.FaultBegin || begin.Minute != rn.last || stop.Phase != obs.FaultEnd || stop.Minute != end {
+					t.Errorf("%s %s: edges %+v, %+v; want begin at %v, end at %v", runner, tc.spec, begin, stop, rn.last, end)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package sim
 import (
 	"solarcore/internal/fault"
 	"solarcore/internal/mcore"
+	"solarcore/internal/mppt"
 	"solarcore/internal/obs"
 	"solarcore/internal/power"
 	"solarcore/internal/pv"
@@ -121,6 +122,19 @@ func (fx *faultCtx) edgeEvents(t float64) {
 		obs.Fault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind,
 			Intensity: inj.I, Phase: obs.FaultBegin})
 	}
+}
+
+// loadW returns the load power the circuit delivers at the point a
+// tracking session on the sampled curve settled: the sensors' reading
+// without noise or sensor faults, which the watchdog holds them to. An
+// overloaded session settled nowhere and delivers nothing.
+//
+// unit: return=W
+func (fx *faultCtx) loadW(circuit *power.Circuit, track mppt.Result) float64 {
+	if track.Overload {
+		return 0
+	}
+	return circuit.OperateAtDemand(&fx.curve, track.RaisedTo).PLoad
 }
 
 // brownout is the brownout guard: while the settled rail voltage sags

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"solarcore/internal/atmos"
@@ -75,22 +76,21 @@ func goldenBank(t *testing.T, cfg Config) any {
 var engineTables = map[int]string{
 	1: "a3c637b21e66936aa00573ff97698ac495751853d1cd18111747652607f62d33",
 	2: "538ebb01c1cf7618dca3a5ba944511351ba34632cac316fa5807939106bf31db",
+	3: "5247b3faaa65f8ab34e45466090575aa01c85e99eaeea31bfe56f73ad4022d4b",
 }
 
-// TestEngineGolden pins every runner's output bytes: a refactor of the
-// day loops must leave each row's result JSON and event stream
-// unchanged. AZ/Apr, mix M2, 2-minute sub-samples, series kept.
-func TestEngineGolden(t *testing.T) {
-	rows := []goldenRow{
+// goldenRows returns the pinned runs of TestEngineGolden in table order.
+func goldenRows() []goldenRow {
+	return []goldenRow{
 		{name: "MPPT&Opt", run: goldenMPPT("MPPT&Opt"),
 			result: "18e441376db58a6cf97dcbf8e30f4331d696aa83199c4a703d3642a538782654",
-			jsnl:   "19609f69f00077c2a6f070e4312594df7ec892a0bdb0074c87b3190e0de25b41"},
+			jsnl:   "3729448f49893eff85e2c594292dd3bb954a141c18332b82083b255614076259"},
 		{name: "MPPT&IC", run: goldenMPPT("MPPT&IC"),
 			result: "97af1e5741a028720427138594f1ea91b63c92b843e72564e905789ad4e16042",
-			jsnl:   "97505336c95f72af1ab9d806945850c86ebec281dc5f2403ba56c12c5ee9bbeb"},
+			jsnl:   "f5cceed7f9ab66b598975055031d99b21b6f7ab7b2fe8ea84a96143784802603"},
 		{name: "MPPT&RR", run: goldenMPPT("MPPT&RR"),
 			result: "8b226d21e080c24b539cba36453adf193a7a98b0f0910049714796d32f1e5a1f",
-			jsnl:   "1045bc076116148e34aa37ed39b196b787ac8ee838cad71f6bf2f110fa6f0c0f"},
+			jsnl:   "ca675bb727735e96813acec378578a558aea223b52008dad20fee83768400f0e"},
 		{name: "Fixed75", run: goldenFixed,
 			result: "b83768d814617e75c592ebf602fb8e0fe8801787b26f291e0c5e9fd66a78eef0",
 			jsnl:   "231cf4afd1622c441b072976dbd05b656cef7a84b3867a21015631ad22c1039f"},
@@ -104,32 +104,32 @@ func TestEngineGolden(t *testing.T) {
 			faults:    "sensor-drop:t0=600,t1=720,i=1",
 			exercises: func(r *DayResult) bool { return r.Faults.FallbackPeriods > 0 },
 			result:    "c5ce8d1a6ca27a1c0977ba3133b987cc825db37cc4b512cc1d531b270bf5ea5c",
-			jsnl:      "710f55fe55987c75210588f7e660ad84fd8072c83df5a2af2f1ed398977b4bea"},
+			jsnl:      "8b164d2475296b81003972d28f5d898e02c6f092b6cca7ee8b6549c7c8b892a2"},
 		{name: "Opt/mixed", run: goldenMPPT("MPPT&Opt"),
 			faults: "cloud:t0=560,t1=640,i=0.7;string-cut:t0=620,t1=700,i=0.5;" +
 				"conv-stuck:t0=680,t1=740,i=1;conv-derate:t0=700,t1=780,i=0.3;" +
 				"core-fail:t0=750,t1=820,i=0.5;solver:t0=800,t1=860,i=1",
 			exercises: func(r *DayResult) bool { return r.Faults.Injected == 6 && r.Faults.SolverFaults > 0 },
-			result:    "7e67c40e732634519a9cb8f29e8fd2b5e2803f72228d7d006d3c6cc51f96bf42",
-			jsnl:      "48a63661231022d533a399573cf7d418912b9ccdefa9874d9aaaf6a302538226"},
+			result:    "b616c9a9d067b04f05d4a211c014030e8ee8f92ac99fcf99f277246cdf13933b",
+			jsnl:      "dfebb7f8f8c1f883a63f4b026134c570efbd5880511d1a88e68eac9d65a88dc1"},
 		{name: "Opt/sensor-stuck", run: goldenMPPT("MPPT&Opt"),
 			faults:    "sensor-stuck:t0=600,t1=720,i=1",
-			exercises: func(r *DayResult) bool { return r.Faults.WatchdogTrips == 3 },
-			result:    "beeae3dde342cadb751d70c2508f1475ab710b93b08ca228522219f5677c14fc",
-			jsnl:      "dff54457f3a49210f1cda96cfb428d7829769880836c438039929c0123a5224f"},
+			exercises: func(r *DayResult) bool { return r.Faults.WatchdogTrips > 0 },
+			result:    "24f2c7c8a3ad0520421a47a570ec07c91635995a6a687e5531df18e694c7da0a",
+			jsnl:      "598aa93a89f6394e3cf35c977e7bfd821b728bda7c977c40c290e4732ae6039e"},
 		{name: "Opt/sensor-bias", run: goldenMPPT("MPPT&Opt"),
 			faults:    "sensor-bias:t0=600,t1=720,i=0.5",
 			exercises: func(r *DayResult) bool { return r.Faults.WatchdogTrips == 1 },
-			result:    "ac3beced4ed6fffb612773749a864822de15ce0bf89703989b5ed961dca8ab9c",
-			jsnl:      "922dd9ba611086a5de9fcc77dcf9502db60b3f7ea8649d3c97f259e4a1d0cbf8"},
+			result:    "0a91aca9adac2605d4ba3d1b44fadec21c2df50f81d7c6f98c3d007f591791bb",
+			jsnl:      "928e2a355b8d6ee3998f0bbbcb7919b0280d81c2eed29274844a10e2816b7cd4"},
 		{name: "Fixed75/cloud+throttle", run: goldenFixed,
 			faults: "cloud:t0=600,t1=700,i=0.8;core-throttle:t0=650,t1=750,i=1",
-			result: "e3d3504a4480e3bf1d19f553559e4fc9fbd45815d6c5fadad42d70592f022f5e",
-			jsnl:   "d12ac5b50b672297b1ac4cd50cc4e50066398843d71c3c899e5303b491bf4341"},
+			result: "19eb3caf6164dd317915064040f5c65dc0a3c9fdb7f210b101d35d6b5f52c241",
+			jsnl:   "570f9009f7ae8070d1454f3a56d5368281cfca9ac8ff845ea150c8bd018a2acf"},
 		{name: "Battery/cloud", run: goldenBattery,
 			faults: "cloud:t0=600,t1=700,i=0.8",
 			result: "f092a177b9a5aaa545f78e19873b10e4efc5b1248afca328cf15954895e0eb15",
-			jsnl:   "b5b7185f8979fbf34ba6101f30dfa7c43bd6f179724e45daee13fc01184a794b"},
+			jsnl:   "66c2ea23922522d84dd68d3b00bbc48cb64a7c7cefacb4e2568307cda0fa7132"},
 		{name: "Opt/thermal+event+dvfs", run: goldenMPPT("MPPT&Opt"),
 			tweak: func(c *Config) {
 				tc := thermalDefault()
@@ -140,8 +140,45 @@ func TestEngineGolden(t *testing.T) {
 			},
 			exercises: func(r *DayResult) bool { return r.PeakTempC > 0 },
 			result:    "3e56ce12aa809ee9a63a0e5ebb282c9e46776084ac7752ab543361c61f95a262",
-			jsnl:      "aac520cbd01f5ffc86d8d8eeece6ee5704a40db742b34ec038beb31d462f6fc6"},
+			jsnl:      "ced88894472939f1b52e99f396a958bd33739ef54e13bb91aac55c834c026d06"},
 	}
+}
+
+// runGolden runs a golden row on AZ/Apr, mix M2, with its series kept,
+// under the fault spec faults ("" runs clean) at stepMin-minute
+// sub-samples, and returns the result and its JSONL event stream.
+//
+// unit: stepMin=min
+func runGolden(t *testing.T, row goldenRow, faults string, stepMin float64) (any, []byte) {
+	t.Helper()
+	cfg := cfgFor(t, atmos.AZ, atmos.Apr, "M2")
+	cfg.StepMin = stepMin
+	cfg.KeepSeries = true
+	if faults != "" {
+		s, err := fault.ParseSpec(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Faults = s
+	}
+	if row.tweak != nil {
+		row.tweak(&cfg)
+	}
+	var buf bytes.Buffer
+	sink := obs.NewJSONLSink(&buf)
+	cfg.Observer = sink
+	res := row.run(t, cfg)
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return res, buf.Bytes()
+}
+
+// TestEngineGolden pins every runner's output bytes: a refactor of the
+// day loops must leave each row's result JSON and event stream
+// unchanged. AZ/Apr, mix M2, 2-minute sub-samples, series kept.
+func TestEngineGolden(t *testing.T) {
+	rows := goldenRows()
 	table := sha256.New()
 	clean := map[string]bool{}
 	for _, row := range rows {
@@ -163,25 +200,7 @@ func TestEngineGolden(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			cfg := cfgFor(t, atmos.AZ, atmos.Apr, "M2")
-			cfg.KeepSeries = true
-			if row.faults != "" {
-				s, err := fault.ParseSpec(row.faults)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Faults = s
-			}
-			if row.tweak != nil {
-				row.tweak(&cfg)
-			}
-			var buf bytes.Buffer
-			sink := obs.NewJSONLSink(&buf)
-			cfg.Observer = sink
-			res := row.run(t, cfg)
-			if err := sink.Flush(); err != nil {
-				t.Fatal(err)
-			}
+			res, events := runGolden(t, row, row.faults, 2)
 			if dr, ok := res.(*DayResult); ok && row.exercises != nil && !row.exercises(dr) {
 				t.Errorf("run misses the path it pins: %+v", dr)
 			}
@@ -192,10 +211,50 @@ func TestEngineGolden(t *testing.T) {
 			if got := sha256hex(js); got != row.result {
 				t.Errorf("result hash %s, pinned %s", got, row.result)
 			}
-			if got := sha256hex(buf.Bytes()); got != row.jsnl {
+			if got := sha256hex(events); got != row.jsnl {
 				t.Errorf("event stream hash %s, pinned %s", got, row.jsnl)
 			}
 		})
+	}
+}
+
+// TestUnseenScheduleRunsClean is the fault layer's metamorphic check: a
+// schedule armed with a window no sample sees must leave every clean
+// golden row's run as it is, the same result apart from the fault report
+// and the same events. The window opens at minute 1049.99, after the
+// last sample at both the golden 2-minute step and an 8-minute one.
+func TestUnseenScheduleRunsClean(t *testing.T) {
+	const unseen = "cloud:t0=1049.99,t1=1110,i=1"
+	for _, row := range goldenRows() {
+		if row.faults != "" {
+			continue
+		}
+		for _, step := range []float64{2, 8} {
+			t.Run(fmt.Sprintf("%s/step%g", row.name, step), func(t *testing.T) {
+				clean, cleanEvents := runGolden(t, row, "", step)
+				armed, armedEvents := runGolden(t, row, unseen, step)
+				if dr, ok := armed.(*DayResult); ok {
+					if dr.Faults != (FaultReport{}) {
+						t.Errorf("unseen window reported %+v", dr.Faults)
+					}
+					dr.Faults = FaultReport{}
+				}
+				cj, err := json.Marshal(clean)
+				if err != nil {
+					t.Fatal(err)
+				}
+				aj, err := json.Marshal(armed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(aj, cj) {
+					t.Errorf("armed result differs from the clean run:\narmed %.300s\nclean %.300s", aj, cj)
+				}
+				if !bytes.Equal(armedEvents, cleanEvents) {
+					t.Errorf("armed event stream differs from the clean run's")
+				}
+			})
+		}
 	}
 }
 
