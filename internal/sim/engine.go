@@ -185,8 +185,11 @@ func (r *dayRun) start() {
 // (mcore.Chip.At) and, under an armed fault schedule, samples the
 // schedule and the faulted panel curve, emits the window edges crossed
 // and pushes the fault state into the chip and circuit. It is the one
-// place a run changes its minute; every chip read and move, and every
-// fault query, until the next at uses this sample.
+// place a tracking or fixed run changes its minute; every chip read and
+// move, and every fault query, until the next at uses this sample.
+// RunBattery moves its two loops itself: the harvest loop samples the
+// schedule and takes its edges, the draw loop samples the chip and the
+// core caps.
 //
 // unit: t=min
 func (r *dayRun) at(t float64) {
