@@ -601,3 +601,54 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 	defer l.mu.Unlock()
 	return l.w.Write(p)
 }
+
+// TestEndToEndMatchesDirectRunner is the acceptance gate: a DayResult
+// served over HTTP must be byte-identical (same marshaler, same data) to
+// the result of calling the Runner in-process with the same spec.
+func TestEndToEndMatchesDirectRunner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulation over HTTP")
+	}
+	_, ts := newTestServer(t, Config{})
+	specJSON, err := json.Marshal(fastSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, served := postJSON(t, ts, "/v1/run", string(specJSON))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d; body: %s", resp.StatusCode, served)
+	}
+	if c := resp.Header.Get(client.HeaderCache); c != obs.CacheMiss {
+		t.Errorf("first request X-Cache = %q, want %q", c, obs.CacheMiss)
+	}
+
+	direct, err := fastSpec.Run(context.Background())
+	if err != nil {
+		t.Fatalf("direct run: %v", err)
+	}
+	want, err := json.Marshal(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, want) {
+		t.Errorf("served result diverges from the direct Runner call:\nserved: %.200s\ndirect: %.200s", served, want)
+	}
+
+	// The served payload must also decode into an equivalent DayResult.
+	var decoded solarcore.DayResult
+	if err := json.Unmarshal(served, &decoded); err != nil {
+		t.Fatalf("served payload does not decode: %v", err)
+	}
+	if decoded.Policy != direct.Policy || decoded.Mix != direct.Mix {
+		t.Errorf("decoded result = policy %q mix %q, direct = policy %q mix %q",
+			decoded.Policy, decoded.Mix, direct.Policy, direct.Mix)
+	}
+
+	resp2, served2 := postJSON(t, ts, "/v1/run", string(specJSON))
+	if c := resp2.Header.Get(client.HeaderCache); c != obs.CacheHit {
+		t.Errorf("repeat X-Cache = %q, want %q", c, obs.CacheHit)
+	}
+	if !bytes.Equal(served, served2) {
+		t.Error("cached replay diverges from the original response")
+	}
+}

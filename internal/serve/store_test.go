@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"strings"
@@ -33,6 +34,44 @@ func stubbed(t *testing.T, cfg Config, label string) (*Server, *int) {
 		return fakeResult(label), nil
 	}
 	return s, &runs
+}
+
+// TestStoreBackedRestartReplaysByteIdentically is the crash-recovery
+// contract at the package level: results computed before a "crash" (a
+// server discarded without Close, store reopened cold) are served
+// byte-identically by the next server generation without re-simulating.
+func TestStoreBackedRestartReplaysByteIdentically(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	st := openStoreT(t, dir)
+	s1, runs1 := stubbed(t, Config{Store: st}, "gen1")
+	body1, src1, err := s1.Result(ctx, fastSpec, 0)
+	if err != nil || src1 != obs.CacheMiss {
+		t.Fatalf("first Result = %q, %v; want a miss", src1, err)
+	}
+	if *runs1 != 1 {
+		t.Fatalf("runs = %d, want 1", *runs1)
+	}
+	// No store.Close, no server drain: the process just dies.
+
+	st2 := openStoreT(t, dir)
+	s2 := New(Config{Store: st2, CacheEntries: 1}) // tiny mem front
+	t.Cleanup(func() { _ = s2.Close() })
+	s2.runSpec = func(context.Context, solarcore.RunSpec, obs.Observer) (*solarcore.DayResult, error) {
+		t.Error("restarted server re-simulated a durably cached spec")
+		return fakeResult("gen2"), nil
+	}
+	body2, src2, err := s2.Result(ctx, fastSpec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src2 != obs.CacheHit {
+		t.Errorf("post-restart disposition = %q, want %q", src2, obs.CacheHit)
+	}
+	if !bytes.Equal(body1, body2) {
+		t.Errorf("post-restart body differs:\n%s\nvs\n%s", body1, body2)
+	}
 }
 
 // TestStoreCatchesMemEviction pins the layering: a result evicted from

@@ -418,3 +418,37 @@ func TestStreamHeartbeat(t *testing.T) {
 		t.Fatalf("after run_end: %v, want io.EOF", err)
 	}
 }
+
+// TestStreamRealSimulationEndToEnd runs the full stack once — real
+// engine, HTTP, SSE, typed client — and checks the stream against the
+// sink-produced ground truth byte for byte.
+func TestStreamRealSimulationEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulation")
+	}
+	_, ts := newTestServer(t, streamConfig(Config{}))
+	events := collect(t, mustStream(t, client.New(ts.URL), specReq()))
+	if len(events) < 3 {
+		t.Fatalf("only %d events", len(events))
+	}
+	if events[0].Type != obs.TypeRunStart || events[len(events)-1].Type != obs.TypeRunEnd {
+		t.Fatalf("bounds %s..%s", events[0].Type, events[len(events)-1].Type)
+	}
+	// Ground truth: the same spec run directly with a JSONL sink.
+	var buf strings.Builder
+	sink := obs.NewJSONLSink(&buf)
+	if _, err := fastSpec.Run(context.Background(), solarcore.WithObserver(sink)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, ev := range events {
+		got.Write(ev.Data)
+		got.WriteByte('\n')
+	}
+	if got.String() != buf.String() {
+		t.Fatal("streamed events differ from direct-run sink output")
+	}
+}
