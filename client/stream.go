@@ -203,12 +203,9 @@ func (s *Stream) dispatch(id uint64, name string, data []byte) (StreamEvent, err
 		// arrives as event data. Status 0 marks a mid-stream failure.
 		return StreamEvent{}, DecodeError(0, nil, data)
 	}
-	var ev obs.Event
-	if err := json.Unmarshal(data, &ev); err != nil {
-		return StreamEvent{}, fmt.Errorf("client: malformed stream event %q: %v", data, err)
-	}
-	if err := ev.Validate(); err != nil {
-		return StreamEvent{}, fmt.Errorf("client: invalid stream event: %w", err)
+	ev, err := obs.DecodeEvent(data)
+	if err != nil {
+		return StreamEvent{}, fmt.Errorf("client: malformed stream event %q: %w", data, err)
 	}
 	if name != "" && name != ev.Type {
 		return StreamEvent{}, fmt.Errorf("client: stream frame name %q does not match payload type %q", name, ev.Type)

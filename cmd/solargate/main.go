@@ -6,7 +6,7 @@
 // Usage:
 //
 //	solargate -backends http://h1:8090,http://h2:8090[,...] \
-//	          [-addr 127.0.0.1:8099] [-vnodes 64] [-hedge 0] \
+//	          [-addr 127.0.0.1:8099] [-vnodes 64] \
 //	          [-hedge-min 25ms] [-hedge-max 500ms] [-retries 2] \
 //	          [-probe 500ms] [-probe-jitter 0.2] [-fail 3] [-sweepmax 256] \
 //	          [-grace 10s] [-access path|-]
@@ -25,15 +25,14 @@
 //	                  and stream_* counters
 //	GET  /healthz     200 while routable, 503 draining or fleet dark
 //
-// -hedge 0 (the default) derives the hedge delay from the live p95 of
-// upstream latencies, clamped to [-hedge-min, -hedge-max]; a positive
-// -hedge fixes it. -probe-jitter spreads each probe period over
-// ±fraction of -probe (deterministically seeded) so a fleet of gates
-// restarted together does not probe in lockstep; negative pins the
-// period exactly. The bound address is printed as "solargate: listening
-// on http://HOST:PORT". On SIGINT/SIGTERM the gate drains like solard:
-// /healthz fails, new work is refused with Retry-After, in-flight
-// requests finish under -grace, exit 0.
+// The hedge delay is the live p95 of upstream latencies, clamped to
+// [-hedge-min, -hedge-max]; equal bounds fix it. -probe-jitter spreads
+// each probe period over ±fraction of -probe (deterministically seeded)
+// so a fleet of gates restarted together does not probe in lockstep;
+// negative pins the period exactly. The bound address is printed as
+// "solargate: listening on http://HOST:PORT". On SIGINT/SIGTERM the gate
+// drains like solard: /healthz fails, new work is refused with
+// Retry-After, in-flight requests finish under -grace, exit 0.
 package main
 
 import (
@@ -71,9 +70,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "127.0.0.1:8099", "listen address (port 0 = ephemeral)")
 	backends := fs.String("backends", "", "comma-separated solard base URLs (required)")
 	vnodes := fs.Int("vnodes", 64, "virtual nodes per backend on the hash ring")
-	hedge := fs.Duration("hedge", 0, "fixed hedge delay (0 = adaptive p95)")
-	hedgeMin := fs.Duration("hedge-min", 25*time.Millisecond, "adaptive hedge delay floor")
-	hedgeMax := fs.Duration("hedge-max", 500*time.Millisecond, "adaptive hedge delay ceiling")
+	hedgeMin := fs.Duration("hedge-min", 25*time.Millisecond, "hedge delay floor")
+	hedgeMax := fs.Duration("hedge-max", 500*time.Millisecond, "hedge delay ceiling (= -hedge-min fixes the delay)")
 	retries := fs.Int("retries", 2, "max fail-over retries per request")
 	probe := fs.Duration("probe", 500*time.Millisecond, "health probe interval")
 	probeJitter := fs.Float64("probe-jitter", 0.2, "probe period spread as a fraction of -probe (negative = pinned)")
@@ -96,7 +94,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *vnodes < 1 {
 		return fail(stderr, "-vnodes must be at least 1")
 	}
-	if *hedge < 0 || *hedgeMin <= 0 || *hedgeMax <= 0 || *hedgeMax < *hedgeMin {
+	if *hedgeMin <= 0 || *hedgeMax <= 0 || *hedgeMax < *hedgeMin {
 		return fail(stderr, "hedge delays must be positive with -hedge-min <= -hedge-max")
 	}
 	if *retries < 0 {
@@ -124,7 +122,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	rt, err := route.New(route.Config{
 		Backends:      urls,
 		VNodes:        *vnodes,
-		HedgeDelay:    *hedge,
 		HedgeMin:      *hedgeMin,
 		HedgeMax:      *hedgeMax,
 		MaxRetries:    *retries,

@@ -39,7 +39,7 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 		{},                   // -backends missing
 		{"-backends", " , "}, // only empty entries
 		{"-backends", "http://a", "-vnodes", "0"},
-		{"-backends", "http://a", "-hedge", "-1s"},
+		{"-backends", "http://a", "-hedge-min", "-1s"},
 		{"-backends", "http://a", "-hedge-min", "1s", "-hedge-max", "10ms"},
 		{"-backends", "http://a", "-retries", "-1"},
 		{"-backends", "http://a", "-probe", "0s"},
@@ -113,7 +113,7 @@ func TestGateEndToEnd(t *testing.T) {
 		done <- run(ctx, []string{
 			"-addr", "127.0.0.1:0",
 			"-backends", strings.Join(urls, ","),
-			"-hedge", "2s", // fixed and late: this test wants pure primary routing
+			"-hedge-min", "2s", "-hedge-max", "2s", // fixed and late: this test wants pure primary routing
 			"-grace", "5s",
 		}, &out, &errw)
 	}()

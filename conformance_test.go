@@ -162,7 +162,7 @@ func TestServingConformance(t *testing.T) {
 	direct := newConformanceNode(t, "")
 	swept := newConformanceNode(t, "")
 	gateNodes := []string{newConformanceNode(t, "").ts.URL, newConformanceNode(t, "").ts.URL}
-	rt, err := route.New(route.Config{Backends: gateNodes, Clock: time.Now, HedgeDelay: time.Minute})
+	rt, err := route.New(route.Config{Backends: gateNodes, Clock: time.Now, HedgeMin: time.Minute, HedgeMax: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

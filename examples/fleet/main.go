@@ -42,9 +42,10 @@ func main() {
 	// -backends ...`. The fixed hedge delay keeps this cached walkthrough
 	// from racing duplicate simulations.
 	rt, err := route.New(route.Config{
-		Backends:   nodeURLs,
-		HedgeDelay: 250 * time.Millisecond,
-		Clock:      time.Now,
+		Backends: nodeURLs,
+		HedgeMin: 250 * time.Millisecond,
+		HedgeMax: 250 * time.Millisecond,
+		Clock:    time.Now,
 	})
 	if err != nil {
 		log.Fatal(err)

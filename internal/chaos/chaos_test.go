@@ -256,7 +256,8 @@ func TestPartitionHedgingBoundsTailLatency(t *testing.T) {
 	rt, err := route.New(route.Config{
 		Backends:      []string{p.URL(), "http://" + addrB},
 		Clock:         time.Now,
-		HedgeDelay:    50 * time.Millisecond,
+		HedgeMin:      50 * time.Millisecond,
+		HedgeMax:      50 * time.Millisecond,
 		BackoffBase:   time.Millisecond,
 		ProbeInterval: time.Minute, // keep the prober out of this test
 		ProbeJitter:   -1,
@@ -289,7 +290,7 @@ func TestPartitionHedgingBoundsTailLatency(t *testing.T) {
 	if hedged == 0 {
 		t.Error("no request was hedged; the partitioned node never owned a key — widen the spec range")
 	}
-	// Bound the tail: a hedged request costs ~HedgeDelay + one fast run.
+	// Bound the tail: a hedged request costs ~the hedge delay + one fast run.
 	// 5s is an order of magnitude of slack on a loaded CI box while still
 	// proving nobody waited for a TCP timeout.
 	if worst > 5*time.Second {
@@ -387,7 +388,8 @@ func TestGateDeathMidSweepRecomputesOnlyUnfinishedCells(t *testing.T) {
 		rt, err := route.New(route.Config{
 			Backends:      backends,
 			Clock:         time.Now,
-			HedgeDelay:    time.Hour, // no cell may run twice
+			HedgeMin:      time.Hour, // no cell may run twice
+			HedgeMax:      time.Hour,
 			BackoffBase:   time.Millisecond,
 			ProbeInterval: time.Minute, // keep the prober out of this test
 			ProbeJitter:   -1,

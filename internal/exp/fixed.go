@@ -35,10 +35,13 @@ type Figure15Result struct {
 	Rows    []Figure15Row
 }
 
+// figure15Mix names the workload mix Figure 15 sweeps.
+const figure15Mix = "M1"
+
 // Figure15 sweeps the fixed power-transfer threshold over every site and
 // season and classifies each weather pattern's duration decline.
 func Figure15(l *Lab) Figure15Result {
-	mix, err := workload.MixByName("M1")
+	mix, err := workload.MixByName(figure15Mix)
 	if err != nil {
 		panic(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -204,11 +205,14 @@ var BatteryEffs = []float64{power.BatteryUpperEff, power.BatteryLowerEff}
 
 // Prefetch computes every cell the paper's figures read in parallel: the
 // MPPT policy grid (site × season × mix × policy), the Fixed-Power
-// budgets of Figures 15-17 and the battery brackets of Figure 21, so
-// that subsequent figure calls hit the cache.
-func (l *Lab) Prefetch() {
-	_ = l.PrefetchContext(context.Background())
-}
+// budgets of Figures 15-17 (Figure 15's mix included when the grid lacks
+// it) and the battery brackets of Figure 21, so that subsequent figure
+// calls hit the cache.
+func (l *Lab) Prefetch() { l.prefetchDetached(true) }
+
+// prefetchDetached is the prefetch of Prefetch and Robustness, which no
+// caller cancels.
+func (l *Lab) prefetchDetached(fixed bool) { _ = l.prefetch(context.Background(), fixed) }
 
 // prefetchCell is one grid cell Prefetch schedules: an MPPT policy run,
 // or a Fixed-Power or battery run when fixedW or eff is set.
@@ -252,22 +256,34 @@ func (c prefetchCell) String() string {
 // its worker and surfaces as an error naming the cell; the rest of the
 // grid still completes and stays cached. The MPPT cells, the costliest,
 // are scheduled first.
-func (l *Lab) PrefetchContext(ctx context.Context) error {
+func (l *Lab) PrefetchContext(ctx context.Context) error { return l.prefetch(ctx, true) }
+
+// prefetch runs PrefetchContext's grid; without fixed it leaves out the
+// Fixed-Power cells, which only Figures 15-17 read.
+func (l *Lab) prefetch(ctx context.Context, fixed bool) error {
+	mixes := l.Opts.Mixes()
+	var fixedMixes []workload.Mix
+	if fixed {
+		fixedMixes = mixes
+		if !slices.ContainsFunc(mixes, func(m workload.Mix) bool { return m.Name == figure15Mix }) {
+			m, _ := workload.MixByName(figure15Mix)
+			fixedMixes = append(slices.Clip(mixes), m)
+		}
+	}
 	var mppt, rest []prefetchCell
 	for _, site := range atmos.Sites {
 		for _, season := range atmos.Seasons {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("exp: prefetch canceled: %w", err)
-			}
-			for _, mix := range l.Opts.Mixes() {
+			for _, mix := range mixes {
 				for _, p := range MPPTPolicies {
 					mppt = append(mppt, prefetchCell{site: site, season: season, mix: mix, policy: p})
 				}
-				for _, w := range FixedBudgets {
-					rest = append(rest, prefetchCell{site: site, season: season, mix: mix, fixedW: w})
-				}
 				for _, e := range BatteryEffs {
 					rest = append(rest, prefetchCell{site: site, season: season, mix: mix, eff: e})
+				}
+			}
+			for _, mix := range fixedMixes {
+				for _, w := range FixedBudgets {
+					rest = append(rest, prefetchCell{site: site, season: season, mix: mix, fixedW: w})
 				}
 			}
 		}

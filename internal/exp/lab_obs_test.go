@@ -107,7 +107,8 @@ func TestPrefetchContextCanceled(t *testing.T) {
 
 // TestPrefetchContextCompletes checks the context-free wrapper fills the
 // whole grid the paper's figures read: every MPPT policy, Fixed-Power
-// budget and battery bracket of every site, season and mix.
+// budget and battery bracket of every site, season and mix, and the
+// Fixed-Power budgets of Figure 15's mix, which the quick grid lacks.
 func TestPrefetchContextCompletes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick-grid prefetch")
@@ -118,7 +119,7 @@ func TestPrefetchContextCompletes(t *testing.T) {
 	}
 	snap := lab.Metrics()
 	modes := len(MPPTPolicies) + len(FixedBudgets) + len(BatteryEffs)
-	want := float64(len(atmos.Sites) * len(atmos.Seasons) * len(lab.Opts.Mixes()) * modes)
+	want := float64(len(atmos.Sites) * len(atmos.Seasons) * (len(lab.Opts.Mixes())*modes + len(FixedBudgets)))
 	if got := snap.Counters[MetricLabMisses]; got != want {
 		t.Errorf("prefetch misses = %v, want %v", got, want)
 	}
@@ -136,5 +137,21 @@ func TestHeadlinesAfterPrefetchRunsNothing(t *testing.T) {
 	Headlines(lab)
 	if got := lab.Metrics().Counters[MetricLabMisses]; got != before {
 		t.Errorf("Headlines after Prefetch ran %v cells", got-before)
+	}
+}
+
+// TestFigure15AfterQuickPrefetchRunsNothing: Figure 15 reads its own mix,
+// which the quick grid lacks, and a quick Prefetch still leaves it no
+// cell to run serially.
+func TestFigure15AfterQuickPrefetchRunsNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full quick-grid prefetch")
+	}
+	lab := NewLab(Options{Quick: true, StepMin: 4})
+	lab.Prefetch()
+	before := lab.Metrics().Counters[MetricLabMisses]
+	Figure15(lab)
+	if got := lab.Metrics().Counters[MetricLabMisses]; got != before {
+		t.Errorf("Figure15 after a quick Prefetch ran %v cells", got-before)
 	}
 }

@@ -27,7 +27,8 @@ func Robustness(opts Options, days int) RobustnessResult {
 		dayOpts := opts
 		dayOpts.Day = d
 		l := NewLab(dayOpts)
-		l.Prefetch()
+		// Figures 18 and 21 read the MPPT and battery cells only.
+		l.prefetchDetached(false)
 		f18 := Figure18(l)
 		f21 := Figure21(l)
 		res.Days = append(res.Days, d)

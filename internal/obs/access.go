@@ -6,9 +6,6 @@ package obs
 // simulation events, so the engine never emits an AccessEvent; the HTTP
 // edge hands one straight to its sink's On.
 
-// TypeAccess is the Event.Type discriminator of an AccessEvent line.
-const TypeAccess = "access"
-
 // Cache-disposition labels an AccessEvent.Cache carries (empty for
 // endpoints that run no simulation).
 const (

@@ -79,3 +79,30 @@ func FuzzReadEvents(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEventType holds the prefix reader to the decoder: no input panics
+// either, and every line DecodeEvent accepts has the type EventType
+// reads, so a reader that routes verified lines by EventType alone sees
+// what a full decode would.
+func FuzzEventType(f *testing.F) {
+	f.Add(`{"v":1,"type":"tick","tick":{"minute":301,"budget_w":49.5,"demand_w":48.75,"on_solar":true}}`)
+	f.Add(`{"v":1,"type":"gap","gap":{"dropped":3}}`)
+	f.Add(`{"v":1,"type":"run_end","run_end":{}}`)
+	f.Add(`{"v":1,"type":"tick","type":"alloc","alloc":{}}`) // repeated type key
+	f.Add(`{"type":"tick","v":1,"tick":{}}`)                 // keys reordered
+	f.Add(`{"v":1,"type":"ti\u0063k","tick":{}}`)            // escaped type
+	f.Add(`{"v":2,"type":"tick","tick":{}}`)
+	f.Add(`{"v":1,"type":"","tick":{}}`)
+	f.Add(`{"v":1,"type":"tick`)
+	f.Add("")
+	f.Fuzz(func(t *testing.T, line string) {
+		typ, ok := obs.EventType([]byte(line))
+		ev, err := obs.DecodeEvent([]byte(line))
+		if err != nil {
+			return
+		}
+		if !ok || typ != ev.Type {
+			t.Fatalf("DecodeEvent accepted a %q event, EventType read %q, %t\ninput: %q", ev.Type, typ, ok, line)
+		}
+	})
+}

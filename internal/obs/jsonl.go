@@ -23,13 +23,10 @@ const (
 	TypeRunEnd   = "run_end"
 	TypeFault    = "fault"
 	TypeWatchdog = "watchdog"
+	TypeAccess   = "access"
+	TypeStore    = "store"
+	TypeGap      = "gap"
 )
-
-// TypeStore is the Event.Type discriminator of a StoreEvent line.
-const TypeStore = "store"
-
-// TypeGap is the Event.Type discriminator of a GapEvent line.
-const TypeGap = "gap"
 
 // GapEvent marks a hole in a live event stream: a slow subscriber (or a
 // truncated durable tail) missed Dropped events that the hub's bounded
@@ -101,44 +98,77 @@ func (e Event) Validate() error {
 	if e.V != SchemaVersion {
 		return fmt.Errorf("obs: event schema version %d (want %d)", e.V, SchemaVersion)
 	}
-	var set []string
-	if e.RunStart != nil {
-		set = append(set, TypeRunStart)
+	set := [len(eventTypes)]bool{e.RunStart != nil, e.Track != nil, e.Alloc != nil, e.Tick != nil,
+		e.RunEnd != nil, e.Fault != nil, e.Watchdog != nil, e.Access != nil, e.Store != nil, e.Gap != nil}
+	n, payload := 0, ""
+	for i, ok := range set {
+		if ok {
+			n, payload = n+1, eventTypes[i]
+		}
 	}
-	if e.Track != nil {
-		set = append(set, TypeTrack)
+	if n != 1 {
+		return fmt.Errorf("obs: event %q carries %d payloads (want exactly 1)", e.Type, n)
 	}
-	if e.Alloc != nil {
-		set = append(set, TypeAlloc)
-	}
-	if e.Tick != nil {
-		set = append(set, TypeTick)
-	}
-	if e.RunEnd != nil {
-		set = append(set, TypeRunEnd)
-	}
-	if e.Fault != nil {
-		set = append(set, TypeFault)
-	}
-	if e.Watchdog != nil {
-		set = append(set, TypeWatchdog)
-	}
-	if e.Access != nil {
-		set = append(set, TypeAccess)
-	}
-	if e.Store != nil {
-		set = append(set, TypeStore)
-	}
-	if e.Gap != nil {
-		set = append(set, TypeGap)
-	}
-	if len(set) != 1 {
-		return fmt.Errorf("obs: event %q carries %d payloads (want exactly 1)", e.Type, len(set))
-	}
-	if set[0] != e.Type {
-		return fmt.Errorf("obs: event type %q does not match payload %q", e.Type, set[0])
+	if payload != e.Type {
+		return fmt.Errorf("obs: event type %q does not match payload %q", e.Type, payload)
 	}
 	return nil
+}
+
+// eventTypes lists the Type* discriminators in Event's payload order.
+var eventTypes = [...]string{TypeRunStart, TypeTrack, TypeAlloc, TypeTick, TypeRunEnd,
+	TypeFault, TypeWatchdog, TypeAccess, TypeStore, TypeGap}
+
+// linePrefix opens every encoded line: encoding/json writes Event's V
+// and Type fields first.
+const linePrefix = `{"v":1,"type":"`
+
+// EventEncoder is the one event encoder; JSONLSink and the stream hub
+// write through it. The zero value is ready to use. It is not safe for
+// concurrent use.
+type EventEncoder struct{ buf bytes.Buffer }
+
+// Encode stamps SchemaVersion on ev and returns its line with the
+// trailing newline: json.Marshal's bytes plus '\n', valid until the next
+// Encode. A NaN or infinite float fails the encode.
+func (e *EventEncoder) Encode(ev Event) ([]byte, error) {
+	ev.V = SchemaVersion
+	e.buf.Reset()
+	if err := json.NewEncoder(&e.buf).Encode(ev); err != nil {
+		return nil, err
+	}
+	return e.buf.Bytes(), nil
+}
+
+// DecodeEvent decodes and validates one line (without its newline). The
+// line must also open as Encode writes it, so EventType reads the type
+// of every line DecodeEvent accepts: reordered, spaced or escaped keys
+// and a repeated "type" key are rejected.
+func DecodeEvent(line []byte) (Event, error) {
+	var ev Event
+	if err := json.Unmarshal(line, &ev); err != nil {
+		return Event{}, err
+	}
+	if err := ev.Validate(); err != nil {
+		return Event{}, err
+	}
+	if typ, ok := EventType(line); !ok || typ != ev.Type {
+		return Event{}, fmt.Errorf("obs: event line does not open with %s%s\"", linePrefix, ev.Type)
+	}
+	return ev, nil
+}
+
+// EventType reads a line's type from its prefix without decoding it:
+// linePrefix, a Type* constant and its closing quote, or false. That is
+// enough to route a line whose bytes are already verified.
+func EventType(line []byte) (string, bool) {
+	rest, ok := bytes.CutPrefix(line, []byte(linePrefix))
+	for _, typ := range eventTypes {
+		if ok && len(rest) > len(typ) && rest[len(typ)] == '"' && string(rest[:len(typ)]) == typ {
+			return typ, true
+		}
+	}
+	return "", false
 }
 
 // JSONLSink is an Observer that appends one JSON line per event to a
@@ -148,25 +178,26 @@ func (e Event) Validate() error {
 type JSONLSink struct {
 	mu  sync.Mutex
 	buf *bufio.Writer
-	enc *json.Encoder
+	enc EventEncoder
 	err error
 }
 
 // NewJSONLSink builds a sink writing to w. The caller retains ownership
 // of w (Close flushes the sink but does not close w).
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	buf := bufio.NewWriter(w)
-	return &JSONLSink{buf: buf, enc: json.NewEncoder(buf)}
+	return &JSONLSink{buf: bufio.NewWriter(w)}
 }
 
-// On implements Observer: it stamps the schema version and appends ev
-// as one line. Any envelope is accepted, the access-log and store
-// events included. A TrackEvent's Levels slice is encoded, not retained.
+// On implements Observer: it appends ev as one EventEncoder line. Any
+// envelope is accepted, the access-log and store events included. A
+// TrackEvent's Levels slice is encoded, not retained.
 func (s *JSONLSink) On(ev Event) {
-	ev.V = SchemaVersion
 	s.mu.Lock()
 	if s.err == nil {
-		s.err = s.enc.Encode(ev)
+		var line []byte
+		if line, s.err = s.enc.Encode(ev); s.err == nil {
+			_, s.err = s.buf.Write(line)
+		}
 	}
 	s.mu.Unlock()
 }
@@ -205,33 +236,21 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 	var events []Event
 	for line := 1; ; line++ {
 		raw, rerr := br.ReadBytes('\n')
-		torn := false
-		switch {
-		case rerr == io.EOF:
-			if len(bytes.TrimSpace(raw)) == 0 {
-				return events, nil
-			}
-			torn = true
-		case rerr != nil:
+		if rerr != nil && rerr != io.EOF {
 			return nil, fmt.Errorf("obs: jsonl line %d: %w", line, rerr)
 		}
-		trimmed := bytes.TrimSpace(raw)
-		if len(trimmed) == 0 {
-			continue
-		}
-		var ev Event
-		err := json.Unmarshal(trimmed, &ev)
-		if err == nil {
-			err = ev.Validate()
-		}
-		if err != nil {
-			if torn {
+		if raw = bytes.TrimSpace(raw); len(raw) > 0 {
+			ev, err := DecodeEvent(raw)
+			switch {
+			case err == nil:
+				events = append(events, ev)
+			case rerr == io.EOF: // a torn final line
 				return events, fmt.Errorf("obs: jsonl line %d truncated: %w (%v)", line, io.ErrUnexpectedEOF, err)
+			default:
+				return nil, fmt.Errorf("obs: jsonl line %d: %w", line, err)
 			}
-			return nil, fmt.Errorf("obs: jsonl line %d: %w", line, err)
 		}
-		events = append(events, ev)
-		if torn {
+		if rerr == io.EOF {
 			return events, nil
 		}
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -194,5 +196,71 @@ func TestJSONLSinkStickyError(t *testing.T) {
 	}
 	if err := sink.Close(); !errors.Is(err, errBoom) {
 		t.Errorf("Close() = %v, want sticky %v", err, errBoom)
+	}
+}
+
+// TestEventLineCodec pins the codec's line shape: the prefix spells the
+// schema version, every event type round-trips through EventEncoder,
+// EventType and DecodeEvent, and lines EventEncoder does not write are
+// rejected by both readers.
+func TestEventLineCodec(t *testing.T) {
+	if want := fmt.Sprintf(`{"v":%d,"type":"`, SchemaVersion); linePrefix != want {
+		t.Fatalf("linePrefix %q does not spell SchemaVersion (%q)", linePrefix, want)
+	}
+	all := []Event{
+		{Type: TypeRunStart, RunStart: &RunStartEvent{Runner: "MPPT"}},
+		{Type: TypeTrack, Track: &TrackEvent{Minute: 300, Levels: []int{3, -1}}},
+		{Type: TypeAlloc, Alloc: &AllocEvent{Minute: 301, Reason: AllocShed}},
+		{Type: TypeTick, Tick: &TickEvent{Minute: 301, BudgetW: 49.5}},
+		{Type: TypeRunEnd, RunEnd: &RunEndEvent{Runner: "MPPT"}},
+		{Type: TypeFault, Fault: &FaultEvent{Minute: 600, Kind: "cloud"}},
+		{Type: TypeWatchdog, Watchdog: &WatchdogEvent{Minute: 610}},
+		{Type: TypeAccess, Access: &AccessEvent{Method: "GET", Status: 200}},
+		{Type: TypeStore, Store: &StoreEvent{Op: StoreOpEvict}},
+		{Type: TypeGap, Gap: &GapEvent{Dropped: 3}},
+	}
+	if len(all) != len(eventTypes) {
+		t.Fatalf("%d events for %d types", len(all), len(eventTypes))
+	}
+	var enc EventEncoder
+	for _, ev := range all {
+		line, err := enc.Encode(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line = bytes.TrimSuffix(line, []byte("\n"))
+		if typ, ok := EventType(line); !ok || typ != ev.Type {
+			t.Errorf("EventType(%s) = %q, %t; want %q", line, typ, ok, ev.Type)
+		}
+		if got, err := DecodeEvent(line); err != nil || got.Type != ev.Type {
+			t.Errorf("DecodeEvent(%s) = %+v, %v", line, got, err)
+		}
+	}
+	rejects := []string{
+		`{"type":"tick","v":1,"tick":{}}`,      // no prefix: keys reordered
+		`{ "v":1,"type":"tick","tick":{}}`,     // no prefix: spaced
+		`{"v":2,"type":"tick","tick":{}}`,      // another schema version
+		`{"v":1,"type":"","tick":{}}`,          // empty type
+		`{"v":1,"type":"tock","tick":{}}`,      // unknown type
+		`{"v":1,"type":"ti\u0063k","tick":{}}`, // escaped type
+		`{"v":1,"type":"tick`,                  // truncated prefix
+		`{"v":1,"ty`,                           // truncated prefix
+		``,
+	}
+	for _, line := range rejects {
+		if typ, ok := EventType([]byte(line)); ok {
+			t.Errorf("EventType(%s) = %q, want rejected", line, typ)
+		}
+		if ev, err := DecodeEvent([]byte(line)); err == nil {
+			t.Errorf("DecodeEvent(%s) = %+v, want rejected", line, ev)
+		}
+	}
+	// A repeated type key decodes to its last value; the prefix names
+	// the first, so DecodeEvent rejects the line.
+	if ev, err := DecodeEvent([]byte(`{"v":1,"type":"tick","type":"alloc","alloc":{}}`)); err == nil {
+		t.Errorf("DecodeEvent accepted a line whose prefix names another type: %+v", ev)
+	}
+	if _, err := enc.Encode(Event{Type: TypeTick, Tick: &TickEvent{BudgetW: math.NaN()}}); err == nil {
+		t.Error("EventEncoder encoded a NaN")
 	}
 }

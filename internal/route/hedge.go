@@ -65,24 +65,14 @@ func (w *latWindow) p95() (float64, bool) {
 }
 
 // hedgeDelay resolves the delay before a request is hedged to the next
-// ring owner: a fixed Config.HedgeDelay when set, otherwise the live
-// p95 clamped to [HedgeMin, HedgeMax]. Before enough samples exist the
-// router hedges late (HedgeMax) rather than early — a cold fleet must
-// not double its own warm-up load.
+// ring owner: the live p95 clamped to [HedgeMin, HedgeMax], so equal
+// bounds fix it. Before enough samples exist the router hedges late
+// (HedgeMax) rather than early — a cold fleet must not double its own
+// warm-up load.
 func (rt *Router) hedgeDelay() time.Duration {
-	if rt.cfg.HedgeDelay > 0 {
-		return rt.cfg.HedgeDelay
-	}
 	p95, ok := rt.lat.p95()
 	if !ok {
 		return rt.cfg.HedgeMax
 	}
-	d := time.Duration(p95 * float64(time.Millisecond))
-	if d < rt.cfg.HedgeMin {
-		d = rt.cfg.HedgeMin
-	}
-	if d > rt.cfg.HedgeMax {
-		d = rt.cfg.HedgeMax
-	}
-	return d
+	return min(max(time.Duration(p95*float64(time.Millisecond)), rt.cfg.HedgeMin), rt.cfg.HedgeMax)
 }

@@ -86,12 +86,9 @@ type Config struct {
 	// (default 64). More vnodes smooth the key split at the cost of ring
 	// size; 64 keeps per-backend shares within a few percent of even.
 	VNodes int
-	// HedgeDelay, when positive, fixes the delay before a slow request
-	// is hedged to the next ring owner. Zero selects the adaptive delay:
-	// the live p95 of upstream latencies clamped to [HedgeMin, HedgeMax].
-	HedgeDelay time.Duration
-	// HedgeMin / HedgeMax clamp the adaptive hedge delay
-	// (defaults 25ms / 500ms).
+	// HedgeMin / HedgeMax clamp the delay before a slow request is
+	// hedged to the next ring owner: the live p95 of upstream latencies
+	// (defaults 25ms / 500ms). Equal bounds fix the delay.
 	HedgeMin time.Duration
 	HedgeMax time.Duration
 	// MaxRetries bounds fail-over retry attempts per request beyond the
@@ -149,9 +146,7 @@ func (c Config) withDefaults() Config {
 	if c.HedgeMax <= 0 {
 		c.HedgeMax = 500 * time.Millisecond
 	}
-	if c.HedgeMax < c.HedgeMin {
-		c.HedgeMax = c.HedgeMin
-	}
+	c.HedgeMax = max(c.HedgeMax, c.HedgeMin)
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
 	} else if c.MaxRetries == 0 {

@@ -101,7 +101,8 @@ func newTestRouter(t *testing.T, urls []string, mut func(*Config)) *Router {
 	cfg := Config{
 		Backends:    urls,
 		Clock:       time.Now,
-		HedgeDelay:  time.Second, // effectively off unless a test lowers it
+		HedgeMin:    time.Second, // effectively off unless a test lowers it
+		HedgeMax:    time.Second,
 		BackoffBase: time.Millisecond,
 	}
 	if mut != nil {
@@ -159,7 +160,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestHedgeCancelsLoser(t *testing.T) {
 	nodes, urls := newFleet(t, 2)
-	rt := newTestRouter(t, urls, func(c *Config) { c.HedgeDelay = 20 * time.Millisecond })
+	rt := newTestRouter(t, urls, func(c *Config) { c.HedgeMin, c.HedgeMax = 20*time.Millisecond, 20*time.Millisecond })
 	req := spec(1)
 	order := ownerOrder(rt, nodes, req)
 	order[0].delayNs.Store(int64(3 * time.Second)) // primary stalls

@@ -24,8 +24,8 @@ import (
 const EngineVersion = 3
 
 // Config describes one day run. Zero-valued fields take the paper's
-// defaults: 10-minute tracking periods, 1-minute sub-sampling, 12 V rail,
-// one DVFS step of power margin, Table 4 chip.
+// defaults: 10-minute tracking periods, 1-minute sub-sampling, one DVFS
+// step of power margin, Table 4 chip (the 12 V rail is power.NewCircuit's).
 type Config struct {
 	Day *SolarDay
 	Mix workload.Mix
@@ -33,7 +33,6 @@ type Config struct {
 	Chip           mcore.Config
 	TrackPeriodMin float64
 	StepMin        float64
-	VNominal       float64
 	// MarginSteps is the tracker's protective power margin in DVFS steps.
 	// 0 means the default (2); pass a negative value for no margin.
 	MarginSteps int
@@ -111,9 +110,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.StepMin <= 0 {
 		c.StepMin = 1
-	}
-	if c.VNominal <= 0 {
-		c.VNominal = 12
 	}
 	if c.MarginSteps == 0 {
 		c.MarginSteps = 2
@@ -312,7 +308,6 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 	}
 	chip, res := r.chip, r.res
 	circuit := power.NewCircuit(cfg.Day.Gen)
-	circuit.VNominal = cfg.VNominal
 	if cfg.DeltaK > 0 {
 		circuit.Conv.DeltaK = cfg.DeltaK
 	}

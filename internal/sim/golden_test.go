@@ -218,6 +218,34 @@ func TestEngineGolden(t *testing.T) {
 	}
 }
 
+// TestEventCodecMatchesEncodingJSON holds the obs line codec to
+// encoding/json on every line of the golden rows' event streams, clean
+// and faulted: EventType reads the type json.Unmarshal reads, and
+// obs.EventEncoder writes json.Marshal's bytes for the decoded event.
+func TestEventCodecMatchesEncodingJSON(t *testing.T) {
+	var enc obs.EventEncoder
+	for _, row := range goldenRows() {
+		_, events := runGolden(t, row, row.faults, 2)
+		for n, line := range bytes.Split(bytes.TrimSuffix(events, []byte("\n")), []byte("\n")) {
+			var ev obs.Event
+			if err := json.Unmarshal(line, &ev); err != nil {
+				t.Fatalf("%s line %d: %v", row.name, n+1, err)
+			}
+			if typ, ok := obs.EventType(line); !ok || typ != ev.Type {
+				t.Errorf("%s line %d: EventType %q, %t; json.Unmarshal read %q", row.name, n+1, typ, ok, ev.Type)
+			}
+			want, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := enc.Encode(ev)
+			if err != nil || !bytes.Equal(got, append(want, '\n')) {
+				t.Fatalf("%s line %d: EventEncoder = %s, %v; json.Marshal = %s", row.name, n+1, got, err, want)
+			}
+		}
+	}
+}
+
 // TestUnseenScheduleRunsClean is the fault layer's metamorphic check: a
 // schedule armed with a window no sample sees must leave every clean
 // golden row's run as it is, the same result apart from the fault report

@@ -1,27 +1,27 @@
 package stream
 
 import (
-	"encoding/json"
+	"bytes"
 
 	"solarcore/internal/obs"
 )
 
-// Publisher adapts a Topic into an obs.Observer: On stamps the schema
-// version on the event's JSONL envelope, encodes it and publishes the
-// line under the event's type. The encoding is byte-identical to what
-// obs.JSONLSink writes for the same event (json.Marshal and
-// json.Encoder.Encode produce the same bytes, modulo the trailing
-// newline the sink appends), so a live stream and a durable tail replay
-// deliver identical payloads.
+// Publisher adapts a Topic into an obs.Observer: On encodes the event
+// with an obs.EventEncoder and publishes the line, without its newline,
+// under the event's type. obs.JSONLSink writes the same line, so a live
+// stream and a durable tail replay deliver identical payloads. Like any
+// Observer, a Publisher takes one run's events in sequence.
 //
 // Publish never blocks (Topic drops oldest under pressure), so a
 // Publisher attached via solarcore.WithObserver costs the simulation one
-// marshal per event. That marshal is most of a streamed run: on a 2-CPU
-// Xeon host (go1.24) the root BenchmarkRunMPPTStreamPublisher read 4.9–6.0
-// ms per day (714 KB, 4,202 allocations) against 2.1–2.4 ms for
-// BenchmarkRunMPPT, about 2.6 times the bare run.
+// encode per event. That encode is most of a streamed run: on a 2-CPU
+// Xeon host (go1.24), in five interleaved runs, the root
+// BenchmarkRunMPPTStreamPublisher read 2.7–3.9 ms per day (700 KB, 3,902
+// allocations) against 0.47–0.65 ms for BenchmarkRunMPPT, about six
+// times the bare run.
 type Publisher struct {
-	t *Topic
+	t   *Topic
+	enc obs.EventEncoder
 }
 
 // NewPublisher wraps t as an event-publishing observer.
@@ -29,12 +29,11 @@ func NewPublisher(t *Topic) *Publisher { return &Publisher{t: t} }
 
 // On implements obs.Observer.
 func (p *Publisher) On(ev obs.Event) {
-	ev.V = obs.SchemaVersion
-	b, err := json.Marshal(ev)
+	line, err := p.enc.Encode(ev)
 	if err != nil {
-		// The envelope is plain structs of numbers and strings; Marshal
-		// cannot fail. Drop the line rather than poison the stream.
+		// A NaN or infinite float has no JSON form. Drop the line rather
+		// than poison the stream, as JSONLSink stops on it.
 		return
 	}
-	p.t.Publish(ev.Type, b)
+	p.t.Publish(ev.Type, bytes.Clone(bytes.TrimSuffix(line, []byte("\n"))))
 }

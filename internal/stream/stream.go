@@ -23,7 +23,6 @@ package stream
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -146,31 +145,24 @@ func (h *Hub) remove(t *Topic) {
 
 // Replay feeds a stored JSONL event tail into t line by line and closes
 // it — the durable-replay path for runs that completed before the
-// watcher arrived. Lines are published byte-for-byte (payloads stay
-// identical to what the sink wrote); only the type discriminator is
-// peeked per line. A tail that cannot be parsed closes the topic with
-// the error instead of delivering a half-decoded stream.
+// watcher arrived. The tail passed the store's checksum, so no line is
+// decoded: each is published as a sub-slice of tail under the type
+// obs.EventType reads from its prefix. A line without that prefix closes
+// the topic with an error instead of delivering a half-read stream.
 func (h *Hub) Replay(t *Topic, tail []byte) {
 	h.reg.Add(MetricReplays, 1)
-	for len(tail) > 0 {
-		line := tail
-		if i := bytes.IndexByte(tail, '\n'); i >= 0 {
-			line, tail = tail[:i], tail[i+1:]
-		} else {
-			tail = nil
-		}
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
+	for n := 1; len(tail) > 0; n++ {
+		var line []byte
+		line, tail, _ = bytes.Cut(tail, []byte("\n"))
+		if line = bytes.TrimSpace(line); len(line) == 0 {
 			continue
 		}
-		var head struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &head); err != nil {
-			t.CloseWith(fmt.Errorf("stream: corrupt event tail: %w", err))
+		typ, ok := obs.EventType(line)
+		if !ok {
+			t.CloseWith(fmt.Errorf("stream: corrupt event tail: line %d is no event line", n))
 			return
 		}
-		t.Publish(head.Type, line)
+		t.Publish(typ, line)
 	}
 	t.CloseWith(nil)
 }
@@ -299,15 +291,11 @@ func (t *Topic) TailJSONL() []byte {
 }
 
 // gapLine encodes one gap event as a JSONL line (no trailing newline).
+// Its one integer payload always encodes.
 func gapLine(dropped uint64) []byte {
-	ev := obs.Event{V: obs.SchemaVersion, Type: obs.TypeGap, Gap: &obs.GapEvent{Dropped: dropped}}
-	b, err := json.Marshal(ev)
-	if err != nil {
-		// The envelope is a fixed struct of integers; Marshal cannot fail.
-		// Keep the stream alive with a minimal hand-built line regardless.
-		return []byte(`{"v":1,"type":"gap","gap":{"dropped":0}}`)
-	}
-	return b
+	var enc obs.EventEncoder
+	line, _ := enc.Encode(obs.Event{Type: obs.TypeGap, Gap: &obs.GapEvent{Dropped: dropped}})
+	return bytes.TrimSuffix(line, []byte("\n"))
 }
 
 // Subscribe attaches a cursor that delivers every line after sequence

@@ -34,7 +34,8 @@
 #                    window opening after the day's last sample must
 #                    report `0 windows`
 #   fuzz smoke     — a few seconds of coverage-guided fuzzing on the
-#                    JSONL event decoder, the fault-spec grammar, the
+#                    JSONL event decoder and its prefix type reader,
+#                    the fault-spec grammar, the
 #                    store record codec, the RunSpec identity and the
 #                    client's error-envelope decoder, SSE frame parser
 #                    and sweep-request decoder
@@ -124,6 +125,9 @@ rm -rf "$simdir"
 
 echo '== fuzz: obs JSONL decoder (smoke)'
 go test -run '^$' -fuzz 'FuzzReadEvents' -fuzztime 5s ./internal/obs
+
+echo '== fuzz: obs event-line type reader against the decoder (smoke)'
+go test -run '^$' -fuzz '^FuzzEventType$' -fuzztime 5s ./internal/obs
 
 echo '== fuzz: fault-spec grammar (smoke)'
 go test -run '^$' -fuzz 'FuzzParseSpec' -fuzztime 5s ./internal/fault
@@ -251,8 +255,9 @@ echo '== solargate fleet smoke (3 nodes, byte-identity, >=2.2x scale-out)'
 # Every node is paced to 300 simulation requests/s (-ratelimit), so on a
 # single host the gate's throughput gain measures routing scale-out —
 # consistent hashing spreading distinct specs over three shards — rather
-# than raw CPU parallelism the machine may not have. -hedge is pinned
-# high so the cached smoke never duplicates work across nodes.
+# than raw CPU parallelism the machine may not have. The hedge delay is
+# pinned high (-hedge-min = -hedge-max) so the cached smoke never
+# duplicates work across nodes.
 fleet_pids=''
 fleet_urls=''
 trap 'for p in $fleet_pids $solard_pid; do kill "$p" 2>/dev/null || true; done; rm -rf "$bindir"' EXIT
@@ -287,7 +292,7 @@ node1="$(printf '%s' "$fleet_urls" | cut -d, -f1)"
 base_rps="$(sed -n 's/.*(\([0-9][0-9]*\) req\/s sustained).*/\1/p' "$bindir/base.txt")"
 [ -n "$base_rps" ] || { echo 'baseline printed no rate'; cat "$bindir/base.txt"; exit 1; }
 
-"$bindir/solargate" -addr 127.0.0.1:0 -backends "$fleet_urls" -hedge 250ms -vnodes 256 \
+"$bindir/solargate" -addr 127.0.0.1:0 -backends "$fleet_urls" -hedge-min 250ms -hedge-max 250ms -vnodes 256 \
     >"$bindir/gate.log" 2>&1 &
 solard_pid=$!
 gate_url=''
