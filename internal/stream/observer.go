@@ -16,8 +16,8 @@ import (
 // Publisher attached via solarcore.WithObserver costs the simulation one
 // encode per event. That encode is most of a streamed run: on a 2-CPU
 // Xeon host (go1.24), in five interleaved runs, the root
-// BenchmarkRunMPPTStreamPublisher read 2.7–3.9 ms per day (700 KB, 3,902
-// allocations) against 0.47–0.65 ms for BenchmarkRunMPPT, about six
+// BenchmarkRunMPPTStreamPublisher read 3.8–4.2 ms per day (700 KB, 3,902
+// allocations) against 0.48–0.73 ms for BenchmarkRunMPPT, about six
 // times the bare run.
 type Publisher struct {
 	t   *Topic
