@@ -232,8 +232,10 @@ func BenchmarkRunMPPT(b *testing.B) {
 // BenchmarkRunMPPTNopObserver runs the same day with the no-op observer
 // attached, exercising the full hook path (run/track/alloc/tick events
 // are built and dispatched, then discarded). On a 2-CPU host (go1.24.0)
-// five interleaved runs measured 0.62–0.76 ms against 0.55–0.64 ms for
-// BenchmarkRunMPPT: 8–37% over it per pair, a median of 17%.
+// five interleaved runs measured 0.38–0.45 ms and 99 allocations per
+// day against 0.36–0.42 ms and 92 for BenchmarkRunMPPT: 2–9% over it per
+// pair, a median of 4%. While every event boxed its payload the same
+// session read 0.42–0.45 ms and 1,403 allocations, a median of 16%.
 func BenchmarkRunMPPTNopObserver(b *testing.B) {
 	r := benchRunner(b, solarcore.WithObserver(solarcore.NopObserver()))
 	b.ResetTimer()
@@ -304,5 +306,25 @@ func BenchmarkWeatherGeneration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		solarcore.GenerateWeather(solarcore.NC, solarcore.Apr, i)
+	}
+}
+
+// BenchmarkRunFixed runs the same day under the 75 W Fixed-Power
+// baseline, warm: the day replays the process-wide plan of (ML2, Table 4
+// chip, 75 W, step 1) instead of planning and sampling the chip. On a
+// 2-CPU host (go1.24.0) five interleaved runs read 11–15 µs per day
+// (median 12.4) against 104–126 µs (median 116) when every day planned
+// itself, with 24 allocations per day in both.
+func BenchmarkRunFixed(b *testing.B) {
+	r := benchRunner(b, solarcore.WithFixedBudget(75))
+	if _, err := r.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Run(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -281,8 +281,15 @@ func (l *Lab) prefetch(ctx context.Context, fixed bool) error {
 					rest = append(rest, prefetchCell{site: site, season: season, mix: mix, eff: e})
 				}
 			}
-			for _, mix := range fixedMixes {
-				for _, w := range FixedBudgets {
+		}
+	}
+	// A clean Fixed-Power day replays its (mix, budget) plan, and the
+	// process keeps only a few plans (sim.RunFixed), so the Fixed-Power
+	// cells run plan by plan, each across every site and season.
+	for _, mix := range fixedMixes {
+		for _, w := range FixedBudgets {
+			for _, site := range atmos.Sites {
+				for _, season := range atmos.Seasons {
 					rest = append(rest, prefetchCell{site: site, season: season, mix: mix, fixedW: w})
 				}
 			}

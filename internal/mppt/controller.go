@@ -67,7 +67,8 @@ type Config struct {
 	// Observer, when non-nil, receives one obs.TrackEvent per tracking
 	// session (final ratio k, steps consumed, settled load, per-core DVFS
 	// levels) and an obs.AllocEvent for each protective-margin shed. The
-	// engine threads sim.Config.Observer through here.
+	// engine passes its run's obs.Emitter here, so the controller's
+	// events reuse the run's envelope.
 	Observer obs.Observer
 }
 
@@ -90,6 +91,11 @@ type Controller struct {
 	noise *rand.Rand
 	traj  *[]TrajectoryPoint
 
+	// em emits Cfg.Observer's events; levels is the TrackEvent's Levels
+	// buffer, rewritten every session (Observer.On keeps no slice).
+	em     *obs.Emitter
+	levels []int
+
 	// lastGoodK remembers the ratio of the last productive session so a
 	// dark period that walked the converter to its rail does not strand
 	// the next session on the far side of the P-V curve.
@@ -105,7 +111,7 @@ func New(circuit *power.Circuit, chip *mcore.Chip, alloc sched.Allocator, cfg Co
 	if err := circuit.Conv.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{Circuit: circuit, Chip: chip, Alloc: alloc, Cfg: cfg}
+	c := &Controller{Circuit: circuit, Chip: chip, Alloc: alloc, Cfg: cfg, em: obs.NewEmitter(cfg.Observer)}
 	if cfg.SensorError > 0 {
 		seed := cfg.SensorSeed
 		if seed == 0 {
@@ -192,15 +198,19 @@ func (c *Controller) Track(env pv.Env, minute float64) Result {
 func (c *Controller) TrackCurve(cv pv.Curve, minute float64) Result {
 	c.Chip.At(minute)
 	res := c.track(&cv, minute)
-	if o := c.Cfg.Observer; o != nil {
-		obs.Track(o, obs.TrackEvent{
+	if c.em != nil {
+		c.levels = c.levels[:0]
+		for i := 0; i < c.Chip.NumCores(); i++ {
+			c.levels = append(c.levels, c.Chip.Level(i))
+		}
+		c.em.Track(obs.TrackEvent{
 			Minute:   minute,
 			K:        c.Circuit.Conv.K,
 			Steps:    res.Steps,
 			Overload: res.Overload,
 			LoadW:    res.RaisedTo,
 			SensedW:  res.Op.PLoad,
-			Levels:   c.Chip.Levels(),
+			Levels:   c.levels,
 		})
 	}
 	return res
@@ -289,8 +299,8 @@ func (c *Controller) track(cv *pv.Curve, minute float64) Result {
 			break
 		}
 		steps++
-		if o := c.Cfg.Observer; o != nil {
-			obs.Alloc(o, obs.AllocEvent{Minute: minute, Dir: -1, Reason: obs.AllocMargin,
+		if c.em != nil {
+			c.em.Alloc(obs.AllocEvent{Minute: minute, Dir: -1, Reason: obs.AllocMargin,
 				DemandW: c.Chip.Power()})
 		}
 	}

@@ -3,7 +3,8 @@ package obs
 // Fault-injection observability (DESIGN.md §11): two extra event kinds —
 // FaultEvent marking an injector's window opening and closing, and
 // WatchdogEvent marking MPPT-supervision state transitions — emitted
-// through the Fault and Watchdog helpers like every other event.
+// through the Emitter's Fault and Watchdog methods like every other
+// event.
 
 // FaultEvent phases.
 const (

@@ -14,13 +14,14 @@ import (
 
 // drive sends one of each run event through o in run order.
 func drive(o Observer) {
-	RunStart(o, RunStartEvent{Runner: "MPPT", Policy: "MPPT&Opt", Mix: "HM2",
+	e := NewEmitter(o)
+	e.RunStart(RunStartEvent{Runner: "MPPT", Policy: "MPPT&Opt", Mix: "HM2",
 		Label: "Jul@AZ", Cores: 8, StartMin: 300, EndMin: 1140})
-	Track(o, TrackEvent{Minute: 300, K: 3.0625, Steps: 41, LoadW: 55.5,
+	e.Track(TrackEvent{Minute: 300, K: 3.0625, Steps: 41, LoadW: 55.5,
 		SensedW: 55.125, Levels: []int{3, 3, -1, 2, 0, 1, 3, 2}})
-	Alloc(o, AllocEvent{Minute: 301, Dir: -1, Reason: AllocShed, DemandW: 50.25, BudgetW: 49.5})
-	Tick(o, TickEvent{Minute: 301, BudgetW: 49.5, DemandW: 48.75, OnSolar: true})
-	RunEnd(o, RunEndEvent{Runner: "MPPT", SolarWh: 400.125, UtilityWh: 20.5,
+	e.Alloc(AllocEvent{Minute: 301, Dir: -1, Reason: AllocShed, DemandW: 50.25, BudgetW: 49.5})
+	e.Tick(TickEvent{Minute: 301, BudgetW: 49.5, DemandW: 48.75, OnSolar: true})
+	e.RunEnd(RunEndEvent{Runner: "MPPT", SolarWh: 400.125, UtilityWh: 20.5,
 		SolarMin: 500, DaytimeMin: 840, Overloads: 2, Transitions: 1234, ATSSwitches: 4})
 }
 
@@ -188,8 +189,9 @@ func (f *failWriter) Write(p []byte) (int, error) { f.calls++; return 0, errBoom
 func TestJSONLSinkStickyError(t *testing.T) {
 	// A tiny bufio buffer forces the write through to the failing writer.
 	sink := NewJSONLSink(&failWriter{})
+	e := NewEmitter(sink)
 	for i := 0; i < 5000; i++ { // enough volume to overflow the buffer
-		Tick(sink, TickEvent{Minute: float64(i)})
+		e.Tick(TickEvent{Minute: float64(i)})
 	}
 	if err := sink.Err(); !errors.Is(err, errBoom) {
 		t.Errorf("Err() = %v, want %v", err, errBoom)

@@ -6,15 +6,17 @@
 // round-trip-tested schema.
 //
 // Every event travels as the JSONL envelope Event, which the sink
-// encodes as-is: Observer.On receives it, and the typed emit helpers
-// (RunStart, Track, Alloc, Tick, RunEnd, Fault, Watchdog) build it. Each
-// helper is a no-op on a nil Observer, so the disabled path is free: a
+// encodes as-is: Observer.On receives it, and an Emitter's typed methods
+// (RunStart, Track, Alloc, Tick, RunEnd, Fault, Watchdog) build it in
+// one payload slot per kind that the run reuses. A nil Observer gets a
+// nil Emitter, whose methods do nothing, so the disabled path is free: a
 // nil Observer in sim.Config builds no event at all. The no-op observer
-// (Nop) costs one dynamic call and one allocation (the boxed payload)
-// per event: on a 2-CPU Xeon host (go1.24) five interleaved runs of the
-// root BenchmarkRunMPPTNopObserver read 0.62–0.76 ms a day with 1,403
-// allocations, against 0.55–0.64 ms and 92 for BenchmarkRunMPPT, a
-// median of 17 % more.
+// (Nop) costs one dynamic call per event and one emitter per run: on a
+// 2-CPU Xeon host (go1.24) five interleaved runs of the root
+// BenchmarkRunMPPTNopObserver read 0.38–0.45 ms a day with 99
+// allocations, against 0.36–0.42 ms and 92 for BenchmarkRunMPPT, a
+// median of 4 % more (1,403 allocations and 16 % more while each event
+// boxed its payload).
 //
 // Event semantics follow the paper's control structure: one RunStartEvent
 // and one RunEndEvent bracket a day; each 10-minute tracking period opens
@@ -41,65 +43,94 @@ type Observer interface {
 	On(Event)
 }
 
-// The emit helpers below build the envelope for one event kind and hand
-// it to o; each is a no-op when o is nil. The payload is copied inside
-// the nil check: taking the parameter's address directly would move it
-// to the heap on entry, charging the nil-observer path an allocation
-// per event.
+// Emitter sends one run's events to an Observer through one envelope
+// it reuses. Each method copies its payload into the emitter's slot for
+// that kind and hands the observer a pointer to the slot, so a run
+// allocates its payloads once, not once per event; On's contract (keep
+// no payload pointer beyond the call) lets the next event of the kind
+// overwrite the slot. Every method is a no-op on a nil *Emitter, so a
+// nil Observer builds no event at all.
+type Emitter struct {
+	o        Observer
+	runStart RunStartEvent
+	track    TrackEvent
+	alloc    AllocEvent
+	tick     TickEvent
+	runEnd   RunEndEvent
+	fault    FaultEvent
+	watchdog WatchdogEvent
+}
 
-// RunStart reports the start of a run to o.
-func RunStart(o Observer, ev RunStartEvent) {
-	if o != nil {
-		p := ev
-		o.On(Event{Type: TypeRunStart, RunStart: &p})
+// NewEmitter returns the emitter for one run's events to o: nil for a
+// nil o, o itself when it already is an *Emitter, else a fresh one. The
+// engine hands its emitter to the MPPT controller as its Observer, so
+// both emit through one envelope per run.
+func NewEmitter(o Observer) *Emitter {
+	if o == nil {
+		return nil
+	}
+	if e, ok := o.(*Emitter); ok {
+		return e
+	}
+	return &Emitter{o: o}
+}
+
+// On implements Observer: it passes ev to the emitter's observer.
+func (e *Emitter) On(ev Event) { e.o.On(ev) }
+
+// RunStart reports the start of a run.
+func (e *Emitter) RunStart(ev RunStartEvent) {
+	if e != nil {
+		e.runStart = ev
+		e.o.On(Event{Type: TypeRunStart, RunStart: &e.runStart})
 	}
 }
 
-// Track reports one MPPT tracking session (Figure 9) to o.
-func Track(o Observer, ev TrackEvent) {
-	if o != nil {
-		p := ev
-		o.On(Event{Type: TypeTrack, Track: &p})
+// Track reports one MPPT tracking session (Figure 9).
+func (e *Emitter) Track(ev TrackEvent) {
+	if e != nil {
+		e.track = ev
+		e.o.On(Event{Type: TypeTrack, Track: &e.track})
 	}
 }
 
-// Alloc reports one per-core DVFS move outside a tracking session to o.
-func Alloc(o Observer, ev AllocEvent) {
-	if o != nil {
-		p := ev
-		o.On(Event{Type: TypeAlloc, Alloc: &p})
+// Alloc reports one per-core DVFS move outside a tracking session.
+func (e *Emitter) Alloc(ev AllocEvent) {
+	if e != nil {
+		e.alloc = ev
+		e.o.On(Event{Type: TypeAlloc, Alloc: &e.alloc})
 	}
 }
 
-// Tick reports one simulation sub-sample to o.
-func Tick(o Observer, ev TickEvent) {
-	if o != nil {
-		p := ev
-		o.On(Event{Type: TypeTick, Tick: &p})
+// Tick reports one simulation sub-sample.
+func (e *Emitter) Tick(ev TickEvent) {
+	if e != nil {
+		e.tick = ev
+		e.o.On(Event{Type: TypeTick, Tick: &e.tick})
 	}
 }
 
-// RunEnd reports the end of a completed run to o.
-func RunEnd(o Observer, ev RunEndEvent) {
-	if o != nil {
-		p := ev
-		o.On(Event{Type: TypeRunEnd, RunEnd: &p})
+// RunEnd reports the end of a completed run.
+func (e *Emitter) RunEnd(ev RunEndEvent) {
+	if e != nil {
+		e.runEnd = ev
+		e.o.On(Event{Type: TypeRunEnd, RunEnd: &e.runEnd})
 	}
 }
 
-// Fault reports one fault window edge to o.
-func Fault(o Observer, ev FaultEvent) {
-	if o != nil {
-		p := ev
-		o.On(Event{Type: TypeFault, Fault: &p})
+// Fault reports one fault window edge.
+func (e *Emitter) Fault(ev FaultEvent) {
+	if e != nil {
+		e.fault = ev
+		e.o.On(Event{Type: TypeFault, Fault: &e.fault})
 	}
 }
 
-// Watchdog reports one supervision state transition to o.
-func Watchdog(o Observer, ev WatchdogEvent) {
-	if o != nil {
-		p := ev
-		o.On(Event{Type: TypeWatchdog, Watchdog: &p})
+// Watchdog reports one supervision state transition.
+func (e *Emitter) Watchdog(ev WatchdogEvent) {
+	if e != nil {
+		e.watchdog = ev
+		e.o.On(Event{Type: TypeWatchdog, Watchdog: &e.watchdog})
 	}
 }
 
@@ -234,7 +265,7 @@ type RunEndEvent struct {
 
 // Nop is the no-op Observer: On returns immediately. Attaching it
 // (rather than nil) exercises the full emit path; the root benchmark
-// BenchmarkRunMPPTNopObserver measures its overhead (about 17 % of a
+// BenchmarkRunMPPTNopObserver measures its overhead (about 4 % of a
 // day, see the package doc).
 type Nop struct{}
 

@@ -36,16 +36,17 @@ func TestMultiCollapses(t *testing.T) {
 func TestNopImplementsObserver(t *testing.T) {
 	var o Observer = Nop{}
 	drive(o)   // must not panic
-	drive(nil) // the emit helpers skip a nil observer
+	drive(nil) // a nil observer's emitter is nil and skips every event
 }
 
 func TestMetricsObserver(t *testing.T) {
 	reg := NewRegistry()
 	m := Metrics(reg)
 	drive(m)
-	Track(m, TrackEvent{Minute: 310, K: 2.5, Steps: 7, Overload: true})
-	Tick(m, TickEvent{Minute: 302, BudgetW: 50, DemandW: 60, OnSolar: false})
-	Alloc(m, AllocEvent{Minute: 303, Dir: +1, Reason: AllocRaise})
+	e := NewEmitter(m)
+	e.Track(TrackEvent{Minute: 310, K: 2.5, Steps: 7, Overload: true})
+	e.Tick(TickEvent{Minute: 302, BudgetW: 50, DemandW: 60, OnSolar: false})
+	e.Alloc(AllocEvent{Minute: 303, Dir: +1, Reason: AllocRaise})
 
 	s := reg.Snapshot()
 	wantCounters := map[string]float64{

@@ -30,11 +30,12 @@ func streamConfig(cfg Config) Config {
 
 // emitRun is the canonical stub feed: run_start, n ticks, run_end.
 func emitRun(o obs.Observer, n int) {
-	obs.RunStart(o, obs.RunStartEvent{Runner: "stub"})
+	e := obs.NewEmitter(o)
+	e.RunStart(obs.RunStartEvent{Runner: "stub"})
 	for i := 0; i < n; i++ {
-		obs.Tick(o, obs.TickEvent{Minute: float64(i)})
+		e.Tick(obs.TickEvent{Minute: float64(i)})
 	}
-	obs.RunEnd(o, obs.RunEndEvent{Runner: "stub"})
+	e.RunEnd(obs.RunEndEvent{Runner: "stub"})
 }
 
 // streamStub builds a streaming Server whose runner emits a fixed event
@@ -343,7 +344,7 @@ func TestStreamErrorFrame(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s, ts := newTestServer(t, streamConfig(Config{}))
 			s.runSpec = func(_ context.Context, _ solarcore.RunSpec, o obs.Observer) (*solarcore.DayResult, error) {
-				obs.RunStart(o, obs.RunStartEvent{Runner: "doomed"})
+				obs.NewEmitter(o).RunStart(obs.RunStartEvent{Runner: "doomed"})
 				return nil, tc.err
 			}
 			st := mustStream(t, client.New(ts.URL), specReq())
@@ -374,9 +375,10 @@ func TestStreamHeartbeat(t *testing.T) {
 	release := make(chan struct{})
 	s, ts := newTestServer(t, streamConfig(Config{Heartbeat: 5 * time.Millisecond}))
 	s.runSpec = func(_ context.Context, _ solarcore.RunSpec, o obs.Observer) (*solarcore.DayResult, error) {
-		obs.RunStart(o, obs.RunStartEvent{Runner: "slow"})
+		e := obs.NewEmitter(o)
+		e.RunStart(obs.RunStartEvent{Runner: "slow"})
 		<-release
-		obs.RunEnd(o, obs.RunEndEvent{Runner: "slow"})
+		e.RunEnd(obs.RunEndEvent{Runner: "slow"})
 		return fakeResult("slow"), nil
 	}
 	req := specReq()

@@ -79,7 +79,7 @@ func RunBatteryBank(cfg Config, bank *power.Bank, trackingEff float64) (*BankDay
 		}
 		bank.Idle(dt)
 
-		obs.Tick(r.o, obs.TickEvent{Minute: t, BudgetW: harvest, DemandW: demand, OnSolar: powered})
+		r.o.Tick(obs.TickEvent{Minute: t, BudgetW: harvest, DemandW: demand, OnSolar: powered})
 		if powered {
 			res.SolarMin += dt
 			r.meter.Add(power.Solar, demand, dt)

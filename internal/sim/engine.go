@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"solarcore/internal/fault"
+	"solarcore/internal/lru"
 	"solarcore/internal/mathx"
 	"solarcore/internal/mcore"
 	"solarcore/internal/mppt"
@@ -77,9 +78,11 @@ type Config struct {
 	// run_start/run_end bracketing the day, one track per MPPT tracking
 	// session, one alloc per mid-period DVFS move, one tick per
 	// sub-sample, and fault/watchdog events on faulted runs (see package
-	// obs). A nil observer costs nothing; the no-op observer's overhead,
-	// measured by the root benchmark BenchmarkRunMPPTNopObserver, is
-	// about 17 % of a day.
+	// obs). The run emits through one obs.Emitter, which it shares with
+	// the MPPT controller, so events cost no allocation each. A nil
+	// observer costs nothing; the no-op observer's overhead, measured by
+	// the root benchmark BenchmarkRunMPPTNopObserver, is about 4 % of a
+	// day and 7 allocations.
 	Observer obs.Observer
 }
 
@@ -131,7 +134,7 @@ type dayRun struct {
 	ats   power.TransferSwitch
 	fx    *faultCtx // nil unless an armed fault schedule is installed
 	day   *SolarDay
-	o     obs.Observer
+	o     *obs.Emitter // nil without an observer
 
 	runner     string
 	eta        float64 // clean conversion efficiency, unit: ratio
@@ -162,7 +165,7 @@ func (r *dayRun) begin(cfg *Config, res *DayResult, runner, policy string) error
 	}
 	*r = dayRun{
 		chip: chip, res: res, ats: *power.NewTransferSwitch(power.Utility),
-		day: cfg.Day, o: cfg.Observer, runner: runner,
+		day: cfg.Day, o: obs.NewEmitter(cfg.Observer), runner: runner,
 		stepMin: cfg.StepMin, keepSeries: cfg.KeepSeries,
 	}
 	return nil
@@ -170,7 +173,7 @@ func (r *dayRun) begin(cfg *Config, res *DayResult, runner, policy string) error
 
 // start emits the run_start event.
 func (r *dayRun) start() {
-	obs.RunStart(r.o, obs.RunStartEvent{
+	r.o.RunStart(obs.RunStartEvent{
 		Runner: r.runner, Policy: r.res.Policy, Mix: r.res.Mix,
 		Label: r.res.Label, Cores: r.chip.NumCores(),
 		StartMin: r.day.StartMinute(), EndMin: r.day.EndMinute(),
@@ -221,25 +224,26 @@ func (r *dayRun) budgetAt(t float64) float64 {
 	return r.eta * r.day.MPPAt(t)
 }
 
-// book accounts one sub-sample of dt minutes at minute t: the transfer
-// switch and meter follow the supply, solar minutes and instructions
-// accrue, and the tick reaches the observer and the series.
+// book accounts one sub-sample of dt minutes at minute t, where the chip
+// draws demandW and commits gips: the transfer switch and meter follow
+// the supply, solar minutes and instructions accrue, and the tick
+// reaches the observer and the series.
 //
-// unit: t=min, dt=min, budgetW=W, demandW=W
-func (r *dayRun) book(t, dt, budgetW, demandW float64, onSolar bool) {
+// unit: t=min, dt=min, budgetW=W, demandW=W, gips=GIPS
+func (r *dayRun) book(t, dt, budgetW, demandW, gips float64, onSolar bool) {
 	src := power.Utility
 	if onSolar {
 		src = power.Solar
 	}
 	r.ats.Select(src)
 	r.meter.Add(src, demandW, dt)
-	ginstr := r.chip.Throughput() * dt * 60
+	ginstr := gips * dt * 60
 	if onSolar {
 		r.res.SolarMin += dt
 		r.res.GInstrSolar += ginstr
 	}
 	r.res.GInstrTotal += ginstr
-	obs.Tick(r.o, obs.TickEvent{Minute: t, BudgetW: budgetW, DemandW: demandW, OnSolar: onSolar})
+	r.o.Tick(obs.TickEvent{Minute: t, BudgetW: budgetW, DemandW: demandW, OnSolar: onSolar})
 	if r.keepSeries {
 		actual := 0.0
 		if onSolar {
@@ -249,24 +253,34 @@ func (r *dayRun) book(t, dt, budgetW, demandW float64, onSolar bool) {
 	}
 }
 
-// fixedPeriod runs [t0, t1) the Fixed-Power way: the chip is planned
-// once against budgetW (greedy LP, Table 6) and each sub-sample runs on
-// solar only while the available power covers that budget — the
-// power-transfer threshold semantics of Section 6.2. The caller has
-// moved the run to t0, so the first sub-sample reads that sample.
+// fixedPeriod runs [t0, t1) the Fixed-Power way on the live chip: the
+// chip is planned once against budgetW (greedy LP, Table 6) and sampled
+// at every sub-sample, which fixedTick books. The caller has moved the
+// run to t0, so the first sub-sample reads that sample. RunFixed's fault
+// path and RunMPPT's watchdog fallback periods run here, because their
+// fault edges interleave with the ticks; a clean RunFixed day replays a
+// plan instead.
 //
 // unit: t0=min, t1=min, budgetW=W
 func (r *dayRun) fixedPeriod(t0, t1, budgetW float64) {
 	sched.PlanBudget(r.chip, budgetW)
 	for t := t0; t < t1-1e-9; t += r.stepMin {
-		dt := math.Min(r.stepMin, t1-t)
 		if t > t0 {
 			r.at(t)
 		}
-		avail := r.budgetAt(t)
-		demand := r.chip.Power()
-		r.book(t, dt, avail, demand, avail >= budgetW && demand > 0 && demand <= avail)
+		r.fixedTick(t, math.Min(r.stepMin, t1-t), budgetW, r.chip.Power(), r.chip.Throughput())
 	}
+}
+
+// fixedTick books one Fixed-Power sub-sample of a chip that draws
+// demandW and commits gips: it runs on solar only while the available
+// power covers the budget and the draw — the power-transfer threshold
+// semantics of Section 6.2.
+//
+// unit: t=min, dt=min, budgetW=W, demandW=W, gips=GIPS
+func (r *dayRun) fixedTick(t, dt, budgetW, demandW, gips float64) {
+	avail := r.budgetAt(t)
+	r.book(t, dt, avail, demandW, gips, avail >= budgetW && demandW > 0 && demandW <= avail)
 }
 
 // end writes the fault report and the metered energy, then emits the
@@ -280,7 +294,7 @@ func (r *dayRun) end() {
 	}
 	res.SolarWh = r.meter.EnergyWh(power.Solar)
 	res.UtilityWh = r.meter.EnergyWh(power.Utility)
-	obs.RunEnd(r.o, obs.RunEndEvent{
+	r.o.RunEnd(obs.RunEndEvent{
 		Runner:      r.runner,
 		SolarWh:     res.SolarWh,
 		UtilityWh:   res.UtilityWh,
@@ -314,13 +328,16 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 	// fx is nil unless an armed fault schedule is installed; every fault
 	// touch point below is gated on it so the clean path is untouched.
 	r.eta = circuit.Conv.Efficiency
-	r.fx = newFaultCtx(&cfg, circuit, r.eta)
+	r.fx = newFaultCtx(&cfg, circuit, r.eta, r.o)
 	fx := r.fx
 	mcfg := mppt.Config{
 		MarginSteps: cfg.MarginSteps,
 		SensorError: cfg.SensorError,
 		ScanPoints:  cfg.ScanPoints,
-		Observer:    cfg.Observer,
+	}
+	if r.o != nil {
+		// The controller emits through the run's envelope.
+		mcfg.Observer = r.o
 	}
 	if fx != nil {
 		mcfg.SenseFault = fx.rt.Sense
@@ -341,7 +358,6 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 	}
 
 	r.start()
-	o := cfg.Observer
 	top := chip.NumLevels() - 1
 	// The protective power margin is sized from the observed load ripple
 	// (Section 6.1: high-EPI workloads generate large power ripples, so
@@ -448,7 +464,7 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 						break
 					}
 					demand = chip.Power()
-					obs.Alloc(o, obs.AllocEvent{Minute: t, Dir: -1, Reason: obs.AllocShed,
+					r.o.Alloc(obs.AllocEvent{Minute: t, Dir: -1, Reason: obs.AllocShed,
 						DemandW: demand, BudgetW: budget})
 				}
 				for budget-demand > raiseBand()*budget {
@@ -457,12 +473,12 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 					}
 					if next := chip.Power(); next <= budget {
 						demand = next
-						obs.Alloc(o, obs.AllocEvent{Minute: t, Dir: +1, Reason: obs.AllocRaise,
+						r.o.Alloc(obs.AllocEvent{Minute: t, Dir: +1, Reason: obs.AllocRaise,
 							DemandW: demand, BudgetW: budget})
 					} else {
 						alloc.Lower(chip)
 						demand = chip.Power()
-						obs.Alloc(o, obs.AllocEvent{Minute: t, Dir: -1, Reason: obs.AllocRevert,
+						r.o.Alloc(obs.AllocEvent{Minute: t, Dir: -1, Reason: obs.AllocRevert,
 							DemandW: demand, BudgetW: budget})
 						break
 					}
@@ -495,7 +511,7 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 				errSum += math.Abs(budget-demand) / budget
 				errN++
 			}
-			r.book(t, dt, budget, demand, solarNow)
+			r.book(t, dt, budget, demand, chip.Throughput(), solarNow)
 		}
 		if onSolar && errN > 0 {
 			res.PeriodErrs = append(res.PeriodErrs, errSum/float64(errN))
@@ -541,7 +557,23 @@ func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
 // the chip is planned for a constant budget (greedy LP, Table 6) and runs
 // on solar only while the panel's deliverable power covers that budget —
 // the power-transfer threshold semantics of Section 6.2.
+//
+// A clean day's chip does not depend on the weather, so it replays a
+// plan: the planned chip's draw and throughput at every sub-sample,
+// built for a mix, chip, budget, step, period and day window, kept in a
+// small process-wide memo and read against each day's solar power. A day of more than
+// planMaxSamples sub-samples, a mix or chip that differs from the plan's
+// under the same key, and an armed fault schedule sample the chip live.
+// Both paths book every sub-sample through fixedTick, so they give the
+// same bytes.
 func RunFixed(cfg Config, budgetW float64) (*DayResult, error) {
+	return runFixed(cfg, budgetW, fixedPlans)
+}
+
+// runFixed is RunFixed with its plan memo; a nil plans runs live.
+//
+// unit: budgetW=W
+func runFixed(cfg Config, budgetW float64, plans *lru.Cache[planKey, *fixedPlan]) (*DayResult, error) {
 	var r dayRun
 	if err := r.begin(&cfg, new(DayResult), "Fixed-Power", fmt.Sprintf("Fixed-Power(%gW)", budgetW)); err != nil {
 		return nil, err
@@ -552,15 +584,31 @@ func RunFixed(cfg Config, budgetW float64) (*DayResult, error) {
 	// The fixed baseline has no tracker, so only power-path faults and
 	// core constraints apply.
 	r.eta = power.NewConverter().Efficiency
-	r.fx = newFaultCtx(&cfg, nil, r.eta)
+	r.fx = newFaultCtx(&cfg, nil, r.eta, r.o)
+	var plan []planSample
+	if r.fx == nil && plans != nil {
+		if p := planFor(plans, &cfg, budgetW); p != nil {
+			plan = p.samples
+		}
+	}
 	r.start()
 	start, end := cfg.Day.StartMinute(), cfg.Day.EndMinute()
+	i := 0
 	for t0 := start; t0 < end; t0 += cfg.TrackPeriodMin {
 		if err := cfg.canceled(); err != nil {
 			return nil, err
 		}
-		r.at(t0)
-		r.fixedPeriod(t0, math.Min(t0+cfg.TrackPeriodMin, end), budgetW)
+		t1 := math.Min(t0+cfg.TrackPeriodMin, end)
+		if plan == nil {
+			r.at(t0)
+			r.fixedPeriod(t0, t1, budgetW)
+			continue
+		}
+		for t := t0; t < t1-1e-9; t += cfg.StepMin {
+			s := plan[i]
+			i++
+			r.fixedTick(t, math.Min(cfg.StepMin, t1-t), budgetW, s.demandW, s.gips)
+		}
 	}
 	r.end()
 	return r.res, nil
@@ -585,7 +633,7 @@ func RunBattery(cfg Config, eff float64) (*DayResult, error) {
 	// The battery's dedicated charge controller still loses harvest to
 	// power-path faults (clouds, string cuts); core faults constrain the
 	// chip. Sensor, converter and solver faults have no battery analogue.
-	r.fx = newFaultCtx(&cfg, nil, 1)
+	r.fx = newFaultCtx(&cfg, nil, 1, r.o)
 
 	start, end := cfg.Day.StartMinute(), cfg.Day.EndMinute()
 	// The battery is optimally charged by its own tracker (Section 5): the
@@ -620,7 +668,7 @@ func RunBattery(cfg Config, eff float64) (*DayResult, error) {
 		got := bat.Draw(demand, dt)
 		// The battery supplies on demand while charged, so the available
 		// power equals demand until the bank empties.
-		obs.Tick(r.o, obs.TickEvent{Minute: t, BudgetW: demand, DemandW: demand, OnSolar: got > 0})
+		r.o.Tick(obs.TickEvent{Minute: t, BudgetW: demand, DemandW: demand, OnSolar: got > 0})
 		if got <= 0 {
 			break
 		}

@@ -25,7 +25,7 @@ type faultCtx struct {
 	conv    *power.Converter
 	baseEff float64 // unit: ratio
 	eta     float64 // unit: ratio
-	o       obs.Observer
+	o       *obs.Emitter
 
 	// curve is the panel at the minute of the last at, under the cloud
 	// bursts and the string-disconnect current scale; clean is the
@@ -39,10 +39,11 @@ type faultCtx struct {
 
 // newFaultCtx builds the per-run fault state, or nil when cfg carries no
 // armed schedule. When circuit is non-nil its converter becomes the fault
-// target; eta is the clean conversion efficiency for budget computation.
+// target; eta is the clean conversion efficiency for budget computation;
+// em is the run's emitter.
 //
 // unit: eta=ratio
-func newFaultCtx(cfg *Config, circuit *power.Circuit, eta float64) *faultCtx {
+func newFaultCtx(cfg *Config, circuit *power.Circuit, eta float64, em *obs.Emitter) *faultCtx {
 	rt := cfg.Faults.Runtime()
 	if !rt.Armed() {
 		return nil
@@ -52,7 +53,7 @@ func newFaultCtx(cfg *Config, circuit *power.Circuit, eta float64) *faultCtx {
 		wd:  &fault.Watchdog{},
 		day: cfg.Day,
 		eta: eta,
-		o:   cfg.Observer,
+		o:   em,
 	}
 	if circuit != nil {
 		fx.conv = circuit.Conv
@@ -114,12 +115,12 @@ func (fx *faultCtx) apply(chip *mcore.Chip) {
 func (fx *faultCtx) edgeEvents(t float64) {
 	closed, opened := fx.rt.Edges()
 	for _, inj := range closed {
-		obs.Fault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind,
+		fx.o.Fault(obs.FaultEvent{Minute: t, Kind: inj.Kind,
 			Intensity: inj.I, Phase: obs.FaultEnd})
 	}
 	for _, inj := range opened {
 		fx.report.Injected++
-		obs.Fault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind,
+		fx.o.Fault(obs.FaultEvent{Minute: t, Kind: inj.Kind,
 			Intensity: inj.I, Phase: obs.FaultBegin})
 	}
 }
@@ -154,7 +155,7 @@ func (fx *faultCtx) brownout(t float64, circuit *power.Circuit, chip *mcore.Chip
 		}
 		demand = chip.Power()
 		fx.report.BrownoutSheds++
-		obs.Alloc(fx.o, obs.AllocEvent{Minute: t, Dir: -1, Reason: obs.AllocBrownout,
+		fx.o.Alloc(obs.AllocEvent{Minute: t, Dir: -1, Reason: obs.AllocBrownout,
 			DemandW: demand})
 	}
 	return demand
@@ -192,7 +193,7 @@ func (fx *faultCtx) emitWatchdog(t float64, from, to fault.Mode, fallbackBudgetW
 	if to != fault.ModeFallback {
 		fallbackBudgetW = 0
 	}
-	obs.Watchdog(fx.o, obs.WatchdogEvent{
+	fx.o.Watchdog(obs.WatchdogEvent{
 		Minute: t, From: from.String(), To: to.String(),
 		Reason: watchdogReason(from, to), FallbackBudgetW: fallbackBudgetW,
 	})
@@ -224,7 +225,7 @@ func watchdogReason(from, to fault.Mode) string {
 // unit: end=min
 func (fx *faultCtx) finish(end float64) FaultReport {
 	for _, inj := range fx.rt.Close() {
-		obs.Fault(fx.o, obs.FaultEvent{Minute: end, Kind: inj.Kind,
+		fx.o.Fault(obs.FaultEvent{Minute: end, Kind: inj.Kind,
 			Intensity: inj.I, Phase: obs.FaultEnd})
 	}
 	r := fx.report

@@ -30,7 +30,9 @@ func (r *recorder) On(ev obs.Event) {
 	case ev.RunStart != nil:
 		r.starts = append(r.starts, *ev.RunStart)
 	case ev.Track != nil:
-		r.tracks = append(r.tracks, *ev.Track)
+		tr := *ev.Track
+		tr.Levels = slices.Clone(tr.Levels) // the controller reuses the slice
+		r.tracks = append(r.tracks, tr)
 	case ev.Tick != nil:
 		r.ticks = append(r.ticks, *ev.Tick)
 	case ev.RunEnd != nil:

@@ -15,9 +15,9 @@ import (
 // Publish never blocks (Topic drops oldest under pressure), so a
 // Publisher attached via solarcore.WithObserver costs the simulation one
 // encode per event. That encode is most of a streamed run: on a 2-CPU
-// Xeon host (go1.24), in five interleaved runs, the root
-// BenchmarkRunMPPTStreamPublisher read 3.8–4.2 ms per day (700 KB, 3,902
-// allocations) against 0.48–0.73 ms for BenchmarkRunMPPT, about six
+// Xeon host (go1.24), in three interleaved runs, the root
+// BenchmarkRunMPPTStreamPublisher read 1.8–2.0 ms per day (645 KB, 2,598
+// allocations) against 0.37–0.39 ms for BenchmarkRunMPPT, about five
 // times the bare run.
 type Publisher struct {
 	t   *Topic

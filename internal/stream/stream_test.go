@@ -261,10 +261,11 @@ func TestPublisherMatchesSinkBytes(t *testing.T) {
 func TestReplayDeliversStoredTail(t *testing.T) {
 	var tail bytes.Buffer
 	sink := obs.NewJSONLSink(&tail)
-	obs.RunStart(sink, obs.RunStartEvent{Policy: "opt"})
-	obs.Tick(sink, obs.TickEvent{Minute: 1})
-	obs.Tick(sink, obs.TickEvent{Minute: 2})
-	obs.RunEnd(sink, obs.RunEndEvent{})
+	e := obs.NewEmitter(sink)
+	e.RunStart(obs.RunStartEvent{Policy: "opt"})
+	e.Tick(obs.TickEvent{Minute: 1})
+	e.Tick(obs.TickEvent{Minute: 2})
+	e.RunEnd(obs.RunEndEvent{})
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}

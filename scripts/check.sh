@@ -22,8 +22,9 @@
 #                    preserves the machine-readable evidence
 #   go test -race  — the packages that exercise goroutines or share
 #                    state across steps, among them the process-wide
-#                    memos (internal/lru, the day cache in internal/sim,
-#                    the demand tables in internal/workload)
+#                    memos (internal/lru, the day cache and the
+#                    Fixed-Power plans in internal/sim, the demand
+#                    tables in internal/workload)
 #   experiments    — cmd/experiments -quick must exit 0 and write its 13
 #                    CSVs, and -day -1 must exit non-zero with a one-line
 #                    error instead of a panic
