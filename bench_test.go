@@ -234,8 +234,9 @@ func BenchmarkRunMPPT(b *testing.B) {
 // are built and dispatched, then discarded). On a 2-CPU host (go1.24.0)
 // five interleaved runs measured 0.38–0.45 ms and 99 allocations per
 // day against 0.36–0.42 ms and 92 for BenchmarkRunMPPT: 2–9% over it per
-// pair, a median of 4%. While every event boxed its payload the same
-// session read 0.42–0.45 ms and 1,403 allocations, a median of 16%.
+// pair, a median of 4%. Interleaved with those, the same runs while
+// every event boxed its payload read 0.42–0.45 ms and 1,403
+// allocations, a median of 16%.
 func BenchmarkRunMPPTNopObserver(b *testing.B) {
 	r := benchRunner(b, solarcore.WithObserver(solarcore.NopObserver()))
 	b.ResetTimer()
